@@ -90,6 +90,8 @@ class QuandleReport:
 
 def make_from_table(table) -> FiniteQuandle:
     """Build a quandle value from a square table without validating the axioms."""
+    if not isinstance(table, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in table):
+        raise MalformedInput("operation table must be a list of rows")
     rows = [tuple(row) for row in table]
     n = len(rows)
     if n == 0:
@@ -98,14 +100,15 @@ def make_from_table(table) -> FiniteQuandle:
         if len(row) != n:
             raise MalformedInput("operation table is not square")
         for entry in row:
-            if not isinstance(entry, int) or not 0 <= entry < n:
-                raise MalformedInput(f"table entry {entry!r} out of range 0..{n - 1}")
+            # type() rather than isinstance(): bool is a subclass of int
+            if type(entry) is not int or not 0 <= entry < n:
+                raise MalformedInput(f"table entry {entry!r} is not an integer in 0..{n - 1}")
     return FiniteQuandle(tuple(rows))
 
 
 def make_dihedral(n: int) -> FiniteQuandle:
     """Dihedral quandle on 0..n-1 with i * j = 2j - i (mod n)."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InvalidParameter(f"dihedral order must be a positive integer, got {n!r}")
     return FiniteQuandle(tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n)))
 
@@ -255,6 +258,8 @@ def quandle_from_json(text: str) -> FiniteQuandle:
     if obj["kind"] == "dihedral":
         if set(obj) != {"kind", "n"}:
             raise MalformedInput("dihedral quandle JSON takes exactly the fields kind, n")
+        if type(obj["n"]) is not int:
+            raise MalformedInput(f"dihedral order must be an integer, got {obj['n']!r}")
         return make_dihedral(obj["n"])
     if obj["kind"] == "table":
         if set(obj) != {"kind", "table"}:

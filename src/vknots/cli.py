@@ -108,7 +108,7 @@ def _load_aut(spec: str, q) -> QuandleMap:
         images = json.loads(_read_spec(spec))
     except json.JSONDecodeError as exc:
         raise UsageError(f"bad automorphism spec {spec!r}: {exc}") from exc
-    if not (isinstance(images, list) and all(isinstance(x, int) for x in images)):
+    if not (isinstance(images, list) and all(type(x) is int for x in images)):
         raise UsageError("automorphism JSON must be a list of integers")
     m = QuandleMap(tuple(images))
     if not is_automorphism(q, m):
@@ -142,6 +142,8 @@ def _cmd_cocycle(args) -> int:
             exps = json.loads(_read_spec(args.psi))
         except json.JSONDecodeError as exc:
             raise UsageError(f"bad psi: {exc}") from exc
+        if not (isinstance(exps, list) and all(type(x) is int for x in exps)):
+            raise UsageError("psi must be a list of integers")
         group = CoefficientGroup(args.m)
         c = coboundary(q, group, Cochain1(group, tuple(exps)))
         sys.stdout.write(cocycle_to_json(c) + "\n")

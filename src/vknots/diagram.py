@@ -39,7 +39,8 @@ class ClassicalCrossing:
     over_out: int
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        # type() rather than a bare membership test: True == 1 and 1.0 == 1
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise MalformedInput(f"crossing sign must be +1 or -1, got {self.sign!r}")
 
 
@@ -52,7 +53,7 @@ class VirtualCrossing:
     chirality: int
 
     def __post_init__(self):
-        if self.chirality not in (1, -1):
+        if type(self.chirality) is not int or self.chirality not in (1, -1):
             raise MalformedInput(f"chirality must be +1 or -1, got {self.chirality!r}")
         if self.first_in > self.second_in:
             fi, fo = self.first_in, self.first_out
@@ -117,6 +118,8 @@ def slot_maps(d: VirtualDiagram):
 
 def validate_diagram(d: VirtualDiagram) -> DiagramReport:
     """Check slot discipline: every edge once as an in-slot, once as an out-slot."""
+    if type(d.edges) is not int or type(d.free_loops) is not int:
+        return DiagramReport(False, "edge and free-loop counts must be integers")
     if d.edges < 0 or d.free_loops < 0:
         return DiagramReport(False, "edge and free-loop counts must be non-negative")
     ins: dict[int, int] = {}
@@ -124,7 +127,7 @@ def validate_diagram(d: VirtualDiagram) -> DiagramReport:
     for ci, c in enumerate(d.crossings):
         for role, e_in, e_out in strand_passages(c):
             for e, counter, what in ((e_in, ins, "in"), (e_out, outs, "out")):
-                if not isinstance(e, int) or not 0 <= e < d.edges:
+                if type(e) is not int or not 0 <= e < d.edges:
                     return DiagramReport(
                         False, f"crossings[{ci}]: edge label {e!r} out of range 0..{d.edges - 1}"
                     )
@@ -346,6 +349,8 @@ def parse_diagram(text: str) -> VirtualDiagram:
         raise MalformedInput(f"unknown diagram fields: {sorted(unknown)}")
     if "edges" not in obj or "crossings" not in obj:
         raise MalformedInput("diagram JSON needs the fields edges, crossings")
+    if not isinstance(obj["crossings"], list):
+        raise MalformedInput("diagram crossings must be a list of crossing records")
     crossings = []
     for i, rec in enumerate(obj["crossings"]):
         where = f"crossings[{i}]"

@@ -14,9 +14,18 @@ where f is a fixed quandle automorphism.  The two strands of a virtual
 crossing twist by opposite powers of f, decided by the chirality bit;
 traversing a virtual kink therefore applies f then f^-1, a net identity.
 
-``enumerate_colorings`` propagates constraints along strands and
-backtracks on conflicts; ``brute_force_colorings`` is the independent
-oracle scanning every assignment (compiled kernel when available).
+A coloring is fixed by the colors of the diagram's arcs, the pieces of
+strand from one undercrossing to the next (passing over a crossing keeps
+the color, a virtual crossing twists it by a bijection).  So
+``enumerate_colorings`` branches on arcs: it picks the uncolored over-arc
+of a classical crossing whose under-strand is already colored, tries each
+color, and propagates.  Every branch then colors a whole arc plus the
+next under-strand edge, and the search tree has one level per arc
+instead of one per edge.  Only when no such crossing exists -- at the
+start, or on an all-virtual diagram -- does it branch on the lowest
+uncolored edge.  ``brute_force_colorings`` is the independent oracle
+scanning every assignment (compiled kernel when available).
+
 Free loops are never enumerated -- they contribute a |G|^free_loops
 factor handled by the invariant layer and by ``count_colorings``.
 """
@@ -85,10 +94,13 @@ def enumerate_colorings(
 ) -> list[tuple[int, ...]]:
     """All satisfying colorings, sorted lexicographically as color vectors.
 
-    Strategy: pick the lowest uncolored edge, try each color, propagate
-    through every crossing rule that has enough known slots (each rule is
-    bijective along its strand once the over color is known), and
-    backtrack on conflict.
+    Strategy: branch on the uncolored over-arc ``over_in`` of a classical
+    crossing whose ``under_in`` or ``under_out`` is colored, falling back
+    to the lowest uncolored edge when no such crossing exists; try each
+    color, propagate through every crossing rule that has enough known
+    slots (each rule is bijective along its strand once the over color is
+    known), and backtrack on conflict.  The branching order does not
+    change the result, which is sorted before it is returned.
     """
     _check_automorphism(q, f)
     n = q.order
@@ -191,17 +203,28 @@ def enumerate_colorings(
                 stack.extend(forced)
         return trail
 
+    classical, _ = _compiled_constraints(d)
+
+    def branch_edge() -> int | None:
+        """The uncolored over-arc of a classical crossing whose under-strand
+        is colored; else the lowest uncolored edge; None when all are colored."""
+        for _, ui, oi, uo, _ in classical:
+            if colors[oi] is None and (colors[ui] is not None or colors[uo] is not None):
+                return oi
+        for e in range(E):
+            if colors[e] is None:
+                return e
+        return None
+
     # explicit depth-first search so deep diagrams cannot hit the
     # interpreter recursion limit; each frame is [edge, next color, trail]
     frames: list[list] = []
-    lowest = 0
     while True:
-        while lowest < E and colors[lowest] is not None:
-            lowest += 1
-        if lowest == E:
+        edge = branch_edge()
+        if edge is None:
             results.append(tuple(colors))  # type: ignore[arg-type]
         else:
-            frames.append([lowest, 0, None])
+            frames.append([edge, 0, None])
         moved = False
         while frames and not moved:
             frame = frames[-1]
@@ -217,7 +240,6 @@ def enumerate_colorings(
             trail = propagate([(frame[0], v)])
             if trail is not None:
                 frame[2] = trail
-                lowest = frame[0] + 1
                 moved = True
         if not moved:
             break

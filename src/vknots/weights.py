@@ -368,12 +368,19 @@ def cocycle_from_json(text: str, q: FiniteQuandle) -> Cocycle2:
         raise MalformedInput("cocycle JSON takes exactly the fields group, entries")
     if not isinstance(obj["group"], dict) or set(obj["group"]) != {"m"}:
         raise MalformedInput("cocycle group JSON takes exactly the field m")
+    # type() rather than isinstance(): bool is a subclass of int
+    if type(obj["group"]["m"]) is not int:
+        raise MalformedInput(f"cocycle modulus m must be an integer, got {obj['group']['m']!r}")
     group = CoefficientGroup(obj["group"]["m"])
+    if not isinstance(obj["entries"], list):
+        raise MalformedInput("cocycle entries must be a list of [a, b, exponent] triples")
     n = q.order
     table = [[0] * n for _ in range(n)]
     for item in obj["entries"]:
         if not (isinstance(item, list) and len(item) == 3):
             raise MalformedInput("cocycle entries must be [a, b, exponent] triples")
+        if any(type(x) is not int for x in item):
+            raise MalformedInput(f"cocycle entry {item!r} must hold integers")
         a, b, e = item
         if not (0 <= a < n and 0 <= b < n):
             raise MalformedInput(f"cocycle entry ({a}, {b}) out of range")

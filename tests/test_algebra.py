@@ -29,6 +29,8 @@ def test_dihedral_table_entries():
 def test_dihedral_rejects_zero():
     with pytest.raises(InvalidParameter):
         make_dihedral(0)
+    with pytest.raises(InvalidParameter):
+        make_dihedral(True)
 
 
 def test_make_from_table_no_validation():
@@ -46,6 +48,8 @@ def test_make_from_table_rejects_malformed():
         make_from_table([[0, 2], [0, 1]])
     with pytest.raises(MalformedInput):
         make_from_table([])
+    with pytest.raises(MalformedInput):
+        make_from_table([[False, False], [True, True]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -169,3 +173,6 @@ def test_quandle_json_round_trip():
         quandle_from_json('{"kind":"mystery","n":2}')
     with pytest.raises(MalformedInput):
         quandle_from_json("not json")
+    for n in ("true", "4.0", '"4"'):
+        with pytest.raises(MalformedInput):
+            quandle_from_json('{"kind":"dihedral","n":%s}' % n)

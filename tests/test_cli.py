@@ -210,3 +210,49 @@ def test_unknown_builder_is_usage_error(capsys):
     code, _, err = run(capsys, "diagram", "components", "--diagram", "borromean")
     assert code == 2
     assert "unknown" in err
+
+
+def _diagram_with(edit):
+    obj = json.loads(serialize_diagram(builder("virtual_trefoil")))
+    edit(obj)
+    return json.dumps(obj)
+
+
+def _cocycle(m=0, entries=()):
+    return json.dumps({"group": {"m": m}, "entries": list(entries)})
+
+
+_Z_TREFOIL = ("invariant", "z", "--diagram", "trefoil", "--quandle", "dihedral:4", "--cocycle")
+
+# Each input was accepted (or crashed with a traceback) when a bool, float
+# or str stood where an integer belongs; each must now be a usage error.
+NON_INTEGER_INPUTS = {
+    "dihedral-n-bool": ("quandle", "check", "--quandle", '{"kind":"dihedral","n":true}'),
+    "table-entry-bool": ("quandle", "check", "--quandle", '{"kind":"table","table":[[false,false],[true,true]]}'),
+    "table-not-rows": ("quandle", "check", "--quandle", '{"kind":"table","table":5}'),
+    "cocycle-exponent-float": _Z_TREFOIL + (_cocycle(entries=[[0, 1, 1.5]]),),
+    "cocycle-exponent-bool": _Z_TREFOIL + (_cocycle(entries=[[0, 1, True]]),),
+    "cocycle-m-str": _Z_TREFOIL + (_cocycle(m="3"),),
+    "cocycle-m-bool": _Z_TREFOIL + (_cocycle(m=True),),
+    "cocycle-index-bool": _Z_TREFOIL + (_cocycle(entries=[[True, 1, 1]]),),
+    "cocycle-index-str": _Z_TREFOIL + (_cocycle(entries=[["0", 1, 1]]),),
+    "cocycle-entries-not-list": _Z_TREFOIL + ('{"group":{"m":0},"entries":5}',),
+    "diagram-sign-bool": ("diagram", "validate", "--diagram", _diagram_with(lambda o: o["crossings"][0].update(sign=True))),
+    "diagram-sign-float": ("diagram", "validate", "--diagram", _diagram_with(lambda o: o["crossings"][0].update(sign=1.0))),
+    "diagram-chirality-float": ("diagram", "validate", "--diagram", _diagram_with(lambda o: o["crossings"][2].update(chirality=1.0))),
+    "diagram-free-loops-bool": ("diagram", "validate", "--diagram", _diagram_with(lambda o: o.update(free_loops=True))),
+    "diagram-edges-str": ("diagram", "validate", "--diagram", _diagram_with(lambda o: o.update(edges="6"))),
+    "diagram-edges-float": ("diagram", "validate", "--diagram", _diagram_with(lambda o: o.update(edges=6.0))),
+    "diagram-label-bool": ("diagram", "validate", "--diagram", _diagram_with(lambda o: o["crossings"][0].update(under_out=True))),
+    "diagram-crossings-not-list": ("diagram", "validate", "--diagram", '{"edges":0,"free_loops":0,"crossings":5}'),
+    "psi-float": ("cocycle", "coboundary", "--quandle", "dihedral:4", "--psi", "[1.5,0,0,0]"),
+    "aut-bool": ("color", "count", "--diagram", "trefoil", "--quandle", "dihedral:2", "--aut", "[false,true]"),
+}
+
+
+@pytest.mark.parametrize("argv", list(NON_INTEGER_INPUTS.values()), ids=list(NON_INTEGER_INPUTS))
+def test_non_integer_inputs_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err

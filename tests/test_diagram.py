@@ -78,6 +78,10 @@ def test_crossing_field_validation():
         ClassicalCrossing(0, 0, 1, 1, 0)
     with pytest.raises(MalformedInput):
         VirtualCrossing(0, 1, 1, 0, 2)
+    with pytest.raises(MalformedInput):
+        ClassicalCrossing(True, 0, 1, 1, 0)
+    with pytest.raises(MalformedInput):
+        VirtualCrossing(0, 1, 1, 0, 1.0)
 
 
 def test_virtual_crossing_normalisation():

@@ -1,13 +1,17 @@
+from math import gcd
+
 import pytest
 
-from vknots import _colorkernel_py, kernel
+from vknots import _colorkernel_py, intlin, kernel
 from vknots.algebra import QuandleMap, inner_automorphism, make_dihedral
 from vknots.diagram import (
     BUILDER_NAMES,
+    ClassicalCrossing,
     VirtualCrossing,
     VirtualDiagram,
     builder,
 )
+from vknots.moves import random_equivalent
 from vknots.errors import CeilingExceeded, InvalidParameter
 from vknots.solver import (
     _compiled_constraints,
@@ -143,3 +147,72 @@ def test_backend_parity_python_vs_selected():
                 f.inverse().images,
             )
             assert kernel.filter_colorings(*args) == _colorkernel_py.filter_colorings(*args)
+
+
+# ---------------------------------------------------------------------------
+# Linear-algebra check at scale.  On the dihedral quandle R_n (a * b = 2b - a)
+# both classical rules read u_out + u_in - 2*o = 0 and o_out - o_in = 0, and
+# the twists below are affine, x -> u*x + b with u = +-1, so the twisted
+# colorings are the solutions of an affine system over Z_n.  Their number is
+# 0 when the system is inconsistent and otherwise the size of the kernel,
+# the product of gcd(d_j, n) over the Smith diagonal (d_j = 0 past the rank).
+# It shares no code with the search and needs no scan of n^E assignments.
+
+AFFINE_TWISTS = {"identity": (1, 0), "inner:0": (-1, 0), "shift": (1, 1)}
+
+
+def _affine_count(d, n, u, b):
+    rows, rhs = [], []
+
+    def equation(terms, value):
+        row = [0] * d.edges
+        for e, coeff in terms:
+            row[e] += coeff
+        rows.append(row)
+        rhs.append(value % n)
+
+    f, f_inv = (u, b), (u, -u * b)  # u = u^-1 since u = +-1
+    for c in d.crossings:
+        if isinstance(c, ClassicalCrossing):
+            equation([(c.over_out, 1), (c.over_in, -1)], 0)
+            equation([(c.under_out, 1), (c.under_in, 1), (c.over_in, -2)], 0)
+        else:
+            first, second = (f_inv, f) if c.chirality > 0 else (f, f_inv)
+            for e_in, e_out, (uu, bb) in ((c.first_in, c.first_out, first), (c.second_in, c.second_out, second)):
+                equation([(e_out, 1), (e_in, -uu)], bb)
+    if intlin.solve_mod(rows, rhs, n) is None:
+        return 0
+    diag, _, _ = intlin.smith_normal_form(rows)
+    rank_bound = min(len(rows), d.edges)
+    count = n**d.free_loops
+    for j in range(d.edges):
+        count *= gcd(diag[j][j] if j < rank_bound else 0, n)
+    return count
+
+
+@pytest.fixture(scope="module")
+def ladder_diagrams():
+    return {
+        "E102": random_equivalent(builder("figure_eight"), 36, 250, soft_cap=105)[0],
+        "E186": random_equivalent(builder("kishino"), 1, 400, soft_cap=200)[0],
+    }
+
+
+def test_affine_count_matches_search_on_corpus():
+    for name in BUILDER_NAMES:
+        d = builder(name)
+        for n in (3, 4):
+            for spec, (u, b) in AFFINE_TWISTS.items():
+                f = QuandleMap(tuple((u * x + b) % n for x in range(n)))
+                assert count_colorings(d, make_dihedral(n), f) == _affine_count(d, n, u, b), (name, n, spec)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("size", ["E102", "E186"])
+def test_search_matches_linear_algebra_at_scale(ladder_diagrams, size, n):
+    d = ladder_diagrams[size]
+    q = make_dihedral(n)
+    assert inner_automorphism(q, 0).images == tuple(-x % n for x in range(n))
+    for spec, (u, b) in AFFINE_TWISTS.items():
+        f = QuandleMap(tuple((u * x + b) % n for x in range(n)))
+        assert count_colorings(d, q, f) == _affine_count(d, n, u, b), spec

@@ -236,3 +236,6 @@ def test_cocycle_json_round_trip():
         cocycle_from_json('{"entries":[]}', c.quandle)
     with pytest.raises(MalformedInput):
         cocycle_from_json('{"group":{"m":0},"entries":[[0,9,1]]}', c.quandle)
+    for text in ('{"group":{"m":"3"},"entries":[]}', '{"group":{"m":0},"entries":[[0,1,1.5]]}'):
+        with pytest.raises(MalformedInput):
+            cocycle_from_json(text, c.quandle)
