@@ -33,7 +33,7 @@ from .errors import (
     SearchBoundExceeded,
     WrongKind,
 )
-from .invariants import aut_sum_z3, compute_invariant, state_sum_z2, state_weight_z1
+from .invariants import compute_invariant, invariant_bundle
 from .solver import count_colorings, enumerate_colorings
 from .weights import (
     CoefficientGroup,
@@ -196,9 +196,31 @@ def _cmd_diagram(args) -> int:
     return 0
 
 
+def _load_valid_quandle(spec: str):
+    q = _load_quandle(spec)
+    report = validate_quandle(q)
+    if not report.ok:
+        raise PreconditionFailed(
+            f"the quandle fails axiom {report.axiom}, witness {list(report.witness)}",
+            witness=report.witness,
+        )
+    return q
+
+
+def _load_valid_cocycle(spec: str, q):
+    c = _load_cocycle(spec, q)
+    report = validate_cocycle(c)
+    if not report.ok:
+        raise PreconditionFailed(
+            f"the cocycle fails condition {report.condition}, witness {list(report.witness)}",
+            witness=report.witness,
+        )
+    return c
+
+
 def _cmd_color(args) -> int:
     d = _load_diagram(args.diagram)
-    q = _load_quandle(args.quandle)
+    q = _load_valid_quandle(args.quandle)
     f = _load_aut(args.aut, q)
     if args.action == "count":
         _emit({"count": count_colorings(d, q, f)})
@@ -209,8 +231,8 @@ def _cmd_color(args) -> int:
 
 def _cmd_invariant(args) -> int:
     d = _load_diagram(args.diagram)
-    q = _load_quandle(args.quandle)
-    c = _load_cocycle(args.cocycle, q)
+    q = _load_valid_quandle(args.quandle)
+    c = _load_valid_cocycle(args.cocycle, q)
     f = _load_aut(args.aut, q) if args.aut else None
     result = compute_invariant(args.kind, d, q, c, f)
     if args.json:
@@ -220,29 +242,18 @@ def _cmd_invariant(args) -> int:
     return 0
 
 
-def _fuzz_bundle(d, q, c, f):
-    bundle = {
-        "colorings": count_colorings(d, q, f),
-        "z1": state_weight_z1(d, q, c, f).exponent,
-        "z3": aut_sum_z3(d, q, c).to_json_obj(),
-    }
-    if preservation_witness(f, c) is None:
-        bundle["z2"] = state_sum_z2(d, q, c, f).to_json_obj()
-    return bundle
-
-
 def _cmd_fuzz(args) -> int:
     d = _load_diagram(args.diagram)
-    q = _load_quandle(args.quandle)
-    c = _load_cocycle(args.cocycle, q)
+    q = _load_valid_quandle(args.quandle)
+    c = _load_valid_cocycle(args.cocycle, q)
     f = _load_aut(args.aut, q)
-    before = _fuzz_bundle(d, q, c, f)
+    before = invariant_bundle(d, q, c, f)
     kinds = moves_mod.CLASSICAL_KINDS if args.classical_only else None
     final, trace = moves_mod.random_equivalent(
         d, args.seed, args.moves, allow_semi_virtual=not args.no_semi_virtual, kinds=kinds
     )
     report = diagram_mod.validate_diagram(final)
-    after = _fuzz_bundle(final, q, c, f)
+    after = invariant_bundle(final, q, c, f)
     stable = before == after and report.ok
     _emit(
         {

@@ -28,8 +28,9 @@ import json
 from dataclasses import dataclass
 
 from .algebra import FiniteQuandle, QuandleMap, automorphisms
-from .diagram import ClassicalCrossing, VirtualDiagram
+from .diagram import VirtualDiagram
 from .errors import InvalidParameter, PreconditionFailed, WrongKind
+from .kernel import compile_problem, satisfying, weight_slots
 from .solver import enumerate_colorings
 from .weights import Cocycle2, Weight, WeightPolynomial, preservation_witness
 
@@ -59,33 +60,52 @@ class InvariantResult:
         return str(self.value)
 
 
-def _classical_weight_exponent(d: VirtualDiagram, c: Cocycle2, coloring) -> int:
-    exp = 0
+def _exponent(c: Cocycle2, slots, coloring) -> int:
     e = c.exponents
-    for x in d.crossings:
-        if isinstance(x, ClassicalCrossing):
-            if x.sign > 0:
-                exp += e[coloring[x.under_in]][coloring[x.over_in]]
-            else:
-                exp -= e[coloring[x.under_out]][coloring[x.over_in]]
-    return exp
+    return sum(sign * e[coloring[x]][coloring[y]] for sign, x, y in slots)
 
 
-def _verify_classical_rules(d: VirtualDiagram, c: Cocycle2, coloring) -> None:
-    if len(coloring) != d.edges:
-        raise InvalidParameter("coloring length does not match the edge count")
-    q = c.quandle
-    for x in d.crossings:
-        if not isinstance(x, ClassicalCrossing):
-            continue
-        o = coloring[x.over_in]
-        if coloring[x.over_out] != o:
-            raise InvalidParameter("coloring violates an over-strand rule")
-        if x.sign > 0:
-            if coloring[x.under_out] != q.table[coloring[x.under_in]][o]:
-                raise InvalidParameter("coloring violates an under-strand rule")
-        elif q.table[coloring[x.under_out]][o] != coloring[x.under_in]:
-            raise InvalidParameter("coloring violates an under-strand rule")
+def _exponents(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> list[int]:
+    """The weight exponent of every coloring under the twist map f, from one enumeration."""
+    slots = weight_slots(d)
+    return [_exponent(c, slots, a) for a in enumerate_colorings(d, q, f)]
+
+
+def _weight_sum(c: Cocycle2, exponents: list[int], factor: int) -> WeightPolynomial:
+    """Z and Z2: one monomial per coloring, scaled by the free-loop factor."""
+    poly = WeightPolynomial.from_pairs((c.group.reduce(x), 1) for x in exponents)
+    return poly.scale(factor) if factor > 1 else poly
+
+
+def _weight_product(c: Cocycle2, exponents: list[int], factor: int) -> Weight:
+    """Z1: the product of all coloring weights, each coloring counted factor times."""
+    return Weight(c.group, sum(exponents) * factor)
+
+
+def _aut_sum(c: Cocycle2, per_aut, factor: int) -> WeightPolynomial:
+    """Z3 from the exponent lists of every automorphism."""
+    return WeightPolynomial.from_pairs(
+        (_weight_product(c, exponents, factor).exponent, 1) for exponents in per_aut
+    )
+
+
+def _per_automorphism(d, q, c, f) -> tuple[list[int], list[list[int]]]:
+    """f's exponent list and every automorphism's, enumerating each twist map once."""
+    per_aut = [(g, _exponents(d, q, c, g)) for g in automorphisms(q)]
+    own = next((exponents for g, exponents in per_aut if g == f), None)
+    if own is None:  # f is no automorphism; enumerating under it raises the error
+        own = _exponents(d, q, c, f)
+    return own, [exponents for _, exponents in per_aut]
+
+
+def _check_preserving(f: QuandleMap, c: Cocycle2) -> None:
+    witness = preservation_witness(f, c)
+    if witness is not None:
+        a, b = witness
+        raise PreconditionFailed(
+            f"the twist map does not preserve the cocycle: phi({a},{b}) != phi(f({a}),f({b}))",
+            witness=witness,
+        )
 
 
 def coloring_weight(d: VirtualDiagram, c: Cocycle2, coloring) -> Weight:
@@ -94,52 +114,56 @@ def coloring_weight(d: VirtualDiagram, c: Cocycle2, coloring) -> Weight:
     The classical crossing rules are re-checked (the virtual rules depend
     on the twist map and are the solver's business).
     """
-    _verify_classical_rules(d, c, coloring)
-    return Weight(c.group, _classical_weight_exponent(d, c, coloring))
+    if len(coloring) != d.edges:
+        raise InvalidParameter("coloring length does not match the edge count")
+    q = c.quandle
+    p = compile_problem(d, q, QuandleMap.identity(q.order))
+    if not satisfying(p.rules[: 2 * p.classical], [coloring]):
+        raise InvalidParameter("coloring violates a classical crossing rule")
+    return Weight(c.group, _exponent(c, weight_slots(d), coloring))
 
 
 def state_sum_classical(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2) -> WeightPolynomial:
     """Z: the weight sum over all colorings of a classical diagram."""
-    if any(not isinstance(x, ClassicalCrossing) for x in d.crossings):
+    if d.virtual():
         raise WrongKind("the classical state sum is undefined on virtual diagrams; use Z2")
     identity = QuandleMap.identity(q.order)
-    colorings = enumerate_colorings(d, q, identity)
-    poly = WeightPolynomial.from_pairs(
-        (c.group.reduce(_classical_weight_exponent(d, c, a)), 1) for a in colorings
-    )
-    factor = q.order**d.free_loops
-    return poly.scale(factor) if factor > 1 else poly
+    return _weight_sum(c, _exponents(d, q, c, identity), q.order**d.free_loops)
 
 
 def state_weight_z1(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> Weight:
     """Z1: the product of all coloring weights, a single monomial."""
-    colorings = enumerate_colorings(d, q, f)
-    total = sum(_classical_weight_exponent(d, c, a) for a in colorings)
-    return Weight(c.group, total * q.order**d.free_loops)
+    return _weight_product(c, _exponents(d, q, c, f), q.order**d.free_loops)
 
 
 def state_sum_z2(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> WeightPolynomial:
     """Z2: the weight sum over colorings; requires the twist map to preserve phi."""
-    witness = preservation_witness(f, c)
-    if witness is not None:
-        a, b = witness
-        raise PreconditionFailed(
-            f"the twist map does not preserve the cocycle: phi({a},{b}) != phi(f({a}),f({b}))",
-            witness=witness,
-        )
-    colorings = enumerate_colorings(d, q, f)
-    poly = WeightPolynomial.from_pairs(
-        (c.group.reduce(_classical_weight_exponent(d, c, a)), 1) for a in colorings
-    )
-    factor = q.order**d.free_loops
-    return poly.scale(factor) if factor > 1 else poly
+    _check_preserving(f, c)
+    return _weight_sum(c, _exponents(d, q, c, f), q.order**d.free_loops)
 
 
 def aut_sum_z3(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, bound: int = 8) -> WeightPolynomial:
     """Z3: the sum of the Z1 monomials over all automorphisms of the quandle."""
-    return WeightPolynomial.from_pairs(
-        (state_weight_z1(d, q, c, f).exponent, 1) for f in automorphisms(q, bound)
-    )
+    per_aut = [_exponents(d, q, c, g) for g in automorphisms(q, bound)]
+    return _aut_sum(c, per_aut, q.order**d.free_loops)
+
+
+def invariant_bundle(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> dict:
+    """The quantities a move sequence must preserve, as JSON values.
+
+    The coloring count, Z1, Z3 and, when f preserves phi, Z2, built from
+    one enumeration per automorphism (f's list serves all but Z3).
+    """
+    factor = q.order**d.free_loops
+    own, per_aut = _per_automorphism(d, q, c, f)
+    bundle = {
+        "colorings": len(own) * factor,
+        "z1": _weight_product(c, own, factor).exponent,
+        "z3": _aut_sum(c, per_aut, factor).to_json_obj(),
+    }
+    if preservation_witness(f, c) is None:
+        bundle["z2"] = _weight_sum(c, own, factor).to_json_obj()
+    return bundle
 
 
 def compute_invariant(
@@ -149,20 +173,22 @@ def compute_invariant(
     c: Cocycle2,
     f: QuandleMap | None = None,
 ) -> InvariantResult:
-    """Uniform front end used by the command-line tool."""
+    """Uniform front end used by the command-line tool; one enumeration per twist map."""
     factor = q.order**d.free_loops
     if kind == "z":
         value = state_sum_classical(d, q, c)
-        count = value.evaluate_at_one()
-        return InvariantResult("Z", value, count, factor)
+        return InvariantResult("Z", value, value.evaluate_at_one(), factor)
     if f is None:
         raise InvalidParameter(f"invariant {kind!r} needs an automorphism")
-    colorings = len(enumerate_colorings(d, q, f)) * factor
     if kind == "z1":
-        return InvariantResult("Z1", state_weight_z1(d, q, c, f), colorings, factor)
+        own = _exponents(d, q, c, f)
+        return InvariantResult("Z1", _weight_product(c, own, factor), len(own) * factor, factor)
     if kind == "z2":
-        value = state_sum_z2(d, q, c, f)
-        return InvariantResult("Z2", value, colorings, factor, preserving=True)
+        _check_preserving(f, c)
+        own = _exponents(d, q, c, f)
+        value = _weight_sum(c, own, factor)
+        return InvariantResult("Z2", value, len(own) * factor, factor, preserving=True)
     if kind == "z3":
-        return InvariantResult("Z3", aut_sum_z3(d, q, c), colorings, factor)
+        own, per_aut = _per_automorphism(d, q, c, f)
+        return InvariantResult("Z3", _aut_sum(c, per_aut, factor), len(own) * factor, factor)
     raise InvalidParameter(f"unknown invariant kind {kind!r}")

@@ -1,27 +1,103 @@
-"""Backend selection for the brute-force coloring kernel.
+"""The coloring problem of a diagram, compiled once into strand rules.
 
-The compiled extension is preferred when present; otherwise the
-pure-Python twin is used.  Setting the environment variable
-``VKNOTS_PURE_PYTHON=1`` forces the fallback (useful for the backend
-parity tests and the benchmark).
+This module is the one place that encodes the crossing rules.  Every
+crossing becomes two strand rules ``(in, out, by, fwd, back)``, each
+relating the color of an edge entering a passage to the color of the
+edge leaving it:
+
+  classical, under-strand:  color(out) = fwd[color(by)][color(in)]
+                            color(in)  = back[color(by)][color(out)]
+      sign +1:  out = in * over              (fwd = table, back = division)
+      sign -1:  out = the x with x * over = in  (fwd = division, back = table)
+  classical, over-strand:   color(out) = color(in)                 (by = -1)
+  virtual, chirality c:     first strand twists by f^(-c), second by f^(+c)
+
+where ``by`` is the crossing's ``over_in`` edge and f is the twist
+automorphism.  A rule with ``by = -1`` is a bijection read directly from
+``fwd`` and ``back``; an under-rule needs the over color first, and the
+tables are stored by over color so that ``fwd[o]`` is again a bijection.
+
+The search (``solver.enumerate_colorings``) propagates these rules; the
+oracle, ``verify_coloring`` and ``coloring_weight`` test them with
+``satisfying``; the weight accumulation reads ``weight_slots``.
 """
 
 from __future__ import annotations
 
-import os
+from typing import NamedTuple
 
-from . import _colorkernel_py
+from .algebra import FiniteQuandle, QuandleMap, _division_table, is_automorphism
+from .diagram import VirtualDiagram
+from .errors import InvalidParameter
 
-if os.environ.get("VKNOTS_PURE_PYTHON") == "1":
-    _impl = _colorkernel_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _colorkernel as _impl  # type: ignore[attr-defined]
+BACKEND = "python"
 
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _colorkernel_py
-        BACKEND = "python"
+Rule = tuple[int, int, int, tuple, tuple]
 
-filter_colorings = _impl.filter_colorings
+
+class Problem(NamedTuple):
+    """A diagram's coloring rules with the quandle and twist tables bound.
+
+    ``rules`` lists the under-rules of the classical crossings first (in
+    crossing order), then their over-rules, then the virtual passages, so
+    ``rules[:classical]`` are the under-rules and ``rules[:2 * classical]``
+    the rules that do not depend on the twist map.
+    """
+
+    rules: tuple[Rule, ...]
+    classical: int
+    incident: tuple[tuple[int, ...], ...]  # edge -> indices of the rules it appears in
+
+
+def compile_problem(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> Problem:
+    """The strand rules of d over the quandle q with twist automorphism f."""
+    if not is_automorphism(q, f):
+        raise InvalidParameter("the twist map must be an automorphism of the quandle")
+    times = tuple(zip(*q.table))  # times[o][x] = x * o
+    divide = tuple(zip(*_division_table(q)))  # divide[o][y] = the x with x * o = y
+    fplus = f.images
+    fminus = f.inverse().images
+    identity = tuple(range(q.order))
+    classical = d.classical()
+    under, over = [], []
+    for c in classical:
+        fwd, back = (times, divide) if c.sign > 0 else (divide, times)
+        under.append((c.under_in, c.under_out, c.over_in, fwd, back))
+        over.append((c.over_in, c.over_out, -1, identity, identity))
+    virtual = []
+    for c in d.virtual():
+        first, second = (fminus, fplus) if c.chirality > 0 else (fplus, fminus)
+        virtual.append((c.first_in, c.first_out, -1, first, second))
+        virtual.append((c.second_in, c.second_out, -1, second, first))
+    rules = tuple(under + over + virtual)
+    incident: list[list[int]] = [[] for _ in range(d.edges)]
+    for r, (i, o, b, _, _) in enumerate(rules):
+        for e in {i, o, b} - {-1}:
+            incident[e].append(r)
+    return Problem(rules, len(classical), tuple(map(tuple, incident)))
+
+
+def weight_slots(d: VirtualDiagram) -> list[tuple[int, int, int]]:
+    """One slot (sign, edge, by) per classical crossing, in crossing order.
+
+    A coloring weighs the product of phi(color(edge), color(by))**sign, the
+    convention set out in ``invariants``.  The slots depend on the diagram
+    alone, so the invariants read them without compiling the rules.
+    """
+    return [(c.sign, c.under_in if c.sign > 0 else c.under_out, c.over_in) for c in d.classical()]
+
+
+def satisfying(rules, colorings) -> list:
+    """The full edge colorings, in the given order, under which every rule holds.
+
+    One loop over all candidates, so that the exhaustive oracle pays no
+    function call per assignment.
+    """
+    out = []
+    for c in colorings:
+        for i, o, b, fwd, _ in rules:
+            if (fwd if b < 0 else fwd[c[b]])[c[i]] != c[o]:
+                break
+        else:
+            out.append(c)
+    return out

@@ -1,30 +1,24 @@
 """Quandle colorings of a diagram.
 
-A coloring assigns a quandle element to every edge subject to one rule
-per crossing:
-
-  classical, sign +1:  color(over_out)  = color(over_in)
-                       color(under_out) = color(under_in) * color(over_in)
-  classical, sign -1:  color(over_out)  = color(over_in)
-                       color(under_out) = the x with x * color(over_in) = color(under_in)
-  virtual, chirality c: color(first_out)  = f^(-c)(color(first_in))
-                        color(second_out) = f^(+c)(color(second_in))
-
-where f is a fixed quandle automorphism.  The two strands of a virtual
-crossing twist by opposite powers of f, decided by the chirality bit;
-traversing a virtual kink therefore applies f then f^-1, a net identity.
+A coloring assigns a quandle element to every edge so that every strand
+passage obeys its crossing's rule: passing over a crossing keeps the
+color, passing under it multiplies by (sign +1) or divides by (sign -1)
+the over color, and a virtual crossing twists its two strands by
+opposite powers of a fixed quandle automorphism f, decided by its
+chirality bit, so that traversing a virtual kink applies f then f^-1.
+``kernel.compile_problem`` encodes these rules once, as strand rules
+with the tables bound; every function here reads them from there.
 
 A coloring is fixed by the colors of the diagram's arcs, the pieces of
-strand from one undercrossing to the next (passing over a crossing keeps
-the color, a virtual crossing twists it by a bijection).  So
-``enumerate_colorings`` branches on arcs: it picks the uncolored over-arc
-of a classical crossing whose under-strand is already colored, tries each
-color, and propagates.  Every branch then colors a whole arc plus the
-next under-strand edge, and the search tree has one level per arc
-instead of one per edge.  Only when no such crossing exists -- at the
-start, or on an all-virtual diagram -- does it branch on the lowest
-uncolored edge.  ``brute_force_colorings`` is the independent oracle
-scanning every assignment (compiled kernel when available).
+strand from one undercrossing to the next.  So ``enumerate_colorings``
+branches on arcs: it picks the uncolored over-arc of an under-rule whose
+strand is already colored, tries each color, and propagates.  Every
+branch then colors a whole arc plus the next under-strand edge, and the
+search tree has one level per arc instead of one per edge.  Only when no
+such rule applies -- at the start, or on an all-virtual diagram -- does
+it branch on the lowest uncolored edge.  ``brute_force_colorings`` is
+the oracle: it tests every assignment against the compiled rules and
+shares no code with the propagation.
 
 Free loops are never enumerated -- they contribute a |G|^free_loops
 factor handled by the invariant layer and by ``count_colorings``.
@@ -32,61 +26,21 @@ factor handled by the invariant layer and by ``count_colorings``.
 
 from __future__ import annotations
 
-from . import kernel
-from .algebra import FiniteQuandle, QuandleMap, _division_table, is_automorphism
-from .diagram import ClassicalCrossing, VirtualDiagram
+from itertools import product
+
+from .algebra import FiniteQuandle, QuandleMap
+from .diagram import VirtualDiagram
 from .errors import CeilingExceeded, InvalidParameter
+from .kernel import compile_problem, satisfying
 
 DEFAULT_BRUTE_FORCE_CEILING = 10**7
-
-
-def _check_automorphism(q: FiniteQuandle, f: QuandleMap) -> None:
-    if not is_automorphism(q, f):
-        raise InvalidParameter("the twist map must be an automorphism of the quandle")
-
-
-def _compiled_constraints(d: VirtualDiagram):
-    classical = []
-    virtual = []
-    for c in d.crossings:
-        if isinstance(c, ClassicalCrossing):
-            classical.append((c.sign, c.under_in, c.over_in, c.under_out, c.over_out))
-        else:
-            virtual.append((c.chirality, c.first_in, c.first_out, c.second_in, c.second_out))
-    return classical, virtual
 
 
 def verify_coloring(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap, coloring) -> bool:
     """True iff every crossing constraint holds for the given edge colors."""
     if len(coloring) != d.edges:
         raise InvalidParameter("coloring length does not match the edge count")
-    _check_automorphism(q, f)
-    table = q.table
-    ldiv = _division_table(q)
-    fplus = f.images
-    fminus = f.inverse().images
-    for c in d.crossings:
-        if isinstance(c, ClassicalCrossing):
-            o = coloring[c.over_in]
-            if coloring[c.over_out] != o:
-                return False
-            if c.sign > 0:
-                if coloring[c.under_out] != table[coloring[c.under_in]][o]:
-                    return False
-            elif coloring[c.under_out] != ldiv[coloring[c.under_in]][o]:
-                return False
-        else:
-            if c.chirality > 0:
-                if coloring[c.first_out] != fminus[coloring[c.first_in]]:
-                    return False
-                if coloring[c.second_out] != fplus[coloring[c.second_in]]:
-                    return False
-            else:
-                if coloring[c.first_out] != fplus[coloring[c.first_in]]:
-                    return False
-                if coloring[c.second_out] != fminus[coloring[c.second_in]]:
-                    return False
-    return True
+    return bool(satisfying(compile_problem(d, q, f).rules, [coloring]))
 
 
 def enumerate_colorings(
@@ -94,95 +48,28 @@ def enumerate_colorings(
 ) -> list[tuple[int, ...]]:
     """All satisfying colorings, sorted lexicographically as color vectors.
 
-    Strategy: branch on the uncolored over-arc ``over_in`` of a classical
-    crossing whose ``under_in`` or ``under_out`` is colored, falling back
-    to the lowest uncolored edge when no such crossing exists; try each
-    color, propagate through every crossing rule that has enough known
-    slots (each rule is bijective along its strand once the over color is
-    known), and backtrack on conflict.  The branching order does not
-    change the result, which is sorted before it is returned.
+    Strategy: branch on the uncolored ``by`` edge (the over-arc) of the
+    first under-rule whose strand has a colored edge, falling back to the
+    lowest uncolored edge when no such rule exists; try each color,
+    propagate through every rule that has enough known slots (each rule is
+    a bijection along its strand once its ``by`` color is known), and
+    backtrack on conflict.  The branching order does not change the
+    result, which is sorted before it is returned.
     """
-    _check_automorphism(q, f)
+    p = compile_problem(d, q, f)
     n = q.order
     E = d.edges
     if E == 0:
         return [()]
-    table = q.table
-    ldiv = _division_table(q)
-    fplus = f.images
-    fminus = f.inverse().images
-
-    # edge -> indices of crossings touching it, for the propagation worklist
-    incident: list[list[int]] = [[] for _ in range(E)]
-    for ci, c in enumerate(d.crossings):
-        if isinstance(c, ClassicalCrossing):
-            slots = (c.under_in, c.over_in, c.under_out, c.over_out)
-        else:
-            slots = (c.first_in, c.first_out, c.second_in, c.second_out)
-        for e in slots:
-            incident[e].append(ci)
-
+    rules, incident = p.rules, p.incident
+    under = rules[: p.classical]
     colors: list[int | None] = [None] * E
     results: list[tuple[int, ...]] = []
 
-    def derive(c) -> list[tuple[int, int]] | None:
-        """Colors forced by one crossing; None on contradiction."""
-        forced = []
-        if isinstance(c, ClassicalCrossing):
-            o = colors[c.over_in]
-            oo = colors[c.over_out]
-            if o is None and oo is not None:
-                o = oo
-                forced.append((c.over_in, o))
-            elif o is not None:
-                if oo is None:
-                    forced.append((c.over_out, o))
-                elif oo != o:
-                    return None
-            if o is not None:
-                ui, uo = colors[c.under_in], colors[c.under_out]
-                if c.sign > 0:
-                    if ui is not None:
-                        want = table[ui][o]
-                        if uo is None:
-                            forced.append((c.under_out, want))
-                        elif uo != want:
-                            return None
-                    elif uo is not None:
-                        forced.append((c.under_in, ldiv[uo][o]))
-                else:
-                    if ui is not None:
-                        want = ldiv[ui][o]
-                        if uo is None:
-                            forced.append((c.under_out, want))
-                        elif uo != want:
-                            return None
-                    elif uo is not None:
-                        forced.append((c.under_in, table[uo][o]))
-        else:
-            fwd_first = fminus if c.chirality > 0 else fplus
-            fwd_second = fplus if c.chirality > 0 else fminus
-            for e_in, e_out, fwd in (
-                (c.first_in, c.first_out, fwd_first),
-                (c.second_in, c.second_out, fwd_second),
-            ):
-                a, b = colors[e_in], colors[e_out]
-                if a is not None:
-                    want = fwd[a]
-                    if b is None:
-                        forced.append((e_out, want))
-                    elif b != want:
-                        return None
-                elif b is not None:
-                    # invert the bijection
-                    back = fplus if fwd is fminus else fminus
-                    forced.append((e_in, back[b]))
-        return forced
-
-    def propagate(assignments: list[tuple[int, int]]) -> list[int] | None:
-        """Apply assignments plus consequences; returns the trail or None."""
+    def propagate(edge: int, value: int) -> list[int] | None:
+        """Color edge and everything that forces; returns the trail or None."""
         trail: list[int] = []
-        stack = list(assignments)
+        stack = [(edge, value)]
         while stack:
             e, v = stack.pop()
             cur = colors[e]
@@ -194,23 +81,32 @@ def enumerate_colorings(
                 continue
             colors[e] = v
             trail.append(e)
-            for ci in incident[e]:
-                forced = derive(d.crossings[ci])
-                if forced is None:
-                    for t in trail:
-                        colors[t] = None
-                    return None
-                stack.extend(forced)
+            for r in incident[e]:
+                i, o, b, fwd, back = rules[r]
+                if b >= 0:
+                    z = colors[b]
+                    if z is None:
+                        continue
+                    fwd, back = fwd[z], back[z]
+                x, y = colors[i], colors[o]
+                if x is not None:
+                    want = fwd[x]
+                    if y is None:
+                        stack.append((o, want))
+                    elif y != want:
+                        for t in trail:
+                            colors[t] = None
+                        return None
+                elif y is not None:
+                    stack.append((i, back[y]))
         return trail
 
-    classical, _ = _compiled_constraints(d)
-
     def branch_edge() -> int | None:
-        """The uncolored over-arc of a classical crossing whose under-strand
-        is colored; else the lowest uncolored edge; None when all are colored."""
-        for _, ui, oi, uo, _ in classical:
-            if colors[oi] is None and (colors[ui] is not None or colors[uo] is not None):
-                return oi
+        """The uncolored over-arc of an under-rule whose strand is colored;
+        else the lowest uncolored edge; None when all are colored."""
+        for i, o, b, _, _ in under:
+            if colors[b] is None and (colors[i] is not None or colors[o] is not None):
+                return b
         for e in range(E):
             if colors[e] is None:
                 return e
@@ -237,7 +133,7 @@ def enumerate_colorings(
                 frames.pop()
                 continue
             frame[1] = v + 1
-            trail = propagate([(frame[0], v)])
+            trail = propagate(frame[0], v)
             if trail is not None:
                 frame[2] = trail
                 moved = True
@@ -258,25 +154,16 @@ def brute_force_colorings(
     f: QuandleMap,
     ceiling: int = DEFAULT_BRUTE_FORCE_CEILING,
 ) -> list[tuple[int, ...]]:
-    """Oracle: filter all |G|^E assignments by the crossing rules.
+    """Oracle: filter all |G|^E assignments, in lexicographic order, by the rules.
 
-    Independent of ``enumerate_colorings`` (no propagation); must agree
-    with it as a set on every diagram within the ceiling.
+    Shares only the compiled rules with ``enumerate_colorings`` (no
+    propagation); must return the same list on every diagram within the
+    ceiling.
     """
-    _check_automorphism(q, f)
+    rules = compile_problem(d, q, f).rules
     n = q.order
     if n**d.edges > ceiling:
         raise CeilingExceeded(
             f"{n}^{d.edges} assignments exceed the ceiling {ceiling}; pass a larger one"
         )
-    classical, virtual = _compiled_constraints(d)
-    return kernel.filter_colorings(
-        n,
-        d.edges,
-        classical,
-        virtual,
-        q.table,
-        _division_table(q),
-        f.images,
-        f.inverse().images,
-    )
+    return satisfying(rules, product(range(n), repeat=d.edges))

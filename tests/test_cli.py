@@ -256,3 +256,38 @@ def test_non_integer_inputs_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+_NOT_A_QUANDLE = '{"kind":"table","table":[[0,1],[0,1]]}'  # axiom 2 fails at column 0
+_NOT_A_COCYCLE = _cocycle(entries=[[0, 0, 1]])  # condition 1 fails at 0
+
+# The axioms are checked before anything is computed from the inputs.
+# Without that check, color and invariant answer these with exit 0 and
+# fuzz prints a trace it calls unstable, blaming the moves for the input.
+INVALID_ALGEBRA = {
+    "color-not-quandle": (("color", "count", "--diagram", "trefoil", "--quandle", _NOT_A_QUANDLE), "axiom 2, witness [0]"),
+    "invariant-not-quandle": (
+        ("invariant", "z1", "--diagram", "trefoil", "--quandle", _NOT_A_QUANDLE, "--cocycle", "trivial", "--aut", "identity"),
+        "axiom 2, witness [0]",
+    ),
+    "invariant-not-cocycle": (
+        ("invariant", "z", "--diagram", "trefoil", "--quandle", "dihedral:3", "--cocycle", _NOT_A_COCYCLE),
+        "condition 1, witness [0]",
+    ),
+    "fuzz-not-quandle": (
+        ("fuzz", "--diagram", "trefoil", "--quandle", _NOT_A_QUANDLE, "--cocycle", "trivial", "--aut", "identity"),
+        "axiom 2, witness [0]",
+    ),
+    "fuzz-not-cocycle": (
+        ("fuzz", "--diagram", "trefoil", "--quandle", "dihedral:3", "--cocycle", _NOT_A_COCYCLE, "--aut", "identity"),
+        "condition 1, witness [0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, witness", list(INVALID_ALGEBRA.values()), ids=list(INVALID_ALGEBRA))
+def test_invalid_algebra_fails_check_before_computing(capsys, argv, witness):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and witness in err and "Traceback" not in err

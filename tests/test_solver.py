@@ -2,8 +2,15 @@ from math import gcd
 
 import pytest
 
-from vknots import _colorkernel_py, intlin, kernel
-from vknots.algebra import QuandleMap, inner_automorphism, make_dihedral
+from vknots import intlin
+from vknots.algebra import (
+    QuandleMap,
+    inner_automorphism,
+    is_automorphism,
+    make_dihedral,
+    make_from_table,
+    validate_quandle,
+)
 from vknots.diagram import (
     BUILDER_NAMES,
     ClassicalCrossing,
@@ -14,8 +21,7 @@ from vknots.diagram import (
 from vknots.moves import random_equivalent
 from vknots.errors import CeilingExceeded, InvalidParameter
 from vknots.solver import (
-    _compiled_constraints,
-    _division_table,
+    DEFAULT_BRUTE_FORCE_CEILING,
     brute_force_colorings,
     count_colorings,
     enumerate_colorings,
@@ -130,23 +136,40 @@ def test_global_twist_relabelling_is_a_bijection():
             assert mapped == cols
 
 
-def test_backend_parity_python_vs_selected():
-    assert kernel.BACKEND in ("compiled", "python")
-    for name in ("trefoil", "virtual_trefoil", "virtual_hopf", "unknot_vkink"):
+# ---------------------------------------------------------------------------
+# The Alexander quandle a * b = 2a - b over Z_5.  On a dihedral quandle
+# x * y * y = x, so dividing by the over color equals multiplying by it and
+# no dihedral test can tell the two negative-crossing rules apart; here
+# x * y * y = 4x - 3y.  The search and the oracle read one encoding of the
+# rules, so only move invariance pins the negative rule down.
+
+A5 = make_from_table([[(2 * a - b) % 5 for b in range(5)] for a in range(5)])
+A5_TWISTS = {
+    "identity": QuandleMap.identity(5),
+    "x+1": QuandleMap(tuple((x + 1) % 5 for x in range(5))),
+    "2x": QuandleMap(tuple(2 * x % 5 for x in range(5))),
+}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in BUILDER_NAMES if 5 ** builder(n).edges <= DEFAULT_BRUTE_FORCE_CEILING]
+)
+def test_oracle_equivalence_alexander(name):
+    assert validate_quandle(A5).ok
+    d = builder(name)
+    for spec, f in A5_TWISTS.items():
+        assert is_automorphism(A5, f), spec
+        assert enumerate_colorings(d, A5, f) == brute_force_colorings(d, A5, f), spec
+
+
+def test_alexander_counts_survive_moves():
+    for name in BUILDER_NAMES:
         d = builder(name)
-        for f in maps_for(4):
-            classical, virtual = _compiled_constraints(d)
-            args = (
-                4,
-                d.edges,
-                classical,
-                virtual,
-                Q4.table,
-                _division_table(Q4),
-                f.images,
-                f.inverse().images,
-            )
-            assert kernel.filter_colorings(*args) == _colorkernel_py.filter_colorings(*args)
+        base = {spec: count_colorings(d, A5, f) for spec, f in A5_TWISTS.items()}
+        for seed in range(5):
+            final, _ = random_equivalent(d, seed, 200)
+            for spec, f in A5_TWISTS.items():
+                assert count_colorings(final, A5, f) == base[spec], (name, seed, spec)
 
 
 # ---------------------------------------------------------------------------
