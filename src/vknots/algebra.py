@@ -22,6 +22,12 @@ from .errors import InvalidParameter, MalformedInput, SearchBoundExceeded
 
 DEFAULT_AUT_SEARCH_BOUND = 8
 
+# The table of a dihedral quandle holds n^2 entries (about 40 bytes each as
+# Python ints in tuples), and checking its axioms takes n^3 steps: order
+# 1024 is about 40 MB and over a minute of checking, order 20000 would ask
+# for about 15 GB.
+MAX_DIHEDRAL_ORDER = 1024
+
 
 @dataclass(frozen=True)
 class FiniteQuandle:
@@ -107,9 +113,11 @@ def make_from_table(table) -> FiniteQuandle:
 
 
 def make_dihedral(n: int) -> FiniteQuandle:
-    """Dihedral quandle on 0..n-1 with i * j = 2j - i (mod n)."""
+    """Dihedral quandle on 0..n-1 with i * j = 2j - i (mod n), 1 <= n <= MAX_DIHEDRAL_ORDER."""
     if type(n) is not int or n < 1:
         raise InvalidParameter(f"dihedral order must be a positive integer, got {n!r}")
+    if n > MAX_DIHEDRAL_ORDER:
+        raise InvalidParameter(f"dihedral order {n} exceeds the maximum {MAX_DIHEDRAL_ORDER}")
     return FiniteQuandle(tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n)))
 
 
@@ -251,7 +259,7 @@ def quandle_from_json(text: str) -> FiniteQuandle:
     """Parse {"kind":"dihedral","n":4} or {"kind":"table","table":[[...],...]}."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedInput(f"bad quandle JSON: {exc}") from exc
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedInput("quandle JSON must be an object with a 'kind' field")

@@ -61,7 +61,7 @@ def _read_spec(spec: str) -> str:
         try:
             with open(spec[1:], "r", encoding="utf-8") as fh:
                 return fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {spec[1:]}: {exc}") from exc
     return spec
 
@@ -69,9 +69,10 @@ def _read_spec(spec: str) -> str:
 def _load_quandle(spec: str):
     if spec.startswith("dihedral:"):
         try:
-            return make_dihedral(int(spec.split(":", 1)[1]))
+            n = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise UsageError(f"bad dihedral order in {spec!r}") from exc
+        return make_dihedral(n)
     return quandle_from_json(_read_spec(spec))
 
 
@@ -106,7 +107,7 @@ def _load_aut(spec: str, q) -> QuandleMap:
             raise UsageError(f"bad element in {spec!r}") from exc
     try:
         images = json.loads(_read_spec(spec))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"bad automorphism spec {spec!r}: {exc}") from exc
     if not (isinstance(images, list) and all(type(x) is int for x in images)):
         raise UsageError("automorphism JSON must be a list of integers")
@@ -140,7 +141,7 @@ def _cmd_cocycle(args) -> int:
     if args.action == "coboundary":
         try:
             exps = json.loads(_read_spec(args.psi))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise UsageError(f"bad psi: {exc}") from exc
         if not (isinstance(exps, list) and all(type(x) is int for x in exps)):
             raise UsageError("psi must be a list of integers")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidParameter, MalformedInput
 
@@ -79,6 +80,21 @@ class VirtualDiagram:
     def virtual(self) -> list[VirtualCrossing]:
         return [c for c in self.crossings if isinstance(c, VirtualCrossing)]
 
+    @cached_property
+    def slot_maps(self) -> tuple[dict[int, tuple[int, str]], dict[int, tuple[int, str]]]:
+        """(consumed, emitted): edge -> (crossing index, role) of its in- and out-slot.
+
+        Built once per diagram, which is immutable; callers must not
+        mutate the returned maps.
+        """
+        consumed: dict[int, tuple[int, str]] = {}
+        emitted: dict[int, tuple[int, str]] = {}
+        for ci, c in enumerate(self.crossings):
+            for role, e_in, e_out in strand_passages(c):
+                consumed[e_in] = (ci, role)
+                emitted[e_out] = (ci, role)
+        return consumed, emitted
+
 
 @dataclass(frozen=True)
 class DiagramReport:
@@ -106,14 +122,12 @@ def successor_map(d: VirtualDiagram) -> dict[int, int]:
 
 
 def slot_maps(d: VirtualDiagram):
-    """Maps edge -> (crossing index, role) for the consuming and emitting slots."""
-    consumed: dict[int, tuple[int, str]] = {}
-    emitted: dict[int, tuple[int, str]] = {}
-    for ci, c in enumerate(d.crossings):
-        for role, e_in, e_out in strand_passages(c):
-            consumed[e_in] = (ci, role)
-            emitted[e_out] = (ci, role)
-    return consumed, emitted
+    """Maps edge -> (crossing index, role) for the consuming and emitting slots.
+
+    The maps are cached on the diagram (``VirtualDiagram.slot_maps``) and
+    shared by every caller; do not mutate them.
+    """
+    return d.slot_maps
 
 
 def validate_diagram(d: VirtualDiagram) -> DiagramReport:
@@ -340,7 +354,7 @@ def parse_diagram(text: str) -> VirtualDiagram:
     """Parse and validate the JSON diagram form; unknown fields are rejected."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedInput(f"bad diagram JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedInput("diagram JSON must be an object")

@@ -30,21 +30,26 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+def smith_normal_form(
+    matrix: list[list[int]], row_transform: bool = True
+) -> tuple[list[list[int]], list[list[int]] | None, list[list[int]]]:
     """Return (d, u, v) with u @ matrix @ v == d, u and v unimodular, d diagonal.
 
     The diagonal entries satisfy the usual divisibility chain
-    d[0][0] | d[1][1] | ... and are non-negative.
+    d[0][0] | d[1][1] | ... and are non-negative.  With ``row_transform``
+    false, u is not built and None is returned in its place; a kernel
+    needs only v, and u is as large as the matrix has rows.
     """
     d = [list(row) for row in matrix]
     rows = len(d)
     cols = len(d[0]) if rows else 0
-    u = identity_matrix(rows)
+    u = identity_matrix(rows) if row_transform else None
     v = identity_matrix(cols)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in d:
@@ -55,7 +60,8 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[li
     def add_row(src, dst, factor):
         # row[dst] += factor * row[src]
         d[dst] = [x + factor * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+        if u is not None:
+            u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, factor):
         for r in d:
@@ -65,11 +71,13 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[li
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(rows, cols):
-        # locate a pivot of minimal absolute value in the remaining block
+        # locate the first pivot of minimal absolute value in the remaining
+        # block; no later entry beats an entry of absolute value 1
         pivot = None
         best = None
         for i in range(t, rows):
@@ -78,6 +86,10 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[li
                 if x != 0 and (best is None or abs(x) < best):
                     best = abs(x)
                     pivot = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         i, j = pivot
@@ -136,7 +148,7 @@ def kernel_mod(matrix: list[list[int]], m: int) -> list[list[int]]:
     if rows == 0:
         d, v = [], identity_matrix(cols)
     else:
-        d, _, v = smith_normal_form(matrix)
+        d, _, v = smith_normal_form(matrix, row_transform=False)
     gens: list[list[int]] = []
     seen = set()
     for j in range(cols):

@@ -116,6 +116,7 @@ def _remove_crossings(d: VirtualDiagram, remove: set[int]):
             union(e_in, e_out)
             touched.add(e_in)
             touched.add(e_out)
+    root = {e: find(e) for e in touched}
 
     def rewrite(c):
         if isinstance(c, ClassicalCrossing):
@@ -126,14 +127,15 @@ def _remove_crossings(d: VirtualDiagram, remove: set[int]):
             find(c.first_in), find(c.first_out), find(c.second_in), find(c.second_out), c.chirality
         )
 
-    survivors = [rewrite(c) for ci, c in enumerate(d.crossings) if ci not in remove]
-    referenced = set()
-    for c in survivors:
-        for _, e_in, e_out in strand_passages(c):
-            referenced.add(e_in)
-            referenced.add(e_out)
-    closed = {find(e) for e in touched} - referenced
-    return survivors, len(closed), find
+    # only the surviving crossings at either end of a merged edge change
+    consumed, emitted = slot_maps(d)
+    stale = {ci for e, r in root.items() if r != e for ci in (consumed[e][0], emitted[e][0])} - remove
+    survivors = [
+        rewrite(c) if ci in stale else c for ci, c in enumerate(d.crossings) if ci not in remove
+    ]
+    # a merged strand survives when one of its edges keeps a crossing at one end
+    kept = {r for e, r in root.items() if consumed[e][0] not in remove or emitted[e][0] not in remove}
+    return survivors, len(set(root.values()) - kept), find
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +330,9 @@ class _R3Site:
     strands: tuple[tuple[int, int, str, str], ...]
 
 
-def _resolve_r3_site(d: VirtualDiagram, bridges) -> _R3Site | None:
+def _resolve_r3_site(d: VirtualDiagram, bridges, consumed, emitted) -> _R3Site | None:
     if len(set(bridges)) != 3:
         return None
-    consumed, emitted = slot_maps(d)
     p = min(bridges)
     rest = sorted(set(bridges) - {p})
     for q, r in (rest, rest[::-1]):
@@ -428,14 +429,14 @@ def find_r3_sites(d: VirtualDiagram) -> list[tuple[int, int, int]]:
                         bridges = tuple(sorted((e0, e1, e2)))
                         if bridges in sites:
                             continue
-                        if _resolve_r3_site(d, bridges) is not None:
+                        if _resolve_r3_site(d, bridges, consumed, emitted) is not None:
                             sites.add(bridges)
     return sorted(sites)
 
 
 def r3_slide(d: VirtualDiagram, bridges) -> VirtualDiagram:
     """Flip the triangle identified by its three bridge edges."""
-    site = _resolve_r3_site(d, tuple(bridges))
+    site = _resolve_r3_site(d, tuple(bridges), *slot_maps(d))
     if site is None:
         raise NotApplicable(f"edges {tuple(bridges)} do not form a realizable triangle")
     new_slots: dict[tuple[int, str], tuple[int, int]] = {}

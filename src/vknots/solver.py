@@ -17,8 +17,10 @@ branch then colors a whole arc plus the next under-strand edge, and the
 search tree has one level per arc instead of one per edge.  Only when no
 such rule applies -- at the start, or on an all-virtual diagram -- does
 it branch on the lowest uncolored edge.  ``brute_force_colorings`` is
-the oracle: it tests every assignment against the compiled rules and
-shares no code with the propagation.
+the oracle: it tries every assignment of colors to the arcs (n^arcs of
+them, bounded by a ceiling), completes each by walking the arcs through
+their over-passages and twists, and tests it against every compiled
+rule; it shares no code with the propagation.
 
 Free loops are never enumerated -- they contribute a |G|^free_loops
 factor handled by the invariant layer and by ``count_colorings``.
@@ -154,16 +156,60 @@ def brute_force_colorings(
     f: QuandleMap,
     ceiling: int = DEFAULT_BRUTE_FORCE_CEILING,
 ) -> list[tuple[int, ...]]:
-    """Oracle: filter all |G|^E assignments, in lexicographic order, by the rules.
+    """Oracle: every assignment of colors to the arcs, filtered by the rules.
 
-    Shares only the compiled rules with ``enumerate_colorings`` (no
-    propagation); must return the same list on every diagram within the
-    ceiling.
+    An arc starts at the ``out`` edge of an under-rule; a component with
+    no under passage is one strand starting at its lowest edge.  Walking a
+    strand forward through the ``by = -1`` rules (over-passages and
+    twists) colors it from its start color alone, up to the next under
+    passage or back to the start.  So every candidate is fixed by one
+    color per strand, and the scan covers all ``n**strands`` assignments,
+    each completed to a full coloring and tested by ``kernel.satisfying``
+    against every rule; more than ``ceiling`` assignments raise
+    ``CeilingExceeded``.  It shares only the compiled rules with
+    ``enumerate_colorings`` (no propagation) and must return the same
+    list on every diagram within the ceiling.
     """
-    rules = compile_problem(d, q, f).rules
+    p = compile_problem(d, q, f)
     n = q.order
-    if n**d.edges > ceiling:
+    passage = {i: (o, fwd) for i, o, b, fwd, _ in p.rules if b < 0}
+    starts = [o for _, o, _, _, _ in p.rules[: p.classical]]
+    strands: list[list[int]] = []
+    covered: set[int] = set()
+    for start in starts + list(range(d.edges)):
+        if start in covered:
+            continue
+        strand = [start]
+        while strand[-1] in passage and passage[strand[-1]][0] != start:
+            strand.append(passage[strand[-1]][0])
+        strands.append(strand)
+        covered.update(strand)
+    if n ** len(strands) > ceiling:
         raise CeilingExceeded(
-            f"{n}^{d.edges} assignments exceed the ceiling {ceiling}; pass a larger one"
+            f"{n}^{len(strands)} arc assignments exceed the ceiling {ceiling}; pass a larger one"
         )
-    return satisfying(rules, product(range(n), repeat=d.edges))
+    # colors[k][c]: the colors along strand k when its start has color c
+    colors = []
+    for strand in strands:
+        walks = []
+        for c in range(n):
+            walk = [c]
+            for e in strand[:-1]:
+                walk.append(passage[e][1][walk[-1]])
+            walks.append(tuple(walk))
+        colors.append(walks)
+    # Candidates are built in strand order, with the rules relabelled to
+    # match, and each is the concatenation of one prefix and one suffix
+    # from two precomputed halves of the product, so that the scan pays
+    # one tuple concatenation per assignment.
+    order = [e for strand in strands for e in strand]
+    position = {e: k for k, e in enumerate(order)}
+    rules = [
+        (position[i], position[o], position[b] if b >= 0 else -1, fwd, back)
+        for i, o, b, fwd, back in p.rules
+    ]
+    half = len(strands) // 2
+    heads = [sum(walks, ()) for walks in product(*colors[:half])]
+    tails = [sum(walks, ()) for walks in product(*colors[half:])]
+    found = satisfying(rules, (head + tail for head in heads for tail in tails))
+    return sorted(tuple(c[position[e]] for e in range(d.edges)) for c in found)

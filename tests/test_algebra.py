@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vknots.algebra import (
+    MAX_DIHEDRAL_ORDER,
     QuandleMap,
     automorphisms,
     inner_automorphism,
@@ -31,6 +32,14 @@ def test_dihedral_rejects_zero():
         make_dihedral(0)
     with pytest.raises(InvalidParameter):
         make_dihedral(True)
+
+
+def test_dihedral_order_is_bounded():
+    assert make_dihedral(MAX_DIHEDRAL_ORDER).order == MAX_DIHEDRAL_ORDER
+    with pytest.raises(InvalidParameter, match="exceeds"):
+        make_dihedral(MAX_DIHEDRAL_ORDER + 1)
+    with pytest.raises(InvalidParameter, match="exceeds"):
+        quandle_from_json(f'{{"kind":"dihedral","n":{20000}}}')
 
 
 def test_make_from_table_no_validation():

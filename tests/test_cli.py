@@ -258,6 +258,23 @@ def test_non_integer_inputs_are_usage_errors(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+# Each spelling of a dihedral order above the maximum is refused before the
+# n x n table is built (order 20000 would ask for about 15 GB).
+OVERSIZED_DIHEDRAL = {
+    "dihedral-flag": ("quandle", "check", "--dihedral", "1025"),
+    "dihedral-spec": ("color", "count", "--diagram", "trefoil", "--quandle", "dihedral:20000"),
+    "dihedral-json": ("cocycle", "basis", "--quandle", '{"kind":"dihedral","n":1025}', "--m", "2"),
+}
+
+
+@pytest.mark.parametrize("argv", list(OVERSIZED_DIHEDRAL.values()), ids=list(OVERSIZED_DIHEDRAL))
+def test_oversized_dihedral_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "exceeds the maximum 1024" in err
+
+
 _NOT_A_QUANDLE = '{"kind":"table","table":[[0,1],[0,1]]}'  # axiom 2 fails at column 0
 _NOT_A_COCYCLE = _cocycle(entries=[[0, 0, 1]])  # condition 1 fails at 0
 

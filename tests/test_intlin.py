@@ -40,6 +40,8 @@ def test_smith_normal_form_random(seed):
         assert x >= 0
         if y:
             assert x != 0 and y % x == 0
+    # without the row transform the reduction takes the same steps
+    assert intlin.smith_normal_form(a, row_transform=False) == (d, None, v)
 
 
 @pytest.mark.parametrize("seed", range(20))

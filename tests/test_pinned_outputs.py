@@ -1,0 +1,37 @@
+"""Exact outputs of the moves engine and the Smith-form basis, pinned by digest.
+
+The other tests check that move outputs are valid and keep the invariants,
+and that basis vectors are cocycles; they would all still pass if a change
+picked a different (equally valid) site, relabelling or generator.  These
+digests were taken before the moves engine and the Smith reduction were
+optimised, so any change to the exact diagrams, traces or bases shows.
+"""
+
+import hashlib
+import json
+
+from vknots.algebra import make_dihedral
+from vknots.diagram import BUILDER_NAMES, builder, serialize_diagram
+from vknots.moves import random_equivalent
+from vknots.weights import cocycle_space_basis, cocycle_to_json
+
+MOVES_DIGEST = "30d581a90750ab4c508964d7e193d313557f2124c78c674c10e9bee978a6b5e8"
+BASIS_DIGEST = "69eeb090d847d7bb497964ff14581f1bef6669d55e1a70ed35faf0848dc556d4"
+
+
+def test_move_outputs_and_traces_are_pinned():
+    h = hashlib.sha256()
+    for name in BUILDER_NAMES:
+        for seed in range(5):
+            final, trace = random_equivalent(builder(name), seed, 200)
+            h.update(serialize_diagram(final).encode())
+            h.update(json.dumps([r.to_json_obj() for r in trace], separators=(",", ":")).encode())
+    assert h.hexdigest() == MOVES_DIGEST
+
+
+def test_cocycle_bases_are_pinned():
+    h = hashlib.sha256()
+    for n in range(3, 9):
+        for c in cocycle_space_basis(make_dihedral(n), n):
+            h.update(cocycle_to_json(c).encode())
+    assert h.hexdigest() == BASIS_DIGEST

@@ -21,7 +21,6 @@ from vknots.diagram import (
 from vknots.moves import random_equivalent
 from vknots.errors import CeilingExceeded, InvalidParameter
 from vknots.solver import (
-    DEFAULT_BRUTE_FORCE_CEILING,
     brute_force_colorings,
     count_colorings,
     enumerate_colorings,
@@ -98,8 +97,12 @@ def test_non_automorphism_rejected():
 
 
 def test_ceiling_enforced():
+    # the ceiling bounds the arc assignments: kishino has four arcs, 4^4 = 256 over R4
+    d = builder("kishino")
     with pytest.raises(CeilingExceeded):
-        brute_force_colorings(builder("kishino"), Q4, ID4, ceiling=10**6)
+        brute_force_colorings(d, Q4, ID4, ceiling=100)
+    assert brute_force_colorings(d, Q4, ID4, ceiling=256) == enumerate_colorings(d, Q4, ID4)
+    assert brute_force_colorings(d, Q4, ID4, ceiling=10**6) == enumerate_colorings(d, Q4, ID4)
 
 
 @pytest.mark.parametrize("name", BUILDER_NAMES)
@@ -109,8 +112,19 @@ def test_oracle_equivalence(name, n):
     q = make_dihedral(n)
     for f in maps_for(n):
         fast = enumerate_colorings(d, q, f)
-        slow = brute_force_colorings(d, q, f, ceiling=2 * 10**7)
+        slow = brute_force_colorings(d, q, f)
         assert fast == slow  # both sorted, equal as sets and sequences
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_oracle_equivalence_at_scale(seed):
+    # E = 38 with 9 classical crossings: 4^38 full assignments, 4^9 arc assignments
+    d, _ = random_equivalent(builder("kishino"), seed, 300, soft_cap=60)
+    assert d.edges > 30 and len(d.classical()) == 9
+    for n in (3, 4):
+        q = make_dihedral(n)
+        for f in maps_for(n):
+            assert brute_force_colorings(d, q, f) == enumerate_colorings(d, q, f)
 
 
 def test_twisted_count_can_drop():
@@ -151,9 +165,7 @@ A5_TWISTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "name", [n for n in BUILDER_NAMES if 5 ** builder(n).edges <= DEFAULT_BRUTE_FORCE_CEILING]
-)
+@pytest.mark.parametrize("name", BUILDER_NAMES)
 def test_oracle_equivalence_alexander(name):
     assert validate_quandle(A5).ok
     d = builder(name)
