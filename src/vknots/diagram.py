@@ -20,6 +20,12 @@ and denotes the same crossing; records are normalised so that
 
 Planarity of the code is deliberately not checked: every slot-coherent
 code is accepted.
+
+``relabel_canonical``, the last step of every move, builds its records
+from sorted integer keys without re-running the constructors' checks
+(signs and chiralities come from checked records, and normalisation is
+applied on the key), and fills the result's ``slot_maps`` index in the
+same pass, so a move output never rebuilds it.
 """
 
 from __future__ import annotations
@@ -67,6 +73,38 @@ class VirtualCrossing:
 
 Crossing = ClassicalCrossing | VirtualCrossing
 
+# Each free loop multiplies every coloring count by the quandle order n.
+# With this bound even n = 1024 gives 1024^1024, 3,083 digits: under
+# Python's 4,300-digit limit on printing an int.
+MAX_FREE_LOOPS = 1024
+
+_new = object.__new__
+
+
+def _classical(sign: int, under_in: int, over_in: int, under_out: int, over_out: int) -> ClassicalCrossing:
+    """ClassicalCrossing without the sign check; ``sign`` must come from a checked record."""
+    c = _new(ClassicalCrossing)
+    f = c.__dict__
+    f["sign"] = sign
+    f["under_in"] = under_in
+    f["over_in"] = over_in
+    f["under_out"] = under_out
+    f["over_out"] = over_out
+    return c
+
+
+def _virtual(first_in: int, first_out: int, second_in: int, second_out: int, chirality: int) -> VirtualCrossing:
+    """VirtualCrossing without the checks: ``chirality`` must come from a checked
+    record and the strands must already be normalised (``first_in < second_in``)."""
+    c = _new(VirtualCrossing)
+    f = c.__dict__
+    f["first_in"] = first_in
+    f["first_out"] = first_out
+    f["second_in"] = second_in
+    f["second_out"] = second_out
+    f["chirality"] = chirality
+    return c
+
 
 @dataclass(frozen=True)
 class VirtualDiagram:
@@ -84,8 +122,9 @@ class VirtualDiagram:
     def slot_maps(self) -> tuple[dict[int, tuple[int, str]], dict[int, tuple[int, str]]]:
         """(consumed, emitted): edge -> (crossing index, role) of its in- and out-slot.
 
-        Built once per diagram, which is immutable; callers must not
-        mutate the returned maps.
+        Built once per diagram, which is immutable (``relabel_canonical``
+        fills them in for every move output); callers must not mutate the
+        returned maps.
         """
         consumed: dict[int, tuple[int, str]] = {}
         emitted: dict[int, tuple[int, str]] = {}
@@ -136,6 +175,8 @@ def validate_diagram(d: VirtualDiagram) -> DiagramReport:
         return DiagramReport(False, "edge and free-loop counts must be integers")
     if d.edges < 0 or d.free_loops < 0:
         return DiagramReport(False, "edge and free-loop counts must be non-negative")
+    if d.free_loops > MAX_FREE_LOOPS:
+        return DiagramReport(False, f"free_loops {d.free_loops} exceeds the maximum {MAX_FREE_LOOPS}")
     ins: dict[int, int] = {}
     outs: dict[int, int] = {}
     for ci, c in enumerate(d.crossings):
@@ -186,15 +227,8 @@ def _crossing_sort_key(c: Crossing):
     return (1, c.chirality, c.first_in, c.first_out, c.second_in, c.second_out)
 
 
-def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
-    """Diagram from crossing records carrying arbitrary integer edge labels.
-
-    Edges are renumbered in successor-traversal order starting from the
-    lowest label, continuing from the lowest unvisited label, and the
-    crossing list is sorted; the result is the canonical labelling used
-    after every rewriting move.
-    """
-    succ: dict[int, int] = {}
+def _raise_reused_slot(crossings) -> None:
+    """Raise for the first edge, in passage order, that is consumed or emitted twice."""
     ins: set[int] = set()
     outs: set[int] = set()
     for c in crossings:
@@ -205,37 +239,65 @@ def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
                 raise MalformedInput(f"edge {e_out} emitted twice")
             ins.add(e_in)
             outs.add(e_out)
-            succ[e_in] = e_out
-    if ins != outs:
+
+
+def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
+    """Diagram from crossing records carrying arbitrary integer edge labels.
+
+    Edges are renumbered in successor-traversal order starting from the
+    lowest label, continuing from the lowest unvisited label, and the
+    crossing list is sorted; the result is the canonical labelling used
+    after every rewriting move.  The records must already be checked
+    (built by the public constructors or by this function); the result's
+    ``slot_maps`` are filled in here, so a move output never rebuilds them.
+    """
+    succ: dict[int, int] = {}
+    for c in crossings:
+        if type(c) is ClassicalCrossing:
+            succ[c.under_in] = c.under_out
+            succ[c.over_in] = c.over_out
+        else:
+            succ[c.first_in] = c.first_out
+            succ[c.second_in] = c.second_out
+    outs = set(succ.values())
+    if len(outs) != 2 * len(crossings):  # an in-edge overwritten or an out-edge repeated
+        _raise_reused_slot(crossings)
+    if succ.keys() != outs:
         raise MalformedInput("dangling edge ends after rewiring")
-    new_label: dict[int, int] = {}
+    label: dict[int, int] = {}
     for start in sorted(succ):
-        if start in new_label:
-            continue
         e = start
-        while e not in new_label:
-            new_label[e] = len(new_label)
+        while e not in label:
+            label[e] = len(label)
             e = succ[e]
 
-    def rewrite(c: Crossing) -> Crossing:
-        if isinstance(c, ClassicalCrossing):
-            return ClassicalCrossing(
-                c.sign,
-                new_label[c.under_in],
-                new_label[c.over_in],
-                new_label[c.under_out],
-                new_label[c.over_out],
+    # sort keys as in _crossing_sort_key, virtual records normalised on the key
+    keys = []
+    for c in crossings:
+        if type(c) is ClassicalCrossing:
+            keys.append(
+                (0, c.sign, label[c.under_in], label[c.over_in], label[c.under_out], label[c.over_out])
             )
-        return VirtualCrossing(
-            new_label[c.first_in],
-            new_label[c.first_out],
-            new_label[c.second_in],
-            new_label[c.second_out],
-            c.chirality,
-        )
+        else:
+            fi, fo, si, so = label[c.first_in], label[c.first_out], label[c.second_in], label[c.second_out]
+            keys.append((1, c.chirality, fi, fo, si, so) if fi < si else (1, -c.chirality, si, so, fi, fo))
+    keys.sort()
 
-    relabelled = sorted((rewrite(c) for c in crossings), key=_crossing_sort_key)
-    return VirtualDiagram(len(new_label), free_loops, tuple(relabelled))
+    records = []
+    consumed: dict[int, tuple[int, str]] = {}
+    emitted: dict[int, tuple[int, str]] = {}
+    for ci, (kind, s, w, x, y, z) in enumerate(keys):
+        if kind == 0:  # sign, under_in, over_in, under_out, over_out
+            records.append(_classical(s, w, x, y, z))
+            consumed[w] = emitted[y] = (ci, "under")
+            consumed[x] = emitted[z] = (ci, "over")
+        else:  # chirality, first_in, first_out, second_in, second_out
+            records.append(_virtual(w, x, y, z, s))
+            consumed[w] = emitted[x] = (ci, "first")
+            consumed[y] = emitted[z] = (ci, "second")
+    d = VirtualDiagram(len(label), free_loops, tuple(records))
+    d.__dict__["slot_maps"] = (consumed, emitted)  # the cached_property's slot
+    return d
 
 
 def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:

@@ -26,11 +26,15 @@ additionally requires the two route chiralities p, q to satisfy
 p*q = side_a*side_b, where a side is +1 when the route crosses the
 incoming half of the classical crossing's strand; other combinations do
 not arise from a planar slide and do not preserve twisted colorings.
+Each family is tested for existence only (its scan stops at the first
+site); the sorted site list is built for the drawn family alone.
 
 After every move the edge labels are renumbered canonically (successor
 traversal from the lowest surviving label) and the crossing list is
 sorted, so structural equality of move outputs is meaningful;
 ``diagram.isomorphic`` decides equality up to relabelling in tests.
+The relabelling also fills the output's ``slot_maps``, which the site
+finders of the next move read.
 """
 
 from __future__ import annotations
@@ -404,6 +408,7 @@ def find_r3_sites(d: VirtualDiagram) -> list[tuple[int, int, int]]:
     """Bridge-edge triples of realizable triangle slides, sorted."""
     consumed, emitted = slot_maps(d)
     links: dict[frozenset, list[int]] = {}
+    neighbours: dict[int, set[int]] = {}
     for e in range(d.edges):
         a, b = emitted[e][0], consumed[e][0]
         if a == b:
@@ -412,23 +417,21 @@ def find_r3_sites(d: VirtualDiagram) -> list[tuple[int, int, int]]:
             d.crossings[b], ClassicalCrossing
         ):
             links.setdefault(frozenset((a, b)), []).append(e)
+            neighbours.setdefault(a, set()).add(b)
+            neighbours.setdefault(b, set()).add(a)
     sites = set()
-    pairs = sorted(links, key=sorted)
-    for pair in pairs:
+    for pair in links:
         a, b = sorted(pair)
-        for third in range(len(d.crossings)):
-            if third in pair:
+        # each triangle once: from its two lowest crossings
+        for third in neighbours[a] & neighbours[b]:
+            if third < b:
                 continue
-            e1s = links.get(frozenset((a, third)))
-            e2s = links.get(frozenset((b, third)))
-            if not e1s or not e2s:
-                continue
+            e1s = links[frozenset((a, third))]
+            e2s = links[frozenset((b, third))]
             for e0 in links[pair]:
                 for e1 in e1s:
                     for e2 in e2s:
                         bridges = tuple(sorted((e0, e1, e2)))
-                        if bridges in sites:
-                            continue
                         if _resolve_r3_site(d, bridges, consumed, emitted) is not None:
                             sites.add(bridges)
     return sorted(sites)
@@ -594,10 +597,13 @@ def segment_passages(d: VirtualDiagram, start: int, end: int) -> list[tuple[int,
 # fuzz-safe detour instance families
 
 
-def find_poke_remove_sites(d: VirtualDiagram) -> list[tuple[int, int]]:
-    """(start, end) segments whose two virtual passages form a cancelling bigon."""
+# Each family is one private scan that yields its sites (with repeats, in
+# crossing order).  The fuzzer only asks whether a family has a site, which
+# stops at the first one; the public finder sorts the distinct sites.
+
+
+def _poke_remove_scan(d: VirtualDiagram):
     consumed, emitted = slot_maps(d)
-    sites = []
     for v1, c1 in enumerate(d.crossings):
         if not isinstance(c1, VirtualCrossing):
             continue
@@ -618,14 +624,16 @@ def find_poke_remove_sites(d: VirtualDiagram) -> list[tuple[int, int]]:
                 continue
             if emitted[r_in][0] in (v1, v2) or consumed[r_end][0] in (v1, v2):
                 continue
-            sites.append((r_in, r_end))
-    return sorted(set(sites))
+            yield (r_in, r_end)
 
 
-def find_virtual_slide_sites(d: VirtualDiagram) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
-    """Single virtual passages that can hop across an adjacent virtual crossing."""
+def find_poke_remove_sites(d: VirtualDiagram) -> list[tuple[int, int]]:
+    """(start, end) segments whose two virtual passages form a cancelling bigon."""
+    return sorted(set(_poke_remove_scan(d)))
+
+
+def _virtual_slide_scan(d: VirtualDiagram):
     consumed, emitted = slot_maps(d)
-    sites = []
     for v, c in enumerate(d.crossings):
         if not isinstance(c, VirtualCrossing):
             continue
@@ -640,27 +648,21 @@ def find_virtual_slide_sites(d: VirtualDiagram) -> list[tuple[int, int, tuple[tu
             if wi != v and isinstance(d.crossings[wi], VirtualCrossing):
                 u = _passage_edges(d.crossings[wi], wrole)[1]
                 if u not in (r_in, r_out):
-                    sites.append((r_in, r_out, ((u, ch),)))
+                    yield (r_in, r_out, ((u, ch),))
             wi, wrole = emitted[t_in]
             if wi != v and isinstance(d.crossings[wi], VirtualCrossing):
                 u = _passage_edges(d.crossings[wi], wrole)[0]
                 if u not in (r_in, r_out):
-                    sites.append((r_in, r_out, ((u, ch),)))
-    return sorted(set(sites))
+                    yield (r_in, r_out, ((u, ch),))
 
 
-def find_semi_virtual_slide_sites(
-    d: VirtualDiagram,
-) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
-    """Consecutive virtual passage pairs that can slide past a classical crossing.
+def find_virtual_slide_sites(d: VirtualDiagram) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
+    """Single virtual passages that can hop across an adjacent virtual crossing."""
+    return sorted(set(_virtual_slide_scan(d)))
 
-    The route crosses both strands of one classical crossing on the same
-    side; sliding moves both passages to the other side in swapped order.
-    Only chirality pairs with p*q = side1*side2 are offered (the planar
-    slide condition).
-    """
+
+def _semi_virtual_slide_scan(d: VirtualDiagram):
     consumed, emitted = slot_maps(d)
-    sites = []
 
     def adjacency(c, other_role):
         """(classical crossing, side, passage role there, other-half edge) or None."""
@@ -701,8 +703,20 @@ def find_semi_virtual_slide_sites(
                 continue
             if {other1, other2} & {r_in, r_mid, r_end}:
                 continue
-            sites.append((r_in, r_end, ((other2, qch), (other1, p))))
-    return sorted(set(sites))
+            yield (r_in, r_end, ((other2, qch), (other1, p)))
+
+
+def find_semi_virtual_slide_sites(
+    d: VirtualDiagram,
+) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
+    """Consecutive virtual passage pairs that can slide past a classical crossing.
+
+    The route crosses both strands of one classical crossing on the same
+    side; sliding moves both passages to the other side in swapped order.
+    Only chirality pairs with p*q = side1*side2 are offered (the planar
+    slide condition).
+    """
+    return sorted(set(_semi_virtual_slide_scan(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +761,10 @@ def apply_move(d: VirtualDiagram, record: MoveRecord) -> VirtualDiagram:
     raise InvalidParameter(f"unknown move kind {kind!r}")
 
 
+def _has_site(scan) -> bool:
+    return next(scan, None) is not None
+
+
 def _instantiate(d, rng, kind, allow_semi_virtual, prefer_removal):
     if kind == "r1_insert" or kind == "vkink_insert":
         choices = list(range(d.edges)) + ([LOOP] if d.free_loops else [])
@@ -779,14 +797,11 @@ def _instantiate(d, rng, kind, allow_semi_virtual, prefer_removal):
         families = []
         if d.edges >= 2:
             families.append("poke_insert")
-        remove_sites = find_poke_remove_sites(d)
-        if remove_sites:
+        if _has_site(_poke_remove_scan(d)):
             families.append("poke_remove")
-        slide_sites = find_virtual_slide_sites(d)
-        if slide_sites:
+        if _has_site(_virtual_slide_scan(d)):
             families.append("virtual_slide")
-        semi_sites = find_semi_virtual_slide_sites(d) if allow_semi_virtual else []
-        if semi_sites:
+        if allow_semi_virtual and _has_site(_semi_virtual_slide_scan(d)):
             families.append("semi_virtual_slide")
         if not families:
             return None
@@ -799,13 +814,11 @@ def _instantiate(d, rng, kind, allow_semi_virtual, prefer_removal):
             ch = rng.choice((1, -1))
             site = {"start": e, "end": e, "passages": [[t, ch], [t, -ch]]}
         elif family == "poke_remove":
-            start, end = rng.choice(remove_sites)
+            start, end = rng.choice(find_poke_remove_sites(d))
             site = {"start": start, "end": end, "passages": []}
-        elif family == "virtual_slide":
-            start, end, passages = rng.choice(slide_sites)
-            site = {"start": start, "end": end, "passages": [list(p) for p in passages]}
         else:
-            start, end, passages = rng.choice(semi_sites)
+            find = find_virtual_slide_sites if family == "virtual_slide" else find_semi_virtual_slide_sites
+            start, end, passages = rng.choice(find(d))
             site = {"start": start, "end": end, "passages": [list(p) for p in passages]}
         return MoveRecord("detour", site)
     raise InvalidParameter(f"unknown move kind {kind!r}")

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +93,67 @@ def test_every_single_entry_mutation_is_rejected():
                 table = [list(row) for row in q.table]
                 table[a][b] = v
                 assert not validate_quandle(make_from_table(table)).ok
+
+
+def _scalar_report(table):
+    """The three axioms checked entry by entry, in the documented witness order."""
+    n = len(table)
+    for a in range(n):
+        if table[a][a] != a:
+            return (False, 1, (a,))
+    for b in range(n):
+        if sorted(table[a][b] for a in range(n)) != list(range(n)):
+            return (False, 2, (b,))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[table[a][c]][table[b][c]]:
+                    return (False, 3, (a, b, c))
+    return (True, None, None)
+
+
+def _permutation_column_tables(n):
+    # every table whose columns are permutations fixing their own index,
+    # so that axioms 1 and 2 hold: (n-1)!^n tables
+    per_column = [[p for p in itertools.permutations(range(n)) if p[b] == b] for b in range(n)]
+    for cols in itertools.product(*per_column):
+        yield [[cols[b][a] for b in range(n)] for a in range(n)]
+
+
+def _axiom_cases():
+    rng = random.Random(5)
+    cases = [[[0, 1], [0, 1]], [[1, 1], [0, 0]], [[0, 0], [1, 1]]]
+    for n in range(1, 5):
+        cases += _permutation_column_tables(n)
+    for n in range(1, 7):
+        cases += [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(5)]
+    q = make_dihedral(4)
+    for a in range(4):
+        for b in range(4):
+            for v in range(4):
+                table = [list(row) for row in q.table]
+                table[a][b] = v
+                cases.append(table)
+    # two entries of one column swapped off the diagonal: axioms 1 and 2
+    # still hold, and axiom 3 fails at only some (b, c)
+    for n in (5, 6, 7):
+        base = make_dihedral(n).table
+        for b in range(n):
+            for a1, a2 in itertools.combinations([a for a in range(n) if a != b], 2):
+                table = [list(row) for row in base]
+                table[a1][b], table[a2][b] = table[a2][b], table[a1][b]
+                cases.append(table)
+    cases += [[list(row) for row in make_dihedral(n).table] for n in range(1, 8)]
+    return cases
+
+
+def test_axiom_reports_match_scalar_scan():
+    seen_axioms = set()
+    for table in _axiom_cases():
+        report = validate_quandle(make_from_table(table))
+        assert (report.ok, report.axiom, report.witness) == _scalar_report(table)
+        seen_axioms.add(report.axiom)
+    assert seen_axioms == {None, 1, 2, 3}
 
 
 def test_left_divide_examples():

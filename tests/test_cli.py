@@ -275,6 +275,32 @@ def test_oversized_dihedral_is_usage_error(capsys, argv):
     assert err.startswith("error:") and "exceeds the maximum 1024" in err
 
 
+# Each free loop multiplies the count by the quandle order; 3^10000 has more
+# digits than Python prints, which was a traceback before the bound.
+MANY_FREE_LOOPS = '{"edges":0,"free_loops":10000,"crossings":[]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("color", "count", "--diagram", MANY_FREE_LOOPS, "--quandle", "dihedral:3"),
+        ("invariant", "z", "--diagram", MANY_FREE_LOOPS, "--quandle", "dihedral:3", "--cocycle", "trivial"),
+    ],
+    ids=["color-count", "invariant-z"],
+)
+def test_too_many_free_loops_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "exceeds the maximum 1024" in err and "Traceback" not in err
+
+
+def test_free_loops_at_the_bound_are_counted(capsys):
+    diagram = '{"edges":0,"free_loops":1024,"crossings":[]}'
+    code, out, _ = run(capsys, "color", "count", "--diagram", diagram, "--quandle", "dihedral:3")
+    assert code == 0 and json.loads(out)["count"] == 3**1024
+
+
 _NOT_A_QUANDLE = '{"kind":"table","table":[[0,1],[0,1]]}'  # axiom 2 fails at column 0
 _NOT_A_COCYCLE = _cocycle(entries=[[0, 0, 1]])  # condition 1 fails at 0
 

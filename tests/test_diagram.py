@@ -4,6 +4,7 @@ import pytest
 
 from vknots.diagram import (
     BUILDER_NAMES,
+    MAX_FREE_LOOPS,
     ClassicalCrossing,
     VirtualCrossing,
     VirtualDiagram,
@@ -13,10 +14,12 @@ from vknots.diagram import (
     parse_diagram,
     relabel_canonical,
     serialize_diagram,
+    strand_passages,
     successor_cycles,
     validate_diagram,
 )
 from vknots.errors import InvalidParameter, MalformedInput
+from vknots.moves import apply_move, random_equivalent
 
 UNKNOT_TEXT = '{"edges":0,"free_loops":1,"crossings":[]}'
 
@@ -143,6 +146,79 @@ def test_relabel_canonical_traversal_order():
     b = relabel_canonical([ClassicalCrossing(1, 0, 1, 1, 0)], 0)
     assert a == b
     assert a.edges == 2
+
+
+# Records wired so that the first reused slot, in passage order (under then
+# over, first then second), is the one named in the message.
+BAD_REWIRINGS = {
+    "consumed-twice": (
+        [ClassicalCrossing(1, 0, 1, 2, 3), ClassicalCrossing(1, 2, 0, 1, 4)],
+        "edge 0 consumed twice",
+    ),
+    "emitted-twice": (
+        [ClassicalCrossing(1, 0, 1, 2, 3), ClassicalCrossing(1, 2, 3, 0, 2)],
+        "edge 2 emitted twice",
+    ),
+    "emitted-before-consumed": (
+        [ClassicalCrossing(1, 0, 1, 2, 3), ClassicalCrossing(1, 4, 0, 2, 5)],
+        "edge 2 emitted twice",
+    ),
+    "virtual-consumed-twice": (
+        [VirtualCrossing(0, 1, 2, 3, 1), VirtualCrossing(1, 0, 2, 4, -1)],
+        "edge 2 consumed twice",
+    ),
+    "dangling": ([ClassicalCrossing(1, 0, 1, 2, 3)], "dangling edge ends"),
+    "dangling-virtual": ([VirtualCrossing(0, 1, 1, 2, 1)], "dangling edge ends"),
+}
+
+
+@pytest.mark.parametrize("crossings, message", list(BAD_REWIRINGS.values()), ids=list(BAD_REWIRINGS))
+def test_relabel_canonical_rejects_bad_rewiring(crossings, message):
+    with pytest.raises(MalformedInput, match=message):
+        relabel_canonical(crossings, 0)
+
+
+def _rebuilt_slot_maps(d):
+    consumed, emitted = {}, {}
+    for ci, c in enumerate(d.crossings):
+        for role, e_in, e_out in strand_passages(c):
+            consumed[e_in] = (ci, role)
+            emitted[e_out] = (ci, role)
+    return consumed, emitted
+
+
+def _public_copy(c):
+    if isinstance(c, ClassicalCrossing):
+        return ClassicalCrossing(c.sign, c.under_in, c.over_in, c.under_out, c.over_out)
+    return VirtualCrossing(c.first_in, c.first_out, c.second_in, c.second_out, c.chirality)
+
+
+def test_move_outputs_have_seeded_slot_maps_and_checked_records():
+    outputs = 0
+    for name in BUILDER_NAMES:
+        for seed in range(5):
+            d = builder(name)
+            for record in random_equivalent(d, seed, 200)[1]:
+                d = apply_move(d, record)
+                outputs += 1
+                assert "slot_maps" in vars(d)  # filled by relabel_canonical, not on first use
+                assert d.slot_maps == _rebuilt_slot_maps(d)
+                # the unchecked records equal (field by field, so no renormalisation)
+                # and hash equal the same records built by the public constructors
+                public = [_public_copy(c) for c in d.crossings]
+                assert [type(c) for c in public] == [type(c) for c in d.crossings]
+                assert public == list(d.crossings) and list(map(hash, public)) == list(map(hash, d.crossings))
+                assert list(map(repr, public)) == list(map(repr, d.crossings))
+                assert relabel_canonical(public, d.free_loops) == d
+    assert outputs == 10 * 5 * 200
+
+
+def test_free_loops_are_bounded():
+    assert validate_diagram(VirtualDiagram(0, MAX_FREE_LOOPS, ())).ok
+    report = validate_diagram(VirtualDiagram(0, MAX_FREE_LOOPS + 1, ()))
+    assert not report.ok and f"exceeds the maximum {MAX_FREE_LOOPS}" in report.message
+    with pytest.raises(MalformedInput, match="exceeds the maximum"):
+        parse_diagram('{"edges":0,"free_loops":10000,"crossings":[]}')
 
 
 def test_isomorphic_basics():

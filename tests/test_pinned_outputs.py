@@ -17,16 +17,31 @@ from vknots.weights import cocycle_space_basis, cocycle_to_json
 
 MOVES_DIGEST = "30d581a90750ab4c508964d7e193d313557f2124c78c674c10e9bee978a6b5e8"
 BASIS_DIGEST = "69eeb090d847d7bb497964ff14581f1bef6669d55e1a70ed35faf0848dc556d4"
+LADDER_DIGEST = "e01a919916b722dcd05669c8634eeb0a75870caf8d188d0535b448abdfa24af0"
+
+# (builder, seed, moves, soft_cap) of the benchmark ladder diagrams, E = 54, 102, 146;
+# long traces past the soft cap, where removals are preferred
+LADDER = (("trefoil", 7, 120, 50), ("figure_eight", 36, 250, 105), ("kishino", 49, 400, 160))
+
+
+def _digest_traces(runs):
+    h = hashlib.sha256()
+    for final, trace in runs:
+        h.update(serialize_diagram(final).encode())
+        h.update(json.dumps([r.to_json_obj() for r in trace], separators=(",", ":")).encode())
+    return h.hexdigest()
 
 
 def test_move_outputs_and_traces_are_pinned():
-    h = hashlib.sha256()
-    for name in BUILDER_NAMES:
-        for seed in range(5):
-            final, trace = random_equivalent(builder(name), seed, 200)
-            h.update(serialize_diagram(final).encode())
-            h.update(json.dumps([r.to_json_obj() for r in trace], separators=(",", ":")).encode())
-    assert h.hexdigest() == MOVES_DIGEST
+    runs = (random_equivalent(builder(name), seed, 200) for name in BUILDER_NAMES for seed in range(5))
+    assert _digest_traces(runs) == MOVES_DIGEST
+
+
+def test_soft_cap_ladder_traces_are_pinned():
+    runs = (
+        random_equivalent(builder(name), seed, moves, soft_cap=cap) for name, seed, moves, cap in LADDER
+    )
+    assert _digest_traces(runs) == LADDER_DIGEST
 
 
 def test_cocycle_bases_are_pinned():
