@@ -21,11 +21,15 @@ and denotes the same crossing; records are normalised so that
 Planarity of the code is deliberately not checked: every slot-coherent
 code is accepted.
 
+A passage's role is its index in ``strand_passages``: 0 for the under
+(classical) or first (virtual) strand, 1 for the over or second strand.
+``slot_maps`` records every in- and out-slot as (crossing index, role).
+
 ``relabel_canonical``, the last step of every move, builds its records
-from sorted integer keys without re-running the constructors' checks
-(signs and chiralities come from checked records, and normalisation is
-applied on the key), and fills the result's ``slot_maps`` index in the
-same pass, so a move output never rebuilds it.
+from sorted integer keys (``_crossing_key``, which also applies the
+virtual normalisation) without re-running the constructors' checks:
+signs and chiralities come from checked records.  It fills the result's
+``slot_maps`` index in the same pass, so a move output never rebuilds it.
 """
 
 from __future__ import annotations
@@ -119,15 +123,15 @@ class VirtualDiagram:
         return [c for c in self.crossings if isinstance(c, VirtualCrossing)]
 
     @cached_property
-    def slot_maps(self) -> tuple[dict[int, tuple[int, str]], dict[int, tuple[int, str]]]:
+    def slot_maps(self) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
         """(consumed, emitted): edge -> (crossing index, role) of its in- and out-slot.
 
         Built once per diagram, which is immutable (``relabel_canonical``
         fills them in for every move output); callers must not mutate the
         returned maps.
         """
-        consumed: dict[int, tuple[int, str]] = {}
-        emitted: dict[int, tuple[int, str]] = {}
+        consumed: dict[int, tuple[int, int]] = {}
+        emitted: dict[int, tuple[int, int]] = {}
         for ci, c in enumerate(self.crossings):
             for role, e_in, e_out in strand_passages(c):
                 consumed[e_in] = (ci, role)
@@ -144,29 +148,12 @@ class DiagramReport:
         return self.ok
 
 
-def strand_passages(c: Crossing) -> tuple[tuple[str, int, int], ...]:
-    """The two (role, in_edge, out_edge) strand passages of a crossing."""
+def strand_passages(c: Crossing) -> tuple[tuple[int, int, int], ...]:
+    """The two (role, in_edge, out_edge) strand passages of a crossing: role 0 is
+    the under (or first) strand, role 1 the over (or second) strand."""
     if isinstance(c, ClassicalCrossing):
-        return (("under", c.under_in, c.under_out), ("over", c.over_in, c.over_out))
-    return (("first", c.first_in, c.first_out), ("second", c.second_in, c.second_out))
-
-
-def successor_map(d: VirtualDiagram) -> dict[int, int]:
-    """edge -> next edge along its strand (a permutation of 0..E-1)."""
-    succ: dict[int, int] = {}
-    for c in d.crossings:
-        for _, e_in, e_out in strand_passages(c):
-            succ[e_in] = e_out
-    return succ
-
-
-def slot_maps(d: VirtualDiagram):
-    """Maps edge -> (crossing index, role) for the consuming and emitting slots.
-
-    The maps are cached on the diagram (``VirtualDiagram.slot_maps``) and
-    shared by every caller; do not mutate them.
-    """
-    return d.slot_maps
+        return ((0, c.under_in, c.under_out), (1, c.over_in, c.over_out))
+    return ((0, c.first_in, c.first_out), (1, c.second_in, c.second_out))
 
 
 def validate_diagram(d: VirtualDiagram) -> DiagramReport:
@@ -200,8 +187,9 @@ def validate_diagram(d: VirtualDiagram) -> DiagramReport:
 
 
 def successor_cycles(d: VirtualDiagram) -> list[list[int]]:
-    """Cycles of the successor permutation, each starting at its lowest edge."""
-    succ = successor_map(d)
+    """Cycles of the successor permutation (edge -> next edge along its strand),
+    each starting at its lowest edge."""
+    succ = {e_in: e_out for c in d.crossings for _, e_in, e_out in strand_passages(c)}
     seen = set()
     cycles = []
     for start in range(d.edges):
@@ -221,10 +209,15 @@ def component_count(d: VirtualDiagram) -> int:
     return len(successor_cycles(d)) + d.free_loops
 
 
-def _crossing_sort_key(c: Crossing):
-    if isinstance(c, ClassicalCrossing):
-        return (0, c.sign, c.under_in, c.over_in, c.under_out, c.over_out)
-    return (1, c.chirality, c.first_in, c.first_out, c.second_in, c.second_out)
+def _crossing_key(c: Crossing, label) -> tuple[int, ...]:
+    """Sort key of a record with its edges renamed by ``label``:
+    (0, sign, under_in, over_in, under_out, over_out) or
+    (1, chirality, first_in, first_out, second_in, second_out), the virtual
+    strands swapped (and the chirality negated) so that first_in < second_in."""
+    if type(c) is ClassicalCrossing:
+        return (0, c.sign, label[c.under_in], label[c.over_in], label[c.under_out], label[c.over_out])
+    fi, fo, si, so = label[c.first_in], label[c.first_out], label[c.second_in], label[c.second_out]
+    return (1, c.chirality, fi, fo, si, so) if fi < si else (1, -c.chirality, si, so, fi, fo)
 
 
 def _raise_reused_slot(crossings) -> None:
@@ -271,30 +264,18 @@ def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
             label[e] = len(label)
             e = succ[e]
 
-    # sort keys as in _crossing_sort_key, virtual records normalised on the key
-    keys = []
-    for c in crossings:
-        if type(c) is ClassicalCrossing:
-            keys.append(
-                (0, c.sign, label[c.under_in], label[c.over_in], label[c.under_out], label[c.over_out])
-            )
-        else:
-            fi, fo, si, so = label[c.first_in], label[c.first_out], label[c.second_in], label[c.second_out]
-            keys.append((1, c.chirality, fi, fo, si, so) if fi < si else (1, -c.chirality, si, so, fi, fo))
-    keys.sort()
-
     records = []
-    consumed: dict[int, tuple[int, str]] = {}
-    emitted: dict[int, tuple[int, str]] = {}
-    for ci, (kind, s, w, x, y, z) in enumerate(keys):
+    consumed: dict[int, tuple[int, int]] = {}
+    emitted: dict[int, tuple[int, int]] = {}
+    for ci, (kind, s, w, x, y, z) in enumerate(sorted([_crossing_key(c, label) for c in crossings])):
         if kind == 0:  # sign, under_in, over_in, under_out, over_out
             records.append(_classical(s, w, x, y, z))
-            consumed[w] = emitted[y] = (ci, "under")
-            consumed[x] = emitted[z] = (ci, "over")
+            consumed[w] = emitted[y] = (ci, 0)
+            consumed[x] = emitted[z] = (ci, 1)
         else:  # chirality, first_in, first_out, second_in, second_out
             records.append(_virtual(w, x, y, z, s))
-            consumed[w] = emitted[x] = (ci, "first")
-            consumed[y] = emitted[z] = (ci, "second")
+            consumed[w] = emitted[x] = (ci, 0)
+            consumed[y] = emitted[z] = (ci, 1)
     d = VirtualDiagram(len(label), free_loops, tuple(records))
     d.__dict__["slot_maps"] = (consumed, emitted)  # the cached_property's slot
     return d
@@ -320,34 +301,17 @@ def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
     cycles_b = successor_cycles(b)
     if sorted(map(len, cycles_a)) != sorted(map(len, cycles_b)):
         return False
-    target = {_crossing_sort_key(c) for c in b.crossings}
+    own = range(b.edges)  # b's records are normalised, so they keep their own labels
+    target = {_crossing_key(c, own) for c in b.crossings}
     if len(target) != len(b.crossings):
         # duplicate records: fall back to multiset comparison
-        target = sorted(_crossing_sort_key(c) for c in b.crossings)
+        target = sorted(_crossing_key(c, own) for c in b.crossings)
         as_set = False
     else:
         as_set = True
 
     def crossings_match(mapping) -> bool:
-        mapped = []
-        for c in a.crossings:
-            if isinstance(c, ClassicalCrossing):
-                img = ClassicalCrossing(
-                    c.sign,
-                    mapping[c.under_in],
-                    mapping[c.over_in],
-                    mapping[c.under_out],
-                    mapping[c.over_out],
-                )
-            else:
-                img = VirtualCrossing(
-                    mapping[c.first_in],
-                    mapping[c.first_out],
-                    mapping[c.second_in],
-                    mapping[c.second_out],
-                    c.chirality,
-                )
-            mapped.append(_crossing_sort_key(img))
+        mapped = [_crossing_key(c, mapping) for c in a.crossings]
         if as_set:
             return set(mapped) == target
         return sorted(mapped) == target

@@ -29,12 +29,20 @@ not arise from a planar slide and do not preserve twisted colorings.
 Each family is tested for existence only (its scan stops at the first
 site); the sorted site list is built for the drawn family alone.
 
+Every move edits crossing records through one passage model: a role is
+a passage index (0 = under/first strand, 1 = over/second strand, as in
+``diagram.strand_passages``), ``_passage`` reads a passage's (in, out)
+edges and ``_with_passages`` rebuilds a record from its two passages.
+A move finds the in-slot to rewire in ``d.slot_maps`` (a detour, after
+deleting its interior crossings, in the consumer map that
+``_remove_crossings`` returns); no move scans the crossing list for it.
+
 After every move the edge labels are renumbered canonically (successor
 traversal from the lowest surviving label) and the crossing list is
 sorted, so structural equality of move outputs is meaningful;
 ``diagram.isomorphic`` decides equality up to relabelling in tests.
-The relabelling also fills the output's ``slot_maps``, which the site
-finders of the next move read.
+The relabelling also normalises virtual records and fills the output's
+``slot_maps``, which the site finders of the next move read.
 """
 
 from __future__ import annotations
@@ -47,9 +55,9 @@ from .diagram import (
     ClassicalCrossing,
     VirtualCrossing,
     VirtualDiagram,
+    _classical,
+    _virtual,
     relabel_canonical,
-    slot_maps,
-    strand_passages,
 )
 from .errors import InvalidParameter, NotApplicable
 
@@ -57,44 +65,42 @@ LOOP = "loop"  # site value standing for "a free loop" in kink insertions
 
 
 # ---------------------------------------------------------------------------
-# slot surgery helpers
+# slot surgery helpers: a role is a passage index, 0 = under/first, 1 = over/second
 
 
-def _passage_edges(c, role):
-    if role == "under":
-        return c.under_in, c.under_out
-    if role == "over":
-        return c.over_in, c.over_out
-    if role == "first":
-        return c.first_in, c.first_out
-    return c.second_in, c.second_out
+def _passage(c, role):
+    """(in_edge, out_edge) of the passage ``role`` of a crossing."""
+    if type(c) is ClassicalCrossing:
+        return (c.over_in, c.over_out) if role else (c.under_in, c.under_out)
+    return (c.second_in, c.second_out) if role else (c.first_in, c.first_out)
 
 
-def _with_in_slot(c, role, edge):
-    if isinstance(c, ClassicalCrossing):
-        if role == "under":
-            return ClassicalCrossing(c.sign, edge, c.over_in, c.under_out, c.over_out)
-        return ClassicalCrossing(c.sign, c.under_in, edge, c.under_out, c.over_out)
-    if role == "first":
-        return VirtualCrossing(edge, c.first_out, c.second_in, c.second_out, c.chirality)
-    return VirtualCrossing(c.first_in, c.first_out, edge, c.second_out, c.chirality)
+def _with_passages(c, p0, p1):
+    """``c`` with the (in, out) pairs p0, p1 as its passages 0 and 1, keeping its
+    sign or chirality.  Virtual strands are not renormalised (``relabel_canonical``
+    does that), so a record's slot roles stay put while a move rewires it."""
+    if type(c) is ClassicalCrossing:
+        return _classical(c.sign, p0[0], p1[0], p0[1], p1[1])
+    return _virtual(p0[0], p0[1], p1[0], p1[1], c.chirality)
 
 
-def _rewire_consumer(crossings, edge, new_edge):
-    """Replace the unique in-slot occurrence of ``edge`` by ``new_edge``."""
-    for i, c in enumerate(crossings):
-        for role, e_in, _ in strand_passages(c):
-            if e_in == edge:
-                crossings[i] = _with_in_slot(c, role, new_edge)
-                return
-    raise NotApplicable(f"edge {edge} has no consumer")
+def _rewire(crossings, slot, new_edge):
+    """Make the in-slot ``slot`` = (crossing index, role) consume ``new_edge``."""
+    ci, role = slot
+    c = crossings[ci]
+    passages = [_passage(c, 0), _passage(c, 1)]
+    passages[role] = (new_edge, passages[role][1])
+    crossings[ci] = _with_passages(c, *passages)
 
 
 def _remove_crossings(d: VirtualDiagram, remove: set[int]):
     """Delete crossings, merging the through-edges of every deleted passage.
 
-    Returns (surviving crossing list with merged labels, free loops gained,
-    find) where ``find`` maps any original edge to its merged representative.
+    Returns (survivors, free loops gained, find, consumer): ``survivors``
+    maps each kept crossing's original index to its record with merged
+    labels, ``find`` maps any original edge to its merged representative,
+    and ``consumer`` maps every representative that still has an in-slot
+    to that slot, (original crossing index, role).
     """
     parent: dict[int, int] = {}
 
@@ -116,30 +122,68 @@ def _remove_crossings(d: VirtualDiagram, remove: set[int]):
 
     touched: set[int] = set()
     for ci in remove:
-        for _, e_in, e_out in strand_passages(d.crossings[ci]):
+        c = d.crossings[ci]
+        for role in (0, 1):
+            e_in, e_out = _passage(c, role)
             union(e_in, e_out)
             touched.add(e_in)
             touched.add(e_out)
     root = {e: find(e) for e in touched}
 
-    def rewrite(c):
-        if isinstance(c, ClassicalCrossing):
-            return ClassicalCrossing(
-                c.sign, find(c.under_in), find(c.over_in), find(c.under_out), find(c.over_out)
-            )
-        return VirtualCrossing(
-            find(c.first_in), find(c.first_out), find(c.second_in), find(c.second_out), c.chirality
-        )
-
+    consumed, emitted = d.slot_maps
+    survivors = {ci: c for ci, c in enumerate(d.crossings) if ci not in remove}
     # only the surviving crossings at either end of a merged edge change
-    consumed, emitted = slot_maps(d)
     stale = {ci for e, r in root.items() if r != e for ci in (consumed[e][0], emitted[e][0])} - remove
-    survivors = [
-        rewrite(c) if ci in stale else c for ci, c in enumerate(d.crossings) if ci not in remove
-    ]
-    # a merged strand survives when one of its edges keeps a crossing at one end
-    kept = {r for e, r in root.items() if consumed[e][0] not in remove or emitted[e][0] not in remove}
-    return survivors, len(set(root.values()) - kept), find
+    for ci in stale:
+        c = survivors[ci]
+        (in0, out0), (in1, out1) = _passage(c, 0), _passage(c, 1)
+        survivors[ci] = _with_passages(c, (find(in0), find(out0)), (find(in1), find(out1)))
+    # a merged strand survives when its last edge keeps its consumer; the
+    # others close into free loops
+    ends = {r: consumed[e] for e, r in root.items() if consumed[e][0] not in remove}
+    consumer = dict(consumed)
+    for e in touched:
+        del consumer[e]
+    consumer.update(ends)
+    return survivors, len(set(root.values())) - len(ends), find, consumer
+
+
+def _insert_kink(d: VirtualDiagram, edge, kink) -> VirtualDiagram:
+    """Insert ``kink(in, loop, out)`` on an edge, or onto a free loop (edge=None)."""
+    a, b = d.edges, d.edges + 1
+    if edge is None:
+        if d.free_loops < 1:
+            raise NotApplicable("no free loop to kink")
+        return relabel_canonical([*d.crossings, kink(a, b, a)], d.free_loops - 1)
+    if not 0 <= edge < d.edges:
+        raise InvalidParameter(f"edge {edge} out of range")
+    crossings = list(d.crossings)
+    _rewire(crossings, d.slot_maps[0][edge], b)
+    crossings.append(kink(edge, a, b))
+    return relabel_canonical(crossings, d.free_loops)
+
+
+def _kink_scan(d: VirtualDiagram, kind):
+    """Loop edges of the kinks made by one crossing of type ``kind``; a crossing
+    that is a kink both ways is listed once, by its passage-0 out-edge."""
+    for c in d.crossings:
+        if type(c) is kind:
+            (in0, out0), (in1, out1) = _passage(c, 0), _passage(c, 1)
+            if out0 == in1:
+                yield out0
+            elif out1 == in0:
+                yield out1
+
+
+def _remove_kink(d: VirtualDiagram, loop_edge: int, kind, what: str) -> VirtualDiagram:
+    """Remove the crossing of type ``kind`` that emits ``loop_edge`` from one
+    passage and consumes it in the other."""
+    consumed, emitted = d.slot_maps
+    ci, role = emitted.get(loop_edge, (None, None))
+    if ci is None or consumed.get(loop_edge) != (ci, 1 - role) or type(d.crossings[ci]) is not kind:
+        raise NotApplicable(f"edge {loop_edge} is not the loop of a {what}")
+    survivors, gained, _, _ = _remove_crossings(d, {ci})
+    return relabel_canonical(list(survivors.values()), d.free_loops + gained)
 
 
 # ---------------------------------------------------------------------------
@@ -155,48 +199,21 @@ def r1_insert(d: VirtualDiagram, edge, sign: int, handed: str = "under") -> Virt
         raise InvalidParameter("kink sign must be +1 or -1")
     if handed not in ("under", "over"):
         raise InvalidParameter("handed must be 'under' or 'over'")
-    a, b = d.edges, d.edges + 1
-    if edge is None:
-        if d.free_loops < 1:
-            raise NotApplicable("no free loop to kink")
-        if handed == "under":
-            kink = ClassicalCrossing(sign, under_in=a, over_in=b, under_out=b, over_out=a)
-        else:
-            kink = ClassicalCrossing(sign, under_in=b, over_in=a, under_out=a, over_out=b)
-        return relabel_canonical(list(d.crossings) + [kink], d.free_loops - 1)
-    if not 0 <= edge < d.edges:
-        raise InvalidParameter(f"edge {edge} out of range")
-    crossings = list(d.crossings)
-    _rewire_consumer(crossings, edge, b)
-    if handed == "under":
-        kink = ClassicalCrossing(sign, under_in=edge, over_in=a, under_out=a, over_out=b)
-    else:
-        kink = ClassicalCrossing(sign, under_in=a, over_in=edge, under_out=b, over_out=a)
-    crossings.append(kink)
-    return relabel_canonical(crossings, d.free_loops)
+    if handed == "under":  # in -> under -> loop -> over -> out
+        kink = lambda e_in, loop, e_out: ClassicalCrossing(sign, e_in, loop, loop, e_out)
+    else:  # in -> over -> loop -> under -> out
+        kink = lambda e_in, loop, e_out: ClassicalCrossing(sign, loop, e_in, e_out, loop)
+    return _insert_kink(d, edge, kink)
 
 
 def find_r1_sites(d: VirtualDiagram) -> list[int]:
     """Loop edges of removable classical kinks."""
-    sites = []
-    for c in d.crossings:
-        if isinstance(c, ClassicalCrossing):
-            if c.under_out == c.over_in:
-                sites.append(c.under_out)
-            elif c.over_out == c.under_in:
-                sites.append(c.over_out)
-    return sorted(set(sites))
+    return sorted(set(_kink_scan(d, ClassicalCrossing)))
 
 
 def r1_remove(d: VirtualDiagram, loop_edge: int) -> VirtualDiagram:
     """Remove the classical kink whose loop edge is given."""
-    for ci, c in enumerate(d.crossings):
-        if isinstance(c, ClassicalCrossing) and (
-            c.under_out == loop_edge == c.over_in or c.over_out == loop_edge == c.under_in
-        ):
-            survivors, gained, _ = _remove_crossings(d, {ci})
-            return relabel_canonical(survivors, d.free_loops + gained)
-    raise NotApplicable(f"edge {loop_edge} is not the loop of a classical kink")
+    return _remove_kink(d, loop_edge, ClassicalCrossing, "classical kink")
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +232,10 @@ def r2_insert(d: VirtualDiagram, edge_a: int, edge_b: int, over_first: bool = Tr
         if not 0 <= e < d.edges:
             raise InvalidParameter(f"edge {e} out of range")
     m1, m2, k1, k2 = d.edges, d.edges + 1, d.edges + 2, d.edges + 3
+    consumed = d.slot_maps[0]
     crossings = list(d.crossings)
-    _rewire_consumer(crossings, edge_a, m2)
-    _rewire_consumer(crossings, edge_b, k2)
+    _rewire(crossings, consumed[edge_a], m2)
+    _rewire(crossings, consumed[edge_b], k2)
     if over_first:
         x1 = ClassicalCrossing(1, under_in=edge_b, over_in=edge_a, under_out=k1, over_out=m1)
         x2 = ClassicalCrossing(-1, under_in=k1, over_in=m1, under_out=k2, over_out=m2)
@@ -230,15 +248,15 @@ def r2_insert(d: VirtualDiagram, edge_a: int, edge_b: int, over_first: bool = Tr
 
 def find_r2_sites(d: VirtualDiagram) -> list[int]:
     """Over-strand middle edges of removable pokes."""
-    consumed, emitted = slot_maps(d)
+    consumed, emitted = d.slot_maps
     sites = []
     for mid in range(d.edges):
         ei, ri = emitted.get(mid, (None, None))
         cj, rj = consumed.get(mid, (None, None))
-        if ri != "over" or rj != "over" or ei == cj:
+        if ri != 1 or rj != 1 or ei == cj:  # over at both ends
             continue
         x1, x2 = d.crossings[ei], d.crossings[cj]
-        if not (isinstance(x1, ClassicalCrossing) and isinstance(x2, ClassicalCrossing)):
+        if type(x1) is not ClassicalCrossing or type(x2) is not ClassicalCrossing:
             continue
         if x1.sign == x2.sign:
             continue
@@ -251,10 +269,10 @@ def r2_remove(d: VirtualDiagram, over_mid: int) -> VirtualDiagram:
     """Remove the poke whose over-strand middle edge is given."""
     if over_mid not in find_r2_sites(d):
         raise NotApplicable(f"edge {over_mid} is not the over-middle of a poke")
-    consumed, emitted = slot_maps(d)
+    consumed, emitted = d.slot_maps
     remove = {emitted[over_mid][0], consumed[over_mid][0]}
-    survivors, gained, _ = _remove_crossings(d, remove)
-    return relabel_canonical(survivors, d.free_loops + gained)
+    survivors, gained, _, _ = _remove_crossings(d, remove)
+    return relabel_canonical(list(survivors.values()), d.free_loops + gained)
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +288,13 @@ def r2_remove(d: VirtualDiagram, over_mid: int) -> VirtualDiagram:
 
 
 def _r3_variant_table() -> frozenset:
-    lines = {0: (1.0, 0.0), 1: (1.0, 1.0), 2: (1.0, -1.0)}
+    lines = {0: (1, 0), 1: (1, 1), 2: (1, -1)}
+    # meeting points at twice their coordinates, so they stay integral;
+    # only the order of points along a line is read
     meet = {
-        frozenset((0, 1)): (0.0, 0.0),
-        frozenset((0, 2)): (1.0, 0.0),
-        frozenset((1, 2)): (0.5, 0.5),
+        frozenset((0, 1)): (0, 0),
+        frozenset((0, 2)): (2, 0),
+        frozenset((1, 2)): (1, 1),
     }
     table = set()
     for assignment in permutations((0, 1, 2)):  # strand role i+1 -> line assignment[i]
@@ -331,7 +351,7 @@ class _R3Site:
     crossings: tuple[int, int, int]  # indices of X, Y, Z
     bridges: tuple[int, int, int]  # edges strand1: X<->Y, strand2: X<->Z, strand3: Z<->Y
     # per strand: (first crossing idx, second crossing idx, role at first, role at second)
-    strands: tuple[tuple[int, int, str, str], ...]
+    strands: tuple[tuple[int, int, int, int], ...]
 
 
 def _resolve_r3_site(d: VirtualDiagram, bridges, consumed, emitted) -> _R3Site | None:
@@ -360,7 +380,7 @@ def _resolve_r3_site(d: VirtualDiagram, bridges, consumed, emitted) -> _R3Site |
         z = (crossings_of[q] - {x}).pop()
         if crossings_of[r] != {z, y} or len({x, y, z}) != 3:
             continue
-        if not all(isinstance(d.crossings[ci], ClassicalCrossing) for ci in (x, y, z)):
+        if not all(type(d.crossings[ci]) is ClassicalCrossing for ci in (x, y, z)):
             continue
 
         def role_at(e, ci):
@@ -381,11 +401,7 @@ def _resolve_r3_site(d: VirtualDiagram, bridges, consumed, emitted) -> _R3Site |
             return 0 if ends[e][0][0] == first_c else 1  # 0 when emitted by first_c
 
         firsts = (first_bit(p, x), first_bit(q, x), first_bit(r, z))
-        overs = (
-            1 if role_at(p, x) == "over" else 0,
-            1 if role_at(p, y) == "over" else 0,
-            1 if role_at(q, z) == "over" else 0,
-        )
+        overs = (role_at(p, x), role_at(p, y), role_at(q, z))  # role 1 is over
         signs = tuple(d.crossings[ci].sign for ci in (x, y, z))
         if firsts + overs + signs not in _R3_VARIANTS:
             continue
@@ -406,16 +422,14 @@ def _resolve_r3_site(d: VirtualDiagram, bridges, consumed, emitted) -> _R3Site |
 
 def find_r3_sites(d: VirtualDiagram) -> list[tuple[int, int, int]]:
     """Bridge-edge triples of realizable triangle slides, sorted."""
-    consumed, emitted = slot_maps(d)
+    consumed, emitted = d.slot_maps
     links: dict[frozenset, list[int]] = {}
     neighbours: dict[int, set[int]] = {}
     for e in range(d.edges):
         a, b = emitted[e][0], consumed[e][0]
         if a == b:
             continue
-        if isinstance(d.crossings[a], ClassicalCrossing) and isinstance(
-            d.crossings[b], ClassicalCrossing
-        ):
+        if type(d.crossings[a]) is ClassicalCrossing and type(d.crossings[b]) is ClassicalCrossing:
             links.setdefault(frozenset((a, b)), []).append(e)
             neighbours.setdefault(a, set()).add(b)
             neighbours.setdefault(b, set()).add(a)
@@ -439,24 +453,19 @@ def find_r3_sites(d: VirtualDiagram) -> list[tuple[int, int, int]]:
 
 def r3_slide(d: VirtualDiagram, bridges) -> VirtualDiagram:
     """Flip the triangle identified by its three bridge edges."""
-    site = _resolve_r3_site(d, tuple(bridges), *slot_maps(d))
+    site = _resolve_r3_site(d, tuple(bridges), *d.slot_maps)
     if site is None:
         raise NotApplicable(f"edges {tuple(bridges)} do not form a realizable triangle")
-    new_slots: dict[tuple[int, str], tuple[int, int]] = {}
+    new_slots: dict[tuple[int, int], tuple[int, int]] = {}
     for bridge, (c_first, c_second, role_first, role_second) in zip(site.bridges, site.strands):
-        cross_first = d.crossings[c_first]
-        cross_second = d.crossings[c_second]
-        e_in = _passage_edges(cross_first, role_first)[0]
-        e_out = _passage_edges(cross_second, role_second)[1]
+        e_in = _passage(d.crossings[c_first], role_first)[0]
+        e_out = _passage(d.crossings[c_second], role_second)[1]
         # the strand now meets its second crossing first
         new_slots[(c_second, role_second)] = (e_in, bridge)
         new_slots[(c_first, role_first)] = (bridge, e_out)
     crossings = list(d.crossings)
     for ci in site.crossings:
-        c = d.crossings[ci]
-        under = new_slots[(ci, "under")]
-        over = new_slots[(ci, "over")]
-        crossings[ci] = ClassicalCrossing(c.sign, under[0], over[0], under[1], over[1])
+        crossings[ci] = _with_passages(d.crossings[ci], new_slots[(ci, 0)], new_slots[(ci, 1)])
     return relabel_canonical(crossings, d.free_loops)
 
 
@@ -468,48 +477,42 @@ def vkink_insert(d: VirtualDiagram, edge, chirality: int) -> VirtualDiagram:
     """Insert a virtual kink on an edge, or onto a free loop (edge=None)."""
     if chirality not in (1, -1):
         raise InvalidParameter("chirality must be +1 or -1")
-    a, b = d.edges, d.edges + 1
-    if edge is None:
-        if d.free_loops < 1:
-            raise NotApplicable("no free loop to kink")
-        kink = VirtualCrossing(a, b, b, a, chirality)
-        return relabel_canonical(list(d.crossings) + [kink], d.free_loops - 1)
-    if not 0 <= edge < d.edges:
-        raise InvalidParameter(f"edge {edge} out of range")
-    crossings = list(d.crossings)
-    _rewire_consumer(crossings, edge, b)
-    crossings.append(VirtualCrossing(edge, a, a, b, chirality))
-    return relabel_canonical(crossings, d.free_loops)
+    kink = lambda e_in, loop, e_out: VirtualCrossing(e_in, loop, loop, e_out, chirality)
+    return _insert_kink(d, edge, kink)
 
 
 def find_vkink_sites(d: VirtualDiagram) -> list[int]:
-    sites = []
-    for c in d.crossings:
-        if isinstance(c, VirtualCrossing):
-            if c.first_out == c.second_in:
-                sites.append(c.first_out)
-            elif c.second_out == c.first_in:
-                sites.append(c.second_out)
-    return sorted(set(sites))
+    return sorted(set(_kink_scan(d, VirtualCrossing)))
 
 
 def vkink_remove(d: VirtualDiagram, loop_edge: int) -> VirtualDiagram:
-    for ci, c in enumerate(d.crossings):
-        if isinstance(c, VirtualCrossing) and (
-            c.first_out == loop_edge == c.second_in or c.second_out == loop_edge == c.first_in
-        ):
-            survivors, gained, _ = _remove_crossings(d, {ci})
-            return relabel_canonical(survivors, d.free_loops + gained)
-    raise NotApplicable(f"edge {loop_edge} is not the loop of a virtual kink")
+    return _remove_kink(d, loop_edge, VirtualCrossing, "virtual kink")
 
 
 # ---------------------------------------------------------------------------
 # detour
 
 
-def _route_chirality(c: VirtualCrossing, route_role: str) -> int:
+def _route_chirality(c: VirtualCrossing, route_role: int) -> int:
     """Chirality as seen with the route strand in first position."""
-    return c.chirality if route_role == "first" else -c.chirality
+    return -c.chirality if route_role else c.chirality
+
+
+def _segment(d: VirtualDiagram, start: int, end: int) -> list[tuple[int, int]]:
+    """(crossing index, route role) of every passage from ``start`` to ``end``."""
+    consumed = d.slot_maps[0]
+    walk = []
+    e = start
+    while e != end:
+        ci, role = consumed[e]
+        c = d.crossings[ci]
+        if type(c) is not VirtualCrossing:
+            raise NotApplicable("segment interior contains a classical passage")
+        walk.append((ci, role))
+        e = _passage(c, role)[1]
+        if e == start:
+            raise NotApplicable("segment never reaches its end edge")
+    return walk
 
 
 def detour(d: VirtualDiagram, start: int, end: int, new_passages) -> VirtualDiagram:
@@ -526,23 +529,12 @@ def detour(d: VirtualDiagram, start: int, end: int, new_passages) -> VirtualDiag
     for e in (start, end):
         if not 0 <= e < d.edges:
             raise InvalidParameter(f"edge {e} out of range")
-    consumed, emitted = slot_maps(d)
-    interior: list[int] = []
-    e = start
-    while e != end:
-        ci, role = consumed[e]
-        c = d.crossings[ci]
-        if not isinstance(c, VirtualCrossing):
-            raise NotApplicable("segment interior contains a classical passage")
-        interior.append(ci)
-        e = _passage_edges(c, role)[1]
-        if e == start:
-            raise NotApplicable("segment never reaches its end edge")
-    interior_set = set(interior)
-    if emitted[start][0] in interior_set or consumed[end][0] in interior_set:
+    consumed, emitted = d.slot_maps
+    interior = {ci for ci, _ in _segment(d, start, end)}
+    if emitted[start][0] in interior or consumed[end][0] in interior:
         raise NotApplicable("segment endpoints lie on interior crossings")
 
-    survivors, gained, find = _remove_crossings(d, interior_set)
+    survivors, gained, find, consumer = _remove_crossings(d, interior)
     route = find(start)
 
     passages = []
@@ -563,33 +555,29 @@ def detour(d: VirtualDiagram, start: int, end: int, new_passages) -> VirtualDiag
         fresh += 1
     if passages:
         # the slot that consumed the segment now consumes the last route piece
-        _rewire_consumer(survivors, route, pieces[-1])
+        _rewire(survivors, consumer[route], pieces[-1])
+    added = []
     tail: dict[int, int] = {}  # target rep -> piece carrying its current far end
     for i, (t, ch) in enumerate(passages):
         t_cur = tail.get(t, t)
+        if t_cur not in consumer:
+            raise NotApplicable(f"edge {t_cur} has no consumer")
         t_next = fresh
         fresh += 1
-        _rewire_consumer(survivors, t_cur, t_next)
-        survivors.append(VirtualCrossing(pieces[i], pieces[i + 1], t_cur, t_next, ch))
+        slot = consumer.pop(t_cur)  # t_cur is consumed by the new crossing from here on
+        _rewire(survivors, slot, t_next)
+        consumer[t_next] = slot
+        added.append(VirtualCrossing(pieces[i], pieces[i + 1], t_cur, t_next, ch))
         tail[t] = t_next
-    return relabel_canonical(survivors, d.free_loops + gained)
+    return relabel_canonical([*survivors.values(), *added], d.free_loops + gained)
 
 
 def segment_passages(d: VirtualDiagram, start: int, end: int) -> list[tuple[int, int]]:
     """The (transversal in-edge, route-view chirality) list along a segment."""
-    consumed, _ = slot_maps(d)
     out = []
-    e = start
-    while e != end:
-        ci, role = consumed[e]
+    for ci, role in _segment(d, start, end):
         c = d.crossings[ci]
-        if not isinstance(c, VirtualCrossing):
-            raise NotApplicable("segment interior contains a classical passage")
-        other = "second" if role == "first" else "first"
-        out.append((_passage_edges(c, other)[0], _route_chirality(c, role)))
-        e = _passage_edges(c, role)[1]
-        if e == start:
-            raise NotApplicable("segment never reaches its end edge")
+        out.append((_passage(c, 1 - role)[0], _route_chirality(c, role)))
     return out
 
 
@@ -602,29 +590,37 @@ def segment_passages(d: VirtualDiagram, start: int, end: int) -> list[tuple[int,
 # stops at the first one; the public finder sorts the distinct sites.
 
 
-def _poke_remove_scan(d: VirtualDiagram):
-    consumed, emitted = slot_maps(d)
+def _virtual_pairs(d: VirtualDiagram):
+    """Two consecutive virtual passages of one strand on distinct crossings,
+    whose route in-edge and out-edge meet other crossings:
+    (v1, role1, v2, role2, r_in, r_mid, r_end), the route running r_in ->
+    v1 -> r_mid -> v2 -> r_end."""
+    consumed, emitted = d.slot_maps
     for v1, c1 in enumerate(d.crossings):
-        if not isinstance(c1, VirtualCrossing):
+        if type(c1) is not VirtualCrossing:
             continue
-        for role1 in ("first", "second"):
-            r_in, r_mid = _passage_edges(c1, role1)
+        for role1 in (0, 1):
+            r_in, r_mid = _passage(c1, role1)
             v2, role2 = consumed[r_mid]
             c2 = d.crossings[v2]
-            if v2 == v1 or not isinstance(c2, VirtualCrossing):
+            if v2 == v1 or type(c2) is not VirtualCrossing:
                 continue
-            r_end = _passage_edges(c2, role2)[1]
-            if _route_chirality(c1, role1) + _route_chirality(c2, role2) != 0:
-                continue
-            o1 = "second" if role1 == "first" else "first"
-            o2 = "second" if role2 == "first" else "first"
-            t1_in, t1_out = _passage_edges(c1, o1)
-            t2_in, t2_out = _passage_edges(c2, o2)
-            if t1_out != t2_in and t2_out != t1_in:
-                continue
+            r_end = _passage(c2, role2)[1]
             if emitted[r_in][0] in (v1, v2) or consumed[r_end][0] in (v1, v2):
                 continue
-            yield (r_in, r_end)
+            yield v1, role1, v2, role2, r_in, r_mid, r_end
+
+
+def _poke_remove_scan(d: VirtualDiagram):
+    for v1, role1, v2, role2, r_in, _, r_end in _virtual_pairs(d):
+        c1, c2 = d.crossings[v1], d.crossings[v2]
+        if _route_chirality(c1, role1) + _route_chirality(c2, role2) != 0:
+            continue
+        t1_in, t1_out = _passage(c1, 1 - role1)
+        t2_in, t2_out = _passage(c2, 1 - role2)
+        if t1_out != t2_in and t2_out != t1_in:
+            continue
+        yield (r_in, r_end)
 
 
 def find_poke_remove_sites(d: VirtualDiagram) -> list[tuple[int, int]]:
@@ -633,25 +629,24 @@ def find_poke_remove_sites(d: VirtualDiagram) -> list[tuple[int, int]]:
 
 
 def _virtual_slide_scan(d: VirtualDiagram):
-    consumed, emitted = slot_maps(d)
+    consumed, emitted = d.slot_maps
     for v, c in enumerate(d.crossings):
-        if not isinstance(c, VirtualCrossing):
+        if type(c) is not VirtualCrossing:
             continue
-        for role in ("first", "second"):
-            r_in, r_out = _passage_edges(c, role)
+        for role in (0, 1):
+            r_in, r_out = _passage(c, role)
             if emitted[r_in][0] == v or consumed[r_out][0] == v:
                 continue  # the route kinks through this crossing; not a slide site
-            other = "second" if role == "first" else "first"
-            t_in, t_out = _passage_edges(c, other)
+            t_in, t_out = _passage(c, 1 - role)
             ch = _route_chirality(c, role)
             wi, wrole = consumed[t_out]
-            if wi != v and isinstance(d.crossings[wi], VirtualCrossing):
-                u = _passage_edges(d.crossings[wi], wrole)[1]
+            if wi != v and type(d.crossings[wi]) is VirtualCrossing:
+                u = _passage(d.crossings[wi], wrole)[1]
                 if u not in (r_in, r_out):
                     yield (r_in, r_out, ((u, ch),))
             wi, wrole = emitted[t_in]
-            if wi != v and isinstance(d.crossings[wi], VirtualCrossing):
-                u = _passage_edges(d.crossings[wi], wrole)[0]
+            if wi != v and type(d.crossings[wi]) is VirtualCrossing:
+                u = _passage(d.crossings[wi], wrole)[0]
                 if u not in (r_in, r_out):
                     yield (r_in, r_out, ((u, ch),))
 
@@ -662,48 +657,36 @@ def find_virtual_slide_sites(d: VirtualDiagram) -> list[tuple[int, int, tuple[tu
 
 
 def _semi_virtual_slide_scan(d: VirtualDiagram):
-    consumed, emitted = slot_maps(d)
+    consumed, emitted = d.slot_maps
 
     def adjacency(c, other_role):
         """(classical crossing, side, passage role there, other-half edge) or None."""
-        t_in, t_out = _passage_edges(c, other_role)
+        t_in, t_out = _passage(c, other_role)
         qi, qrole = consumed[t_out]
-        if isinstance(d.crossings[qi], ClassicalCrossing):
-            return qi, 1, qrole, _passage_edges(d.crossings[qi], qrole)[1]
+        if type(d.crossings[qi]) is ClassicalCrossing:
+            return qi, 1, qrole, _passage(d.crossings[qi], qrole)[1]
         qi, qrole = emitted[t_in]
-        if isinstance(d.crossings[qi], ClassicalCrossing):
-            return qi, -1, qrole, _passage_edges(d.crossings[qi], qrole)[0]
+        if type(d.crossings[qi]) is ClassicalCrossing:
+            return qi, -1, qrole, _passage(d.crossings[qi], qrole)[0]
         return None
 
-    for v1, c1 in enumerate(d.crossings):
-        if not isinstance(c1, VirtualCrossing):
+    for v1, role1, v2, role2, r_in, r_mid, r_end in _virtual_pairs(d):
+        c1, c2 = d.crossings[v1], d.crossings[v2]
+        adj1 = adjacency(c1, 1 - role1)
+        adj2 = adjacency(c2, 1 - role2)
+        if adj1 is None or adj2 is None:
             continue
-        for role1 in ("first", "second"):
-            r_in, r_mid = _passage_edges(c1, role1)
-            v2, role2 = consumed[r_mid]
-            c2 = d.crossings[v2]
-            if v2 == v1 or not isinstance(c2, VirtualCrossing):
-                continue
-            r_end = _passage_edges(c2, role2)[1]
-            if emitted[r_in][0] in (v1, v2) or consumed[r_end][0] in (v1, v2):
-                continue
-            o1 = "second" if role1 == "first" else "first"
-            o2 = "second" if role2 == "first" else "first"
-            adj1 = adjacency(c1, o1)
-            adj2 = adjacency(c2, o2)
-            if adj1 is None or adj2 is None:
-                continue
-            q1, s1, qrole1, other1 = adj1
-            q2, s2, qrole2, other2 = adj2
-            if q1 != q2 or qrole1 == qrole2:
-                continue
-            p = _route_chirality(c1, role1)
-            qch = _route_chirality(c2, role2)
-            if p * qch != s1 * s2:
-                continue
-            if {other1, other2} & {r_in, r_mid, r_end}:
-                continue
-            yield (r_in, r_end, ((other2, qch), (other1, p)))
+        q1, s1, qrole1, other1 = adj1
+        q2, s2, qrole2, other2 = adj2
+        if q1 != q2 or qrole1 == qrole2:
+            continue
+        p = _route_chirality(c1, role1)
+        qch = _route_chirality(c2, role2)
+        if p * qch != s1 * s2:
+            continue
+        if {other1, other2} & {r_in, r_mid, r_end}:
+            continue
+        yield (r_in, r_end, ((other2, qch), (other1, p)))
 
 
 def find_semi_virtual_slide_sites(
@@ -838,6 +821,8 @@ def random_equivalent(
     ``soft_cap`` steers move choice toward removals once the diagram
     outgrows it, keeping fuzz traces affordable.
     """
+    if n_moves < 0:
+        raise InvalidParameter(f"move count must be non-negative, got {n_moves}")
     rng = random.Random(seed)
     menu = ALL_KINDS if kinds is None else tuple(kinds)
     cap = soft_cap if soft_cap is not None else max(24, 2 * d.edges + 16)

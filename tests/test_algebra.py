@@ -69,6 +69,12 @@ def test_dihedral_quandles_validate(n):
     assert validate_quandle(make_dihedral(n)).ok
 
 
+def test_dihedral_quandles_validate_up_to_64():
+    # the CLI trusts dihedral:N without re-checking the axioms
+    for n in range(1, 65):
+        assert validate_quandle(make_dihedral(n)).ok, n
+
+
 def test_trivial_quandle_validates():
     assert validate_quandle(make_from_table([[0, 0], [1, 1]])).ok
 

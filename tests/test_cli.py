@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from vknots.algebra import validate_quandle
 from vknots.cli import main
 from vknots.diagram import BUILDER_NAMES, builder, serialize_diagram
+from vknots.weights import validate_cocycle
 
 
 def run(capsys, *argv):
@@ -334,3 +336,29 @@ def test_invalid_algebra_fails_check_before_computing(capsys, argv, witness):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and witness in err and "Traceback" not in err
+
+
+def test_negative_move_count_is_usage_error(capsys):
+    argv = ("fuzz", "--diagram", "trefoil", "--quandle", "dihedral:3", "--cocycle", "trivial", "--aut", "identity")
+    code, out, err = run(capsys, *argv, "--moves", "-3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "non-negative" in err and "Traceback" not in err
+    code, out, _ = run(capsys, *argv, "--moves", "0")
+    assert code == 0 and json.loads(out)["moves"] == 0
+
+
+def test_built_in_algebra_skips_the_axiom_checks(capsys, monkeypatch):
+    import vknots.cli as cli
+
+    checked = []
+    monkeypatch.setattr(cli, "validate_quandle", lambda q: checked.append("quandle") or validate_quandle(q))
+    monkeypatch.setattr(cli, "validate_cocycle", lambda c: checked.append("cocycle") or validate_cocycle(c))
+    for cocycle in ("trivial", "example-r4"):
+        code, _, _ = run(capsys, "invariant", "z", "--diagram", "trefoil", "--quandle", "dihedral:4", "--cocycle", cocycle)
+        assert code == 0
+    code, _, _ = run(capsys, "color", "count", "--diagram", "trefoil", "--quandle", "dihedral:3")
+    assert code == 0 and checked == []
+    # table and JSON input is still checked
+    r3_table = json.dumps({"kind": "table", "table": [[(2 * j - i) % 3 for j in range(3)] for i in range(3)]})
+    code, _, _ = run(capsys, "invariant", "z", "--diagram", "trefoil", "--quandle", r3_table, "--cocycle", _cocycle(m=0))
+    assert code == 0 and checked == ["quandle", "cocycle"]

@@ -13,9 +13,12 @@ from vknots.algebra import (
 )
 from vknots.diagram import (
     BUILDER_NAMES,
+    VirtualCrossing,
+    VirtualDiagram,
     builder,
     component_count,
     isomorphic,
+    serialize_diagram,
     validate_diagram,
 )
 from vknots.errors import InvalidParameter, NotApplicable
@@ -309,6 +312,28 @@ def test_detour_rejects_route_target():
     d = builder("virtual_trefoil")
     with pytest.raises(InvalidParameter):
         detour(d, 0, 0, [(0, 1), (0, -1)])
+
+
+def test_detour_consumer_lookup_after_removal():
+    # deleting the segment 0 -> 1 -> 2 removes both crossings of the strand 4 -> 5,
+    # which closes into a free loop with no consumer left to rewire
+    V = VirtualCrossing
+    d = VirtualDiagram(6, 0, (V(0, 1, 4, 5, 1), V(1, 2, 5, 4, -1), V(2, 3, 3, 0, 1)))
+    with pytest.raises(NotApplicable, match="edge 4 has no consumer"):
+        detour(d, 0, 2, [(4, 1)])
+    expected = {
+        (): '{"edges":2,"free_loops":1,"crossings":[{"type":"virtual","first_in":0,"first_out":1,'
+        '"second_in":1,"second_out":0,"chirality":1}]}',
+        ((3, 1),): '{"edges":4,"free_loops":1,"crossings":[{"type":"virtual","first_in":0,"first_out":1,'
+        '"second_in":2,"second_out":3,"chirality":1},{"type":"virtual","first_in":1,"first_out":2,'
+        '"second_in":3,"second_out":0,"chirality":1}]}',
+        ((3, 1), (3, -1)): '{"edges":6,"free_loops":1,"crossings":[{"type":"virtual","first_in":1,'
+        '"first_out":2,"second_in":4,"second_out":5,"chirality":-1},{"type":"virtual","first_in":0,'
+        '"first_out":1,"second_in":3,"second_out":4,"chirality":1},{"type":"virtual","first_in":2,'
+        '"first_out":3,"second_in":5,"second_out":0,"chirality":1}]}',
+    }
+    for passages, text in expected.items():
+        assert serialize_diagram(detour(d, 0, 2, list(passages))) == text
 
 
 def test_virtual_slide_sites_preserve_counts():

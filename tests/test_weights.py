@@ -82,6 +82,13 @@ def test_trivial_cocycle_validates_everywhere():
         assert validate_cocycle(trivial_cocycle(make_dihedral(n))).ok
 
 
+def test_built_in_cocycles_validate():
+    # the CLI trusts --cocycle trivial and example-r4 without re-checking them
+    for n in range(1, 17):
+        assert validate_cocycle(trivial_cocycle(make_dihedral(n))).ok, n
+    assert validate_cocycle(example_cocycle_r4()).ok
+
+
 def test_validate_cocycle_finds_violations():
     c = example_cocycle_r4()
     table = [list(row) for row in c.exponents]
