@@ -9,6 +9,10 @@ table ``table[a][b] = a * b``.  The three defining axioms are
 
 Validation is deliberately separate from construction so that broken
 tables can be built and fed to negative tests.
+
+One product test, m(a * b) = m(a) * m(b) compared column by column, checks
+axiom 3 (every right translation preserves products), ``is_automorphism``
+and each candidate of ``automorphisms``, which searches generator images.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from math import gcd
 from operator import itemgetter
 
@@ -39,13 +44,6 @@ class FiniteQuandle:
     @property
     def order(self) -> int:
         return len(self.table)
-
-    def op(self, a: int, b: int) -> int:
-        """a * b"""
-        return self.table[a][b]
-
-    def elements(self) -> range:
-        return range(self.order)
 
 
 @dataclass(frozen=True)
@@ -122,6 +120,23 @@ def make_dihedral(n: int) -> FiniteQuandle:
     return FiniteQuandle(tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n)))
 
 
+def _product_test(q: FiniteQuandle):
+    """The test m(a * b) = m(a) * m(b) for all a, b, on image lists m.
+
+    It compares maps rather than entries: m o R_b == R_{m(b)} o m for every
+    right translation R_b(a) = a * b, which is column b of the table.
+    ``after[b](m)`` is m o R_b and ``itemgetter(*m)(col)`` is col o m.
+    """
+    cols = list(zip(*q.table))
+    after = [itemgetter(*col) for col in cols]
+
+    def preserves_products(images) -> bool:
+        through = itemgetter(*images)
+        return all(after[b](images) == through(cols[mb]) for b, mb in enumerate(images))
+
+    return preserves_products
+
+
 def validate_quandle(q: FiniteQuandle) -> QuandleReport:
     """Check the three quandle axioms exhaustively, reporting the first failure."""
     n = q.order
@@ -136,16 +151,9 @@ def validate_quandle(q: FiniteQuandle) -> QuandleReport:
             if seen[v]:
                 return QuandleReport(False, axiom=2, witness=(b,))
             seen[v] = True
-    # axiom 3 as maps: R_c o R_b == R_{b*c} o R_c for the right translations
-    # R_c(a) = a * c, each a column of the table; after_col[x](col) is col o R_x.
+    # axiom 3: every right translation R_c(a) = a * c preserves products.
     # Only a failure runs the scalar scan, which finds the first witness.
-    cols = list(zip(*t))
-    after_col = [itemgetter(*col) for col in cols]
-    if not all(
-        after_col[b](col_c) == after_col[c](cols[t[b][c]])
-        for b in range(n)
-        for c, col_c in enumerate(cols)
-    ):
+    if not all(map(_product_test(q), zip(*t))):
         for a in range(n):
             for b in range(n):
                 ab = t[a][b]
@@ -175,11 +183,7 @@ def is_automorphism(q: FiniteQuandle, m: QuandleMap) -> bool:
     """True iff m is a permutation with m(a * b) = m(a) * m(b) for all a, b."""
     if m.order != q.order:
         raise InvalidParameter("map length does not match quandle order")
-    if not m.is_permutation():
-        return False
-    t = q.table
-    im = m.images
-    return all(im[t[a][b]] == t[im[a]][im[b]] for a in range(q.order) for b in range(q.order))
+    return m.is_permutation() and _product_test(q)(m.images)
 
 
 def inner_automorphism(q: FiniteQuandle, a: int) -> QuandleMap:
@@ -190,44 +194,49 @@ def inner_automorphism(q: FiniteQuandle, a: int) -> QuandleMap:
 
 
 def automorphisms(q: FiniteQuandle, bound: int = DEFAULT_AUT_SEARCH_BOUND) -> list[QuandleMap]:
-    """All automorphisms, by exhaustive permutation search with early pruning.
+    """All automorphisms, sorted lexicographically by image list.
 
-    Results are sorted lexicographically by image list.  Orders above
-    ``bound`` are refused since the search is factorial.
+    An automorphism is fixed by its images of a generating set: every
+    injective tuple of generator images is extended through the words of
+    the other elements, and the bijections that preserve products are kept.
+    Orders above ``bound`` are refused since the number of candidates,
+    n!/(n-g)! for g generators, is factorial for the trivial quandles.
     """
     n = q.order
     if n > bound:
         raise SearchBoundExceeded(f"order {n} exceeds automorphism search bound {bound}")
     t = q.table
+    # greedy generators, and a word x = a * b over earlier elements for every
+    # other x; each ordered pair of placed elements is read once, O(n^2)
+    placed = [False] * n
+    order, generators, words = [], [], []
+    i = 0
+    for g in range(n):
+        if placed[g]:
+            continue
+        placed[g] = True
+        generators.append(g)
+        order.append(g)
+        while i < len(order):
+            x = order[i]
+            for y in order[: i + 1]:
+                for a, b in ((x, y), (y, x)):
+                    ab = t[a][b]
+                    if not placed[ab]:
+                        placed[ab] = True
+                        order.append(ab)
+                        words.append((ab, a, b))
+            i += 1
+    preserves_products = _product_test(q)
     found = []
-
-    def consistent(images, assigned):
-        # check every product whose three participants are all assigned
-        for a in assigned:
-            for b in assigned:
-                ab = t[a][b]
-                if images[ab] is not None and images[t[a][b]] != t[images[a]][images[b]]:
-                    return False
-        return True
-
-    def extend(images, used, assigned):
-        if len(assigned) == n:
+    images = [0] * n
+    for choice in permutations(range(n), len(generators)):
+        for g, v in zip(generators, choice):
+            images[g] = v
+        for x, a, b in words:
+            images[x] = t[images[a]][images[b]]
+        if len(set(images)) == n and preserves_products(images):
             found.append(QuandleMap(tuple(images)))
-            return
-        a = len(assigned)
-        for v in range(n):
-            if used[v]:
-                continue
-            images[a] = v
-            used[v] = True
-            assigned.append(a)
-            if consistent(images, assigned):
-                extend(images, used, assigned)
-            assigned.pop()
-            used[v] = False
-            images[a] = None
-
-    extend([None] * n, [False] * n, [])
     found.sort(key=lambda m: m.images)
     return found
 

@@ -16,6 +16,7 @@ import sys
 from . import diagram as diagram_mod
 from . import moves as moves_mod
 from .algebra import (
+    DEFAULT_AUT_SEARCH_BOUND,
     QuandleMap,
     automorphisms,
     inner_automorphism,
@@ -122,7 +123,8 @@ def _emit(obj) -> None:
 
 
 def _cmd_quandle(args) -> int:
-    q = make_dihedral(args.dihedral) if args.dihedral is not None else _load_quandle(args.quandle)
+    load = _load_quandle if args.action == "check" else _load_valid_quandle  # check reports the axiom itself
+    q = make_dihedral(args.dihedral) if args.dihedral is not None else load(args.quandle)
     if args.action == "check":
         report = validate_quandle(q)
         obj = {"valid": report.ok}
@@ -137,7 +139,7 @@ def _cmd_quandle(args) -> int:
 
 
 def _cmd_cocycle(args) -> int:
-    q = _load_quandle(args.quandle)
+    q = _load_valid_quandle(args.quandle)
     if args.action == "coboundary":
         try:
             exps = json.loads(_read_spec(args.psi))
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--dihedral", type=int, metavar="N")
     g.add_argument("--quandle", metavar="SPEC", help="dihedral:N, inline JSON, or @file")
-    p.add_argument("--bound", type=int, default=8, help="automorphism search bound")
+    p.add_argument("--bound", type=int, default=DEFAULT_AUT_SEARCH_BOUND, help="automorphism search bound")
     p.set_defaults(func=_cmd_quandle)
 
     p = sub.add_parser("cocycle", help="cocycle checks and constructions")

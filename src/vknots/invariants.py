@@ -10,6 +10,7 @@ phi and (except for Z) an automorphism f used at virtual crossings:
   Z2  sum over colorings of the crossing-weight product
       (requires phi(a,b) = phi(f a, f b); enforced, not assumed)
   Z3  sum of the Z1 monomials over every automorphism of G
+      (one enumeration per automorphism, f's list among them)
 
 Per-crossing weights follow a fixed argument convention: a positive
 crossing contributes phi(color(under_in), color(over)), a negative one
@@ -42,7 +43,6 @@ class InvariantResult:
     kind: str
     value: Weight | WeightPolynomial
     colorings: int
-    free_loop_factor: int
     preserving: bool | None = None
 
     def to_json(self) -> str:
@@ -82,20 +82,14 @@ def _weight_product(c: Cocycle2, exponents: list[int], factor: int) -> Weight:
     return Weight(c.group, sum(exponents) * factor)
 
 
-def _aut_sum(c: Cocycle2, per_aut, factor: int) -> WeightPolynomial:
-    """Z3 from the exponent lists of every automorphism."""
-    return WeightPolynomial.from_pairs(
-        (_weight_product(c, exponents, factor).exponent, 1) for exponents in per_aut
-    )
-
-
-def _per_automorphism(d, q, c, f) -> tuple[list[int], list[list[int]]]:
-    """f's exponent list and every automorphism's, enumerating each twist map once."""
-    per_aut = [(g, _exponents(d, q, c, g)) for g in automorphisms(q)]
-    own = next((exponents for g, exponents in per_aut if g == f), None)
-    if own is None:  # f is no automorphism; enumerating under it raises the error
-        own = _exponents(d, q, c, f)
-    return own, [exponents for _, exponents in per_aut]
+def _z3(d, q, c, f) -> tuple[WeightPolynomial, list[int]]:
+    """Z3 and f's exponent list, enumerating the colorings under each twist map once."""
+    factor = q.order**d.free_loops
+    per_aut = {g: _exponents(d, q, c, g) for g in automorphisms(q)}
+    z3 = WeightPolynomial.from_pairs((_weight_product(c, e, factor).exponent, 1) for e in per_aut.values())
+    if f in per_aut:
+        return z3, per_aut[f]
+    return z3, _exponents(d, q, c, f)  # f is no automorphism; enumerating under it raises the error
 
 
 def _check_preserving(f: QuandleMap, c: Cocycle2) -> None:
@@ -142,10 +136,9 @@ def state_sum_z2(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap
     return _weight_sum(c, _exponents(d, q, c, f), q.order**d.free_loops)
 
 
-def aut_sum_z3(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, bound: int = 8) -> WeightPolynomial:
+def aut_sum_z3(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2) -> WeightPolynomial:
     """Z3: the sum of the Z1 monomials over all automorphisms of the quandle."""
-    per_aut = [_exponents(d, q, c, g) for g in automorphisms(q, bound)]
-    return _aut_sum(c, per_aut, q.order**d.free_loops)
+    return _z3(d, q, c, QuandleMap.identity(q.order))[0]
 
 
 def invariant_bundle(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> dict:
@@ -155,11 +148,11 @@ def invariant_bundle(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: Quandl
     one enumeration per automorphism (f's list serves all but Z3).
     """
     factor = q.order**d.free_loops
-    own, per_aut = _per_automorphism(d, q, c, f)
+    z3, own = _z3(d, q, c, f)
     bundle = {
         "colorings": len(own) * factor,
         "z1": _weight_product(c, own, factor).exponent,
-        "z3": _aut_sum(c, per_aut, factor).to_json_obj(),
+        "z3": z3.to_json_obj(),
     }
     if preservation_witness(f, c) is None:
         bundle["z2"] = _weight_sum(c, own, factor).to_json_obj()
@@ -177,18 +170,18 @@ def compute_invariant(
     factor = q.order**d.free_loops
     if kind == "z":
         value = state_sum_classical(d, q, c)
-        return InvariantResult("Z", value, value.evaluate_at_one(), factor)
+        return InvariantResult("Z", value, value.evaluate_at_one())
     if f is None:
         raise InvalidParameter(f"invariant {kind!r} needs an automorphism")
     if kind == "z1":
         own = _exponents(d, q, c, f)
-        return InvariantResult("Z1", _weight_product(c, own, factor), len(own) * factor, factor)
+        return InvariantResult("Z1", _weight_product(c, own, factor), len(own) * factor)
     if kind == "z2":
         _check_preserving(f, c)
         own = _exponents(d, q, c, f)
         value = _weight_sum(c, own, factor)
-        return InvariantResult("Z2", value, len(own) * factor, factor, preserving=True)
+        return InvariantResult("Z2", value, len(own) * factor, preserving=True)
     if kind == "z3":
-        own, per_aut = _per_automorphism(d, q, c, f)
-        return InvariantResult("Z3", _aut_sum(c, per_aut, factor), len(own) * factor, factor)
+        z3, own = _z3(d, q, c, f)
+        return InvariantResult("Z3", z3, len(own) * factor)
     raise InvalidParameter(f"unknown invariant kind {kind!r}")

@@ -246,28 +246,27 @@ def r2_insert(d: VirtualDiagram, edge_a: int, edge_b: int, over_first: bool = Tr
     return relabel_canonical(crossings, d.free_loops)
 
 
+def _is_r2_site(d: VirtualDiagram, mid) -> bool:
+    """Whether ``mid`` is the over-strand middle edge of a removable poke."""
+    consumed, emitted = d.slot_maps
+    ei, ri = emitted.get(mid, (None, None))
+    cj, rj = consumed.get(mid, (None, None))
+    if ri != 1 or rj != 1 or ei == cj:  # over at both ends
+        return False
+    x1, x2 = d.crossings[ei], d.crossings[cj]
+    if type(x1) is not ClassicalCrossing or type(x2) is not ClassicalCrossing:
+        return False
+    return x1.sign != x2.sign and (x1.under_out == x2.under_in or x2.under_out == x1.under_in)
+
+
 def find_r2_sites(d: VirtualDiagram) -> list[int]:
     """Over-strand middle edges of removable pokes."""
-    consumed, emitted = d.slot_maps
-    sites = []
-    for mid in range(d.edges):
-        ei, ri = emitted.get(mid, (None, None))
-        cj, rj = consumed.get(mid, (None, None))
-        if ri != 1 or rj != 1 or ei == cj:  # over at both ends
-            continue
-        x1, x2 = d.crossings[ei], d.crossings[cj]
-        if type(x1) is not ClassicalCrossing or type(x2) is not ClassicalCrossing:
-            continue
-        if x1.sign == x2.sign:
-            continue
-        if x1.under_out == x2.under_in or x2.under_out == x1.under_in:
-            sites.append(mid)
-    return sites
+    return [mid for mid in range(d.edges) if _is_r2_site(d, mid)]
 
 
 def r2_remove(d: VirtualDiagram, over_mid: int) -> VirtualDiagram:
     """Remove the poke whose over-strand middle edge is given."""
-    if over_mid not in find_r2_sites(d):
+    if not _is_r2_site(d, over_mid):
         raise NotApplicable(f"edge {over_mid} is not the over-middle of a poke")
     consumed, emitted = d.slot_maps
     remove = {emitted[over_mid][0], consumed[over_mid][0]}

@@ -97,10 +97,6 @@ class WeightPolynomial:
         return WeightPolynomial(tuple(sorted(acc.items())))
 
     @staticmethod
-    def from_weights(weights) -> "WeightPolynomial":
-        return WeightPolynomial.from_pairs((w.exponent, 1) for w in weights)
-
-    @staticmethod
     def zero() -> "WeightPolynomial":
         return WeightPolynomial(())
 

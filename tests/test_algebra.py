@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -214,6 +215,8 @@ def test_automorphisms_enumeration():
     assert len(automorphisms(make_dihedral(3))) == 6
     with pytest.raises(SearchBoundExceeded):
         automorphisms(make_dihedral(9))
+    with pytest.raises(SearchBoundExceeded, match="order 9 exceeds automorphism search bound 8"):
+        automorphisms(_trivial(9))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -224,6 +227,53 @@ def test_automorphism_group_closure(n):
         assert QuandleMap(a).inverse().images in auts
         for b in list(auts):
             assert QuandleMap(a).compose(QuandleMap(b)).images in auts
+
+
+def _trivial(n):
+    return make_from_table([[a] * n for a in range(n)])
+
+
+def _alexander(p, a):
+    """x * y = a x + (1 - a) y mod p."""
+    return make_from_table([[(a * x + (1 - a) * y) % p for y in range(p)] for x in range(p)])
+
+
+def _s3_conjugation():
+    """The conjugation quandle of S3: a * b = b^-1 a b."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    inv = {p: tuple(sorted(range(3), key=p.__getitem__)) for p in perms}
+    mul = lambda p, q: tuple(p[q[i]] for i in range(3))
+    return make_from_table([[index[mul(inv[b], mul(a, b))] for b in perms] for a in perms])
+
+
+def _euler_phi(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_dihedral_automorphism_count_is_n_phi_n(n):
+    # Aut(R_n) is the affine group of Z_n (Elhamdadi, Macquarrie & Restrepo 2012)
+    assert len(automorphisms(make_dihedral(n), bound=n)) == n * _euler_phi(n)
+
+
+AUT_CASES = {
+    **{f"R{n}": make_dihedral(n) for n in range(1, 7)},
+    **{f"T{n}": _trivial(n) for n in range(1, 6)},
+    **{f"alexander-5-{a}": _alexander(5, a) for a in range(2, 5)},
+    "conj-S3": _s3_conjugation(),
+}
+
+
+@pytest.mark.parametrize("name", list(AUT_CASES))
+def test_automorphisms_match_an_exhaustive_filter(name):
+    q = AUT_CASES[name]
+    t, n = q.table, q.order
+    # the scalar definition, independent of the product test the search shares with is_automorphism
+    expected = [
+        p for p in itertools.permutations(range(n)) if all(p[t[a][b]] == t[p[a]][p[b]] for a in range(n) for b in range(n))
+    ]
+    assert [m.images for m in automorphisms(q)] == expected
 
 
 def test_map_order():

@@ -310,6 +310,16 @@ _NOT_A_COCYCLE = _cocycle(entries=[[0, 0, 1]])  # condition 1 fails at 0
 # Without that check, color and invariant answer these with exit 0 and
 # fuzz prints a trace it calls unstable, blaming the moves for the input.
 INVALID_ALGEBRA = {
+    "auts-not-quandle": (("quandle", "auts", "--quandle", _NOT_A_QUANDLE), "axiom 2, witness [0]"),
+    "cocycle-check-not-quandle": (
+        ("cocycle", "check", "--quandle", _NOT_A_QUANDLE, "--cocycle", "trivial"),
+        "axiom 2, witness [0]",
+    ),
+    "cocycle-basis-not-quandle": (("cocycle", "basis", "--quandle", _NOT_A_QUANDLE, "--m", "2"), "axiom 2, witness [0]"),
+    "cocycle-coboundary-not-quandle": (
+        ("cocycle", "coboundary", "--quandle", _NOT_A_QUANDLE, "--psi", "[0,0]"),
+        "axiom 2, witness [0]",
+    ),
     "color-not-quandle": (("color", "count", "--diagram", "trefoil", "--quandle", _NOT_A_QUANDLE), "axiom 2, witness [0]"),
     "invariant-not-quandle": (
         ("invariant", "z1", "--diagram", "trefoil", "--quandle", _NOT_A_QUANDLE, "--cocycle", "trivial", "--aut", "identity"),
@@ -357,7 +367,15 @@ def test_built_in_algebra_skips_the_axiom_checks(capsys, monkeypatch):
         code, _, _ = run(capsys, "invariant", "z", "--diagram", "trefoil", "--quandle", "dihedral:4", "--cocycle", cocycle)
         assert code == 0
     code, _, _ = run(capsys, "color", "count", "--diagram", "trefoil", "--quandle", "dihedral:3")
-    assert code == 0 and checked == []
+    assert code == 0
+    for argv in (
+        ("quandle", "auts", "--dihedral", "4"),
+        ("quandle", "auts", "--quandle", "dihedral:4"),
+        ("cocycle", "basis", "--quandle", "dihedral:4", "--m", "4"),
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+    assert checked == []
     # table and JSON input is still checked
     r3_table = json.dumps({"kind": "table", "table": [[(2 * j - i) % 3 for j in range(3)] for i in range(3)]})
     code, _, _ = run(capsys, "invariant", "z", "--diagram", "trefoil", "--quandle", r3_table, "--cocycle", _cocycle(m=0))

@@ -1,16 +1,19 @@
-"""Exact outputs of the moves engine and the Smith-form basis, pinned by digest.
+"""Exact outputs of the moves engine, the Smith-form basis and the
+automorphism search, pinned by digest.
 
 The other tests check that move outputs are valid and keep the invariants,
-and that basis vectors are cocycles; they would all still pass if a change
-picked a different (equally valid) site, relabelling or generator.  These
-digests were taken before the moves engine and the Smith reduction were
-optimised, so any change to the exact diagrams, traces or bases shows.
+that basis vectors are cocycles and that automorphisms preserve products;
+they would all still pass if a change picked a different (equally valid)
+site, relabelling or generator, or listed automorphisms in another order.
+These digests were taken before the moves engine, the Smith reduction and
+the automorphism search were rewritten, so any change to the exact
+diagrams, traces, bases or automorphism lists shows.
 """
 
 import hashlib
 import json
 
-from vknots.algebra import make_dihedral
+from vknots.algebra import automorphisms, make_dihedral, make_from_table
 from vknots.diagram import BUILDER_NAMES, builder, serialize_diagram
 from vknots.moves import random_equivalent
 from vknots.weights import cocycle_space_basis, cocycle_to_json
@@ -18,6 +21,7 @@ from vknots.weights import cocycle_space_basis, cocycle_to_json
 MOVES_DIGEST = "30d581a90750ab4c508964d7e193d313557f2124c78c674c10e9bee978a6b5e8"
 BASIS_DIGEST = "69eeb090d847d7bb497964ff14581f1bef6669d55e1a70ed35faf0848dc556d4"
 LADDER_DIGEST = "e01a919916b722dcd05669c8634eeb0a75870caf8d188d0535b448abdfa24af0"
+AUT_DIGEST = "4430ca5d2b7eddb784d9c741244d526785820f6434c3a12c60877bafb75ca498"
 
 # (builder, seed, moves, soft_cap) of the benchmark ladder diagrams, E = 54, 102, 146;
 # long traces past the soft cap, where removals are preferred
@@ -50,3 +54,15 @@ def test_cocycle_bases_are_pinned():
         for c in cocycle_space_basis(make_dihedral(n), n):
             h.update(cocycle_to_json(c).encode())
     assert h.hexdigest() == BASIS_DIGEST
+
+
+def test_automorphism_lists_are_pinned():
+    alexander = [
+        make_from_table([[(a * x + (1 - a) * y) % p for y in range(p)] for x in range(p)])
+        for p in (5, 7)
+        for a in range(2, p)
+    ]
+    h = hashlib.sha256()
+    for q in [make_dihedral(n) for n in range(1, 9)] + alexander:
+        h.update(json.dumps([list(m.images) for m in automorphisms(q)], separators=(",", ":")).encode())
+    assert h.hexdigest() == AUT_DIGEST
