@@ -123,8 +123,7 @@ def _emit(obj) -> None:
 
 
 def _cmd_quandle(args) -> int:
-    load = _load_quandle if args.action == "check" else _load_valid_quandle  # check reports the axiom itself
-    q = make_dihedral(args.dihedral) if args.dihedral is not None else load(args.quandle)
+    q = make_dihedral(args.dihedral) if args.dihedral is not None else _load_quandle(args.quandle)
     if args.action == "check":
         report = validate_quandle(q)
         obj = {"valid": report.ok}
@@ -133,6 +132,10 @@ def _cmd_quandle(args) -> int:
             obj["witness"] = list(report.witness)
         _emit(obj)
         return 0 if report.ok else 1
+    # the search refuses orders above the bound itself, so only tables it
+    # would search pay for the O(n^3) axiom check
+    if args.dihedral is None and q.order <= args.bound:
+        _require_quandle(q, args.quandle)
     auts = automorphisms(q, bound=args.bound)
     _emit({"count": len(auts), "automorphisms": [list(m.images) for m in auts]})
     return 0
@@ -206,16 +209,22 @@ def _cmd_diagram(args) -> int:
 _BUILT_IN_COCYCLES = ("trivial", "example-r4")
 
 
-def _load_valid_quandle(spec: str):
-    q = _load_quandle(spec)
+def _require_quandle(q, spec: str) -> None:
+    """Raise PreconditionFailed unless the quandle loaded from ``spec`` satisfies
+    the axioms; ``dihedral:N`` does by construction."""
     if spec.startswith("dihedral:"):
-        return q
+        return
     report = validate_quandle(q)
     if not report.ok:
         raise PreconditionFailed(
             f"the quandle fails axiom {report.axiom}, witness {list(report.witness)}",
             witness=report.witness,
         )
+
+
+def _load_valid_quandle(spec: str):
+    q = _load_quandle(spec)
+    _require_quandle(q, spec)
     return q
 
 

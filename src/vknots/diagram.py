@@ -302,19 +302,10 @@ def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
     if sorted(map(len, cycles_a)) != sorted(map(len, cycles_b)):
         return False
     own = range(b.edges)  # b's records are normalised, so they keep their own labels
-    target = {_crossing_key(c, own) for c in b.crossings}
-    if len(target) != len(b.crossings):
-        # duplicate records: fall back to multiset comparison
-        target = sorted(_crossing_key(c, own) for c in b.crossings)
-        as_set = False
-    else:
-        as_set = True
+    target = sorted(_crossing_key(c, own) for c in b.crossings)
 
     def crossings_match(mapping) -> bool:
-        mapped = [_crossing_key(c, mapping) for c in a.crossings]
-        if as_set:
-            return set(mapped) == target
-        return sorted(mapped) == target
+        return sorted(_crossing_key(c, mapping) for c in a.crossings) == target
 
     by_len: dict[int, list[list[int]]] = {}
     for cyc in cycles_b:

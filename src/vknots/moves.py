@@ -10,7 +10,8 @@ Implemented rewrites:
                              crossings; sites are accepted only when the
                              over/under pattern, strand directions and
                              signs are jointly realizable by a planar
-                             triangle (precomputed variant table)
+                             triangle (a closed-form rule on the
+                             oriented R3 variants)
   vkink_insert / vkink_remove virtual kink (any chirality)
   detour                     delete the virtual passages of a strand
                              segment and re-route it across a given list
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations, product
 
 from .diagram import (
     ClassicalCrossing,
@@ -277,146 +277,55 @@ def r2_remove(d: VirtualDiagram, over_mid: int) -> VirtualDiagram:
 # ---------------------------------------------------------------------------
 # triangle slide
 
-# Realizable triangle variants, generated from planar geometry: three
-# oriented lines pairwise crossing, all height orders, both mirror
-# images.  A variant records, for the canonical strand roles
-#   strand 1 through crossings (X, Y), strand 2 through (X, Z),
-#   strand 3 through (Z, Y),
-# which crossing each strand passes first, which strand is over at each
-# crossing, and the three crossing signs.
+
+def _realizable(firsts, overs, signs) -> bool:
+    """Whether a labelled triangle can be drawn with three oriented lines.
+
+    Strand 1 runs through crossings (X, Y), strand 2 through (X, Z) and
+    strand 3 through (Z, Y).  ``firsts`` holds, per strand, 0 when it
+    passes its first-named crossing first; ``overs`` holds 1 when the
+    lower-numbered strand is over at X, Y and Z; ``signs`` holds the three
+    crossing signs.  a_k = s_k if o_k else -s_k is the sign of crossing k
+    with the lower-numbered strand put over, which the heights do not
+    change.  A triangle is realizable when its heights are acyclic and
+    a_X*a_Y = -(-1)^(f2+f3), a_X*a_Z = -(-1)^(f1+f3): the oriented R3
+    variants (Polyak, *Minimal generating sets of Reidemeister moves*,
+    2010), checked against line geometry in the tests.  The rule is
+    invariant under swapping strands 2 and 3.
+    """
+    if overs[0] == overs[2] != overs[1]:  # cyclically woven heights
+        return False
+    ax, ay, az = (s if o else -s for o, s in zip(overs, signs))
+    f1, f2, f3 = firsts
+    return ax * ay == -((-1) ** (f2 + f3)) and ax * az == -((-1) ** (f1 + f3))
 
 
-def _r3_variant_table() -> frozenset:
-    lines = {0: (1, 0), 1: (1, 1), 2: (1, -1)}
-    # meeting points at twice their coordinates, so they stay integral;
-    # only the order of points along a line is read
-    meet = {
-        frozenset((0, 1)): (0, 0),
-        frozenset((0, 2)): (2, 0),
-        frozenset((1, 2)): (1, 1),
-    }
-    table = set()
-    for assignment in permutations((0, 1, 2)):  # strand role i+1 -> line assignment[i]
-        line = {1: assignment[0], 2: assignment[1], 3: assignment[2]}
-        px = meet[frozenset((line[1], line[2]))]
-        py = meet[frozenset((line[1], line[3]))]
-        pz = meet[frozenset((line[2], line[3]))]
-        for eps in product((1, -1), repeat=3):
-            dirs = {
-                i: (eps[i - 1] * lines[line[i]][0], eps[i - 1] * lines[line[i]][1])
-                for i in (1, 2, 3)
-            }
+def _is_r3_site(d: VirtualDiagram, bridges) -> bool:
+    """Whether three distinct edges are the bridges of a realizable triangle.
 
-            def param(point, i):
-                return point[0] * dirs[i][0] + point[1] * dirs[i][1]
-
-            firsts = (
-                0 if param(px, 1) < param(py, 1) else 1,
-                0 if param(px, 2) < param(pz, 2) else 1,
-                0 if param(pz, 3) < param(py, 3) else 1,
-            )
-            for ranks in permutations((1, 2, 3)):  # position in tuple = height rank
-                height = {s: ranks.index(s) for s in (1, 2, 3)}
-                overs = (
-                    1 if height[1] > height[2] else 0,
-                    1 if height[1] > height[3] else 0,
-                    1 if height[2] > height[3] else 0,
-                )
-
-                def det(i, j):
-                    return dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0]
-
-                def sgn(i, j, over_ij):
-                    d_val = det(i, j) if over_ij else det(j, i)
-                    return 1 if d_val > 0 else -1
-
-                signs = (
-                    sgn(1, 2, overs[0]),
-                    sgn(1, 3, overs[1]),
-                    sgn(2, 3, overs[2]),
-                )
-                for mirror in (1, -1):
-                    table.add(
-                        firsts + overs + tuple(mirror * s for s in signs)
-                    )
-    return frozenset(table)
-
-
-_R3_VARIANTS = _r3_variant_table()
-
-
-@dataclass(frozen=True)
-class _R3Site:
-    crossings: tuple[int, int, int]  # indices of X, Y, Z
-    bridges: tuple[int, int, int]  # edges strand1: X<->Y, strand2: X<->Z, strand3: Z<->Y
-    # per strand: (first crossing idx, second crossing idx, role at first, role at second)
-    strands: tuple[tuple[int, int, int, int], ...]
-
-
-def _resolve_r3_site(d: VirtualDiagram, bridges, consumed, emitted) -> _R3Site | None:
-    if len(set(bridges)) != 3:
-        return None
-    p = min(bridges)
-    rest = sorted(set(bridges) - {p})
-    for q, r in (rest, rest[::-1]):
-        ends = {}
-        ok = True
-        for e in (p, q, r):
-            if e not in emitted or e not in consumed:
-                ok = False
-                break
-            ends[e] = (emitted[e], consumed[e])
-        if not ok:
-            continue
-        crossings_of = {e: {ends[e][0][0], ends[e][1][0]} for e in (p, q, r)}
-        if any(len(cs) != 2 for cs in crossings_of.values()):
-            continue
-        common_pq = crossings_of[p] & crossings_of[q]
-        if len(common_pq) != 1:
-            continue
-        x = common_pq.pop()
-        y = (crossings_of[p] - {x}).pop()
-        z = (crossings_of[q] - {x}).pop()
-        if crossings_of[r] != {z, y} or len({x, y, z}) != 3:
-            continue
-        if not all(type(d.crossings[ci]) is ClassicalCrossing for ci in (x, y, z)):
-            continue
-
-        def role_at(e, ci):
-            (eci, erole), (cci, crole) = ends[e]
-            if eci == ci:
-                return erole
-            return crole
-
-        # the two bridges meeting at a crossing must ride different passages
-        if role_at(p, x) == role_at(q, x):
-            continue
-        if role_at(p, y) == role_at(r, y):
-            continue
-        if role_at(q, z) == role_at(r, z):
-            continue
-
-        def first_bit(e, first_c):
-            return 0 if ends[e][0][0] == first_c else 1  # 0 when emitted by first_c
-
-        firsts = (first_bit(p, x), first_bit(q, x), first_bit(r, z))
-        overs = (role_at(p, x), role_at(p, y), role_at(q, z))  # role 1 is over
-        signs = tuple(d.crossings[ci].sign for ci in (x, y, z))
-        if firsts + overs + signs not in _R3_VARIANTS:
-            continue
-
-        def strand(e, c_first, c_second):
-            # traversal order given by the bridge direction
-            if ends[e][0][0] == c_first:
-                return (c_first, c_second, role_at(e, c_first), role_at(e, c_second))
-            return (c_second, c_first, role_at(e, c_second), role_at(e, c_first))
-
-        return _R3Site(
-            crossings=(x, y, z),
-            bridges=(p, q, r),
-            strands=(strand(p, x, y), strand(q, x, z), strand(r, z, y)),
-        )
-    return None
+    The bridges are labelled once, p < q < r as strands 1, 2 and 3 of
+    ``_realizable``: X is the crossing p and q share.  The other labelling,
+    q and r swapped, is realizable exactly when this one is.
+    """
+    consumed, emitted = d.slot_maps
+    if len(bridges) != 3 or len(set(bridges)) != 3 or not all(e in consumed for e in bridges):
+        return False
+    p, q, r = sorted(bridges)
+    cp, cq, cr = ({emitted[e][0], consumed[e][0]} for e in (p, q, r))
+    if len(cp) != 2 or len(cq) != 2 or len(cp & cq) != 1:
+        return False
+    (x,) = cp & cq
+    (y,) = cp - {x}
+    (z,) = cq - {x}
+    if cr != {y, z} or any(type(d.crossings[ci]) is not ClassicalCrossing for ci in (x, y, z)):
+        return False
+    role = {(e, ci): rl for e in (p, q, r) for ci, rl in (emitted[e], consumed[e])}
+    # the two bridges meeting at a crossing must ride different passages
+    if role[p, x] == role[q, x] or role[p, y] == role[r, y] or role[q, z] == role[r, z]:
+        return False
+    firsts = tuple(int(emitted[e][0] != c) for e, c in ((p, x), (q, x), (r, z)))
+    overs = (role[p, x], role[p, y], role[q, z])  # role 1 is over
+    return _realizable(firsts, overs, tuple(d.crossings[ci].sign for ci in (x, y, z)))
 
 
 def find_r3_sites(d: VirtualDiagram) -> list[tuple[int, int, int]]:
@@ -445,26 +354,26 @@ def find_r3_sites(d: VirtualDiagram) -> list[tuple[int, int, int]]:
                 for e1 in e1s:
                     for e2 in e2s:
                         bridges = tuple(sorted((e0, e1, e2)))
-                        if _resolve_r3_site(d, bridges, consumed, emitted) is not None:
+                        if _is_r3_site(d, bridges):
                             sites.add(bridges)
     return sorted(sites)
 
 
 def r3_slide(d: VirtualDiagram, bridges) -> VirtualDiagram:
     """Flip the triangle identified by its three bridge edges."""
-    site = _resolve_r3_site(d, tuple(bridges), *d.slot_maps)
-    if site is None:
-        raise NotApplicable(f"edges {tuple(bridges)} do not form a realizable triangle")
+    bridges = tuple(bridges)
+    if not _is_r3_site(d, bridges):
+        raise NotApplicable(f"edges {bridges} do not form a realizable triangle")
+    consumed, emitted = d.slot_maps
     new_slots: dict[tuple[int, int], tuple[int, int]] = {}
-    for bridge, (c_first, c_second, role_first, role_second) in zip(site.bridges, site.strands):
-        e_in = _passage(d.crossings[c_first], role_first)[0]
-        e_out = _passage(d.crossings[c_second], role_second)[1]
+    for bridge in bridges:
+        first, second = emitted[bridge], consumed[bridge]  # (crossing, role) in traversal order
         # the strand now meets its second crossing first
-        new_slots[(c_second, role_second)] = (e_in, bridge)
-        new_slots[(c_first, role_first)] = (bridge, e_out)
+        new_slots[second] = (_passage(d.crossings[first[0]], first[1])[0], bridge)
+        new_slots[first] = (bridge, _passage(d.crossings[second[0]], second[1])[1])
     crossings = list(d.crossings)
-    for ci in site.crossings:
-        crossings[ci] = _with_passages(d.crossings[ci], new_slots[(ci, 0)], new_slots[(ci, 1)])
+    for ci in {ci for ci, _ in new_slots}:
+        crossings[ci] = _with_passages(d.crossings[ci], new_slots[ci, 0], new_slots[ci, 1])
     return relabel_canonical(crossings, d.free_loops)
 
 

@@ -348,6 +348,22 @@ def test_invalid_algebra_fails_check_before_computing(capsys, argv, witness):
     assert err.startswith("error:") and witness in err and "Traceback" not in err
 
 
+def test_quandle_auts_refuses_orders_above_the_bound_before_the_axiom_check(capsys, monkeypatch):
+    import vknots.cli as cli
+
+    checked = []
+    monkeypatch.setattr(cli, "validate_quandle", lambda q: checked.append(q.order) or validate_quandle(q))
+    r9_table = json.dumps({"kind": "table", "table": [[(2 * j - i) % 9 for j in range(9)] for i in range(9)]})
+    # an invalid table above the bound is refused by order too: exit 2, not 1
+    for argv in (("--quandle", r9_table), ("--quandle", _NOT_A_QUANDLE, "--bound", "1")):
+        code, out, err = run(capsys, "quandle", "auts", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "exceeds automorphism search bound" in err and "Traceback" not in err
+    assert checked == []
+    code, _, err = run(capsys, "quandle", "auts", "--quandle", _NOT_A_QUANDLE)
+    assert code == 1 and "axiom 2, witness [0]" in err and checked == [2]
+
+
 def test_negative_move_count_is_usage_error(capsys):
     argv = ("fuzz", "--diagram", "trefoil", "--quandle", "dihedral:3", "--cocycle", "trivial", "--aut", "identity")
     code, out, err = run(capsys, *argv, "--moves", "-3")

@@ -27,6 +27,7 @@ from vknots.moves import (
     CLASSICAL_KINDS,
     LOOP,
     MoveRecord,
+    _realizable,
     apply_move,
     detour,
     find_poke_remove_sites,
@@ -214,26 +215,117 @@ def test_r3_rejects_arbitrary_edges():
         r3_slide(builder("figure_eight"), (0, 1, 2))
 
 
-def test_r3_variant_table_structure():
-    from vknots.moves import _R3_VARIANTS
+def test_r3_slide_rejects_malformed_bridge_tuples():
+    d = next(d for d in _pool() if find_r3_sites(d))
+    p, q, r = find_r3_sites(d)[0]
+    spare = next(e for e in range(d.edges) if e not in (p, q, r))
+    assert validate_diagram(r3_slide(d, (r, p, q))).ok  # any order of the three bridges
+    malformed = [(), (p,), (p, q), (p, q, r, spare), (p, p, q), (p, q, q), (p, p, q, r), (-1, q, r), (p, q, d.edges)]
+    for bridges in malformed:
+        with pytest.raises(NotApplicable):
+            r3_slide(d, bridges)
 
-    assert len(_R3_VARIANTS) == 96
-    for entry in _R3_VARIANTS:
+
+def _r3_variant_table() -> frozenset:
+    """Realizable triangle variants from planar geometry, the reference for
+    ``moves._realizable``: three oriented lines pairwise crossing, all height
+    orders, both mirror images.  A variant records, for the strand roles
+      strand 1 through crossings (X, Y), strand 2 through (X, Z),
+      strand 3 through (Z, Y),
+    which crossing each strand passes first, which strand is over at each
+    crossing, and the three crossing signs."""
+    lines = {0: (1, 0), 1: (1, 1), 2: (1, -1)}
+    # meeting points at twice their coordinates, so they stay integral;
+    # only the order of points along a line is read
+    meet = {
+        frozenset((0, 1)): (0, 0),
+        frozenset((0, 2)): (2, 0),
+        frozenset((1, 2)): (1, 1),
+    }
+    table = set()
+    for assignment in itertools.permutations((0, 1, 2)):  # strand role i+1 -> line assignment[i]
+        line = {1: assignment[0], 2: assignment[1], 3: assignment[2]}
+        px = meet[frozenset((line[1], line[2]))]
+        py = meet[frozenset((line[1], line[3]))]
+        pz = meet[frozenset((line[2], line[3]))]
+        for eps in itertools.product((1, -1), repeat=3):
+            dirs = {
+                i: (eps[i - 1] * lines[line[i]][0], eps[i - 1] * lines[line[i]][1])
+                for i in (1, 2, 3)
+            }
+
+            def param(point, i):
+                return point[0] * dirs[i][0] + point[1] * dirs[i][1]
+
+            firsts = (
+                0 if param(px, 1) < param(py, 1) else 1,
+                0 if param(px, 2) < param(pz, 2) else 1,
+                0 if param(pz, 3) < param(py, 3) else 1,
+            )
+            for ranks in itertools.permutations((1, 2, 3)):  # position in tuple = height rank
+                height = {s: ranks.index(s) for s in (1, 2, 3)}
+                overs = (
+                    1 if height[1] > height[2] else 0,
+                    1 if height[1] > height[3] else 0,
+                    1 if height[2] > height[3] else 0,
+                )
+
+                def det(i, j):
+                    return dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0]
+
+                def sgn(i, j, over_ij):
+                    d_val = det(i, j) if over_ij else det(j, i)
+                    return 1 if d_val > 0 else -1
+
+                signs = (
+                    sgn(1, 2, overs[0]),
+                    sgn(1, 3, overs[1]),
+                    sgn(2, 3, overs[2]),
+                )
+                for mirror in (1, -1):
+                    table.add(firsts + overs + tuple(mirror * s for s in signs))
+    return frozenset(table)
+
+
+R3_VARIANTS = _r3_variant_table()
+R3_PATTERNS = [
+    (firsts, overs, signs)
+    for firsts in itertools.product((0, 1), repeat=3)
+    for overs in itertools.product((0, 1), repeat=3)
+    for signs in itertools.product((1, -1), repeat=3)
+]
+
+
+def test_r3_variant_table_structure():
+    assert len(R3_VARIANTS) == 96
+    for entry in R3_VARIANTS:
         firsts, overs, signs = entry[:3], entry[3:6], entry[6:]
         # the over/under pattern is never cyclically woven
         assert overs not in ((1, 0, 1), (0, 1, 0))
         # the flipped triangle (every strand order reversed) is realizable too
         flipped = tuple(1 - b for b in firsts) + overs + signs
-        assert flipped in _R3_VARIANTS
+        assert flipped in R3_VARIANTS
         # mirror images come in pairs
         mirrored = firsts + overs + tuple(-s for s in signs)
-        assert mirrored in _R3_VARIANTS
+        assert mirrored in R3_VARIANTS
     # for each height/orientation pattern exactly one sign vector per mirror
     by_shape = {}
-    for entry in _R3_VARIANTS:
+    for entry in R3_VARIANTS:
         by_shape.setdefault(entry[:6], set()).add(entry[6:])
     assert all(len(v) == 2 for v in by_shape.values())
     assert len(by_shape) == 48  # 8 orientation x 6 acyclic height patterns
+
+
+def test_realizable_matches_the_line_geometry():
+    for firsts, overs, signs in R3_PATTERNS:
+        assert _realizable(firsts, overs, signs) == (firsts + overs + signs in R3_VARIANTS)
+
+
+def test_realizable_is_invariant_under_the_strand_swap():
+    # strands 2 and 3 swap, so X and Y swap and strand 1 runs from Y to X
+    for (f1, f2, f3), (ox, oy, oz), (sx, sy, sz) in R3_PATTERNS:
+        swapped = ((1 - f1, 1 - f3, 1 - f2), (oy, ox, 1 - oz), (sy, sx, sz))
+        assert _realizable((f1, f2, f3), (ox, oy, oz), (sx, sy, sz)) == _realizable(*swapped)
 
 
 # --- virtual kinks -----------------------------------------------------------
