@@ -120,12 +120,15 @@ def make_dihedral(n: int) -> FiniteQuandle:
     return FiniteQuandle(tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n)))
 
 
+@lru_cache(maxsize=None)
 def _product_test(q: FiniteQuandle):
     """The test m(a * b) = m(a) * m(b) for all a, b, on image lists m.
 
     It compares maps rather than entries: m o R_b == R_{m(b)} o m for every
     right translation R_b(a) = a * b, which is column b of the table.
     ``after[b](m)`` is m o R_b and ``itemgetter(*m)(col)`` is col o m.
+    Built once per quandle, like the division table: the twist-map checks
+    of a request test many maps against one table.
     """
     cols = list(zip(*q.table))
     after = [itemgetter(*col) for col in cols]

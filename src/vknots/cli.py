@@ -13,8 +13,6 @@ import argparse
 import json
 import sys
 
-from . import diagram as diagram_mod
-from . import moves as moves_mod
 from .algebra import (
     DEFAULT_AUT_SEARCH_BOUND,
     QuandleMap,
@@ -34,21 +32,11 @@ from .errors import (
     SearchBoundExceeded,
     WrongKind,
 )
-from .invariants import compute_invariant, invariant_bundle
-from .solver import count_colorings, enumerate_colorings
-from .weights import (
-    CoefficientGroup,
-    Cochain1,
-    cocycle_from_json,
-    cocycle_to_json,
-    coboundary,
-    cocycle_space_basis,
-    example_cocycle_r4,
-    is_cohomologous,
-    preservation_witness,
-    trivial_cocycle,
-    validate_cocycle,
-)
+
+# The other library modules are imported inside the handlers that call them,
+# so that each process imports only what its command runs: `quandle` needs
+# algebra alone, `cocycle` adds weights, `diagram` the diagram module, `color`
+# the solver, `invariant` everything but moves, and `fuzz` everything.
 
 _USAGE_ERRORS = (MalformedInput, InvalidParameter, NotApplicable, WrongKind, SearchBoundExceeded, CeilingExceeded)
 
@@ -78,24 +66,28 @@ def _load_quandle(spec: str):
 
 
 def _load_diagram(spec: str):
-    if spec in diagram_mod.BUILDER_NAMES:
-        return diagram_mod.builder(spec)
+    from . import diagram
+
+    if spec in diagram.BUILDER_NAMES:
+        return diagram.builder(spec)
     if spec.replace("_", "").isalnum() and not spec.startswith("@"):
         raise UsageError(
-            f"unknown diagram name {spec!r}; known: {', '.join(diagram_mod.BUILDER_NAMES)}"
+            f"unknown diagram name {spec!r}; known: {', '.join(diagram.BUILDER_NAMES)}"
         )
-    return diagram_mod.parse_diagram(_read_spec(spec))
+    return diagram.parse_diagram(_read_spec(spec))
 
 
 def _load_cocycle(spec: str, q):
+    from . import weights
+
     if spec == "example-r4":
-        c = example_cocycle_r4()
+        c = weights.example_cocycle_r4()
         if c.quandle != q:
             raise UsageError("example-r4 lives on the dihedral quandle of order 4")
         return c
     if spec == "trivial":
-        return trivial_cocycle(q)
-    return cocycle_from_json(_read_spec(spec), q)
+        return weights.trivial_cocycle(q)
+    return weights.cocycle_from_json(_read_spec(spec), q)
 
 
 def _load_aut(spec: str, q) -> QuandleMap:
@@ -142,6 +134,8 @@ def _cmd_quandle(args) -> int:
 
 
 def _cmd_cocycle(args) -> int:
+    from . import weights
+
     q = _load_valid_quandle(args.quandle)
     if args.action == "coboundary":
         try:
@@ -150,17 +144,17 @@ def _cmd_cocycle(args) -> int:
             raise UsageError(f"bad psi: {exc}") from exc
         if not (isinstance(exps, list) and all(type(x) is int for x in exps)):
             raise UsageError("psi must be a list of integers")
-        group = CoefficientGroup(args.m)
-        c = coboundary(q, group, Cochain1(group, tuple(exps)))
-        sys.stdout.write(cocycle_to_json(c) + "\n")
+        group = weights.CoefficientGroup(args.m)
+        c = weights.coboundary(q, group, weights.Cochain1(group, tuple(exps)))
+        sys.stdout.write(weights.cocycle_to_json(c) + "\n")
         return 0
     if args.action == "basis":
-        basis = cocycle_space_basis(q, args.m)
-        _emit({"m": args.m, "count": len(basis), "basis": [json.loads(cocycle_to_json(c)) for c in basis]})
+        basis = weights.cocycle_space_basis(q, args.m)
+        _emit({"m": args.m, "count": len(basis), "basis": [json.loads(weights.cocycle_to_json(c)) for c in basis]})
         return 0
     c = _load_cocycle(args.cocycle, q)
     if args.action == "check":
-        report = validate_cocycle(c)
+        report = weights.validate_cocycle(c)
         obj = {"valid": report.ok}
         if not report.ok:
             obj["condition"] = report.condition
@@ -169,7 +163,7 @@ def _cmd_cocycle(args) -> int:
         return 0 if report.ok else 1
     if args.action == "preserves":
         f = _load_aut(args.aut, q)
-        witness = preservation_witness(f, c)
+        witness = weights.preservation_witness(f, c)
         obj = {"preserving": witness is None}
         if witness is not None:
             obj["witness"] = list(witness)
@@ -177,7 +171,7 @@ def _cmd_cocycle(args) -> int:
         return 0 if witness is None else 1
     # cohomologous
     other = _load_cocycle(args.other, q)
-    psi = is_cohomologous(c, other)
+    psi = weights.is_cohomologous(c, other)
     if psi is None:
         _emit({"cohomologous": False})
         return 1
@@ -186,19 +180,21 @@ def _cmd_cocycle(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
+    from . import diagram
+
     if args.action == "build":
-        d = diagram_mod.builder(args.name)
-        sys.stdout.write(diagram_mod.serialize_diagram(d) + "\n")
+        d = diagram.builder(args.name)
+        sys.stdout.write(diagram.serialize_diagram(d) + "\n")
         return 0
     d = _load_diagram(args.diagram)
     if args.action == "validate":
-        report = diagram_mod.validate_diagram(d)
+        report = diagram.validate_diagram(d)
         obj = {"valid": report.ok}
         if not report.ok:
             obj["message"] = report.message
         _emit(obj)
         return 0 if report.ok else 1
-    _emit({"components": diagram_mod.component_count(d)})
+    _emit({"components": diagram.component_count(d)})
     return 0
 
 
@@ -229,10 +225,12 @@ def _load_valid_quandle(spec: str):
 
 
 def _load_valid_cocycle(spec: str, q):
+    from . import weights
+
     c = _load_cocycle(spec, q)
     if spec in _BUILT_IN_COCYCLES:  # trivial is a cocycle on any quandle, and q has been checked
         return c
-    report = validate_cocycle(c)
+    report = weights.validate_cocycle(c)
     if not report.ok:
         raise PreconditionFailed(
             f"the cocycle fails condition {report.condition}, witness {list(report.witness)}",
@@ -242,22 +240,26 @@ def _load_valid_cocycle(spec: str, q):
 
 
 def _cmd_color(args) -> int:
+    from . import solver
+
     d = _load_diagram(args.diagram)
     q = _load_valid_quandle(args.quandle)
     f = _load_aut(args.aut, q)
     if args.action == "count":
-        _emit({"count": count_colorings(d, q, f)})
+        _emit({"count": solver.count_colorings(d, q, f)})
         return 0
-    _emit([list(c) for c in enumerate_colorings(d, q, f)])
+    _emit([list(c) for c in solver.enumerate_colorings(d, q, f)])
     return 0
 
 
 def _cmd_invariant(args) -> int:
+    from . import invariants
+
     d = _load_diagram(args.diagram)
     q = _load_valid_quandle(args.quandle)
     c = _load_valid_cocycle(args.cocycle, q)
     f = _load_aut(args.aut, q) if args.aut else None
-    result = compute_invariant(args.kind, d, q, c, f)
+    result = invariants.compute_invariant(args.kind, d, q, c, f)
     if args.json:
         sys.stdout.write(result.to_json() + "\n")
     else:
@@ -266,17 +268,19 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from . import diagram, invariants, moves
+
     d = _load_diagram(args.diagram)
     q = _load_valid_quandle(args.quandle)
     c = _load_valid_cocycle(args.cocycle, q)
     f = _load_aut(args.aut, q)
-    before = invariant_bundle(d, q, c, f)
-    kinds = moves_mod.CLASSICAL_KINDS if args.classical_only else None
-    final, trace = moves_mod.random_equivalent(
+    before = invariants.invariant_bundle(d, q, c, f)
+    kinds = moves.CLASSICAL_KINDS if args.classical_only else None
+    final, trace = moves.random_equivalent(
         d, args.seed, args.moves, allow_semi_virtual=not args.no_semi_virtual, kinds=kinds
     )
-    report = diagram_mod.validate_diagram(final)
-    after = invariant_bundle(final, q, c, f)
+    report = diagram.validate_diagram(final)
+    after = invariants.invariant_bundle(final, q, c, f)
     stable = before == after and report.ok
     _emit(
         {

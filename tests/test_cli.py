@@ -375,10 +375,12 @@ def test_negative_move_count_is_usage_error(capsys):
 
 def test_built_in_algebra_skips_the_axiom_checks(capsys, monkeypatch):
     import vknots.cli as cli
+    import vknots.weights as weights
 
     checked = []
     monkeypatch.setattr(cli, "validate_quandle", lambda q: checked.append("quandle") or validate_quandle(q))
-    monkeypatch.setattr(cli, "validate_cocycle", lambda c: checked.append("cocycle") or validate_cocycle(c))
+    # the CLI imports weights inside its handlers and calls weights.validate_cocycle
+    monkeypatch.setattr(weights, "validate_cocycle", lambda c: checked.append("cocycle") or validate_cocycle(c))
     for cocycle in ("trivial", "example-r4"):
         code, _, _ = run(capsys, "invariant", "z", "--diagram", "trefoil", "--quandle", "dihedral:4", "--cocycle", cocycle)
         assert code == 0
