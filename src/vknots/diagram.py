@@ -35,7 +35,7 @@ signs and chiralities come from checked records.  It fills the result's
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .errors import InvalidParameter, MalformedInput
@@ -334,37 +334,19 @@ def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
 # JSON form
 
 
+# JSON crossing record type -> record class; a record's JSON form is its
+# type followed by the class's fields in declaration order
+_RECORD_TYPES = {"classical": ClassicalCrossing, "virtual": VirtualCrossing}
+_RECORD_FIELDS = {cls: (kind, tuple(f.name for f in fields(cls))) for kind, cls in _RECORD_TYPES.items()}
+
+
 def serialize_diagram(d: VirtualDiagram) -> str:
     crossings = []
     for c in d.crossings:
-        if isinstance(c, ClassicalCrossing):
-            crossings.append(
-                {
-                    "type": "classical",
-                    "sign": c.sign,
-                    "under_in": c.under_in,
-                    "over_in": c.over_in,
-                    "under_out": c.under_out,
-                    "over_out": c.over_out,
-                }
-            )
-        else:
-            crossings.append(
-                {
-                    "type": "virtual",
-                    "first_in": c.first_in,
-                    "first_out": c.first_out,
-                    "second_in": c.second_in,
-                    "second_out": c.second_out,
-                    "chirality": c.chirality,
-                }
-            )
+        kind, names = _RECORD_FIELDS[type(c)]
+        crossings.append({"type": kind, **{name: getattr(c, name) for name in names}})
     obj = {"edges": d.edges, "free_loops": d.free_loops, "crossings": crossings}
     return json.dumps(obj, separators=(",", ":"))
-
-
-_CLASSICAL_FIELDS = {"type", "sign", "under_in", "over_in", "under_out", "over_out"}
-_VIRTUAL_FIELDS = {"type", "first_in", "first_out", "second_in", "second_out", "chirality"}
 
 
 def parse_diagram(text: str) -> VirtualDiagram:
@@ -387,38 +369,19 @@ def parse_diagram(text: str) -> VirtualDiagram:
         where = f"crossings[{i}]"
         if not isinstance(rec, dict) or "type" not in rec:
             raise MalformedInput(f"{where}: crossing records need a 'type' field")
+        kind = rec["type"]
+        # only a string is looked up: hashing a list-valued type would raise
+        cls = _RECORD_TYPES.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise MalformedInput(f"{where}: unknown crossing type {kind!r}")
+        names = _RECORD_FIELDS[cls][1]
+        if rec.keys() != {"type", *names}:
+            raise MalformedInput(
+                f"{where}: {kind} crossings take exactly the fields {sorted(['type', *names])}"
+            )
         try:
-            if rec["type"] == "classical":
-                if set(rec) != _CLASSICAL_FIELDS:
-                    raise MalformedInput(
-                        f"{where}: classical crossings take exactly the fields "
-                        f"{sorted(_CLASSICAL_FIELDS)}"
-                    )
-                crossings.append(
-                    ClassicalCrossing(
-                        rec["sign"], rec["under_in"], rec["over_in"], rec["under_out"], rec["over_out"]
-                    )
-                )
-            elif rec["type"] == "virtual":
-                if set(rec) != _VIRTUAL_FIELDS:
-                    raise MalformedInput(
-                        f"{where}: virtual crossings take exactly the fields "
-                        f"{sorted(_VIRTUAL_FIELDS)}"
-                    )
-                crossings.append(
-                    VirtualCrossing(
-                        rec["first_in"],
-                        rec["first_out"],
-                        rec["second_in"],
-                        rec["second_out"],
-                        rec["chirality"],
-                    )
-                )
-            else:
-                raise MalformedInput(f"{where}: unknown crossing type {rec['type']!r}")
-        except MalformedInput:
-            raise
-        except (KeyError, TypeError) as exc:
+            crossings.append(cls(*[rec[name] for name in names]))
+        except TypeError as exc:  # e.g. a null edge in the virtual normalisation's comparison
             raise MalformedInput(f"{where}: {exc}") from exc
     d = VirtualDiagram(obj["edges"], obj.get("free_loops", 0), tuple(crossings))
     report = validate_diagram(d)

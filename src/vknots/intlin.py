@@ -39,40 +39,20 @@ def smith_normal_form(
     d[0][0] | d[1][1] | ... and are non-negative.  With ``row_transform``
     false, u is not built and None is returned in its place; a kernel
     needs only v, and u is as large as the matrix has rows.
+
+    One working matrix carries the transforms (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 1993, 2.4): each row of d has its
+    row of u appended and the rows of v sit below, so row operations carry u
+    and column operations carry v; only the top-left d block is ever read.
     """
-    d = [list(row) for row in matrix]
-    rows = len(d)
-    cols = len(d[0]) if rows else 0
-    u = identity_matrix(rows) if row_transform else None
-    v = identity_matrix(cols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    u = identity_matrix(rows) if row_transform else [[]] * rows
+    w = [list(r) + e for r, e in zip(matrix, u)] + identity_matrix(cols)
 
     def add_row(src, dst, factor):
         # row[dst] += factor * row[src]
-        d[dst] = [x + factor * y for x, y in zip(d[dst], d[src])]
-        if u is not None:
-            u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, factor):
-        for r in d:
-            r[dst] += factor * r[src]
-        for r in v:
-            r[dst] += factor * r[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
+        w[dst] = [x + factor * y for x, y in zip(w[dst], w[src])]
 
     t = 0
     while t < min(rows, cols):
@@ -82,7 +62,7 @@ def smith_normal_form(
         best = None
         for i in range(t, rows):
             for j in range(t, cols):
-                x = d[i][j]
+                x = w[i][j]
                 if x != 0 and (best is None or abs(x) < best):
                     best = abs(x)
                     pivot = (i, j)
@@ -94,24 +74,26 @@ def smith_normal_form(
             break
         i, j = pivot
         if i != t:
-            swap_rows(i, t)
+            w[i], w[t] = w[t], w[i]
         if j != t:
-            swap_cols(j, t)
-        if d[t][t] < 0:
-            negate_row(t)
+            for r in w:
+                r[j], r[t] = r[t], r[j]
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
 
         dirty = False
         for i in range(t + 1, rows):
-            if d[i][t]:
-                qt = d[i][t] // d[t][t]
+            if w[i][t]:
+                qt = w[i][t] // w[t][t]
                 add_row(t, i, -qt)
-                if d[i][t]:
+                if w[i][t]:
                     dirty = True
         for j in range(t + 1, cols):
-            if d[t][j]:
-                qt = d[t][j] // d[t][t]
-                add_col(t, j, -qt)
-                if d[t][j]:
+            if w[t][j]:
+                qt = w[t][j] // w[t][t]
+                for r in w:
+                    r[j] -= qt * r[t]
+                if w[t][j]:
                     dirty = True
         if dirty:
             continue  # remainders left; pick a smaller pivot and repeat
@@ -120,7 +102,7 @@ def smith_normal_form(
         fixup = False
         for i in range(t + 1, rows):
             for j in range(t + 1, cols):
-                if d[i][j] % d[t][t]:
+                if w[i][j] % w[t][t]:
                     add_row(i, t, 1)
                     fixup = True
                     break
@@ -130,7 +112,9 @@ def smith_normal_form(
             continue
         t += 1
 
-    return d, u, v
+    d = [r[:cols] for r in w[:rows]]
+    u = [r[cols:] for r in w[:rows]] if row_transform else None
+    return d, u, w[rows:]
 
 
 def kernel_mod(matrix: list[list[int]], m: int) -> list[list[int]]:

@@ -82,9 +82,8 @@ def _weight_product(c: Cocycle2, exponents: list[int], factor: int) -> Weight:
     return Weight(c.group, sum(exponents) * factor)
 
 
-def _z3(d, q, c, f) -> tuple[WeightPolynomial, list[int]]:
+def _z3(d, q, c, f, factor) -> tuple[WeightPolynomial, list[int]]:
     """Z3 and f's exponent list, enumerating the colorings under each twist map once."""
-    factor = q.order**d.free_loops
     per_aut = {g: _exponents(d, q, c, g) for g in automorphisms(q)}
     z3 = WeightPolynomial.from_pairs((_weight_product(c, e, factor).exponent, 1) for e in per_aut.values())
     if f in per_aut:
@@ -119,26 +118,22 @@ def coloring_weight(d: VirtualDiagram, c: Cocycle2, coloring) -> Weight:
 
 def state_sum_classical(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2) -> WeightPolynomial:
     """Z: the weight sum over all colorings of a classical diagram."""
-    if d.virtual():
-        raise WrongKind("the classical state sum is undefined on virtual diagrams; use Z2")
-    identity = QuandleMap.identity(q.order)
-    return _weight_sum(c, _exponents(d, q, c, identity), q.order**d.free_loops)
+    return compute_invariant("z", d, q, c).value
 
 
 def state_weight_z1(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> Weight:
     """Z1: the product of all coloring weights, a single monomial."""
-    return _weight_product(c, _exponents(d, q, c, f), q.order**d.free_loops)
+    return compute_invariant("z1", d, q, c, f).value
 
 
 def state_sum_z2(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> WeightPolynomial:
     """Z2: the weight sum over colorings; requires the twist map to preserve phi."""
-    _check_preserving(f, c)
-    return _weight_sum(c, _exponents(d, q, c, f), q.order**d.free_loops)
+    return compute_invariant("z2", d, q, c, f).value
 
 
 def aut_sum_z3(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2) -> WeightPolynomial:
     """Z3: the sum of the Z1 monomials over all automorphisms of the quandle."""
-    return _z3(d, q, c, QuandleMap.identity(q.order))[0]
+    return compute_invariant("z3", d, q, c, QuandleMap.identity(q.order)).value
 
 
 def invariant_bundle(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> dict:
@@ -148,7 +143,7 @@ def invariant_bundle(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: Quandl
     one enumeration per automorphism (f's list serves all but Z3).
     """
     factor = q.order**d.free_loops
-    z3, own = _z3(d, q, c, f)
+    z3, own = _z3(d, q, c, f, factor)
     bundle = {
         "colorings": len(own) * factor,
         "z1": _weight_product(c, own, factor).exponent,
@@ -166,22 +161,28 @@ def compute_invariant(
     c: Cocycle2,
     f: QuandleMap | None = None,
 ) -> InvariantResult:
-    """Uniform front end used by the command-line tool; one enumeration per twist map."""
-    factor = q.order**d.free_loops
+    """Z, Z1, Z2 or Z3 (``kind`` "z", "z1", "z2", "z3") with its coloring count.
+
+    The one implementation of the four invariants, whose public functions
+    return its ``value``; one enumeration per twist map (Z ignores f and
+    uses the identity, Z3 enumerates under every automorphism).
+    """
     if kind == "z":
-        value = state_sum_classical(d, q, c)
-        return InvariantResult("Z", value, value.evaluate_at_one())
-    if f is None:
+        if d.virtual():
+            raise WrongKind("the classical state sum is undefined on virtual diagrams; use Z2")
+        f = QuandleMap.identity(q.order)
+    elif f is None:
         raise InvalidParameter(f"invariant {kind!r} needs an automorphism")
-    if kind == "z1":
-        own = _exponents(d, q, c, f)
-        return InvariantResult("Z1", _weight_product(c, own, factor), len(own) * factor)
+    factor = q.order**d.free_loops
+    if kind == "z3":
+        z3, own = _z3(d, q, c, f, factor)
+        return InvariantResult("Z3", z3, len(own) * factor)
     if kind == "z2":
         _check_preserving(f, c)
-        own = _exponents(d, q, c, f)
-        value = _weight_sum(c, own, factor)
-        return InvariantResult("Z2", value, len(own) * factor, preserving=True)
-    if kind == "z3":
-        z3, own = _z3(d, q, c, f)
-        return InvariantResult("Z3", z3, len(own) * factor)
-    raise InvalidParameter(f"unknown invariant kind {kind!r}")
+    elif kind not in ("z", "z1"):
+        raise InvalidParameter(f"unknown invariant kind {kind!r}")
+    own = _exponents(d, q, c, f)
+    if kind == "z1":
+        return InvariantResult("Z1", _weight_product(c, own, factor), len(own) * factor)
+    preserving = True if kind == "z2" else None
+    return InvariantResult(kind.upper(), _weight_sum(c, own, factor), len(own) * factor, preserving)

@@ -278,12 +278,9 @@ def is_cohomologous(c1: Cocycle2, c2: Cocycle2) -> Cochain1 | None:
         while stack:
             x = stack.pop()
             for z, diff in adj[x]:
-                value = red(psi[x] + diff)
                 if psi[z] is None:
-                    psi[z] = value
+                    psi[z] = red(psi[x] + diff)
                     stack.append(z)
-                elif red(psi[z] - value):
-                    return None
     for x in range(n):
         for y in range(n):
             if red(psi[x] - psi[q.table[x][y]] - delta[x][y]):

@@ -140,6 +140,53 @@ def test_parse_errors_carry_location():
         parse_diagram('{"edges":2,"free_loops":0,"crossings":[{"type":"wild"}]}')
 
 
+_CLASSICAL = {"type": "classical", "sign": 1, "under_in": 0, "over_in": 1, "under_out": 1, "over_out": 0}
+_VIRTUAL = {"type": "virtual", "first_in": 0, "first_out": 1, "second_in": 1, "second_out": 0, "chirality": 1}
+_CLASSICAL_KEYS = "['over_in', 'over_out', 'sign', 'type', 'under_in', 'under_out']"
+_VIRTUAL_KEYS = "['chirality', 'first_in', 'first_out', 'second_in', 'second_out', 'type']"
+
+# The exact text of every crossing-record failure, per record type.
+BAD_RECORDS = {
+    "classical-missing": (
+        {k: v for k, v in _CLASSICAL.items() if k != "over_out"},
+        f"crossings[0]: classical crossings take exactly the fields {_CLASSICAL_KEYS}",
+    ),
+    "classical-extra": (
+        {**_CLASSICAL, "bonus": 2},
+        f"crossings[0]: classical crossings take exactly the fields {_CLASSICAL_KEYS}",
+    ),
+    "virtual-missing": (
+        {k: v for k, v in _VIRTUAL.items() if k != "chirality"},
+        f"crossings[0]: virtual crossings take exactly the fields {_VIRTUAL_KEYS}",
+    ),
+    "virtual-extra": (
+        {**_VIRTUAL, "sign": 1},
+        f"crossings[0]: virtual crossings take exactly the fields {_VIRTUAL_KEYS}",
+    ),
+    "type-string": ({**_CLASSICAL, "type": "wild"}, "crossings[0]: unknown crossing type 'wild'"),
+    "type-number": ({**_CLASSICAL, "type": 3}, "crossings[0]: unknown crossing type 3"),
+    "type-list": ({**_VIRTUAL, "type": ["virtual"]}, "crossings[0]: unknown crossing type ['virtual']"),
+    "bad-sign": ({**_CLASSICAL, "sign": 2}, "crossing sign must be +1 or -1, got 2"),
+    "bad-chirality": ({**_VIRTUAL, "chirality": 0}, "chirality must be +1 or -1, got 0"),
+    "virtual-null-edge": (
+        {**_VIRTUAL, "first_in": None},
+        "crossings[0]: '>' not supported between instances of 'NoneType' and 'int'",
+    ),
+    "classical-null-edge": (
+        {**_CLASSICAL, "under_in": None},
+        "invalid diagram: crossings[0]: edge label None out of range 0..1",
+    ),
+}
+
+
+@pytest.mark.parametrize("record, message", list(BAD_RECORDS.values()), ids=list(BAD_RECORDS))
+def test_parse_crossing_record_messages(record, message):
+    text = json.dumps({"edges": 2, "free_loops": 0, "crossings": [record]})
+    with pytest.raises(MalformedInput) as err:
+        parse_diagram(text)
+    assert str(err.value) == message
+
+
 def test_relabel_canonical_traversal_order():
     # same kink written with shifted labels collapses to one canonical form
     a = relabel_canonical([ClassicalCrossing(1, 7, 9, 9, 7)], 0)

@@ -3,13 +3,14 @@ import random
 import pytest
 
 from vknots.algebra import QuandleMap, automorphisms, inner_automorphism, make_dihedral
-from vknots.diagram import BUILDER_NAMES, builder
+from vknots.diagram import BUILDER_NAMES, VirtualDiagram, builder
 from vknots.errors import InvalidParameter, PreconditionFailed, WrongKind
 from vknots.invariants import (
     InvariantResult,
     aut_sum_z3,
     coloring_weight,
     compute_invariant,
+    invariant_bundle,
     state_sum_classical,
     state_sum_z2,
     state_weight_z1,
@@ -18,10 +19,12 @@ from vknots.solver import count_colorings, enumerate_colorings
 from vknots.weights import (
     CoefficientGroup,
     Cochain1,
+    Cocycle2,
     Weight,
     coboundary,
     cocycle_product,
     example_cocycle_r4,
+    preservation_witness,
     trivial_cocycle,
 )
 
@@ -180,3 +183,75 @@ def test_modular_coefficients():
     z1 = state_weight_z1(vt, Q4, phi2, SHIFT)
     assert z1.group.modulus == 2
     assert z1.exponent == 0  # 2 mod 2
+
+
+# The grid on which compute_invariant must agree with the public functions:
+# every corpus diagram (and one with free loops) over R3 and R4, under
+# identity, inner:0 and shift, with the trivial cocycle, example-r4 and its
+# copy mod 2 (the last two on R4 only).
+_VT_LOOPS = VirtualDiagram(6, 2, builder("virtual_trefoil").crossings)
+_GRID_DIAGRAMS = [(name, builder(name)) for name in BUILDER_NAMES] + [("virtual_trefoil+2", _VT_LOOPS)]
+
+
+def _grid_settings():
+    for q in (Q3, Q4):
+        n = q.order
+        twists = {"id": QuandleMap.identity(n), "inner:0": inner_automorphism(q, 0),
+                  "shift": QuandleMap(tuple((i + 1) % n for i in range(n)))}
+        cocycles = {"trivial": trivial_cocycle(q)}
+        if n == 4:
+            cocycles["example-r4"] = PHI
+            cocycles["example-r4-mod2"] = Cocycle2(Q4, CoefficientGroup(2), PHI.exponents)
+        for cname, c in cocycles.items():
+            for fname, f in twists.items():
+                yield f"R{n}-{cname}-{fname}", q, c, f
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (WrongKind, PreconditionFailed) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name, d", _GRID_DIAGRAMS, ids=[name for name, _ in _GRID_DIAGRAMS])
+def test_compute_invariant_matches_public_functions(name, d):
+    public = {
+        "z": lambda q, c, f: state_sum_classical(d, q, c),
+        "z1": lambda q, c, f: state_weight_z1(d, q, c, f),
+        "z2": lambda q, c, f: state_sum_z2(d, q, c, f),
+        "z3": lambda q, c, f: aut_sum_z3(d, q, c),
+    }
+    for setting, q, c, f in _grid_settings():
+        for kind, fn in public.items():
+            result = _outcome(lambda: compute_invariant(kind, d, q, c, f))
+            expected = _outcome(lambda: fn(q, c, f))
+            if isinstance(expected, type):
+                assert result is expected, (setting, kind)
+                continue
+            assert result.value == expected, (setting, kind)
+            twist = QuandleMap.identity(q.order) if kind == "z" else f
+            assert result.colorings == count_colorings(d, q, twist), (setting, kind)
+
+
+@pytest.mark.parametrize("name, d", _GRID_DIAGRAMS, ids=[name for name, _ in _GRID_DIAGRAMS])
+def test_invariant_bundle_matches_public_functions(name, d):
+    for setting, q, c, f in _grid_settings():
+        expected = {
+            "colorings": count_colorings(d, q, f),
+            "z1": state_weight_z1(d, q, c, f).exponent,
+            "z3": aut_sum_z3(d, q, c).to_json_obj(),
+        }
+        if preservation_witness(f, c) is None:
+            expected["z2"] = state_sum_z2(d, q, c, f).to_json_obj()
+        assert invariant_bundle(d, q, c, f) == expected, setting
+
+
+def test_invariants_without_a_twist_map_are_refused():
+    d = builder("virtual_trefoil")
+    with pytest.raises(InvalidParameter, match="needs an automorphism"):
+        state_weight_z1(d, Q4, PHI, None)
+    with pytest.raises(InvalidParameter, match="needs an automorphism"):
+        state_sum_z2(d, Q4, PHI, None)
+    with pytest.raises(InvalidParameter, match="must be an automorphism"):
+        compute_invariant("z3", d, Q4, PHI, QuandleMap((0, 0, 0, 0)))

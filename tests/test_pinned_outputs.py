@@ -1,10 +1,11 @@
-"""Exact outputs of the moves engine, the Smith-form basis and the
-automorphism search, pinned by digest.
+"""Exact outputs of the moves engine, the Smith normal form, the Smith-form
+basis and the automorphism search, pinned by digest.
 
 The other tests check that move outputs are valid and keep the invariants,
 that basis vectors are cocycles and that automorphisms preserve products;
 they would all still pass if a change picked a different (equally valid)
-site, relabelling or generator, or listed automorphisms in another order.
+site, relabelling, unimodular transform or generator, or listed
+automorphisms in another order.
 These digests were taken before the moves engine, the Smith reduction and
 the automorphism search were rewritten, so any change to the exact
 diagrams, traces, bases or automorphism lists shows.
@@ -12,8 +13,10 @@ diagrams, traces, bases or automorphism lists shows.
 
 import hashlib
 import json
+import random
 
 from vknots.algebra import automorphisms, make_dihedral, make_from_table
+from vknots.intlin import smith_normal_form
 from vknots.diagram import BUILDER_NAMES, builder, serialize_diagram
 from vknots.moves import random_equivalent
 from vknots.weights import cocycle_space_basis, cocycle_to_json
@@ -22,6 +25,7 @@ MOVES_DIGEST = "30d581a90750ab4c508964d7e193d313557f2124c78c674c10e9bee978a6b5e8
 BASIS_DIGEST = "69eeb090d847d7bb497964ff14581f1bef6669d55e1a70ed35faf0848dc556d4"
 LADDER_DIGEST = "e01a919916b722dcd05669c8634eeb0a75870caf8d188d0535b448abdfa24af0"
 AUT_DIGEST = "4430ca5d2b7eddb784d9c741244d526785820f6434c3a12c60877bafb75ca498"
+SNF_DIGEST = "8fdabb05576f109b88466ca62243f1398f7f76581cfa36bc8b68e93b73c8e788"
 
 # (builder, seed, moves, soft_cap) of the benchmark ladder diagrams, E = 54, 102, 146;
 # long traces past the soft cap, where removals are preferred
@@ -54,6 +58,29 @@ def test_cocycle_bases_are_pinned():
         for c in cocycle_space_basis(make_dihedral(n), n):
             h.update(cocycle_to_json(c).encode())
     assert h.hexdigest() == BASIS_DIGEST
+
+
+def _snf_matrices():
+    """Seeded integer matrices: empty shapes, then random ones of up to 6 x 6,
+    every third made rank-deficient by a row that combines two others."""
+    rng = random.Random(41)
+    mats = [[], [[]], [[], [], []], [[0, 0, 0], [0, 0, 0]]]
+    for k in range(96):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if k % 3 == 0 and rows >= 3:
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            a[-1] = [x * p + y * q for p, q in zip(a[0], a[1])]
+        mats.append(a)
+    return mats
+
+
+def test_smith_normal_forms_are_pinned():
+    h = hashlib.sha256()
+    for a in _snf_matrices():
+        for row_transform in (True, False):
+            h.update(json.dumps(smith_normal_form(a, row_transform), separators=(",", ":")).encode())
+    assert h.hexdigest() == SNF_DIGEST
 
 
 def test_automorphism_lists_are_pinned():
