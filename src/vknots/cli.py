@@ -15,6 +15,7 @@ import sys
 
 from .algebra import (
     DEFAULT_AUT_SEARCH_BOUND,
+    MAX_COCYCLE_BASIS_ORDER,
     QuandleMap,
     automorphisms,
     inner_automorphism,
@@ -136,7 +137,11 @@ def _cmd_quandle(args) -> int:
 def _cmd_cocycle(args) -> int:
     from . import weights
 
-    q = _load_valid_quandle(args.quandle)
+    q = _load_quandle(args.quandle)
+    # the basis refuses orders above its bound itself, so only tables it
+    # would solve pay for the O(n^3) axiom check
+    if args.action != "basis" or q.order <= MAX_COCYCLE_BASIS_ORDER:
+        _require_quandle(q, args.quandle)
     if args.action == "coboundary":
         try:
             exps = json.loads(_read_spec(args.psi))

@@ -25,54 +25,88 @@ A passage's role is its index in ``strand_passages``: 0 for the under
 (classical) or first (virtual) strand, 1 for the over or second strand.
 ``slot_maps`` records every in- and out-slot as (crossing index, role).
 
-``relabel_canonical``, the last step of every move, builds its records
-from sorted integer keys (``_crossing_key``, which also applies the
-virtual normalisation) without re-running the constructors' checks:
-signs and chiralities come from checked records.  It fills the result's
-``slot_maps`` index in the same pass, so a move output never rebuilds it.
+A record is a tuple that is its own sort key:
+(0, sign, under_in, over_in, under_out, over_out) for a classical
+crossing, (1, chirality, first_in, first_out, second_in, second_out) for
+a virtual one; the named fields read these slots.  Each class declares
+its constructor and JSON field order (``FIELDS``) and the tuple indices
+of its two passages (``PASSAGES``), so passage code reads and rewrites
+records by index, whatever their type.  ``relabel_canonical``, the last
+step of every move, renames each record's edges (renormalising virtual
+strands), sorts the renamed records themselves and fills the result's
+``slot_maps`` index, so a move output never rebuilds it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import InvalidParameter, MalformedInput
 
 
-@dataclass(frozen=True)
-class ClassicalCrossing:
-    sign: int
-    under_in: int
-    over_in: int
-    under_out: int
-    over_out: int
+class _Record(tuple):
+    """A crossing record: a tuple (tag, sign or chirality, four edges) that is
+    its own sort key.  A class declares ``TYPE`` (its JSON type), ``FIELDS``
+    (its constructor and JSON field order) and ``PASSAGES``, the tuple indices
+    (in, out) of passages 0 and 1."""
 
-    def __post_init__(self):
+    __slots__ = ()
+    TYPE: str
+    FIELDS: tuple[str, ...]
+    PASSAGES: tuple[tuple[int, int], tuple[int, int]]
+
+    def __getnewargs__(self):  # pickle and copy call the constructor with these
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
+        return f"{type(self).__name__}({args})"
+
+
+class ClassicalCrossing(_Record):
+    """The tuple (0, sign, under_in, over_in, under_out, over_out)."""
+
+    __slots__ = ()
+    TYPE = "classical"
+    FIELDS = ("sign", "under_in", "over_in", "under_out", "over_out")
+    PASSAGES = ((2, 4), (3, 5))
+
+    def __new__(cls, sign: int, under_in: int, over_in: int, under_out: int, over_out: int):
         # type() rather than a bare membership test: True == 1 and 1.0 == 1
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise MalformedInput(f"crossing sign must be +1 or -1, got {self.sign!r}")
+        if type(sign) is not int or sign not in (1, -1):
+            raise MalformedInput(f"crossing sign must be +1 or -1, got {sign!r}")
+        return tuple.__new__(cls, (0, sign, under_in, over_in, under_out, over_out))
+
+    sign = property(itemgetter(1))
+    under_in = property(itemgetter(2))
+    over_in = property(itemgetter(3))
+    under_out = property(itemgetter(4))
+    over_out = property(itemgetter(5))
 
 
-@dataclass(frozen=True)
-class VirtualCrossing:
-    first_in: int
-    first_out: int
-    second_in: int
-    second_out: int
-    chirality: int
+class VirtualCrossing(_Record):
+    """The tuple (1, chirality, first_in, first_out, second_in, second_out)."""
 
-    def __post_init__(self):
-        if type(self.chirality) is not int or self.chirality not in (1, -1):
-            raise MalformedInput(f"chirality must be +1 or -1, got {self.chirality!r}")
-        if self.first_in > self.second_in:
-            fi, fo = self.first_in, self.first_out
-            object.__setattr__(self, "first_in", self.second_in)
-            object.__setattr__(self, "first_out", self.second_out)
-            object.__setattr__(self, "second_in", fi)
-            object.__setattr__(self, "second_out", fo)
-            object.__setattr__(self, "chirality", -self.chirality)
+    __slots__ = ()
+    TYPE = "virtual"
+    FIELDS = ("first_in", "first_out", "second_in", "second_out", "chirality")
+    PASSAGES = ((2, 3), (4, 5))
+
+    def __new__(cls, first_in: int, first_out: int, second_in: int, second_out: int, chirality: int):
+        if type(chirality) is not int or chirality not in (1, -1):
+            raise MalformedInput(f"chirality must be +1 or -1, got {chirality!r}")
+        if first_in > second_in:
+            return tuple.__new__(cls, (1, -chirality, second_in, second_out, first_in, first_out))
+        return tuple.__new__(cls, (1, chirality, first_in, first_out, second_in, second_out))
+
+    chirality = property(itemgetter(1))
+    first_in = property(itemgetter(2))
+    first_out = property(itemgetter(3))
+    second_in = property(itemgetter(4))
+    second_out = property(itemgetter(5))
 
 
 Crossing = ClassicalCrossing | VirtualCrossing
@@ -81,33 +115,6 @@ Crossing = ClassicalCrossing | VirtualCrossing
 # With this bound even n = 1024 gives 1024^1024, 3,083 digits: under
 # Python's 4,300-digit limit on printing an int.
 MAX_FREE_LOOPS = 1024
-
-_new = object.__new__
-
-
-def _classical(sign: int, under_in: int, over_in: int, under_out: int, over_out: int) -> ClassicalCrossing:
-    """ClassicalCrossing without the sign check; ``sign`` must come from a checked record."""
-    c = _new(ClassicalCrossing)
-    f = c.__dict__
-    f["sign"] = sign
-    f["under_in"] = under_in
-    f["over_in"] = over_in
-    f["under_out"] = under_out
-    f["over_out"] = over_out
-    return c
-
-
-def _virtual(first_in: int, first_out: int, second_in: int, second_out: int, chirality: int) -> VirtualCrossing:
-    """VirtualCrossing without the checks: ``chirality`` must come from a checked
-    record and the strands must already be normalised (``first_in < second_in``)."""
-    c = _new(VirtualCrossing)
-    f = c.__dict__
-    f["first_in"] = first_in
-    f["first_out"] = first_out
-    f["second_in"] = second_in
-    f["second_out"] = second_out
-    f["chirality"] = chirality
-    return c
 
 
 @dataclass(frozen=True)
@@ -130,13 +137,7 @@ class VirtualDiagram:
         fills them in for every move output); callers must not mutate the
         returned maps.
         """
-        consumed: dict[int, tuple[int, int]] = {}
-        emitted: dict[int, tuple[int, int]] = {}
-        for ci, c in enumerate(self.crossings):
-            for role, e_in, e_out in strand_passages(c):
-                consumed[e_in] = (ci, role)
-                emitted[e_out] = (ci, role)
-        return consumed, emitted
+        return _slot_maps(self.crossings)
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,18 @@ class DiagramReport:
 def strand_passages(c: Crossing) -> tuple[tuple[int, int, int], ...]:
     """The two (role, in_edge, out_edge) strand passages of a crossing: role 0 is
     the under (or first) strand, role 1 the over (or second) strand."""
-    if isinstance(c, ClassicalCrossing):
-        return ((0, c.under_in, c.under_out), (1, c.over_in, c.over_out))
-    return ((0, c.first_in, c.first_out), (1, c.second_in, c.second_out))
+    (i0, o0), (i1, o1) = c.PASSAGES
+    return ((0, c[i0], c[o0]), (1, c[i1], c[o1]))
+
+
+def _slot_maps(crossings) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
+    consumed: dict[int, tuple[int, int]] = {}
+    emitted: dict[int, tuple[int, int]] = {}
+    for ci, c in enumerate(crossings):
+        (i0, o0), (i1, o1) = c.PASSAGES
+        consumed[c[i0]] = emitted[c[o0]] = (ci, 0)
+        consumed[c[i1]] = emitted[c[o1]] = (ci, 1)
+    return consumed, emitted
 
 
 def validate_diagram(d: VirtualDiagram) -> DiagramReport:
@@ -209,15 +219,15 @@ def component_count(d: VirtualDiagram) -> int:
     return len(successor_cycles(d)) + d.free_loops
 
 
-def _crossing_key(c: Crossing, label) -> tuple[int, ...]:
-    """Sort key of a record with its edges renamed by ``label``:
-    (0, sign, under_in, over_in, under_out, over_out) or
-    (1, chirality, first_in, first_out, second_in, second_out), the virtual
-    strands swapped (and the chirality negated) so that first_in < second_in."""
-    if type(c) is ClassicalCrossing:
-        return (0, c.sign, label[c.under_in], label[c.over_in], label[c.under_out], label[c.over_out])
-    fi, fo, si, so = label[c.first_in], label[c.first_out], label[c.second_in], label[c.second_out]
-    return (1, c.chirality, fi, fo, si, so) if fi < si else (1, -c.chirality, si, so, fi, fo)
+def _renamed(c: Crossing, label) -> Crossing:
+    """``c`` with its edges renamed by ``label``, the virtual strands swapped
+    (and the chirality negated) so that first_in < second_in.  ``c`` must be
+    a checked record: its sign or chirality is not checked again."""
+    tag, s, w, x, y, z = c
+    w, x, y, z = label[w], label[x], label[y], label[z]
+    if tag and w > y:  # virtual: first strand (w, x), second strand (y, z)
+        return tuple.__new__(VirtualCrossing, (1, -s, y, z, w, x))
+    return tuple.__new__(type(c), (tag, s, w, x, y, z))
 
 
 def _raise_reused_slot(crossings) -> None:
@@ -246,12 +256,9 @@ def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
     """
     succ: dict[int, int] = {}
     for c in crossings:
-        if type(c) is ClassicalCrossing:
-            succ[c.under_in] = c.under_out
-            succ[c.over_in] = c.over_out
-        else:
-            succ[c.first_in] = c.first_out
-            succ[c.second_in] = c.second_out
+        (i0, o0), (i1, o1) = c.PASSAGES
+        succ[c[i0]] = c[o0]
+        succ[c[i1]] = c[o1]
     outs = set(succ.values())
     if len(outs) != 2 * len(crossings):  # an in-edge overwritten or an out-edge repeated
         _raise_reused_slot(crossings)
@@ -263,21 +270,9 @@ def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
         while e not in label:
             label[e] = len(label)
             e = succ[e]
-
-    records = []
-    consumed: dict[int, tuple[int, int]] = {}
-    emitted: dict[int, tuple[int, int]] = {}
-    for ci, (kind, s, w, x, y, z) in enumerate(sorted([_crossing_key(c, label) for c in crossings])):
-        if kind == 0:  # sign, under_in, over_in, under_out, over_out
-            records.append(_classical(s, w, x, y, z))
-            consumed[w] = emitted[y] = (ci, 0)
-            consumed[x] = emitted[z] = (ci, 1)
-        else:  # chirality, first_in, first_out, second_in, second_out
-            records.append(_virtual(w, x, y, z, s))
-            consumed[w] = emitted[x] = (ci, 0)
-            consumed[y] = emitted[z] = (ci, 1)
-    d = VirtualDiagram(len(label), free_loops, tuple(records))
-    d.__dict__["slot_maps"] = (consumed, emitted)  # the cached_property's slot
+    records = tuple(sorted([_renamed(c, label) for c in crossings]))
+    d = VirtualDiagram(len(label), free_loops, records)
+    d.__dict__["slot_maps"] = _slot_maps(records)  # the cached_property's slot
     return d
 
 
@@ -301,11 +296,10 @@ def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
     cycles_b = successor_cycles(b)
     if sorted(map(len, cycles_a)) != sorted(map(len, cycles_b)):
         return False
-    own = range(b.edges)  # b's records are normalised, so they keep their own labels
-    target = sorted(_crossing_key(c, own) for c in b.crossings)
+    target = sorted(b.crossings)  # b's records are normalised, like _renamed's outputs
 
     def crossings_match(mapping) -> bool:
-        return sorted(_crossing_key(c, mapping) for c in a.crossings) == target
+        return sorted([_renamed(c, mapping) for c in a.crossings]) == target
 
     by_len: dict[int, list[list[int]]] = {}
     for cyc in cycles_b:
@@ -335,16 +329,12 @@ def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
 
 
 # JSON crossing record type -> record class; a record's JSON form is its
-# type followed by the class's fields in declaration order
-_RECORD_TYPES = {"classical": ClassicalCrossing, "virtual": VirtualCrossing}
-_RECORD_FIELDS = {cls: (kind, tuple(f.name for f in fields(cls))) for kind, cls in _RECORD_TYPES.items()}
+# TYPE followed by its FIELDS, in that order
+_RECORD_TYPES = {cls.TYPE: cls for cls in (ClassicalCrossing, VirtualCrossing)}
 
 
 def serialize_diagram(d: VirtualDiagram) -> str:
-    crossings = []
-    for c in d.crossings:
-        kind, names = _RECORD_FIELDS[type(c)]
-        crossings.append({"type": kind, **{name: getattr(c, name) for name in names}})
+    crossings = [{"type": c.TYPE, **{name: getattr(c, name) for name in c.FIELDS}} for c in d.crossings]
     obj = {"edges": d.edges, "free_loops": d.free_loops, "crossings": crossings}
     return json.dumps(obj, separators=(",", ":"))
 
@@ -374,7 +364,7 @@ def parse_diagram(text: str) -> VirtualDiagram:
         cls = _RECORD_TYPES.get(kind) if isinstance(kind, str) else None
         if cls is None:
             raise MalformedInput(f"{where}: unknown crossing type {kind!r}")
-        names = _RECORD_FIELDS[cls][1]
+        names = cls.FIELDS
         if rec.keys() != {"type", *names}:
             raise MalformedInput(
                 f"{where}: {kind} crossings take exactly the fields {sorted(['type', *names])}"

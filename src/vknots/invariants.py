@@ -101,6 +101,11 @@ def _check_preserving(f: QuandleMap, c: Cocycle2) -> None:
         )
 
 
+def _check_cocycle_quandle(q: FiniteQuandle, c: Cocycle2) -> None:
+    if c.quandle != q:
+        raise InvalidParameter("the cocycle is defined on a different quandle")
+
+
 def coloring_weight(d: VirtualDiagram, c: Cocycle2, coloring) -> Weight:
     """Product over classical crossings of phi(x, y)^sign for one coloring.
 
@@ -142,6 +147,7 @@ def invariant_bundle(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: Quandl
     The coloring count, Z1, Z3 and, when f preserves phi, Z2, built from
     one enumeration per automorphism (f's list serves all but Z3).
     """
+    _check_cocycle_quandle(q, c)
     factor = q.order**d.free_loops
     z3, own = _z3(d, q, c, f, factor)
     bundle = {
@@ -167,6 +173,7 @@ def compute_invariant(
     return its ``value``; one enumeration per twist map (Z ignores f and
     uses the identity, Z3 enumerates under every automorphism).
     """
+    _check_cocycle_quandle(q, c)
     if kind == "z":
         if d.virtual():
             raise WrongKind("the classical state sum is undefined on virtual diagrams; use Z2")

@@ -32,8 +32,10 @@ site); the sorted site list is built for the drawn family alone.
 
 Every move edits crossing records through one passage model: a role is
 a passage index (0 = under/first strand, 1 = over/second strand, as in
-``diagram.strand_passages``), ``_passage`` reads a passage's (in, out)
-edges and ``_with_passages`` rebuilds a record from its two passages.
+``diagram.strand_passages``), and a record class's ``PASSAGES`` names the
+tuple indices of each passage's (in, out) edges.  ``_passage`` reads
+them and ``_with_passages`` writes them into a copy of the record, the
+same index arithmetic for classical and virtual records.
 A move finds the in-slot to rewire in ``d.slot_maps`` (a detour, after
 deleting its interior crossings, in the consumer map that
 ``_remove_crossings`` returns); no move scans the crossing list for it.
@@ -51,14 +53,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .diagram import (
-    ClassicalCrossing,
-    VirtualCrossing,
-    VirtualDiagram,
-    _classical,
-    _virtual,
-    relabel_canonical,
-)
+from .diagram import ClassicalCrossing, VirtualCrossing, VirtualDiagram, relabel_canonical
 from .errors import InvalidParameter, NotApplicable
 
 LOOP = "loop"  # site value standing for "a free loop" in kink insertions
@@ -70,18 +65,19 @@ LOOP = "loop"  # site value standing for "a free loop" in kink insertions
 
 def _passage(c, role):
     """(in_edge, out_edge) of the passage ``role`` of a crossing."""
-    if type(c) is ClassicalCrossing:
-        return (c.over_in, c.over_out) if role else (c.under_in, c.under_out)
-    return (c.second_in, c.second_out) if role else (c.first_in, c.first_out)
+    i, o = c.PASSAGES[role]
+    return c[i], c[o]
 
 
 def _with_passages(c, p0, p1):
     """``c`` with the (in, out) pairs p0, p1 as its passages 0 and 1, keeping its
     sign or chirality.  Virtual strands are not renormalised (``relabel_canonical``
     does that), so a record's slot roles stay put while a move rewires it."""
-    if type(c) is ClassicalCrossing:
-        return _classical(c.sign, p0[0], p1[0], p0[1], p1[1])
-    return _virtual(p0[0], p0[1], p1[0], p1[1], c.chirality)
+    (i0, o0), (i1, o1) = c.PASSAGES
+    r = list(c)
+    r[i0], r[o0] = p0
+    r[i1], r[o1] = p1
+    return tuple.__new__(type(c), r)
 
 
 def _rewire(crossings, slot, new_edge):

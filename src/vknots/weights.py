@@ -22,8 +22,8 @@ import json
 from dataclasses import dataclass
 
 from . import intlin
-from .algebra import FiniteQuandle, QuandleMap, is_automorphism, make_dihedral
-from .errors import InvalidParameter, MalformedInput
+from .algebra import MAX_COCYCLE_BASIS_ORDER, FiniteQuandle, QuandleMap, is_automorphism, make_dihedral
+from .errors import InvalidParameter, MalformedInput, SearchBoundExceeded
 
 
 @dataclass(frozen=True)
@@ -311,11 +311,14 @@ def cocycle_space_basis(q: FiniteQuandle, m: int) -> list[Cocycle2]:
 
     Both cocycle conditions are imposed as one homogeneous linear system
     over Z_m in the n^2 table entries; the kernel is computed exactly by
-    Smith reduction of the condition matrix.
+    Smith reduction of the condition matrix.  Orders above
+    ``MAX_COCYCLE_BASIS_ORDER`` are refused before any row is built.
     """
     if m < 2:
         raise InvalidParameter("cocycle_space_basis needs a modulus m >= 2")
     n = q.order
+    if n > MAX_COCYCLE_BASIS_ORDER:
+        raise SearchBoundExceeded(f"order {n} exceeds the cocycle basis bound {MAX_COCYCLE_BASIS_ORDER}")
     t = q.table
     var = lambda a, b: a * n + b
     rows: list[list[int]] = []

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -275,6 +276,26 @@ def test_oversized_dihedral_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "exceeds the maximum 1024" in err
+
+
+# cocycle basis costs about n^7 (over a second at order 13); every spelling
+# of a larger order is refused before any condition row is built, and a
+# table before its O(n^3) axiom check.
+_TABLE_13 = json.dumps({"kind": "table", "table": [[0] * 13 for _ in range(13)]})  # not a quandle
+OVERSIZED_BASIS = {
+    "dihedral-13": (("cocycle", "basis", "--quandle", "dihedral:13", "--m", "2"), 13),
+    "dihedral-1024": (("cocycle", "basis", "--quandle", "dihedral:1024", "--m", "2"), 1024),
+    "table-13": (("cocycle", "basis", "--quandle", _TABLE_13, "--m", "2"), 13),
+}
+
+
+@pytest.mark.parametrize("argv, order", list(OVERSIZED_BASIS.values()), ids=list(OVERSIZED_BASIS))
+def test_oversized_cocycle_basis_is_usage_error(capsys, argv, order):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"error: order {order} exceeds the cocycle basis bound 12\n"
 
 
 # Each free loop multiplies the count by the quandle order; 3^10000 has more

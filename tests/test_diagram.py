@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -258,6 +260,46 @@ def test_move_outputs_have_seeded_slot_maps_and_checked_records():
                 assert list(map(repr, public)) == list(map(repr, d.crossings))
                 assert relabel_canonical(public, d.free_loops) == d
     assert outputs == 10 * 5 * 200
+
+
+# Move outputs: the final diagram of a short trace per corpus name and seed.
+_TRACED = [
+    (f"{name}-{seed}", random_equivalent(builder(name), seed, 60)[0])
+    for name in BUILDER_NAMES
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("name, d", _TRACED, ids=[name for name, _ in _TRACED])
+def test_records_are_their_own_sort_keys(name, d):
+    assert list(d.crossings) == sorted(d.crossings)
+    for c in d.crossings:
+        args = [getattr(c, field) for field in c.FIELDS]
+        assert type(c)(*args) == type(c)(**dict(zip(c.FIELDS, args))) == c
+        assert repr(c) == f"{type(c).__name__}({', '.join(f'{k}={v}' for k, v in zip(c.FIELDS, args))})"
+        assert eval(repr(c)) == c
+    for copied in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert copied == d
+        assert [type(c) for c in copied.crossings] == [type(c) for c in d.crossings]
+
+
+def test_record_tuples_and_repr():
+    c = ClassicalCrossing(sign=-1, under_in=2, over_in=3, under_out=3, over_out=4)
+    assert c == (0, -1, 2, 3, 3, 4)
+    assert repr(c) == "ClassicalCrossing(sign=-1, under_in=2, over_in=3, under_out=3, over_out=4)"
+    v = VirtualCrossing(5, 0, 2, 3, 1)  # normalised: strands swapped, chirality negated
+    assert v == (1, -1, 2, 3, 5, 0)
+    assert repr(v) == "VirtualCrossing(first_in=2, first_out=3, second_in=5, second_out=0, chirality=-1)"
+    # the same five integers in a classical and a virtual record
+    assert ClassicalCrossing(1, 0, 1, 2, 3) != VirtualCrossing(0, 1, 2, 3, 1)
+    assert ClassicalCrossing(1, 0, 1, 2, 3) < VirtualCrossing(0, 1, 2, 3, 1)
+    for record in (c, v):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copied = pickle.loads(pickle.dumps(record, protocol))
+            assert type(copied) is type(record) and copied == record
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.sign = 1
 
 
 def test_free_loops_are_bounded():

@@ -255,3 +255,18 @@ def test_invariants_without_a_twist_map_are_refused():
         state_sum_z2(d, Q4, PHI, None)
     with pytest.raises(InvalidParameter, match="must be an automorphism"):
         compute_invariant("z3", d, Q4, PHI, QuandleMap((0, 0, 0, 0)))
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_a_cocycle_from_another_quandle_is_refused(order):
+    # example-r4 lives on R4: over R3 it used to give a meaningless t^3, over
+    # R5 an IndexError
+    q, d = make_dihedral(order), builder("trefoil")
+    f = QuandleMap.identity(order)
+    for kind in ("z", "z1", "z2", "z3"):
+        with pytest.raises(InvalidParameter, match="different quandle"):
+            compute_invariant(kind, d, q, PHI, f)
+    with pytest.raises(InvalidParameter, match="different quandle"):
+        invariant_bundle(d, q, PHI, f)
+    with pytest.raises(InvalidParameter, match="different quandle"):
+        state_weight_z1(d, q, PHI, f)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vknots.algebra import QuandleMap, inner_automorphism, make_dihedral, make_from_table
-from vknots.errors import InvalidParameter, MalformedInput
+from vknots import weights
+from vknots.algebra import MAX_COCYCLE_BASIS_ORDER, QuandleMap, inner_automorphism, make_dihedral, make_from_table
+from vknots.errors import InvalidParameter, MalformedInput, SearchBoundExceeded
 from vknots.weights import (
     CoefficientGroup,
     Cochain1,
@@ -231,6 +232,17 @@ def test_cocycle_space_basis():
     assert intlin.solve_mod(matrix, target, 2) is not None
     with pytest.raises(InvalidParameter):
         cocycle_space_basis(q, 1)
+
+
+def test_cocycle_space_basis_refuses_orders_above_the_bound(monkeypatch):
+    assert MAX_COCYCLE_BASIS_ORDER == 12
+    with pytest.raises(SearchBoundExceeded, match="order 13 exceeds the cocycle basis bound 12"):
+        cocycle_space_basis(make_dihedral(13), 2)
+    # the bound itself is accepted: checked on a lowered bound, since order 12 takes about a second
+    monkeypatch.setattr(weights, "MAX_COCYCLE_BASIS_ORDER", 4)
+    assert cocycle_space_basis(make_dihedral(4), 2)
+    with pytest.raises(SearchBoundExceeded, match="order 5 exceeds the cocycle basis bound 4"):
+        cocycle_space_basis(make_dihedral(5), 2)
 
 
 def test_cocycle_json_round_trip():
