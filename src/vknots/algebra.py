@@ -18,13 +18,13 @@ and each candidate of ``automorphisms``, which searches generator images.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import gcd
 from operator import itemgetter
 
 from .errors import InvalidParameter, MalformedInput, SearchBoundExceeded
+from .value import Value, set_field
 
 DEFAULT_AUT_SEARCH_BOUND = 8
 
@@ -40,22 +40,26 @@ MAX_DIHEDRAL_ORDER = 1024
 MAX_COCYCLE_BASIS_ORDER = 12
 
 
-@dataclass(frozen=True)
-class FiniteQuandle:
+class FiniteQuandle(Value):
     """Operation table of a finite quandle candidate (validity not implied)."""
 
-    table: tuple[tuple[int, ...], ...]
+    __slots__ = FIELDS = ("table",)
+
+    def __init__(self, table: tuple[tuple[int, ...], ...]):
+        set_field(self, "table", table)
 
     @property
     def order(self) -> int:
         return len(self.table)
 
 
-@dataclass(frozen=True)
-class QuandleMap:
+class QuandleMap(Value):
     """A self-map of a quandle's element set, stored as an image list."""
 
-    images: tuple[int, ...]
+    __slots__ = FIELDS = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        set_field(self, "images", images)
 
     @property
     def order(self) -> int:
@@ -86,13 +90,15 @@ class QuandleMap:
         return QuandleMap(tuple(inv))
 
 
-@dataclass(frozen=True)
-class QuandleReport:
+class QuandleReport(Value):
     """Outcome of a quandle validation: pass/fail plus the first witness."""
 
-    ok: bool
-    axiom: int | None = None
-    witness: tuple | None = None
+    __slots__ = FIELDS = ("ok", "axiom", "witness")
+
+    def __init__(self, ok: bool, axiom: int | None = None, witness: tuple | None = None):
+        set_field(self, "ok", ok)
+        set_field(self, "axiom", axiom)
+        set_field(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.ok

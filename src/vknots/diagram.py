@@ -40,11 +40,11 @@ strands), sorts the renamed records themselves and fills the result's
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
 from .errors import InvalidParameter, MalformedInput
+from .value import Value, set_field
 
 
 class _Record(tuple):
@@ -61,9 +61,7 @@ class _Record(tuple):
     def __getnewargs__(self):  # pickle and copy call the constructor with these
         return tuple(getattr(self, name) for name in self.FIELDS)
 
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
-        return f"{type(self).__name__}({args})"
+    __repr__ = Value.__repr__  # Name(field=value, ...) in FIELDS order
 
 
 class ClassicalCrossing(_Record):
@@ -117,11 +115,14 @@ Crossing = ClassicalCrossing | VirtualCrossing
 MAX_FREE_LOOPS = 1024
 
 
-@dataclass(frozen=True)
-class VirtualDiagram:
-    edges: int
-    free_loops: int
-    crossings: tuple[Crossing, ...]
+class VirtualDiagram(Value):
+    FIELDS = ("edges", "free_loops", "crossings")
+    __slots__ = FIELDS + ("__dict__",)  # the __dict__ holds the slot_maps cache
+
+    def __init__(self, edges: int, free_loops: int, crossings: tuple[Crossing, ...]):
+        set_field(self, "edges", edges)
+        set_field(self, "free_loops", free_loops)
+        set_field(self, "crossings", crossings)
 
     def classical(self) -> list[ClassicalCrossing]:
         return [c for c in self.crossings if isinstance(c, ClassicalCrossing)]
@@ -140,10 +141,12 @@ class VirtualDiagram:
         return _slot_maps(self.crossings)
 
 
-@dataclass(frozen=True)
-class DiagramReport:
-    ok: bool
-    message: str = ""
+class DiagramReport(Value):
+    __slots__ = FIELDS = ("ok", "message")
+
+    def __init__(self, ok: bool, message: str = ""):
+        set_field(self, "ok", ok)
+        set_field(self, "message", message)
 
     def __bool__(self) -> bool:
         return self.ok

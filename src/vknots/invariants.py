@@ -26,24 +26,28 @@ scales every polynomial multiplicity by |G| and the Z1 exponent by |G|.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .algebra import FiniteQuandle, QuandleMap, automorphisms
 from .diagram import VirtualDiagram
 from .errors import InvalidParameter, PreconditionFailed, WrongKind
 from .kernel import compile_problem, satisfying, weight_slots
 from .solver import enumerate_colorings
+from .value import Value, set_field
 from .weights import Cocycle2, Weight, WeightPolynomial, preservation_witness
 
 
-@dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(Value):
     """A computed invariant with the bookkeeping the JSON form exposes."""
 
-    kind: str
-    value: Weight | WeightPolynomial
-    colorings: int
-    preserving: bool | None = None
+    __slots__ = FIELDS = ("kind", "value", "colorings", "preserving")
+
+    def __init__(
+        self, kind: str, value: Weight | WeightPolynomial, colorings: int, preserving: bool | None = None
+    ):
+        set_field(self, "kind", kind)
+        set_field(self, "value", value)
+        set_field(self, "colorings", colorings)
+        set_field(self, "preserving", preserving)
 
     def to_json(self) -> str:
         obj: dict = {"kind": self.kind}

@@ -24,29 +24,32 @@ oracle, ``verify_coloring`` and ``coloring_weight`` test them with
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .algebra import FiniteQuandle, QuandleMap, _division_table, is_automorphism
 from .diagram import VirtualDiagram
 from .errors import InvalidParameter
+from .value import Value, set_field
 
 BACKEND = "python"
 
 Rule = tuple[int, int, int, tuple, tuple]
 
 
-class Problem(NamedTuple):
+class Problem(Value):
     """A diagram's coloring rules with the quandle and twist tables bound.
 
     ``rules`` lists the under-rules of the classical crossings first (in
     crossing order), then their over-rules, then the virtual passages, so
     ``rules[:classical]`` are the under-rules and ``rules[:2 * classical]``
-    the rules that do not depend on the twist map.
+    the rules that do not depend on the twist map.  ``incident`` maps each
+    edge to the indices of the rules it appears in.
     """
 
-    rules: tuple[Rule, ...]
-    classical: int
-    incident: tuple[tuple[int, ...], ...]  # edge -> indices of the rules it appears in
+    __slots__ = FIELDS = ("rules", "classical", "incident")
+
+    def __init__(self, rules: tuple[Rule, ...], classical: int, incident: tuple[tuple[int, ...], ...]):
+        set_field(self, "rules", rules)
+        set_field(self, "classical", classical)
+        set_field(self, "incident", incident)
 
 
 def compile_problem(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> Problem:

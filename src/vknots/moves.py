@@ -51,10 +51,10 @@ The relabelling also normalises virtual records and fills the output's
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .diagram import ClassicalCrossing, VirtualCrossing, VirtualDiagram, relabel_canonical
 from .errors import InvalidParameter, NotApplicable
+from .value import Value, set_field
 
 LOOP = "loop"  # site value standing for "a free loop" in kink insertions
 
@@ -610,10 +610,14 @@ def find_semi_virtual_slide_sites(
 # move records and the randomized fuzzer
 
 
-@dataclass(frozen=True)
-class MoveRecord:
-    kind: str
-    site: dict
+class MoveRecord(Value):
+    """One move of a trace; unhashable, since its site is a dict."""
+
+    __slots__ = FIELDS = ("kind", "site")
+
+    def __init__(self, kind: str, site: dict):
+        set_field(self, "kind", kind)
+        set_field(self, "site", site)
 
     def to_json_obj(self) -> dict:
         return {"kind": self.kind, "site": self.site}

@@ -19,36 +19,34 @@ which always satisfies both conditions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from . import intlin
 from .algebra import MAX_COCYCLE_BASIS_ORDER, FiniteQuandle, QuandleMap, is_automorphism, make_dihedral
 from .errors import InvalidParameter, MalformedInput, SearchBoundExceeded
+from .value import Value, set_field
 
 
-@dataclass(frozen=True)
-class CoefficientGroup:
+class CoefficientGroup(Value):
     """Cyclic group <t>; modulus 0 means infinite order, m > 0 means t**m = 1."""
 
-    modulus: int = 0
+    __slots__ = FIELDS = ("modulus",)
 
-    def __post_init__(self):
-        if self.modulus < 0:
+    def __init__(self, modulus: int = 0):
+        if modulus < 0:
             raise InvalidParameter("modulus must be non-negative")
+        set_field(self, "modulus", modulus)
 
     def reduce(self, exponent: int) -> int:
         return exponent % self.modulus if self.modulus else exponent
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Value):
     """The monomial t**exponent inside a fixed coefficient group."""
 
-    group: CoefficientGroup
-    exponent: int
+    __slots__ = FIELDS = ("group", "exponent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", self.group.reduce(self.exponent))
+    def __init__(self, group: CoefficientGroup, exponent: int):
+        set_field(self, "group", group)
+        set_field(self, "exponent", group.reduce(exponent))
 
     def __mul__(self, other: "Weight") -> "Weight":
         if self.group != other.group:
@@ -76,15 +74,17 @@ def identity_weight(group: CoefficientGroup) -> Weight:
     return Weight(group, 0)
 
 
-@dataclass(frozen=True)
-class WeightPolynomial:
+class WeightPolynomial(Value):
     """Finite multiset of monomials: terms are (exponent, multiplicity) pairs.
 
     Terms are stored sorted by exponent with positive multiplicities, so
     equal polynomials compare equal structurally.
     """
 
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = FIELDS = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, int], ...]):
+        set_field(self, "terms", terms)
 
     @staticmethod
     def from_pairs(pairs) -> "WeightPolynomial":
@@ -130,37 +130,31 @@ class WeightPolynomial:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class Cochain1:
+class Cochain1(Value):
     """psi: G -> <t>, stored as the exponent of psi(x) for each element x."""
 
-    group: CoefficientGroup
-    exponents: tuple[int, ...]
+    __slots__ = FIELDS = ("group", "exponents")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(self.group.reduce(e) for e in self.exponents))
+    def __init__(self, group: CoefficientGroup, exponents: tuple[int, ...]):
+        set_field(self, "group", group)
+        set_field(self, "exponents", tuple(group.reduce(e) for e in exponents))
 
     def weight_at(self, x: int) -> Weight:
         return Weight(self.group, self.exponents[x])
 
 
-@dataclass(frozen=True)
-class Cocycle2:
+class Cocycle2(Value):
     """phi: G x G -> <t>, stored as an n x n table of exponents."""
 
-    quandle: FiniteQuandle
-    group: CoefficientGroup
-    exponents: tuple[tuple[int, ...], ...]
+    __slots__ = FIELDS = ("quandle", "group", "exponents")
 
-    def __post_init__(self):
-        n = self.quandle.order
-        if len(self.exponents) != n or any(len(row) != n for row in self.exponents):
+    def __init__(self, quandle: FiniteQuandle, group: CoefficientGroup, exponents: tuple[tuple[int, ...], ...]):
+        n = quandle.order
+        if len(exponents) != n or any(len(row) != n for row in exponents):
             raise MalformedInput("cocycle table size does not match the quandle order")
-        object.__setattr__(
-            self,
-            "exponents",
-            tuple(tuple(self.group.reduce(e) for e in row) for row in self.exponents),
-        )
+        set_field(self, "quandle", quandle)
+        set_field(self, "group", group)
+        set_field(self, "exponents", tuple(tuple(group.reduce(e) for e in row) for row in exponents))
 
     def entry(self, a: int, b: int) -> int:
         return self.exponents[a][b]
@@ -169,11 +163,13 @@ class Cocycle2:
         return Weight(self.group, self.exponents[a][b])
 
 
-@dataclass(frozen=True)
-class CocycleReport:
-    ok: bool
-    condition: int | None = None
-    witness: tuple | None = None
+class CocycleReport(Value):
+    __slots__ = FIELDS = ("ok", "condition", "witness")
+
+    def __init__(self, ok: bool, condition: int | None = None, witness: tuple | None = None):
+        set_field(self, "ok", ok)
+        set_field(self, "condition", condition)
+        set_field(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -336,6 +332,8 @@ def cocycle_space_basis(q: FiniteQuandle, m: int) -> list[Cocycle2]:
                 row[var(t[a][c], t[b][c])] -= 1
                 if any(row):
                     rows.append(row)
+    from . import intlin  # only this function solves a linear system
+
     group = CoefficientGroup(m)
     basis = []
     for vec in intlin.kernel_mod(rows, m):

@@ -5,7 +5,10 @@ CLI command imports.
 imports a library module only inside the handlers that call it.  These
 tests pin the exported names and, for each command class, the exact set of
 ``vknots`` modules a fresh process holds after running it, so that a later
-top-level import that slows every CLI call shows here.
+top-level import that slows every CLI call shows here.  They also check that
+no command loads ``dataclasses``, ``inspect`` or ``typing`` beyond what the
+bare interpreter already holds: the first pulls in the other two plus
+``ast``, ``dis`` and ``tokenize``.
 """
 
 import importlib
@@ -90,8 +93,8 @@ def test_package_attributes_follow_replacements_in_the_home_module(monkeypatch):
     assert vknots.make_dihedral is vknots.algebra.make_dihedral
 
 
-_QUANDLE = {"vknots", "vknots.cli", "vknots.algebra", "vknots.errors"}
-_COCYCLE = _QUANDLE | {"vknots.weights", "vknots.intlin"}
+_QUANDLE = {"vknots", "vknots.cli", "vknots.algebra", "vknots.errors", "vknots.value"}
+_COCYCLE = _QUANDLE | {"vknots.weights"}
 _DIAGRAM = _QUANDLE | {"vknots.diagram"}
 _COLOR = _DIAGRAM | {"vknots.kernel", "vknots.solver"}
 _INVARIANT = _COLOR | _COCYCLE | {"vknots.invariants"}
@@ -102,7 +105,7 @@ SCOPES = {
     "quandle-check": (["quandle", "check", "--dihedral", "4"], _QUANDLE),
     "quandle-auts": (["quandle", "auts", "--quandle", "dihedral:4"], _QUANDLE),
     "cocycle-check": (["cocycle", "check", "--quandle", "dihedral:4", "--cocycle", "example-r4"], _COCYCLE),
-    "cocycle-basis": (["cocycle", "basis", "--quandle", "dihedral:3", "--m", "3"], _COCYCLE),
+    "cocycle-basis": (["cocycle", "basis", "--quandle", "dihedral:3", "--m", "3"], _COCYCLE | {"vknots.intlin"}),
     "diagram-build": (["diagram", "build", "--name", "kishino"], _DIAGRAM),
     "diagram-validate": (["diagram", "validate", "--diagram", "kishino"], _DIAGRAM),
     "color-count": (["color", "count", "--diagram", "trefoil", "--quandle", "dihedral:3"], _COLOR),
@@ -119,15 +122,21 @@ SCOPES = {
     ),
 }
 
+# standard-library modules that no command needs
+_UNWANTED = ("dataclasses", "inspect", "typing")
+
 _CHILD = """
-import contextlib, io, json, sys
+import sys
+bare = set(sys.modules)  # what the interpreter holds before any import of its own
+import contextlib, io, json
 import vknots.cli
 argv = json.loads(sys.argv[1])
 code = 0
 if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = vknots.cli.main(argv)
-print(json.dumps([code, sorted(m for m in sys.modules if m == "vknots" or m.startswith("vknots."))]))
+unwanted = sorted(m for m in json.loads(sys.argv[2]) if m in sys.modules and m not in bare)
+print(json.dumps([code, sorted(m for m in sys.modules if m == "vknots" or m.startswith("vknots.")), unwanted]))
 """
 
 
@@ -135,9 +144,10 @@ print(json.dumps([code, sorted(m for m in sys.modules if m == "vknots" or m.star
 def test_each_command_imports_only_the_modules_it_runs(argv, expected):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(argv)], env=env, capture_output=True, text=True, timeout=120,
-        check=True,
+        [sys.executable, "-c", _CHILD, json.dumps(argv), json.dumps(_UNWANTED)], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
     ).stdout
-    code, modules = json.loads(out)
+    code, modules, unwanted = json.loads(out)
     assert code == 0
     assert set(modules) == expected
+    assert unwanted == []
