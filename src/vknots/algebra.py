@@ -10,15 +10,17 @@ table ``table[a][b] = a * b``.  The three defining axioms are
 Validation is deliberately separate from construction so that broken
 tables can be built and fed to negative tests.
 
-One product test, m(a * b) = m(a) * m(b) compared column by column, checks
-axiom 3 (every right translation preserves products), ``is_automorphism``
-and each candidate of ``automorphisms``, which searches generator images.
+A quandle carries its derived tables, built on first use and freed with
+it: the right translations ``columns``, their inverses ``division`` and
+``preserves_products``.  That one test, m(a * b) = m(a) * m(b) compared
+column by column, checks axiom 3 (every right translation preserves
+products), ``is_automorphism`` and each candidate of ``automorphisms``.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import cached_property
 from itertools import permutations
 from math import gcd
 from operator import itemgetter
@@ -43,7 +45,8 @@ MAX_COCYCLE_BASIS_ORDER = 12
 class FiniteQuandle(Value):
     """Operation table of a finite quandle candidate (validity not implied)."""
 
-    __slots__ = FIELDS = ("table",)
+    FIELDS = ("table",)
+    __slots__ = FIELDS + ("__dict__",)  # the __dict__ holds the derived tables
 
     def __init__(self, table: tuple[tuple[int, ...], ...]):
         set_field(self, "table", table)
@@ -51,6 +54,31 @@ class FiniteQuandle(Value):
     @property
     def order(self) -> int:
         return len(self.table)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """``columns[b][a] = a * b``: the right translation by b as an image list."""
+        return tuple(zip(*self.table))
+
+    @cached_property
+    def division(self) -> tuple[tuple[int, ...], ...]:
+        """``division[b][y]`` = the x with x * b = y; without axiom 2 the last such x, or 0."""
+        inverses = ({y: x for x, y in enumerate(col)} for col in self.columns)  # the last x wins
+        return tuple(tuple(inverse.get(y, 0) for y in range(self.order)) for inverse in inverses)
+
+    @cached_property
+    def preserves_products(self):
+        """The test m(a * b) = m(a) * m(b) for all a, b, on image lists m, as maps:
+        m o R_b == R_{m(b)} o m for every right translation R_b = ``columns[b]``,
+        where ``after[b](m)`` is m o R_b and ``itemgetter(*m)(col)`` is col o m."""
+        cols = self.columns
+        after = [itemgetter(*col) for col in cols]
+
+        def preserves_products(images) -> bool:
+            through = itemgetter(*images)
+            return all(after[b](images) == through(cols[mb]) for b, mb in enumerate(images))
+
+        return preserves_products
 
 
 class QuandleMap(Value):
@@ -131,26 +159,6 @@ def make_dihedral(n: int) -> FiniteQuandle:
     return FiniteQuandle(tuple(tuple((2 * j - i) % n for j in range(n)) for i in range(n)))
 
 
-@lru_cache(maxsize=None)
-def _product_test(q: FiniteQuandle):
-    """The test m(a * b) = m(a) * m(b) for all a, b, on image lists m.
-
-    It compares maps rather than entries: m o R_b == R_{m(b)} o m for every
-    right translation R_b(a) = a * b, which is column b of the table.
-    ``after[b](m)`` is m o R_b and ``itemgetter(*m)(col)`` is col o m.
-    Built once per quandle, like the division table: the twist-map checks
-    of a request test many maps against one table.
-    """
-    cols = list(zip(*q.table))
-    after = [itemgetter(*col) for col in cols]
-
-    def preserves_products(images) -> bool:
-        through = itemgetter(*images)
-        return all(after[b](images) == through(cols[mb]) for b, mb in enumerate(images))
-
-    return preserves_products
-
-
 def validate_quandle(q: FiniteQuandle) -> QuandleReport:
     """Check the three quandle axioms exhaustively, reporting the first failure."""
     n = q.order
@@ -158,16 +166,12 @@ def validate_quandle(q: FiniteQuandle) -> QuandleReport:
     for a in range(n):
         if t[a][a] != a:
             return QuandleReport(False, axiom=1, witness=(a,))
-    for b in range(n):
-        seen = [False] * n
-        for a in range(n):
-            v = t[a][b]
-            if seen[v]:
-                return QuandleReport(False, axiom=2, witness=(b,))
-            seen[v] = True
+    for b, col in enumerate(q.columns):
+        if len(set(col)) != n:
+            return QuandleReport(False, axiom=2, witness=(b,))
     # axiom 3: every right translation R_c(a) = a * c preserves products.
     # Only a failure runs the scalar scan, which finds the first witness.
-    if not all(map(_product_test(q), zip(*t))):
+    if not all(map(q.preserves_products, q.columns)):
         for a in range(n):
             for b in range(n):
                 ab = t[a][b]
@@ -177,34 +181,23 @@ def validate_quandle(q: FiniteQuandle) -> QuandleReport:
     return QuandleReport(True)
 
 
-@lru_cache(maxsize=None)
-def _division_table(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:
-    # div[b][a] = the unique x with x * a = b (axiom 2)
-    n = q.order
-    div = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for x in range(n):
-            div[q.table[x][a]][a] = x
-    return tuple(tuple(row) for row in div)
-
-
 def left_divide(q: FiniteQuandle, b: int, a: int) -> int:
     """The unique x with x * a = b."""
-    return _division_table(q)[b][a]
+    return q.division[a][b]
 
 
 def is_automorphism(q: FiniteQuandle, m: QuandleMap) -> bool:
     """True iff m is a permutation with m(a * b) = m(a) * m(b) for all a, b."""
     if m.order != q.order:
         raise InvalidParameter("map length does not match quandle order")
-    return m.is_permutation() and _product_test(q)(m.images)
+    return m.is_permutation() and q.preserves_products(m.images)
 
 
 def inner_automorphism(q: FiniteQuandle, a: int) -> QuandleMap:
     """The map x -> x * a (an automorphism of every valid quandle)."""
     if not 0 <= a < q.order:
         raise InvalidParameter(f"element {a!r} out of range 0..{q.order - 1}")
-    return QuandleMap(tuple(q.table[x][a] for x in range(q.order)))
+    return QuandleMap(q.columns[a])
 
 
 def automorphisms(q: FiniteQuandle, bound: int = DEFAULT_AUT_SEARCH_BOUND) -> list[QuandleMap]:
@@ -241,7 +234,7 @@ def automorphisms(q: FiniteQuandle, bound: int = DEFAULT_AUT_SEARCH_BOUND) -> li
                         order.append(ab)
                         words.append((ab, a, b))
             i += 1
-    preserves_products = _product_test(q)
+    preserves_products = q.preserves_products
     found = []
     images = [0] * n
     for choice in permutations(range(n), len(generators)):

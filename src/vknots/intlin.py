@@ -129,10 +129,7 @@ def kernel_mod(matrix: list[list[int]], m: int) -> list[list[int]]:
     cols = len(matrix[0]) if rows else 0
     if cols == 0:
         return []
-    if rows == 0:
-        d, v = [], identity_matrix(cols)
-    else:
-        d, _, v = smith_normal_form(matrix, row_transform=False)
+    d, _, v = smith_normal_form(matrix, row_transform=False)
     gens: list[list[int]] = []
     seen = set()
     for j in range(cols):
@@ -153,8 +150,6 @@ def solve_mod(matrix: list[list[int]], rhs: list[int], m: int) -> list[int] | No
         raise ValueError("solve_mod needs a modulus m >= 2")
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    if rows == 0:
-        return [0] * cols
     d, u, v = smith_normal_form(matrix)
     c = [sum(u[i][k] * rhs[k] for k in range(rows)) % m for i in range(rows)]
     y = [0] * cols

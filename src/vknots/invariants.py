@@ -30,7 +30,7 @@ import json
 from .algebra import FiniteQuandle, QuandleMap, automorphisms
 from .diagram import VirtualDiagram
 from .errors import InvalidParameter, PreconditionFailed, WrongKind
-from .kernel import compile_problem, satisfying, weight_slots
+from .kernel import check_coloring, check_twist, compile_problem, satisfying, weight_slots
 from .solver import enumerate_colorings
 from .value import Value, set_field
 from .weights import Cocycle2, Weight, WeightPolynomial, preservation_witness
@@ -116,9 +116,8 @@ def coloring_weight(d: VirtualDiagram, c: Cocycle2, coloring) -> Weight:
     The classical crossing rules are re-checked (the virtual rules depend
     on the twist map and are the solver's business).
     """
-    if len(coloring) != d.edges:
-        raise InvalidParameter("coloring length does not match the edge count")
     q = c.quandle
+    check_coloring(d, q, coloring)
     p = compile_problem(d, q, QuandleMap.identity(q.order))
     if not satisfying(p.rules[: 2 * p.classical], [coloring]):
         raise InvalidParameter("coloring violates a classical crossing rule")
@@ -189,6 +188,7 @@ def compute_invariant(
         z3, own = _z3(d, q, c, f, factor)
         return InvariantResult("Z3", z3, len(own) * factor)
     if kind == "z2":
+        check_twist(q, f)  # before the preservation check reads f's images
         _check_preserving(f, c)
     elif kind not in ("z", "z1"):
         raise InvalidParameter(f"unknown invariant kind {kind!r}")

@@ -7,8 +7,8 @@ edge leaving it:
 
   classical, under-strand:  color(out) = fwd[color(by)][color(in)]
                             color(in)  = back[color(by)][color(out)]
-      sign +1:  out = in * over              (fwd = table, back = division)
-      sign -1:  out = the x with x * over = in  (fwd = division, back = table)
+      sign +1:  out = in * over              (fwd = columns, back = division)
+      sign -1:  out = the x with x * over = in  (fwd = division, back = columns)
   classical, over-strand:   color(out) = color(in)                 (by = -1)
   virtual, chirality c:     first strand twists by f^(-c), second by f^(+c)
 
@@ -24,7 +24,7 @@ oracle, ``verify_coloring`` and ``coloring_weight`` test them with
 
 from __future__ import annotations
 
-from .algebra import FiniteQuandle, QuandleMap, _division_table, is_automorphism
+from .algebra import FiniteQuandle, QuandleMap, is_automorphism
 from .diagram import VirtualDiagram
 from .errors import InvalidParameter
 from .value import Value, set_field
@@ -52,12 +52,25 @@ class Problem(Value):
         set_field(self, "incident", incident)
 
 
-def compile_problem(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> Problem:
-    """The strand rules of d over the quandle q with twist automorphism f."""
+def check_twist(q: FiniteQuandle, f: QuandleMap) -> None:
+    """Refuse a twist map that is not an automorphism of q."""
     if not is_automorphism(q, f):
         raise InvalidParameter("the twist map must be an automorphism of the quandle")
-    times = tuple(zip(*q.table))  # times[o][x] = x * o
-    divide = tuple(zip(*_division_table(q)))  # divide[o][y] = the x with x * o = y
+
+
+def check_coloring(d: VirtualDiagram, q: FiniteQuandle, coloring) -> None:
+    """Refuse anything but one color, an int in 0..|q|-1, per edge of d."""
+    if len(coloring) != d.edges:
+        raise InvalidParameter("coloring length does not match the edge count")
+    for x in coloring:
+        if type(x) is not int or not 0 <= x < q.order:  # type(), not isinstance(): bool is an int
+            raise InvalidParameter(f"color {x!r} is not an integer in 0..{q.order - 1}")
+
+
+def compile_problem(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> Problem:
+    """The strand rules of d over the quandle q with twist automorphism f."""
+    check_twist(q, f)
+    times, divide = q.columns, q.division  # times[o][x] = x * o, divide[o][x * o] = x
     fplus = f.images
     fminus = f.inverse().images
     identity = tuple(range(q.order))

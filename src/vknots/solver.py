@@ -32,16 +32,15 @@ from itertools import product
 
 from .algebra import FiniteQuandle, QuandleMap
 from .diagram import VirtualDiagram
-from .errors import CeilingExceeded, InvalidParameter
-from .kernel import compile_problem, satisfying
+from .errors import CeilingExceeded
+from .kernel import check_coloring, compile_problem, satisfying
 
 DEFAULT_BRUTE_FORCE_CEILING = 10**7
 
 
 def verify_coloring(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap, coloring) -> bool:
     """True iff every crossing constraint holds for the given edge colors."""
-    if len(coloring) != d.edges:
-        raise InvalidParameter("coloring length does not match the edge count")
+    check_coloring(d, q, coloring)
     return bool(satisfying(compile_problem(d, q, f).rules, [coloring]))
 
 

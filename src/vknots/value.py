@@ -31,7 +31,7 @@ class Value:
         return NotImplemented
 
     def __hash__(self) -> int:
-        values = self._get(self)  # _fields, inlined: lru_cache and dict lookups hash values
+        values = self._get(self)  # _fields, inlined: dict and set lookups hash values
         return hash(values if len(self.FIELDS) > 1 else (values,))
 
     def __repr__(self) -> str:

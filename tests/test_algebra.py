@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vknots.algebra import (
+    DEFAULT_AUT_SEARCH_BOUND,
     MAX_DIHEDRAL_ORDER,
+    FiniteQuandle,
     QuandleMap,
     automorphisms,
     inner_automorphism,
@@ -21,7 +24,11 @@ from vknots.algebra import (
     quandle_to_json,
     validate_quandle,
 )
+from vknots.diagram import builder
 from vknots.errors import InvalidParameter, MalformedInput, SearchBoundExceeded
+from vknots.invariants import compute_invariant
+from vknots.solver import brute_force_colorings, count_colorings
+from vknots.weights import trivial_cocycle
 
 
 def test_dihedral_table_entries():
@@ -274,6 +281,73 @@ def test_automorphisms_match_an_exhaustive_filter(name):
         p for p in itertools.permutations(range(n)) if all(p[t[a][b]] == t[p[a]][p[b]] for a in range(n) for b in range(n))
     ]
     assert [m.images for m in automorphisms(q)] == expected
+
+
+DERIVED_CASES = {
+    **{f"R{n}": make_dihedral(n) for n in range(1, 9)},
+    **{f"alexander-{p}-{a}": _alexander(p, a) for p in (5, 7) for a in range(2, p)},
+}
+
+
+@pytest.mark.parametrize("name", list(DERIVED_CASES))
+def test_derived_tables_match_their_definitions(name):
+    q = DERIVED_CASES[name]
+    t, n = q.table, q.order
+    assert q.columns == tuple(tuple(t[a][b] for a in range(n)) for b in range(n))
+    assert all(t[q.division[b][y]][b] == y for b in range(n) for y in range(n))
+    rng = random.Random(name)
+    shuffled = [rng.sample(range(n), n) for _ in range(20)]
+    arbitrary = [[rng.randrange(n) for _ in range(n)] for _ in range(20)]
+    constant = [[c] * n for c in range(n)]
+    maps = list(q.columns) + shuffled + arbitrary + constant
+    expected = [all(m[t[a][b]] == t[m[a]][m[b]] for a in range(n) for b in range(n)) for m in maps]
+    assert [q.preserves_products(m) for m in maps] == expected
+    assert all(expected[:n]) and (n < 3 or not all(expected))
+
+
+def test_derived_tables_of_a_table_that_is_no_quandle():
+    q = make_from_table([[0, 0, 0], [0, 1, 2], [1, 2, 2]])  # columns 0 and 2 repeat an entry
+    assert q.columns == ((0, 0, 1), (0, 1, 2), (0, 2, 2))
+    assert q.division == ((1, 2, 0), (0, 1, 2), (0, 0, 2))  # the last x with x * b = y, else 0
+    maps = list(itertools.product(range(3), repeat=3))
+    t = q.table
+    expected = [m for m in maps if all(m[t[a][b]] == t[m[a]][m[b]] for a in range(3) for b in range(3))]
+    assert [m for m in maps if q.preserves_products(m)] == expected
+    assert expected == [(0, 0, 0), (0, 1, 2), (1, 1, 1), (2, 2, 2)]
+    assert validate_quandle(q).witness == (0,)
+
+
+def _use_every_derived_table(q):
+    """Run every public function that reads the derived tables of q, and check its answers."""
+    n = q.order
+    d = builder("trefoil")
+    f = inner_automorphism(q, 0)
+    c = trivial_cocycle(q)
+    assert validate_quandle(q).ok
+    assert is_automorphism(q, f) and f.images == tuple(-x % n for x in range(n))
+    assert len(automorphisms(q, bound=n)) == n * _euler_phi(n)
+    assert all(left_divide(q, q.table[x][1], 1) == x for x in range(n))
+    colorings = 3 * n if n % 3 == 0 else n
+    assert count_colorings(d, q, f) == len(brute_force_colorings(d, q, f)) == colorings
+    assert compute_invariant("z1", d, q, c, f).colorings == colorings
+    if n <= DEFAULT_AUT_SEARCH_BOUND:
+        assert compute_invariant("z3", d, q, c, f).colorings == colorings
+
+
+def test_the_derived_tables_are_built_without_hashing_the_quandle(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a quandle was hashed")
+
+    monkeypatch.setattr(FiniteQuandle, "__hash__", refuse)
+    with pytest.raises(AssertionError, match="hashed"):
+        hash(make_dihedral(3))
+    _use_every_derived_table(make_dihedral(6))
+
+
+def test_a_quandle_and_its_derived_tables_are_freed_together():
+    _use_every_derived_table(make_dihedral(37))
+    gc.collect()
+    assert not [x for x in gc.get_objects() if isinstance(x, FiniteQuandle) and x.order == 37]
 
 
 def test_map_order():

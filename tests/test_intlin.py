@@ -105,3 +105,8 @@ def test_solve_mod_agrees_with_enumeration(seed, m):
         assert not brute_solvable
     else:
         assert residual(found)
+
+
+def test_empty_system():
+    assert intlin.kernel_mod([], 5) == []
+    assert intlin.solve_mod([], [], 5) == []

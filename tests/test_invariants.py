@@ -52,6 +52,22 @@ def test_coloring_weight_rules():
         coloring_weight(tre, PHI, (0, 0))
 
 
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        ((0, 1), "map length does not match quandle order"),
+        ((0, 0, 0, 0), "the twist map must be an automorphism of the quandle"),
+    ],
+)
+def test_every_invariant_refuses_a_twist_map_that_is_no_automorphism(images, message):
+    # z2 checks the map before it tests whether the map preserves the cocycle
+    f = QuandleMap(images)
+    for kind in ("z1", "z2", "z3"):
+        with pytest.raises(InvalidParameter) as refused:
+            compute_invariant(kind, builder("virtual_trefoil"), Q4, PHI, f)
+        assert str(refused.value) == message
+
+
 def test_weight_convention_on_hopf():
     # a nonconstant hopf coloring picks up the cocycle entries of both
     # crossings; the exact values are pinned by the brute-force oracle

@@ -66,7 +66,7 @@ def test_exported_names_are_the_pinned_ones():
 
 
 def test_unknown_and_private_names_raise_attribute_error():
-    for name in ("no_such_name", "_division_table", "quandle_from_json"):
+    for name in ("no_such_name", "_slot_maps", "quandle_from_json"):
         with pytest.raises(AttributeError, match=name):
             getattr(vknots, name)
     with pytest.raises(ImportError):

@@ -20,12 +20,14 @@ from vknots.diagram import (
 )
 from vknots.moves import random_equivalent
 from vknots.errors import CeilingExceeded, InvalidParameter
+from vknots.invariants import coloring_weight
 from vknots.solver import (
     brute_force_colorings,
     count_colorings,
     enumerate_colorings,
     verify_coloring,
 )
+from vknots.weights import example_cocycle_r4
 
 Q3, Q4 = make_dihedral(3), make_dihedral(4)
 ID3, ID4 = QuandleMap.identity(3), QuandleMap.identity(4)
@@ -35,6 +37,15 @@ SHIFT4 = QuandleMap((1, 2, 3, 0))
 def maps_for(n):
     q = make_dihedral(n)
     return [QuandleMap.identity(n), inner_automorphism(q, 0), QuandleMap(tuple((x + 1) % n for x in range(n)))]
+
+
+@pytest.mark.parametrize("color", [4, 9, -1, True, 1.0, "1", None])
+def test_a_color_outside_the_quandle_is_refused(color):
+    d, coloring = builder("trefoil"), (0, 0, 0, 0, 0, color)
+    with pytest.raises(InvalidParameter, match=r"is not an integer in 0\.\.3"):
+        verify_coloring(d, Q4, ID4, coloring)
+    with pytest.raises(InvalidParameter, match=r"is not an integer in 0\.\.3"):
+        coloring_weight(d, example_cocycle_r4(), coloring)
 
 
 def test_unknot_has_one_empty_coloring():
