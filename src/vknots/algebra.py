@@ -286,7 +286,7 @@ def quandle_from_json(text: str) -> FiniteQuandle:
     """Parse {"kind":"dihedral","n":4} or {"kind":"table","table":[[...],...]}."""
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, or an int past the digit limit
         raise MalformedInput(f"bad quandle JSON: {exc}") from exc
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedInput("quandle JSON must be an object with a 'kind' field")

@@ -69,12 +69,8 @@ def _load_quandle(spec: str):
 def _load_diagram(spec: str):
     from . import diagram
 
-    if spec in diagram.BUILDER_NAMES:
+    if spec.replace("_", "").isalnum():  # a name; never @file or JSON
         return diagram.builder(spec)
-    if spec.replace("_", "").isalnum() and not spec.startswith("@"):
-        raise UsageError(
-            f"unknown diagram name {spec!r}; known: {', '.join(diagram.BUILDER_NAMES)}"
-        )
     return diagram.parse_diagram(_read_spec(spec))
 
 
@@ -101,7 +97,7 @@ def _load_aut(spec: str, q) -> QuandleMap:
             raise UsageError(f"bad element in {spec!r}") from exc
     try:
         images = json.loads(_read_spec(spec))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, or an int past the digit limit
         raise UsageError(f"bad automorphism spec {spec!r}: {exc}") from exc
     if not (isinstance(images, list) and all(type(x) is int for x in images)):
         raise UsageError("automorphism JSON must be a list of integers")
@@ -145,7 +141,7 @@ def _cmd_cocycle(args) -> int:
     if args.action == "coboundary":
         try:
             exps = json.loads(_read_spec(args.psi))
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, or an int past the digit limit
             raise UsageError(f"bad psi: {exc}") from exc
         if not (isinstance(exps, list) and all(type(x) is int for x in exps)):
             raise UsageError("psi must be a list of integers")

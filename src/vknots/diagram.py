@@ -346,7 +346,7 @@ def parse_diagram(text: str) -> VirtualDiagram:
     """Parse and validate the JSON diagram form; unknown fields are rejected."""
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, or an int past the digit limit
         raise MalformedInput(f"bad diagram JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedInput("diagram JSON must be an object")

@@ -10,7 +10,7 @@ phi and (except for Z) an automorphism f used at virtual crossings:
   Z2  sum over colorings of the crossing-weight product
       (requires phi(a,b) = phi(f a, f b); enforced, not assumed)
   Z3  sum of the Z1 monomials over every automorphism of G
-      (one enumeration per automorphism, f's list among them)
+      (one enumeration per automorphism, f's among them)
 
 Per-crossing weights follow a fixed argument convention: a positive
 crossing contributes phi(color(under_in), color(over)), a negative one
@@ -19,8 +19,13 @@ the identity.  This is the unique convention under which the two
 crossings created by a strand poke cancel exactly and a kink weighs
 phi(a, a) = 1.
 
-Every free loop multiplies the coloring count by |G|; accordingly it
-scales every polynomial multiplicity by |G| and the Z1 exponent by |G|.
+Every invariant is read off one polynomial per twist map f, its state
+sum: t**weight once per coloring under f.  Z and Z2 are the state sum
+(under the identity for Z), the coloring count is its value at t = 1, Z1
+is t raised to the sum of exponent times multiplicity, and Z3 adds up the
+Z1 monomials over Aut(G).  Every free loop multiplies the coloring count
+by |G|, so the state sum's multiplicities carry the factor
+|G|**free_loops, and through them so do the count and the Z1 exponent.
 """
 
 from __future__ import annotations
@@ -69,30 +74,28 @@ def _exponent(c: Cocycle2, slots, coloring) -> int:
     return sum(sign * e[coloring[x]][coloring[y]] for sign, x, y in slots)
 
 
-def _exponents(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> list[int]:
-    """The weight exponent of every coloring under the twist map f, from one enumeration."""
+def _state_sum(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> WeightPolynomial:
+    """f's state sum: t**weight for every coloring under the twist map f, from one
+    enumeration, each multiplicity times the free-loop factor |G|**free_loops."""
     slots = weight_slots(d)
-    return [_exponent(c, slots, a) for a in enumerate_colorings(d, q, f)]
+    loops = q.order**d.free_loops
+    return WeightPolynomial.from_pairs(
+        (c.group.reduce(_exponent(c, slots, a)), loops) for a in enumerate_colorings(d, q, f)
+    )
 
 
-def _weight_sum(c: Cocycle2, exponents: list[int], factor: int) -> WeightPolynomial:
-    """Z and Z2: one monomial per coloring, scaled by the free-loop factor."""
-    poly = WeightPolynomial.from_pairs((c.group.reduce(x), 1) for x in exponents)
-    return poly.scale(factor) if factor > 1 else poly
+def _z1(c: Cocycle2, s: WeightPolynomial) -> Weight:
+    """Z1 off a state sum: the product of all coloring weights."""
+    return Weight(c.group, sum(e * m for e, m in s.terms))
 
 
-def _weight_product(c: Cocycle2, exponents: list[int], factor: int) -> Weight:
-    """Z1: the product of all coloring weights, each coloring counted factor times."""
-    return Weight(c.group, sum(exponents) * factor)
-
-
-def _z3(d, q, c, f, factor) -> tuple[WeightPolynomial, list[int]]:
-    """Z3 and f's exponent list, enumerating the colorings under each twist map once."""
-    per_aut = {g: _exponents(d, q, c, g) for g in automorphisms(q)}
-    z3 = WeightPolynomial.from_pairs((_weight_product(c, e, factor).exponent, 1) for e in per_aut.values())
-    if f in per_aut:
-        return z3, per_aut[f]
-    return z3, _exponents(d, q, c, f)  # f is no automorphism; enumerating under it raises the error
+def _z3(d, q, c, f) -> tuple[WeightPolynomial, WeightPolynomial]:
+    """Z3 and f's state sum, enumerating the colorings under each twist map once."""
+    sums = {g: _state_sum(d, q, c, g) for g in automorphisms(q)}
+    z3 = WeightPolynomial.from_pairs((_z1(c, s).exponent, 1) for s in sums.values())
+    if f in sums:
+        return z3, sums[f]
+    return z3, _state_sum(d, q, c, f)  # f is no automorphism; enumerating under it raises the error
 
 
 def _check_preserving(f: QuandleMap, c: Cocycle2) -> None:
@@ -148,18 +151,13 @@ def invariant_bundle(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: Quandl
     """The quantities a move sequence must preserve, as JSON values.
 
     The coloring count, Z1, Z3 and, when f preserves phi, Z2, built from
-    one enumeration per automorphism (f's list serves all but Z3).
+    one enumeration per automorphism (f's state sum serves all but Z3).
     """
     _check_cocycle_quandle(q, c)
-    factor = q.order**d.free_loops
-    z3, own = _z3(d, q, c, f, factor)
-    bundle = {
-        "colorings": len(own) * factor,
-        "z1": _weight_product(c, own, factor).exponent,
-        "z3": z3.to_json_obj(),
-    }
+    z3, own = _z3(d, q, c, f)
+    bundle = {"colorings": own.evaluate_at_one(), "z1": _z1(c, own).exponent, "z3": z3.to_json_obj()}
     if preservation_witness(f, c) is None:
-        bundle["z2"] = _weight_sum(c, own, factor).to_json_obj()
+        bundle["z2"] = own.to_json_obj()
     return bundle
 
 
@@ -183,17 +181,16 @@ def compute_invariant(
         f = QuandleMap.identity(q.order)
     elif f is None:
         raise InvalidParameter(f"invariant {kind!r} needs an automorphism")
-    factor = q.order**d.free_loops
     if kind == "z3":
-        z3, own = _z3(d, q, c, f, factor)
-        return InvariantResult("Z3", z3, len(own) * factor)
+        z3, own = _z3(d, q, c, f)
+        return InvariantResult("Z3", z3, own.evaluate_at_one())
     if kind == "z2":
         check_twist(q, f)  # before the preservation check reads f's images
         _check_preserving(f, c)
     elif kind not in ("z", "z1"):
         raise InvalidParameter(f"unknown invariant kind {kind!r}")
-    own = _exponents(d, q, c, f)
+    own = _state_sum(d, q, c, f)
     if kind == "z1":
-        return InvariantResult("Z1", _weight_product(c, own, factor), len(own) * factor)
+        return InvariantResult("Z1", _z1(c, own), own.evaluate_at_one())
     preserving = True if kind == "z2" else None
-    return InvariantResult(kind.upper(), _weight_sum(c, own, factor), len(own) * factor, preserving)
+    return InvariantResult(kind.upper(), own, own.evaluate_at_one(), preserving)

@@ -60,8 +60,6 @@ def enumerate_colorings(
     p = compile_problem(d, q, f)
     n = q.order
     E = d.edges
-    if E == 0:
-        return [()]
     rules, incident = p.rules, p.incident
     under = rules[: p.classical]
     colors: list[int | None] = [None] * E
@@ -113,33 +111,30 @@ def enumerate_colorings(
                 return e
         return None
 
-    # explicit depth-first search so deep diagrams cannot hit the
-    # interpreter recursion limit; each frame is [edge, next color, trail]
-    frames: list[list] = []
-    while True:
+    def branches():
+        """One branch level: record the coloring when every edge is colored,
+        else yield once per color of the branch edge that propagates."""
         edge = branch_edge()
         if edge is None:
             results.append(tuple(colors))  # type: ignore[arg-type]
-        else:
-            frames.append([edge, 0, None])
-        moved = False
-        while frames and not moved:
-            frame = frames[-1]
-            if frame[2] is not None:
-                for t in frame[2]:
-                    colors[t] = None
-                frame[2] = None
-            v = frame[1]
-            if v == n:
-                frames.pop()
-                continue
-            frame[1] = v + 1
-            trail = propagate(frame[0], v)
+            return
+        for v in range(n):
+            trail = propagate(edge, v)
             if trail is not None:
-                frame[2] = trail
-                moved = True
-        if not moved:
-            break
+                yield
+                for t in trail:
+                    colors[t] = None
+
+    # one suspended generator per branch level on an explicit stack, so deep
+    # diagrams cannot hit the interpreter recursion limit: a level that
+    # yields has taken a branch and its child level is pushed; an exhausted
+    # level has undone its last trail and is popped
+    stack = [branches()]
+    while stack:
+        if next(stack[-1], True):
+            stack.pop()
+        else:
+            stack.append(branches())
     results.sort()
     return results
 

@@ -356,7 +356,7 @@ def cocycle_from_json(text: str, q: FiniteQuandle) -> Cocycle2:
     """Parse {"group":{"m":0},"entries":[[a,b,exponent],...]}; omitted entries are 0."""
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, or an int past the digit limit
         raise MalformedInput(f"bad cocycle JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) != {"group", "entries"}:
         raise MalformedInput("cocycle JSON takes exactly the fields group, entries")

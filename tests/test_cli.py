@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -255,6 +256,24 @@ NON_INTEGER_INPUTS = {
 
 @pytest.mark.parametrize("argv", list(NON_INTEGER_INPUTS.values()), ids=list(NON_INTEGER_INPUTS))
 def test_non_integer_inputs_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+# An integer literal with more digits than the interpreter converts raises a
+# plain ValueError inside json.loads, which was a traceback and exit 1.
+_LONG_INT = "1" + "0" * 5000
+LONG_INT_INPUTS = {
+    "aut": ("color", "count", "--diagram", "trefoil", "--quandle", "dihedral:3", "--aut", _LONG_INT),
+    "psi": ("cocycle", "coboundary", "--quandle", "dihedral:4", "--psi", _LONG_INT),
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize("argv", list(LONG_INT_INPUTS.values()), ids=list(LONG_INT_INPUTS))
+def test_integer_past_the_digit_limit_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

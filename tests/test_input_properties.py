@@ -1,11 +1,12 @@
 """Property tests of the input boundary.
 
 Any text handed to the three JSON loaders must either load or be refused
-with ``MalformedInput`` or ``InvalidParameter``; through ``cli.main``, as
-an inline spec or an ``@path`` file, it must end with exit code 0, 1 or
-2 and never with an uncaught exception.  Documents are drawn both at
-random and as a few random edits of valid documents, so that most of them
-get past the first field checks.
+with ``MalformedInput`` or ``InvalidParameter``, also when it nests past
+the recursion limit or holds an integer past the digit limit; through
+``cli.main``, as an inline spec or an ``@path`` file, it must end with
+exit code 0, 1 or 2 and never with an uncaught exception.  Documents
+are drawn both at random and as a few random edits of valid documents, so
+that most of them get past the first field checks.
 """
 
 import copy
@@ -67,6 +68,7 @@ def _slots(node):
 
 
 DEEP = "[" * 100_000  # nested deeper than the interpreter's recursion limit
+LONG_INT = "1" + "0" * 5000  # more digits than the interpreter converts to an int (4,300 by default)
 
 
 @st.composite
@@ -109,6 +111,7 @@ def _exit_code(argv) -> int:
 @settings(max_examples=150, deadline=None)
 @given(texts(VALID_QUANDLES))
 @example(DEEP)
+@example(LONG_INT)
 def test_quandle_loader_loads_or_refuses(text):
     _loads_or_refuses(quandle_from_json, text, FiniteQuandle)
 
@@ -116,6 +119,7 @@ def test_quandle_loader_loads_or_refuses(text):
 @settings(max_examples=150, deadline=None)
 @given(texts(VALID_COCYCLES))
 @example(DEEP)
+@example(LONG_INT)
 def test_cocycle_loader_loads_or_refuses(text):
     _loads_or_refuses(lambda t: cocycle_from_json(t, R4), text, Cocycle2)
 
@@ -123,6 +127,7 @@ def test_cocycle_loader_loads_or_refuses(text):
 @settings(max_examples=150, deadline=None)
 @given(texts(VALID_DIAGRAMS))
 @example(DEEP)
+@example(LONG_INT)
 def test_diagram_loader_loads_or_refuses(text):
     _loads_or_refuses(parse_diagram, text, VirtualDiagram)
 
@@ -143,6 +148,7 @@ def test_cli_exit_codes_on_generated_specs(command, capsys):
     @settings(max_examples=50, deadline=None)
     @given(texts(COMMANDS[command][1]))
     @example(DEEP)
+    @example(LONG_INT)
     def check(text):
         assert _exit_code(_argv(command, text)) in (0, 1, 2)
         capsys.readouterr()

@@ -1,31 +1,44 @@
 """Exact outputs of the moves engine, the Smith normal form, the Smith-form
-basis and the automorphism search, pinned by digest.
+basis, the automorphism search and the invariants, pinned by digest.
 
 The other tests check that move outputs are valid and keep the invariants,
 that basis vectors are cocycles and that automorphisms preserve products;
 they would all still pass if a change picked a different (equally valid)
 site, relabelling, unimodular transform or generator, or listed
 automorphisms in another order.
-These digests were taken before the moves engine, the Smith reduction and
-the automorphism search were rewritten, so any change to the exact
-diagrams, traces, bases or automorphism lists shows.
+These digests were taken before the moves engine, the Smith reduction,
+the automorphism search and the coloring search with its state sums were
+rewritten, so any change to the exact diagrams, traces, bases,
+automorphism lists or invariant outputs (errors included) shows.
 """
 
 import hashlib
 import json
 import random
 
-from vknots.algebra import automorphisms, make_dihedral, make_from_table
+from vknots.algebra import QuandleMap, automorphisms, inner_automorphism, make_dihedral, make_from_table
 from vknots.intlin import smith_normal_form
-from vknots.diagram import BUILDER_NAMES, builder, serialize_diagram
+from vknots.diagram import BUILDER_NAMES, VirtualDiagram, builder, serialize_diagram
+from vknots.invariants import compute_invariant, invariant_bundle
 from vknots.moves import random_equivalent
-from vknots.weights import cocycle_space_basis, cocycle_to_json
+from vknots.weights import (
+    Cochain1,
+    Cocycle2,
+    CoefficientGroup,
+    coboundary,
+    cocycle_product,
+    cocycle_space_basis,
+    cocycle_to_json,
+    example_cocycle_r4,
+    trivial_cocycle,
+)
 
 MOVES_DIGEST = "30d581a90750ab4c508964d7e193d313557f2124c78c674c10e9bee978a6b5e8"
 BASIS_DIGEST = "69eeb090d847d7bb497964ff14581f1bef6669d55e1a70ed35faf0848dc556d4"
 LADDER_DIGEST = "e01a919916b722dcd05669c8634eeb0a75870caf8d188d0535b448abdfa24af0"
 AUT_DIGEST = "4430ca5d2b7eddb784d9c741244d526785820f6434c3a12c60877bafb75ca498"
 SNF_DIGEST = "8fdabb05576f109b88466ca62243f1398f7f76581cfa36bc8b68e93b73c8e788"
+INVARIANT_DIGEST = "88610efbb4c1394407c8ac3b7c0401edd2a94444a92b46c35eb69bf447ed0c27"
 
 # (builder, seed, moves, soft_cap) of the benchmark ladder diagrams, E = 54, 102, 146;
 # long traces past the soft cap, where removals are preferred
@@ -93,3 +106,40 @@ def test_automorphism_lists_are_pinned():
     for q in [make_dihedral(n) for n in range(1, 9)] + alexander:
         h.update(json.dumps([list(m.images) for m in automorphisms(q)], separators=(",", ":")).encode())
     assert h.hexdigest() == AUT_DIGEST
+
+
+def _invariant_cocycles(q):
+    """trivial on q, then example-r4 over Z, mod 2, and mod 5 times the
+    coboundary of psi = (1, 2, 3, 4); the last three live on R4 only."""
+    r4 = example_cocycle_r4()
+    z2, z5 = CoefficientGroup(2), CoefficientGroup(5)
+    mod5 = Cocycle2(r4.quandle, z5, r4.exponents)
+    return (
+        trivial_cocycle(q),
+        r4,
+        Cocycle2(r4.quandle, z2, r4.exponents),
+        cocycle_product(mod5, coboundary(r4.quandle, z5, Cochain1(z5, (1, 2, 3, 4)))),
+    )
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except Exception as exc:  # the error class is part of the pinned output
+        return type(exc).__name__
+
+
+def test_invariant_outputs_are_pinned():
+    vt = builder("virtual_trefoil")
+    diagrams = [builder(name) for name in BUILDER_NAMES] + [VirtualDiagram(vt.edges, 3, vt.crossings)]
+    h = hashlib.sha256()
+    for n in (3, 4):
+        q = make_dihedral(n)
+        twists = (QuandleMap.identity(n), inner_automorphism(q, 0), QuandleMap(tuple((x + 1) % n for x in range(n))))
+        for d in diagrams:
+            for f in twists:
+                for c in _invariant_cocycles(q):
+                    for kind in ("z", "z1", "z2", "z3"):
+                        h.update(_outcome(lambda: compute_invariant(kind, d, q, c, f).to_json()).encode())
+                    h.update(_outcome(lambda: json.dumps(invariant_bundle(d, q, c, f), sort_keys=True)).encode())
+    assert h.hexdigest() == INVARIANT_DIGEST

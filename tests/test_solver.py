@@ -17,6 +17,7 @@ from vknots.diagram import (
     VirtualCrossing,
     VirtualDiagram,
     builder,
+    relabel_canonical,
 )
 from vknots.moves import random_equivalent
 from vknots.errors import CeilingExceeded, InvalidParameter
@@ -53,6 +54,19 @@ def test_unknot_has_one_empty_coloring():
     assert enumerate_colorings(d, Q4, ID4) == [()]
     assert brute_force_colorings(d, Q4, ID4) == [()]
     assert count_colorings(d, Q4, ID4) == 4  # free-loop factor
+
+
+def test_the_search_depth_has_no_recursion_limit():
+    # 1,500 disjoint virtual kinks: all-virtual components, so the search
+    # branches once per component, 1,500 levels deep, past the default
+    # interpreter recursion limit of 1,000 frames
+    kinks = 1500
+    d = relabel_canonical([VirtualCrossing(2 * i, 2 * i + 1, 2 * i + 1, 2 * i, 1) for i in range(kinks)], 0)
+    assert d.edges == 2 * kinks
+    q1 = make_dihedral(1)
+    id1 = QuandleMap.identity(1)
+    assert enumerate_colorings(d, q1, id1) == [(0,) * d.edges]
+    assert brute_force_colorings(d, q1, id1) == [(0,) * d.edges]
 
 
 def test_trefoil_coloring_counts():
