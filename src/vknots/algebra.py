@@ -25,7 +25,7 @@ from itertools import permutations
 from math import gcd
 from operator import itemgetter
 
-from .errors import InvalidParameter, MalformedInput, SearchBoundExceeded
+from .errors import InvalidParameter, MalformedInput, SearchBoundExceeded, load_json
 from .value import Value, set_field
 
 DEFAULT_AUT_SEARCH_BOUND = 8
@@ -284,10 +284,7 @@ def quandle_to_json(q: FiniteQuandle) -> str:
 
 def quandle_from_json(text: str) -> FiniteQuandle:
     """Parse {"kind":"dihedral","n":4} or {"kind":"table","table":[[...],...]}."""
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON, or an int past the digit limit
-        raise MalformedInput(f"bad quandle JSON: {exc}") from exc
+    obj = load_json(text, "quandle JSON")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedInput("quandle JSON must be an object with a 'kind' field")
     if obj["kind"] == "dihedral":

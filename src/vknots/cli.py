@@ -32,6 +32,7 @@ from .errors import (
     PreconditionFailed,
     SearchBoundExceeded,
     WrongKind,
+    load_json,
 )
 
 # The other library modules are imported inside the handlers that call them,
@@ -95,10 +96,7 @@ def _load_aut(spec: str, q) -> QuandleMap:
             return inner_automorphism(q, int(spec.split(":", 1)[1]))
         except ValueError as exc:
             raise UsageError(f"bad element in {spec!r}") from exc
-    try:
-        images = json.loads(_read_spec(spec))
-    except (ValueError, RecursionError) as exc:  # bad JSON, or an int past the digit limit
-        raise UsageError(f"bad automorphism spec {spec!r}: {exc}") from exc
+    images = load_json(_read_spec(spec), "automorphism spec", spec)
     if not (isinstance(images, list) and all(type(x) is int for x in images)):
         raise UsageError("automorphism JSON must be a list of integers")
     m = QuandleMap(tuple(images))
@@ -139,10 +137,7 @@ def _cmd_cocycle(args) -> int:
     if args.action != "basis" or q.order <= MAX_COCYCLE_BASIS_ORDER:
         _require_quandle(q, args.quandle)
     if args.action == "coboundary":
-        try:
-            exps = json.loads(_read_spec(args.psi))
-        except (ValueError, RecursionError) as exc:  # bad JSON, or an int past the digit limit
-            raise UsageError(f"bad psi: {exc}") from exc
+        exps = load_json(_read_spec(args.psi), "psi")
         if not (isinstance(exps, list) and all(type(x) is int for x in exps)):
             raise UsageError("psi must be a list of integers")
         group = weights.CoefficientGroup(args.m)

@@ -43,7 +43,7 @@ import json
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import InvalidParameter, MalformedInput
+from .errors import InvalidParameter, MalformedInput, load_json
 from .value import Value, set_field
 
 
@@ -344,10 +344,7 @@ def serialize_diagram(d: VirtualDiagram) -> str:
 
 def parse_diagram(text: str) -> VirtualDiagram:
     """Parse and validate the JSON diagram form; unknown fields are rejected."""
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON, or an int past the digit limit
-        raise MalformedInput(f"bad diagram JSON: {exc}") from exc
+    obj = load_json(text, "diagram JSON")
     if not isinstance(obj, dict):
         raise MalformedInput("diagram JSON must be an object")
     unknown = set(obj) - {"edges", "free_loops", "crossings"}

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reading of a JSON input."""
+
+import json
+import sys
 
 
 class InvalidParameter(ValueError):
@@ -7,6 +10,24 @@ class InvalidParameter(ValueError):
 
 class MalformedInput(ValueError):
     """Structurally broken input (ragged table, bad JSON document, ...)."""
+
+
+def load_json(text: str, what: str, spec: str | None = None):
+    """``json.loads(text)``; a document it cannot read is a MalformedInput
+    "bad <what>[ <spec>]: <reason>".
+
+    An integer literal past the interpreter's digit limit is worded here once
+    and never echoes ``spec``: the interpreter's own message quotes the value
+    and advises raising the limit, which no user of the package can act on.
+    """
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        shown = "" if spec is None else f" {spec!r}"
+        raise MalformedInput(f"bad {what}{shown}: {exc}") from exc
+    except ValueError as exc:  # not a decode error: an integer past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise MalformedInput(f"bad {what}: an integer has more than {limit} digits") from exc
 
 
 class SearchBoundExceeded(RuntimeError):

@@ -90,12 +90,12 @@ def _z1(c: Cocycle2, s: WeightPolynomial) -> Weight:
 
 
 def _z3(d, q, c, f) -> tuple[WeightPolynomial, WeightPolynomial]:
-    """Z3 and f's state sum, enumerating the colorings under each twist map once."""
+    """Z3 and f's state sum, enumerating the colorings under each twist map once;
+    f is checked first, so a map that is no automorphism costs no enumeration."""
+    check_twist(q, f)
     sums = {g: _state_sum(d, q, c, g) for g in automorphisms(q)}
     z3 = WeightPolynomial.from_pairs((_z1(c, s).exponent, 1) for s in sums.values())
-    if f in sums:
-        return z3, sums[f]
-    return z3, _state_sum(d, q, c, f)  # f is no automorphism; enumerating under it raises the error
+    return z3, sums[f]
 
 
 def _check_preserving(f: QuandleMap, c: Cocycle2) -> None:

@@ -40,6 +40,13 @@ A move finds the in-slot to rewire in ``d.slot_maps`` (a detour, after
 deleting its interior crossings, in the consumer map that
 ``_remove_crossings`` returns); no move scans the crossing list for it.
 
+A trace is a list of ``MoveRecord``s, and a record is the call that
+replays it: ``apply_move`` calls the move its ``kind`` names with its
+``site`` as keyword arguments, so the site keys are the parameter names
+(``LOOP`` as a kink's edge stands for a free loop).  Every edge argument
+of a move is checked once, by ``_check_edge``: an int label of the
+diagram, else ``InvalidParameter``.
+
 After every move the edge labels are renumbered canonically (successor
 traversal from the lowest surviving label) and the crossing list is
 sorted, so structural equality of move outputs is meaningful;
@@ -144,15 +151,26 @@ def _remove_crossings(d: VirtualDiagram, remove: set[int]):
     return survivors, len(set(root.values())) - len(ends), find, consumer
 
 
+def _check_edge(d: VirtualDiagram, e) -> None:
+    """Refuse anything but an edge label of ``d``, an int in 0..edges-1."""
+    if type(e) is not int or not 0 <= e < d.edges:  # type(), not isinstance(): bool is an int
+        raise InvalidParameter(f"edge {e!r} out of range")
+
+
+def _delete(d: VirtualDiagram, crossings: set[int]) -> VirtualDiagram:
+    """``d`` without the given crossings, the through-edges of each passage merged."""
+    survivors, gained, _, _ = _remove_crossings(d, crossings)
+    return relabel_canonical(list(survivors.values()), d.free_loops + gained)
+
+
 def _insert_kink(d: VirtualDiagram, edge, kink) -> VirtualDiagram:
-    """Insert ``kink(in, loop, out)`` on an edge, or onto a free loop (edge=None)."""
+    """Insert ``kink(in, loop, out)`` on an edge, or onto a free loop (edge None or LOOP)."""
     a, b = d.edges, d.edges + 1
-    if edge is None:
+    if edge is None or edge == LOOP:
         if d.free_loops < 1:
             raise NotApplicable("no free loop to kink")
         return relabel_canonical([*d.crossings, kink(a, b, a)], d.free_loops - 1)
-    if not 0 <= edge < d.edges:
-        raise InvalidParameter(f"edge {edge} out of range")
+    _check_edge(d, edge)
     crossings = list(d.crossings)
     _rewire(crossings, d.slot_maps[0][edge], b)
     crossings.append(kink(edge, a, b))
@@ -171,15 +189,14 @@ def _kink_scan(d: VirtualDiagram, kind):
                 yield out1
 
 
-def _remove_kink(d: VirtualDiagram, loop_edge: int, kind, what: str) -> VirtualDiagram:
-    """Remove the crossing of type ``kind`` that emits ``loop_edge`` from one
+def _remove_kink(d: VirtualDiagram, loop: int, kind, what: str) -> VirtualDiagram:
+    """Remove the crossing of type ``kind`` that emits ``loop`` from one
     passage and consumes it in the other."""
     consumed, emitted = d.slot_maps
-    ci, role = emitted.get(loop_edge, (None, None))
-    if ci is None or consumed.get(loop_edge) != (ci, 1 - role) or type(d.crossings[ci]) is not kind:
-        raise NotApplicable(f"edge {loop_edge} is not the loop of a {what}")
-    survivors, gained, _, _ = _remove_crossings(d, {ci})
-    return relabel_canonical(list(survivors.values()), d.free_loops + gained)
+    ci, role = emitted.get(loop, (None, None))
+    if ci is None or consumed.get(loop) != (ci, 1 - role) or type(d.crossings[ci]) is not kind:
+        raise NotApplicable(f"edge {loop} is not the loop of a {what}")
+    return _delete(d, {ci})
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +204,7 @@ def _remove_kink(d: VirtualDiagram, loop_edge: int, kind, what: str) -> VirtualD
 
 
 def r1_insert(d: VirtualDiagram, edge, sign: int, handed: str = "under") -> VirtualDiagram:
-    """Insert a classical kink on an edge, or onto a free loop (edge=None).
+    """Insert a classical kink on an edge, or onto a free loop (edge None or LOOP).
 
     ``handed`` selects which passage the incoming strand takes first.
     """
@@ -207,9 +224,9 @@ def find_r1_sites(d: VirtualDiagram) -> list[int]:
     return sorted(set(_kink_scan(d, ClassicalCrossing)))
 
 
-def r1_remove(d: VirtualDiagram, loop_edge: int) -> VirtualDiagram:
+def r1_remove(d: VirtualDiagram, loop: int) -> VirtualDiagram:
     """Remove the classical kink whose loop edge is given."""
-    return _remove_kink(d, loop_edge, ClassicalCrossing, "classical kink")
+    return _remove_kink(d, loop, ClassicalCrossing, "classical kink")
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +239,10 @@ def r2_insert(d: VirtualDiagram, edge_a: int, edge_b: int, over_first: bool = Tr
     With ``over_first`` the a-strand passes over the b-strand at both new
     crossings, otherwise under.
     """
+    _check_edge(d, edge_a)
+    _check_edge(d, edge_b)
     if edge_a == edge_b:
         raise InvalidParameter("poke needs two distinct edges")
-    for e in (edge_a, edge_b):
-        if not 0 <= e < d.edges:
-            raise InvalidParameter(f"edge {e} out of range")
     m1, m2, k1, k2 = d.edges, d.edges + 1, d.edges + 2, d.edges + 3
     consumed = d.slot_maps[0]
     crossings = list(d.crossings)
@@ -265,9 +281,7 @@ def r2_remove(d: VirtualDiagram, over_mid: int) -> VirtualDiagram:
     if not _is_r2_site(d, over_mid):
         raise NotApplicable(f"edge {over_mid} is not the over-middle of a poke")
     consumed, emitted = d.slot_maps
-    remove = {emitted[over_mid][0], consumed[over_mid][0]}
-    survivors, gained, _, _ = _remove_crossings(d, remove)
-    return relabel_canonical(list(survivors.values()), d.free_loops + gained)
+    return _delete(d, {emitted[over_mid][0], consumed[over_mid][0]})
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +392,7 @@ def r3_slide(d: VirtualDiagram, bridges) -> VirtualDiagram:
 
 
 def vkink_insert(d: VirtualDiagram, edge, chirality: int) -> VirtualDiagram:
-    """Insert a virtual kink on an edge, or onto a free loop (edge=None)."""
+    """Insert a virtual kink on an edge, or onto a free loop (edge None or LOOP)."""
     if chirality not in (1, -1):
         raise InvalidParameter("chirality must be +1 or -1")
     kink = lambda e_in, loop, e_out: VirtualCrossing(e_in, loop, loop, e_out, chirality)
@@ -389,8 +403,8 @@ def find_vkink_sites(d: VirtualDiagram) -> list[int]:
     return sorted(set(_kink_scan(d, VirtualCrossing)))
 
 
-def vkink_remove(d: VirtualDiagram, loop_edge: int) -> VirtualDiagram:
-    return _remove_kink(d, loop_edge, VirtualCrossing, "virtual kink")
+def vkink_remove(d: VirtualDiagram, loop: int) -> VirtualDiagram:
+    return _remove_kink(d, loop, VirtualCrossing, "virtual kink")
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +433,7 @@ def _segment(d: VirtualDiagram, start: int, end: int) -> list[tuple[int, int]]:
     return walk
 
 
-def detour(d: VirtualDiagram, start: int, end: int, new_passages) -> VirtualDiagram:
+def detour(d: VirtualDiagram, start: int, end: int, passages) -> VirtualDiagram:
     """Re-route the strand segment from ``start`` to ``end``.
 
     The segment's interior crossing passages must all be virtual; they
@@ -430,9 +444,8 @@ def detour(d: VirtualDiagram, start: int, end: int, new_passages) -> VirtualDiag
     crossings sit along the target in route order.  Endpoints (the slots
     emitting ``start`` and consuming ``end``) are untouched.
     """
-    for e in (start, end):
-        if not 0 <= e < d.edges:
-            raise InvalidParameter(f"edge {e} out of range")
+    _check_edge(d, start)
+    _check_edge(d, end)
     consumed, emitted = d.slot_maps
     interior = {ci for ci, _ in _segment(d, start, end)}
     if emitted[start][0] in interior or consumed[end][0] in interior:
@@ -441,28 +454,24 @@ def detour(d: VirtualDiagram, start: int, end: int, new_passages) -> VirtualDiag
     survivors, gained, find, consumer = _remove_crossings(d, interior)
     route = find(start)
 
-    passages = []
-    for t, ch in new_passages:
-        if not isinstance(t, int) or not 0 <= t < d.edges:
-            raise InvalidParameter(f"target edge {t!r} out of range")
+    targets = []
+    for t, ch in passages:
+        _check_edge(d, t)
         if ch not in (1, -1):
             raise InvalidParameter("chirality must be +1 or -1")
         rep = find(t)
         if rep == route:
             raise InvalidParameter("a detour cannot cross its own route")
-        passages.append((rep, ch))
+        targets.append((rep, ch))
 
-    fresh = d.edges
-    pieces = [route]
-    for _ in passages:
-        pieces.append(fresh)
-        fresh += 1
-    if passages:
+    fresh = d.edges + len(targets)
+    pieces = [route, *range(d.edges, fresh)]
+    if targets:
         # the slot that consumed the segment now consumes the last route piece
         _rewire(survivors, consumer[route], pieces[-1])
     added = []
     tail: dict[int, int] = {}  # target rep -> piece carrying its current far end
-    for i, (t, ch) in enumerate(passages):
+    for i, (t, ch) in enumerate(targets):
         t_cur = tail.get(t, t)
         if t_cur not in consumer:
             raise NotApplicable(f"edge {t_cur} has no consumer")
@@ -534,6 +543,8 @@ def find_poke_remove_sites(d: VirtualDiagram) -> list[tuple[int, int]]:
 
 def _virtual_slide_scan(d: VirtualDiagram):
     consumed, emitted = d.slot_maps
+    # a strand's neighbour at end 1 consumes its out-edge, at end 0 emits its in-edge
+    ends = ((consumed, 1), (emitted, 0))
     for v, c in enumerate(d.crossings):
         if type(c) is not VirtualCrossing:
             continue
@@ -541,18 +552,14 @@ def _virtual_slide_scan(d: VirtualDiagram):
             r_in, r_out = _passage(c, role)
             if emitted[r_in][0] == v or consumed[r_out][0] == v:
                 continue  # the route kinks through this crossing; not a slide site
-            t_in, t_out = _passage(c, 1 - role)
+            transversal = _passage(c, 1 - role)
             ch = _route_chirality(c, role)
-            wi, wrole = consumed[t_out]
-            if wi != v and type(d.crossings[wi]) is VirtualCrossing:
-                u = _passage(d.crossings[wi], wrole)[1]
-                if u not in (r_in, r_out):
-                    yield (r_in, r_out, ((u, ch),))
-            wi, wrole = emitted[t_in]
-            if wi != v and type(d.crossings[wi]) is VirtualCrossing:
-                u = _passage(d.crossings[wi], wrole)[0]
-                if u not in (r_in, r_out):
-                    yield (r_in, r_out, ((u, ch),))
+            for slots, end in ends:  # hop across the transversal's neighbour to the edge beyond
+                wi, wrole = slots[transversal[end]]
+                if wi != v and type(d.crossings[wi]) is VirtualCrossing:
+                    u = _passage(d.crossings[wi], wrole)[end]
+                    if u not in (r_in, r_out):
+                        yield (r_in, r_out, ((u, ch),))
 
 
 def find_virtual_slide_sites(d: VirtualDiagram) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
@@ -562,16 +569,16 @@ def find_virtual_slide_sites(d: VirtualDiagram) -> list[tuple[int, int, tuple[tu
 
 def _semi_virtual_slide_scan(d: VirtualDiagram):
     consumed, emitted = d.slot_maps
+    ends = ((consumed, 1), (emitted, 0))
 
     def adjacency(c, other_role):
-        """(classical crossing, side, passage role there, other-half edge) or None."""
-        t_in, t_out = _passage(c, other_role)
-        qi, qrole = consumed[t_out]
-        if type(d.crossings[qi]) is ClassicalCrossing:
-            return qi, 1, qrole, _passage(d.crossings[qi], qrole)[1]
-        qi, qrole = emitted[t_in]
-        if type(d.crossings[qi]) is ClassicalCrossing:
-            return qi, -1, qrole, _passage(d.crossings[qi], qrole)[0]
+        """(classical crossing, side, passage role there, other-half edge) or None;
+        the side is +1 at the transversal's next neighbour, -1 at its previous one."""
+        transversal = _passage(c, other_role)
+        for slots, end in ends:
+            qi, qrole = slots[transversal[end]]
+            if type(d.crossings[qi]) is ClassicalCrossing:
+                return qi, 2 * end - 1, qrole, _passage(d.crossings[qi], qrole)[end]
         return None
 
     for v1, role1, v2, role2, r_in, r_mid, r_end in _virtual_pairs(d):
@@ -630,30 +637,25 @@ _SHRINKING = {"r1_remove", "r2_remove", "vkink_remove"}
 
 
 def apply_move(d: VirtualDiagram, record: MoveRecord) -> VirtualDiagram:
-    kind, site = record.kind, record.site
-    if kind == "r1_insert":
-        edge = None if site["edge"] == LOOP else site["edge"]
-        return r1_insert(d, edge, site["sign"], site["handed"])
-    if kind == "r1_remove":
-        return r1_remove(d, site["loop"])
-    if kind == "r2_insert":
-        return r2_insert(d, site["edge_a"], site["edge_b"], site["over_first"])
-    if kind == "r2_remove":
-        return r2_remove(d, site["over_mid"])
-    if kind == "r3_slide":
-        return r3_slide(d, tuple(site["bridges"]))
-    if kind == "vkink_insert":
-        edge = None if site["edge"] == LOOP else site["edge"]
-        return vkink_insert(d, edge, site["chirality"])
-    if kind == "vkink_remove":
-        return vkink_remove(d, site["loop"])
-    if kind == "detour":
-        return detour(d, site["start"], site["end"], [tuple(p) for p in site["passages"]])
-    raise InvalidParameter(f"unknown move kind {kind!r}")
+    """Replay a record: the move function named by its kind, called with its site
+    as keyword arguments (a missing or unknown site key is a ``TypeError``)."""
+    if record.kind not in ALL_KINDS:
+        raise InvalidParameter(f"unknown move kind {record.kind!r}")
+    # looked up per call, so that a wrapper bound over a move's name is the one called
+    return globals()[record.kind](d, **record.site)
 
 
 def _has_site(scan) -> bool:
     return next(scan, None) is not None
+
+
+def _draw(rng, kind: str, key: str, sites: list):
+    """A ``kind`` record whose site ``key`` is drawn from ``sites``, None when there is
+    none; a tuple site is stored as the list it reads back as from JSON."""
+    if not sites:
+        return None
+    site = rng.choice(sites)
+    return MoveRecord(kind, {key: list(site) if type(site) is tuple else site})
 
 
 def _instantiate(d, rng, kind, allow_semi_virtual, prefer_removal):
@@ -668,22 +670,18 @@ def _instantiate(d, rng, kind, allow_semi_virtual, prefer_removal):
             site = {"edge": edge, "chirality": rng.choice((1, -1))}
         return MoveRecord(kind, site)
     if kind == "r1_remove":
-        sites = find_r1_sites(d)
-        return MoveRecord(kind, {"loop": rng.choice(sites)}) if sites else None
+        return _draw(rng, kind, "loop", find_r1_sites(d))
     if kind == "r2_insert":
         if d.edges < 2:
             return None
         a, b = rng.sample(range(d.edges), 2)
         return MoveRecord(kind, {"edge_a": a, "edge_b": b, "over_first": rng.random() < 0.5})
     if kind == "r2_remove":
-        sites = find_r2_sites(d)
-        return MoveRecord(kind, {"over_mid": rng.choice(sites)}) if sites else None
+        return _draw(rng, kind, "over_mid", find_r2_sites(d))
     if kind == "r3_slide":
-        sites = find_r3_sites(d)
-        return MoveRecord(kind, {"bridges": list(rng.choice(sites))}) if sites else None
+        return _draw(rng, kind, "bridges", find_r3_sites(d))
     if kind == "vkink_remove":
-        sites = find_vkink_sites(d)
-        return MoveRecord(kind, {"loop": rng.choice(sites)}) if sites else None
+        return _draw(rng, kind, "loop", find_vkink_sites(d))
     if kind == "detour":
         families = []
         if d.edges >= 2:

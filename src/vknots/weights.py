@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 
 from .algebra import MAX_COCYCLE_BASIS_ORDER, FiniteQuandle, QuandleMap, is_automorphism, make_dihedral
-from .errors import InvalidParameter, MalformedInput, SearchBoundExceeded
+from .errors import InvalidParameter, MalformedInput, SearchBoundExceeded, load_json
 from .value import Value, set_field
 
 
@@ -354,10 +354,7 @@ def cocycle_to_json(c: Cocycle2) -> str:
 
 def cocycle_from_json(text: str, q: FiniteQuandle) -> Cocycle2:
     """Parse {"group":{"m":0},"entries":[[a,b,exponent],...]}; omitted entries are 0."""
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON, or an int past the digit limit
-        raise MalformedInput(f"bad cocycle JSON: {exc}") from exc
+    obj = load_json(text, "cocycle JSON")
     if not isinstance(obj, dict) or set(obj) != {"group", "entries"}:
         raise MalformedInput("cocycle JSON takes exactly the fields group, entries")
     if not isinstance(obj["group"], dict) or set(obj["group"]) != {"m"}:

@@ -195,6 +195,34 @@ def test_fuzz_stable_and_deterministic(capsys):
     assert all(set(rec) == {"kind", "site"} for rec in obj["trace"])
 
 
+_FUZZ_FLAGS = ("fuzz", "--diagram", "virtual_trefoil", "--quandle", "dihedral:4", "--cocycle", "example-r4",
+               "--aut", "inner:0", "--moves", "120")
+# without a flag, the traces of these seeds hold both virtual moves and
+# semi-virtual slides, so each flag has something to exclude
+_FUZZ_SEEDS = (3, 7, 9, 10)
+
+
+@pytest.mark.parametrize("seed", _FUZZ_SEEDS)
+def test_fuzz_classical_only_draws_classical_moves(capsys, seed):
+    from vknots.moves import CLASSICAL_KINDS
+
+    code, out, _ = run(capsys, *_FUZZ_FLAGS, "--seed", str(seed), "--classical-only")
+    obj = json.loads(out)
+    assert code == 0 and obj["stable"] is True
+    assert obj["trace"] and all(rec["kind"] in CLASSICAL_KINDS for rec in obj["trace"])
+
+
+@pytest.mark.parametrize("seed", _FUZZ_SEEDS)
+def test_fuzz_no_semi_virtual_draws_no_classical_slide(capsys, seed):
+    code, out, _ = run(capsys, *_FUZZ_FLAGS, "--seed", str(seed), "--no-semi-virtual")
+    obj = json.loads(out)
+    assert code == 0 and obj["stable"] is True
+    detours = [rec["site"] for rec in obj["trace"] if rec["kind"] == "detour"]
+    assert detours
+    # a slide with two passages is the semi-virtual family
+    assert all(len(site["passages"]) != 2 for site in detours if site["start"] != site["end"])
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["quandle"])
@@ -268,6 +296,9 @@ _LONG_INT = "1" + "0" * 5000
 LONG_INT_INPUTS = {
     "aut": ("color", "count", "--diagram", "trefoil", "--quandle", "dihedral:3", "--aut", _LONG_INT),
     "psi": ("cocycle", "coboundary", "--quandle", "dihedral:4", "--psi", _LONG_INT),
+    "quandle-json": ("quandle", "check", "--quandle", '{"kind":"dihedral","n":' + _LONG_INT + "}"),
+    "cocycle-json": _Z_TREFOIL + ('{"group":{"m":' + _LONG_INT + '},"entries":[]}',),
+    "diagram-json": ("diagram", "validate", "--diagram", '{"edges":' + _LONG_INT + ',"free_loops":0,"crossings":[]}'),
 }
 
 
@@ -278,6 +309,9 @@ def test_integer_past_the_digit_limit_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    # one short line: neither the 5,001 digits nor the interpreter's advice
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200
+    assert "set_int_max_str_digits" not in err
 
 
 # Each spelling of a dihedral order above the maximum is refused before the

@@ -68,6 +68,28 @@ def test_every_invariant_refuses_a_twist_map_that_is_no_automorphism(images, mes
         assert str(refused.value) == message
 
 
+def test_z3_refuses_a_bad_twist_map_before_enumerating(monkeypatch):
+    # the map is checked before any state sum: over R6 (12 automorphisms) the
+    # refusal used to follow 12 enumerations, and above the automorphism
+    # search bound it was the search's SearchBoundExceeded
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_colorings(*args)
+
+    monkeypatch.setattr("vknots.invariants.enumerate_colorings", counted)
+    d = builder("kishino")
+    for n in (6, 9):
+        q = make_dihedral(n)
+        c, f = trivial_cocycle(q), QuandleMap((0,) * n)
+        with pytest.raises(InvalidParameter, match="must be an automorphism"):
+            compute_invariant("z3", d, q, c, f)
+        with pytest.raises(InvalidParameter, match="must be an automorphism"):
+            invariant_bundle(d, q, c, f)
+    assert calls == []
+
+
 def test_weight_convention_on_hopf():
     # a nonconstant hopf coloring picks up the cocycle entries of both
     # crossings; the exact values are pinned by the brute-force oracle

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 
 import pytest
 
@@ -540,11 +541,52 @@ def test_no_semi_virtual_flag_excludes_classical_slides():
 
 
 def test_move_records_round_trip_json():
-    d = builder("virtual_hopf")
-    _, trace = random_equivalent(d, 3, 30)
-    for r in trace:
-        obj = r.to_json_obj()
-        assert obj["kind"] == r.kind
-        assert apply_move is not None
-        rec = MoveRecord(obj["kind"], obj["site"])
-        assert rec == r
+    # a record read back from its JSON form is the call that replays it
+    for name, seed in itertools.product(BUILDER_NAMES, range(3)):
+        d = builder(name)
+        out, trace = random_equivalent(d, seed, 60)
+        cur = d
+        for r in trace:
+            obj = json.loads(json.dumps(r.to_json_obj()))
+            rec = MoveRecord(obj["kind"], obj["site"])
+            assert rec == r
+            cur = apply_move(cur, rec)
+        assert cur == out, (name, seed)
+
+
+EDGE_ARGUMENTS = {
+    "r1_insert": lambda d, e: r1_insert(d, e, 1),
+    "vkink_insert": lambda d, e: vkink_insert(d, e, 1),
+    "r2_insert-a": lambda d, e: r2_insert(d, e, 3),
+    "r2_insert-b": lambda d, e: r2_insert(d, 0, e),
+    "detour-start": lambda d, e: detour(d, e, 0, []),
+    "detour-end": lambda d, e: detour(d, 0, e, []),
+    "detour-target": lambda d, e: detour(d, 0, 0, [(e, 1), (e, -1)]),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "0"])
+@pytest.mark.parametrize("move", list(EDGE_ARGUMENTS.values()), ids=list(EDGE_ARGUMENTS))
+def test_every_edge_argument_must_be_an_int_label(move, bad):
+    # floats and strings used to raise KeyError, and 2.0 and True were accepted
+    with pytest.raises(InvalidParameter, match="out of range"):
+        move(builder("virtual_trefoil"), bad)
+
+
+def test_a_record_names_a_move_and_its_parameters():
+    d = builder("unknot_kink_pos")
+    (loop,) = find_r1_sites(d)
+    assert apply_move(d, MoveRecord("r1_remove", {"loop": loop})) == r1_remove(d, loop)
+    with pytest.raises(InvalidParameter, match="unknown move kind"):
+        apply_move(d, MoveRecord("r4_slide", {"loop": loop}))
+    with pytest.raises(InvalidParameter, match="unknown move kind"):
+        apply_move(d, MoveRecord("_delete", {"crossings": {0}}))
+    for site in ({}, {"loop_edge": loop}, {"loop": loop, "sign": 1}):
+        with pytest.raises(TypeError):
+            apply_move(d, MoveRecord("r1_remove", site))
+    # a kink insertion reads LOOP as None: onto a free loop
+    ring = VirtualDiagram(0, 1, ())
+    for kind, site in (("r1_insert", {"sign": 1, "handed": "over"}), ("vkink_insert", {"chirality": -1})):
+        assert apply_move(ring, MoveRecord(kind, {"edge": LOOP, **site})) == apply_move(
+            ring, MoveRecord(kind, {"edge": None, **site})
+        )
