@@ -15,7 +15,6 @@ _EXPORTS = {
         "automorphisms",
         "inner_automorphism",
         "is_automorphism",
-        "left_divide",
         "make_dihedral",
         "make_from_table",
         "map_order",
@@ -64,7 +63,6 @@ _EXPORTS = {
         "Weight",
         "WeightPolynomial",
         "coboundary",
-        "cocycle_inverse",
         "cocycle_product",
         "cocycle_space_basis",
         "example_cocycle_r4",

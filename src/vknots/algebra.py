@@ -181,11 +181,6 @@ def validate_quandle(q: FiniteQuandle) -> QuandleReport:
     return QuandleReport(True)
 
 
-def left_divide(q: FiniteQuandle, b: int, a: int) -> int:
-    """The unique x with x * a = b."""
-    return q.division[a][b]
-
-
 def is_automorphism(q: FiniteQuandle, m: QuandleMap) -> bool:
     """True iff m is a permutation with m(a * b) = m(a) * m(b) for all a, b."""
     if m.order != q.order:
@@ -266,16 +261,6 @@ def map_order(m: QuandleMap) -> int:
                 break
         k = k * length // gcd(k, length)
     return k
-
-
-def map_power(m: QuandleMap, k: int) -> QuandleMap:
-    """k-fold composite of a permutation; negative k uses the inverse."""
-    if k < 0:
-        return map_power(m.inverse(), -k)
-    result = QuandleMap.identity(m.order)
-    for _ in range(k):
-        result = m.compose(result)
-    return result
 
 
 def quandle_to_json(q: FiniteQuandle) -> str:

@@ -25,7 +25,6 @@ from .algebra import (
     validate_quandle,
 )
 from .errors import (
-    CeilingExceeded,
     InvalidParameter,
     MalformedInput,
     NotApplicable,
@@ -40,11 +39,7 @@ from .errors import (
 # algebra alone, `cocycle` adds weights, `diagram` the diagram module, `color`
 # the solver, `invariant` everything but moves, and `fuzz` everything.
 
-_USAGE_ERRORS = (MalformedInput, InvalidParameter, NotApplicable, WrongKind, SearchBoundExceeded, CeilingExceeded)
-
-
-class UsageError(Exception):
-    pass
+_USAGE_ERRORS = (MalformedInput, InvalidParameter, NotApplicable, WrongKind, SearchBoundExceeded)
 
 
 def _read_spec(spec: str) -> str:
@@ -53,7 +48,7 @@ def _read_spec(spec: str) -> str:
             with open(spec[1:], "r", encoding="utf-8") as fh:
                 return fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"cannot read {spec[1:]}: {exc}") from exc
+            raise MalformedInput(f"cannot read {spec[1:]}: {exc}") from exc
     return spec
 
 
@@ -62,7 +57,7 @@ def _load_quandle(spec: str):
         try:
             n = int(spec.split(":", 1)[1])
         except ValueError as exc:
-            raise UsageError(f"bad dihedral order in {spec!r}") from exc
+            raise MalformedInput(f"bad dihedral order in {spec!r}") from exc
         return make_dihedral(n)
     return quandle_from_json(_read_spec(spec))
 
@@ -81,7 +76,7 @@ def _load_cocycle(spec: str, q):
     if spec == "example-r4":
         c = weights.example_cocycle_r4()
         if c.quandle != q:
-            raise UsageError("example-r4 lives on the dihedral quandle of order 4")
+            raise InvalidParameter("example-r4 lives on the dihedral quandle of order 4")
         return c
     if spec == "trivial":
         return weights.trivial_cocycle(q)
@@ -95,13 +90,13 @@ def _load_aut(spec: str, q) -> QuandleMap:
         try:
             return inner_automorphism(q, int(spec.split(":", 1)[1]))
         except ValueError as exc:
-            raise UsageError(f"bad element in {spec!r}") from exc
+            raise InvalidParameter(f"bad element in {spec!r}") from exc
     images = load_json(_read_spec(spec), "automorphism spec", spec)
     if not (isinstance(images, list) and all(type(x) is int for x in images)):
-        raise UsageError("automorphism JSON must be a list of integers")
+        raise MalformedInput("automorphism JSON must be a list of integers")
     m = QuandleMap(tuple(images))
     if not is_automorphism(q, m):
-        raise UsageError(f"{spec!r} is not an automorphism of the quandle")
+        raise InvalidParameter(f"{spec!r} is not an automorphism of the quandle")
     return m
 
 
@@ -139,7 +134,7 @@ def _cmd_cocycle(args) -> int:
     if args.action == "coboundary":
         exps = load_json(_read_spec(args.psi), "psi")
         if not (isinstance(exps, list) and all(type(x) is int for x in exps)):
-            raise UsageError("psi must be a list of integers")
+            raise MalformedInput("psi must be a list of integers")
         group = weights.CoefficientGroup(args.m)
         c = weights.coboundary(q, group, weights.Cochain1(group, tuple(exps)))
         sys.stdout.write(weights.cocycle_to_json(c) + "\n")
@@ -376,7 +371,7 @@ def main(argv=None) -> int:
     except PreconditionFailed as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (UsageError, *_USAGE_ERRORS) as exc:
+    except _USAGE_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

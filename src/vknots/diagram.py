@@ -308,23 +308,34 @@ def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
     for cyc in cycles_b:
         by_len.setdefault(len(cyc), []).append(cyc)
 
-    def assign(idx: int, mapping: dict[int, int], used: set[int]) -> bool:
-        if idx == len(cycles_a):
-            return crossings_match(mapping)
+    mapping: dict[int, int] = {}
+    used: set[tuple[int, int]] = set()
+
+    def assign(idx: int):
+        """Map a's cycle idx onto each unused b cycle of its length, at each
+        rotation, yielding once per choice."""
         cyc = cycles_a[idx]
         for bi, bcyc in enumerate(by_len.get(len(cyc), [])):
             if (len(cyc), bi) in used:
                 continue
+            used.add((len(cyc), bi))
             for offset in range(len(bcyc)):
                 for pos, e in enumerate(cyc):
                     mapping[e] = bcyc[(offset + pos) % len(bcyc)]
-                used.add((len(cyc), bi))
-                if assign(idx + 1, mapping, used):
-                    return True
-                used.discard((len(cyc), bi))
-        return False
+                yield
+            used.discard((len(cyc), bi))
 
-    return assign(0, {}, set())
+    # one suspended generator per matched cycle on an explicit stack, so that
+    # many components cannot hit the interpreter recursion limit
+    stack = [assign(0)]
+    while stack:
+        if next(stack[-1], True):
+            stack.pop()
+        elif len(stack) < len(cycles_a):
+            stack.append(assign(len(stack)))
+        elif crossings_match(mapping):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

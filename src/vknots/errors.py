@@ -34,10 +34,6 @@ class SearchBoundExceeded(RuntimeError):
     """A brute-force search bound would be exceeded; raise the bound to proceed."""
 
 
-class CeilingExceeded(RuntimeError):
-    """The exhaustive assignment scan would exceed the configured ceiling."""
-
-
 class NotApplicable(ValueError):
     """A rewriting move does not apply at the requested site."""
 

@@ -35,7 +35,7 @@ import json
 from .algebra import FiniteQuandle, QuandleMap, automorphisms
 from .diagram import VirtualDiagram
 from .errors import InvalidParameter, PreconditionFailed, WrongKind
-from .kernel import check_coloring, check_twist, compile_problem, satisfying, weight_slots
+from .kernel import check_coloring, check_twist, compile_problem, satisfying
 from .solver import enumerate_colorings
 from .value import Value, set_field
 from .weights import Cocycle2, Weight, WeightPolynomial, preservation_witness
@@ -69,6 +69,12 @@ class InvariantResult(Value):
         return str(self.value)
 
 
+def _weight_slots(d: VirtualDiagram) -> list[tuple[int, int, int]]:
+    """One slot (sign, edge, by) per classical crossing, in crossing order: a
+    coloring weighs the product of phi(color(edge), color(by))**sign."""
+    return [(c.sign, c.under_in if c.sign > 0 else c.under_out, c.over_in) for c in d.classical()]
+
+
 def _exponent(c: Cocycle2, slots, coloring) -> int:
     e = c.exponents
     return sum(sign * e[coloring[x]][coloring[y]] for sign, x, y in slots)
@@ -77,7 +83,7 @@ def _exponent(c: Cocycle2, slots, coloring) -> int:
 def _state_sum(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> WeightPolynomial:
     """f's state sum: t**weight for every coloring under the twist map f, from one
     enumeration, each multiplicity times the free-loop factor |G|**free_loops."""
-    slots = weight_slots(d)
+    slots = _weight_slots(d)
     loops = q.order**d.free_loops
     return WeightPolynomial.from_pairs(
         (c.group.reduce(_exponent(c, slots, a)), loops) for a in enumerate_colorings(d, q, f)
@@ -121,10 +127,10 @@ def coloring_weight(d: VirtualDiagram, c: Cocycle2, coloring) -> Weight:
     """
     q = c.quandle
     check_coloring(d, q, coloring)
-    p = compile_problem(d, q, QuandleMap.identity(q.order))
-    if not satisfying(p.rules[: 2 * p.classical], [coloring]):
+    classical = compile_problem(d, q, QuandleMap.identity(q.order))[: 2 * len(d.classical())]
+    if not satisfying(classical, [coloring]):
         raise InvalidParameter("coloring violates a classical crossing rule")
-    return Weight(c.group, _exponent(c, weight_slots(d), coloring))
+    return Weight(c.group, _exponent(c, _weight_slots(d), coloring))
 
 
 def state_sum_classical(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2) -> WeightPolynomial:

@@ -19,7 +19,8 @@ tables are stored by over color so that ``fwd[o]`` is again a bijection.
 
 The search (``solver.enumerate_colorings``) propagates these rules; the
 oracle, ``verify_coloring`` and ``coloring_weight`` test them with
-``satisfying``; the weight accumulation reads ``weight_slots``.
+``satisfying``.  The crossing weights are not rules; ``invariants`` reads
+them off the diagram itself.
 """
 
 from __future__ import annotations
@@ -27,29 +28,10 @@ from __future__ import annotations
 from .algebra import FiniteQuandle, QuandleMap, is_automorphism
 from .diagram import VirtualDiagram
 from .errors import InvalidParameter
-from .value import Value, set_field
 
 BACKEND = "python"
 
 Rule = tuple[int, int, int, tuple, tuple]
-
-
-class Problem(Value):
-    """A diagram's coloring rules with the quandle and twist tables bound.
-
-    ``rules`` lists the under-rules of the classical crossings first (in
-    crossing order), then their over-rules, then the virtual passages, so
-    ``rules[:classical]`` are the under-rules and ``rules[:2 * classical]``
-    the rules that do not depend on the twist map.  ``incident`` maps each
-    edge to the indices of the rules it appears in.
-    """
-
-    __slots__ = FIELDS = ("rules", "classical", "incident")
-
-    def __init__(self, rules: tuple[Rule, ...], classical: int, incident: tuple[tuple[int, ...], ...]):
-        set_field(self, "rules", rules)
-        set_field(self, "classical", classical)
-        set_field(self, "incident", incident)
 
 
 def check_twist(q: FiniteQuandle, f: QuandleMap) -> None:
@@ -67,8 +49,14 @@ def check_coloring(d: VirtualDiagram, q: FiniteQuandle, coloring) -> None:
             raise InvalidParameter(f"color {x!r} is not an integer in 0..{q.order - 1}")
 
 
-def compile_problem(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> Problem:
-    """The strand rules of d over the quandle q with twist automorphism f."""
+def compile_problem(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> tuple[Rule, ...]:
+    """The strand rules of d over the quandle q with twist automorphism f.
+
+    The under-rules of the classical crossings come first (in crossing
+    order), then their over-rules, then the virtual passages; so the
+    under-rules are the rules with ``by >= 0``, and the first
+    ``2 * len(d.classical())`` rules do not depend on the twist map.
+    """
     check_twist(q, f)
     times, divide = q.columns, q.division  # times[o][x] = x * o, divide[o][x * o] = x
     fplus = f.images
@@ -85,22 +73,7 @@ def compile_problem(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> Probl
         first, second = (fminus, fplus) if c.chirality > 0 else (fplus, fminus)
         virtual.append((c.first_in, c.first_out, -1, first, second))
         virtual.append((c.second_in, c.second_out, -1, second, first))
-    rules = tuple(under + over + virtual)
-    incident: list[list[int]] = [[] for _ in range(d.edges)]
-    for r, (i, o, b, _, _) in enumerate(rules):
-        for e in {i, o, b} - {-1}:
-            incident[e].append(r)
-    return Problem(rules, len(classical), tuple(map(tuple, incident)))
-
-
-def weight_slots(d: VirtualDiagram) -> list[tuple[int, int, int]]:
-    """One slot (sign, edge, by) per classical crossing, in crossing order.
-
-    A coloring weighs the product of phi(color(edge), color(by))**sign, the
-    convention set out in ``invariants``.  The slots depend on the diagram
-    alone, so the invariants read them without compiling the rules.
-    """
-    return [(c.sign, c.under_in if c.sign > 0 else c.under_out, c.over_in) for c in d.classical()]
+    return tuple(under + over + virtual)
 
 
 def satisfying(rules, colorings) -> list:

@@ -659,6 +659,7 @@ def _draw(rng, kind: str, key: str, sites: list):
 
 
 def _instantiate(d, rng, kind, allow_semi_virtual, prefer_removal):
+    """A record of ``kind``, one of ALL_KINDS, at a drawn site; None when it has none."""
     if kind == "r1_insert" or kind == "vkink_insert":
         choices = list(range(d.edges)) + ([LOOP] if d.free_loops else [])
         if not choices:
@@ -710,7 +711,6 @@ def _instantiate(d, rng, kind, allow_semi_virtual, prefer_removal):
             start, end, passages = rng.choice(find(d))
             site = {"start": start, "end": end, "passages": [list(p) for p in passages]}
         return MoveRecord("detour", site)
-    raise InvalidParameter(f"unknown move kind {kind!r}")
 
 
 def random_equivalent(
@@ -723,14 +723,18 @@ def random_equivalent(
 ) -> tuple[VirtualDiagram, list[MoveRecord]]:
     """Apply randomly chosen applicable moves; deterministic for a fixed seed.
 
-    ``kinds`` restricts the move menu (e.g. to CLASSICAL_KINDS); the
+    ``kinds`` restricts the move menu (e.g. to CLASSICAL_KINDS), and a name
+    outside ``ALL_KINDS`` is refused before the first draw; the
     ``soft_cap`` steers move choice toward removals once the diagram
     outgrows it, keeping fuzz traces affordable.
     """
     if n_moves < 0:
         raise InvalidParameter(f"move count must be non-negative, got {n_moves}")
-    rng = random.Random(seed)
     menu = ALL_KINDS if kinds is None else tuple(kinds)
+    for kind in menu:
+        if kind not in ALL_KINDS:
+            raise InvalidParameter(f"unknown move kind {kind!r}")
+    rng = random.Random(seed)
     cap = soft_cap if soft_cap is not None else max(24, 2 * d.edges + 16)
     cur = d
     trace: list[MoveRecord] = []

@@ -6,8 +6,9 @@ color, passing under it multiplies by (sign +1) or divides by (sign -1)
 the over color, and a virtual crossing twists its two strands by
 opposite powers of a fixed quandle automorphism f, decided by its
 chirality bit, so that traversing a virtual kink applies f then f^-1.
-``kernel.compile_problem`` encodes these rules once, as strand rules
-with the tables bound; every function here reads them from there.
+``kernel.compile_problem`` encodes these rules once, as a tuple of
+strand rules with the tables bound; every function here reads them from
+there, and the search indexes them by edge itself.
 
 A coloring is fixed by the colors of the diagram's arcs, the pieces of
 strand from one undercrossing to the next.  So ``enumerate_colorings``
@@ -20,7 +21,8 @@ it branch on the lowest uncolored edge.  ``brute_force_colorings`` is
 the oracle: it tries every assignment of colors to the arcs (n^arcs of
 them, bounded by a ceiling), completes each by walking the arcs through
 their over-passages and twists, and tests it against every compiled
-rule; it shares no code with the propagation.
+rule; it shares no code with the propagation.  Past its ceiling it
+raises ``SearchBoundExceeded``, the error of every search bound.
 
 Free loops are never enumerated -- they contribute a |G|^free_loops
 factor handled by the invariant layer and by ``count_colorings``.
@@ -32,7 +34,7 @@ from itertools import product
 
 from .algebra import FiniteQuandle, QuandleMap
 from .diagram import VirtualDiagram
-from .errors import CeilingExceeded
+from .errors import SearchBoundExceeded
 from .kernel import check_coloring, compile_problem, satisfying
 
 DEFAULT_BRUTE_FORCE_CEILING = 10**7
@@ -41,7 +43,7 @@ DEFAULT_BRUTE_FORCE_CEILING = 10**7
 def verify_coloring(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap, coloring) -> bool:
     """True iff every crossing constraint holds for the given edge colors."""
     check_coloring(d, q, coloring)
-    return bool(satisfying(compile_problem(d, q, f).rules, [coloring]))
+    return bool(satisfying(compile_problem(d, q, f), [coloring]))
 
 
 def enumerate_colorings(
@@ -57,11 +59,14 @@ def enumerate_colorings(
     backtrack on conflict.  The branching order does not change the
     result, which is sorted before it is returned.
     """
-    p = compile_problem(d, q, f)
+    rules = compile_problem(d, q, f)
     n = q.order
     E = d.edges
-    rules, incident = p.rules, p.incident
-    under = rules[: p.classical]
+    incident: list[list[int]] = [[] for _ in range(E)]  # edge -> indices of the rules it appears in
+    for r, (i, o, b, _, _) in enumerate(rules):
+        for e in {i, o, b} - {-1}:
+            incident[e].append(r)
+    under = [r for r in rules if r[2] >= 0]
     colors: list[int | None] = [None] * E
     results: list[tuple[int, ...]] = []
 
@@ -160,14 +165,14 @@ def brute_force_colorings(
     color per strand, and the scan covers all ``n**strands`` assignments,
     each completed to a full coloring and tested by ``kernel.satisfying``
     against every rule; more than ``ceiling`` assignments raise
-    ``CeilingExceeded``.  It shares only the compiled rules with
+    ``SearchBoundExceeded``.  It shares only the compiled rules with
     ``enumerate_colorings`` (no propagation) and must return the same
     list on every diagram within the ceiling.
     """
-    p = compile_problem(d, q, f)
+    compiled = compile_problem(d, q, f)
     n = q.order
-    passage = {i: (o, fwd) for i, o, b, fwd, _ in p.rules if b < 0}
-    starts = [o for _, o, _, _, _ in p.rules[: p.classical]]
+    passage = {i: (o, fwd) for i, o, b, fwd, _ in compiled if b < 0}
+    starts = [o for _, o, b, _, _ in compiled if b >= 0]
     strands: list[list[int]] = []
     covered: set[int] = set()
     for start in starts + list(range(d.edges)):
@@ -179,7 +184,7 @@ def brute_force_colorings(
         strands.append(strand)
         covered.update(strand)
     if n ** len(strands) > ceiling:
-        raise CeilingExceeded(
+        raise SearchBoundExceeded(
             f"{n}^{len(strands)} arc assignments exceed the ceiling {ceiling}; pass a larger one"
         )
     # colors[k][c]: the colors along strand k when its start has color c
@@ -200,7 +205,7 @@ def brute_force_colorings(
     position = {e: k for k, e in enumerate(order)}
     rules = [
         (position[i], position[o], position[b] if b >= 0 else -1, fwd, back)
-        for i, o, b, fwd, back in p.rules
+        for i, o, b, fwd, back in compiled
     ]
     half = len(strands) // 2
     heads = [sum(walks, ()) for walks in product(*colors[:half])]

@@ -48,30 +48,12 @@ class Weight(Value):
         set_field(self, "group", group)
         set_field(self, "exponent", group.reduce(exponent))
 
-    def __mul__(self, other: "Weight") -> "Weight":
-        if self.group != other.group:
-            raise InvalidParameter("weights from different coefficient groups")
-        return Weight(self.group, self.exponent + other.exponent)
-
-    def inverse(self) -> "Weight":
-        return Weight(self.group, -self.exponent)
-
-    def __pow__(self, k: int) -> "Weight":
-        return Weight(self.group, k * self.exponent)
-
-    def is_identity(self) -> bool:
-        return self.exponent == 0
-
     def __str__(self) -> str:
         if self.exponent == 0:
             return "1"
         if self.exponent == 1:
             return "t"
         return f"t^{self.exponent}"
-
-
-def identity_weight(group: CoefficientGroup) -> Weight:
-    return Weight(group, 0)
 
 
 class WeightPolynomial(Value):
@@ -95,19 +77,6 @@ class WeightPolynomial(Value):
             if multiplicity:
                 acc[exponent] = acc.get(exponent, 0) + multiplicity
         return WeightPolynomial(tuple(sorted(acc.items())))
-
-    @staticmethod
-    def zero() -> "WeightPolynomial":
-        return WeightPolynomial(())
-
-    def __add__(self, other: "WeightPolynomial") -> "WeightPolynomial":
-        return WeightPolynomial.from_pairs(self.terms + other.terms)
-
-    def scale(self, factor: int) -> "WeightPolynomial":
-        """Multiply every multiplicity by a positive integer."""
-        if factor < 1:
-            raise InvalidParameter("scale factor must be a positive integer")
-        return WeightPolynomial(tuple((e, m * factor) for e, m in self.terms))
 
     def evaluate_at_one(self) -> int:
         """Value at t = 1, i.e. the total multiplicity."""
@@ -139,9 +108,6 @@ class Cochain1(Value):
         set_field(self, "group", group)
         set_field(self, "exponents", tuple(group.reduce(e) for e in exponents))
 
-    def weight_at(self, x: int) -> Weight:
-        return Weight(self.group, self.exponents[x])
-
 
 class Cocycle2(Value):
     """phi: G x G -> <t>, stored as an n x n table of exponents."""
@@ -155,12 +121,6 @@ class Cocycle2(Value):
         set_field(self, "quandle", quandle)
         set_field(self, "group", group)
         set_field(self, "exponents", tuple(tuple(group.reduce(e) for e in row) for row in exponents))
-
-    def entry(self, a: int, b: int) -> int:
-        return self.exponents[a][b]
-
-    def weight_at(self, a: int, b: int) -> Weight:
-        return Weight(self.group, self.exponents[a][b])
 
 
 class CocycleReport(Value):
@@ -234,12 +194,6 @@ def cocycle_product(c1: Cocycle2, c2: Cocycle2) -> Cocycle2:
         tuple(c1.exponents[a][b] + c2.exponents[a][b] for b in range(n)) for a in range(n)
     )
     return Cocycle2(c1.quandle, c1.group, table)
-
-
-def cocycle_inverse(c: Cocycle2) -> Cocycle2:
-    n = c.quandle.order
-    table = tuple(tuple(-c.exponents[a][b] for b in range(n)) for a in range(n))
-    return Cocycle2(c.quandle, c.group, table)
 
 
 def is_cohomologous(c1: Cocycle2, c2: Cocycle2) -> Cochain1 | None:

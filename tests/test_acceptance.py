@@ -98,7 +98,7 @@ def test_criterion_3_oracle_equivalence():
         for n in (3, 4):
             q = make_dihedral(n)
             for f in _maps(n):
-                full = satisfying(compile_problem(d, q, f).rules, product(range(n), repeat=d.edges))
+                full = satisfying(compile_problem(d, q, f), product(range(n), repeat=d.edges))
                 assert full == brute_force_colorings(d, q, f) == enumerate_colorings(d, q, f)
                 checked += 1
     _ok(3, f"propagation enumerator, arc scan and full scan agree on {checked} cases")

@@ -15,11 +15,9 @@ from vknots.algebra import (
     automorphisms,
     inner_automorphism,
     is_automorphism,
-    left_divide,
     make_dihedral,
     make_from_table,
     map_order,
-    map_power,
     quandle_from_json,
     quandle_to_json,
     validate_quandle,
@@ -171,11 +169,12 @@ def test_axiom_reports_match_scalar_scan():
 
 
 def test_left_divide_examples():
-    assert left_divide(make_dihedral(4), 3, 0) == 1
-    assert left_divide(make_dihedral(3), 0, 1) == 2
+    # division[a][y] is the unique x with x * a = y
+    assert make_dihedral(4).division[0][3] == 1
+    assert make_dihedral(3).division[1][0] == 2
     q = make_dihedral(5)
     for a in range(5):
-        assert left_divide(q, q.table[a][a], a) == a
+        assert q.division[a][q.table[a][a]] == a
 
 
 @given(st.integers(min_value=1, max_value=9), st.data())
@@ -183,7 +182,7 @@ def test_left_divide_round_trip(n, data):
     q = make_dihedral(n)
     x = data.draw(st.integers(min_value=0, max_value=n - 1))
     a = data.draw(st.integers(min_value=0, max_value=n - 1))
-    assert left_divide(q, q.table[x][a], a) == x
+    assert q.division[a][q.table[x][a]] == x
 
 
 def test_is_automorphism_examples():
@@ -326,7 +325,7 @@ def _use_every_derived_table(q):
     assert validate_quandle(q).ok
     assert is_automorphism(q, f) and f.images == tuple(-x % n for x in range(n))
     assert len(automorphisms(q, bound=n)) == n * _euler_phi(n)
-    assert all(left_divide(q, q.table[x][1], 1) == x for x in range(n))
+    assert all(q.division[1][q.table[x][1]] == x for x in range(n))
     colorings = 3 * n if n % 3 == 0 else n
     assert count_colorings(d, q, f) == len(brute_force_colorings(d, q, f)) == colorings
     assert compute_invariant("z1", d, q, c, f).colorings == colorings
@@ -356,14 +355,6 @@ def test_map_order():
     assert map_order(QuandleMap((1, 2, 3, 0))) == 4
     with pytest.raises(InvalidParameter):
         map_order(QuandleMap((0, 0, 1, 2)))
-
-
-def test_map_power_matches_repeated_composition():
-    m = QuandleMap((1, 2, 3, 0))
-    assert map_power(m, 0) == QuandleMap.identity(4)
-    assert map_power(m, 2).images == (2, 3, 0, 1)
-    assert map_power(m, -1) == m.inverse()
-    assert map_power(m, 4) == QuandleMap.identity(4)
 
 
 def test_quandle_json_round_trip():

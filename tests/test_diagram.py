@@ -332,6 +332,18 @@ def test_isomorphic_basics():
     assert isomorphic(builder("unknot"), builder("unknot"))
 
 
+def test_isomorphic_matches_many_components_without_recursion():
+    # 1,200 disjoint virtual kinks; matching them used one stack frame per component
+    n = 1200
+    kinks = VirtualDiagram(2 * n, 0, tuple(VirtualCrossing(2 * k, 2 * k + 1, 2 * k + 1, 2 * k, 1) for k in range(n)))
+    interleaved = VirtualDiagram(2 * n, 0, tuple(VirtualCrossing(k, n + k, n + k, k, 1) for k in range(n)))
+    assert validate_diagram(kinks).ok and validate_diagram(interleaved).ok
+    assert kinks != interleaved
+    assert isomorphic(kinks, kinks)
+    assert isomorphic(kinks, interleaved)
+    assert not isomorphic(kinks, VirtualDiagram(2 * n, 1, kinks.crossings))
+
+
 def test_isomorphic_handles_chirality_normalisation():
     # swapping the labels of a closed virtual kink flips the stored
     # chirality bit, so the two stored forms denote the same diagram

@@ -40,12 +40,12 @@ def test_coloring_weight_rules():
     d = builder("unknot_vkink")
     for a in range(4):
         w = coloring_weight(d, PHI, (a, a))
-        assert w.is_identity()
+        assert w.exponent == 0
     kink = builder("unknot_kink_pos")
     for a in range(4):
-        assert coloring_weight(kink, PHI, (a, a)).is_identity()
+        assert coloring_weight(kink, PHI, (a, a)).exponent == 0
     tre = builder("trefoil")
-    assert coloring_weight(tre, PHI, (0,) * 6).is_identity()
+    assert coloring_weight(tre, PHI, (0,) * 6).exponent == 0
     with pytest.raises(InvalidParameter):
         coloring_weight(tre, PHI, (0, 1, 0, 0, 0, 0))
     with pytest.raises(InvalidParameter):
@@ -173,7 +173,7 @@ def test_free_loops_scale_all_invariants():
     doubled = VirtualDiagram(vt.edges, vt.free_loops + 2, vt.crossings)
     assert count_colorings(doubled, Q4, INNER0) == 16 * count_colorings(vt, Q4, INNER0)
     z2 = state_sum_z2(doubled, Q4, PHI, INNER0)
-    assert z2 == state_sum_z2(vt, Q4, PHI, INNER0).scale(16)
+    assert z2.terms == tuple((e, 16 * m) for e, m in state_sum_z2(vt, Q4, PHI, INNER0).terms)
     z1 = state_weight_z1(doubled, Q4, PHI, SHIFT)
     assert z1.exponent == 16 * state_weight_z1(vt, Q4, PHI, SHIFT).exponent
 

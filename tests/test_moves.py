@@ -513,6 +513,14 @@ def test_classical_only_fuzz_stays_classical():
         assert all(r.kind in CLASSICAL_KINDS for r in trace)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_unknown_kind_in_the_menu_is_refused_before_any_draw(seed):
+    # the menu used to be checked only when the shuffle reached the bad name,
+    # so 9 of these seeds returned a trace without error
+    with pytest.raises(InvalidParameter, match="unknown move kind 'bogus'"):
+        random_equivalent(builder("trefoil"), seed, 1, kinds=("r1_insert", "bogus"))
+
+
 def test_classical_only_fuzz_preserves_classical_state_sum():
     from vknots.invariants import state_sum_classical
     from vknots.weights import example_cocycle_r4

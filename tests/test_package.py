@@ -24,11 +24,11 @@ import vknots
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the names `from vknots import X` gave when the package imported every module eagerly
+# the names `from vknots import X` gives
 PUBLIC = {
     "algebra": (
         "FiniteQuandle", "QuandleMap", "automorphisms", "inner_automorphism", "is_automorphism",
-        "left_divide", "make_dihedral", "make_from_table", "map_order", "validate_quandle",
+        "make_dihedral", "make_from_table", "map_order", "validate_quandle",
     ),
     "diagram": (
         "BUILDER_NAMES", "ClassicalCrossing", "VirtualCrossing", "VirtualDiagram", "builder",
@@ -45,8 +45,8 @@ PUBLIC = {
     "solver": ("brute_force_colorings", "count_colorings", "enumerate_colorings", "verify_coloring"),
     "weights": (
         "CoefficientGroup", "Cochain1", "Cocycle2", "Weight", "WeightPolynomial", "coboundary",
-        "cocycle_inverse", "cocycle_product", "cocycle_space_basis", "example_cocycle_r4",
-        "is_cohomologous", "preserves", "trivial_cocycle", "validate_cocycle",
+        "cocycle_product", "cocycle_space_basis", "example_cocycle_r4", "is_cohomologous", "preserves",
+        "trivial_cocycle", "validate_cocycle",
     ),
 }
 PUBLIC_NAMES = [(home, name) for home, names in PUBLIC.items() for name in names]

@@ -1,5 +1,6 @@
 """Exact outputs of the moves engine, the Smith normal form, the Smith-form
-basis, the automorphism search and the invariants, pinned by digest.
+basis, the automorphism search, the invariants and the command line,
+pinned by digest.
 
 The other tests check that move outputs are valid and keep the invariants,
 that basis vectors are cocycles and that automorphisms preserve products;
@@ -9,14 +10,20 @@ automorphisms in another order.
 These digests were taken before the moves engine, the Smith reduction,
 the automorphism search and the coloring search with its state sums were
 rewritten, so any change to the exact diagrams, traces, bases,
-automorphism lists or invariant outputs (errors included) shows.
+automorphism lists or invariant outputs (errors included) shows.  The
+command-line digest was taken before the CLI's usage errors were raised
+as library error types, so any change to an exit code or to a byte the CLI
+writes shows.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 
 from vknots.algebra import QuandleMap, automorphisms, inner_automorphism, make_dihedral, make_from_table
+from vknots.cli import main
 from vknots.intlin import smith_normal_form
 from vknots.diagram import BUILDER_NAMES, VirtualDiagram, builder, serialize_diagram
 from vknots.invariants import compute_invariant, invariant_bundle
@@ -39,6 +46,7 @@ LADDER_DIGEST = "e01a919916b722dcd05669c8634eeb0a75870caf8d188d0535b448abdfa24af
 AUT_DIGEST = "4430ca5d2b7eddb784d9c741244d526785820f6434c3a12c60877bafb75ca498"
 SNF_DIGEST = "8fdabb05576f109b88466ca62243f1398f7f76581cfa36bc8b68e93b73c8e788"
 INVARIANT_DIGEST = "88610efbb4c1394407c8ac3b7c0401edd2a94444a92b46c35eb69bf447ed0c27"
+CLI_DIGEST = "6581096361c278bd38b4ca5154fd7613b42bc4ba2b5f75283f16a8b9c089f2ac"
 
 # (builder, seed, moves, soft_cap) of the benchmark ladder diagrams, E = 54, 102, 146;
 # long traces past the soft cap, where removals are preferred
@@ -143,3 +151,50 @@ def test_invariant_outputs_are_pinned():
                         h.update(_outcome(lambda: compute_invariant(kind, d, q, c, f).to_json()).encode())
                     h.update(_outcome(lambda: json.dumps(invariant_bundle(d, q, c, f), sort_keys=True)).encode())
     assert h.hexdigest() == INVARIANT_DIGEST
+
+
+# the commands of README.md's Command line block, then the usage errors that
+# cli.py raises itself: an unreadable @file, a bad dihedral order, example-r4
+# on another quandle, a bad inner element, an --aut that is not a list of
+# integers or not an automorphism, and a --psi that is not a list of integers
+CLI_COMMANDS = (
+    ["quandle", "check", "--dihedral", "4"],
+    ["quandle", "auts", "--dihedral", "4"],
+    ["cocycle", "check", "--quandle", "dihedral:4", "--cocycle", "example-r4"],
+    ["cocycle", "preserves", "--quandle", "dihedral:4", "--cocycle", "example-r4", "--aut", "inner:0"],
+    ["cocycle", "coboundary", "--quandle", "dihedral:4", "--psi", "[1,0,0,0]"],
+    ["cocycle", "basis", "--quandle", "dihedral:4", "--m", "2"],
+    ["cocycle", "cohomologous", "--quandle", "dihedral:4", "--cocycle", "example-r4", "--other", "trivial"],
+    ["diagram", "build", "--name", "virtual_trefoil"],
+    ["diagram", "validate", "--diagram", "kishino"],
+    ["diagram", "components", "--diagram", "hopf_pos"],
+    ["color", "count", "--diagram", "trefoil", "--quandle", "dihedral:3", "--aut", "identity"],
+    ["color", "list", "--diagram", "unknot_kink_pos", "--quandle", "dihedral:3"],
+    ["invariant", "z", "--diagram", "trefoil", "--quandle", "dihedral:4", "--cocycle", "example-r4"],
+    ["invariant", "z2", "--diagram", "virtual_trefoil", "--quandle", "dihedral:4", "--cocycle", "example-r4",
+     "--aut", "inner:0", "--json"],
+    ["invariant", "z3", "--diagram", "virtual_trefoil", "--quandle", "dihedral:4", "--cocycle", "example-r4",
+     "--aut", "inner:0"],
+    ["fuzz", "--diagram", "virtual_trefoil", "--quandle", "dihedral:4", "--cocycle", "example-r4",
+     "--aut", "inner:0", "--moves", "200", "--seed", "7"],
+    ["color", "count", "--diagram", "trefoil", "--quandle", "@vknots-no-such-file.json"],
+    ["color", "count", "--diagram", "trefoil", "--quandle", "dihedral:x"],
+    ["invariant", "z", "--diagram", "trefoil", "--quandle", "dihedral:3", "--cocycle", "example-r4"],
+    ["color", "count", "--diagram", "trefoil", "--quandle", "dihedral:3", "--aut", "inner:x"],
+    ["color", "count", "--diagram", "trefoil", "--quandle", "dihedral:3", "--aut", "inner:7"],
+    ["color", "count", "--diagram", "trefoil", "--quandle", "dihedral:4", "--aut", '{"images":[0,1,2,3]}'],
+    ["color", "count", "--diagram", "trefoil", "--quandle", "dihedral:4", "--aut", '[0,1,2,"3"]'],
+    ["color", "count", "--diagram", "trefoil", "--quandle", "dihedral:4", "--aut", "[1,0,2,3]"],
+    ["cocycle", "coboundary", "--quandle", "dihedral:4", "--psi", '{"x":1}'],
+    ["cocycle", "coboundary", "--quandle", "dihedral:4", "--psi", "[1,0,0,true]"],
+)
+
+
+def test_cli_outputs_and_exit_codes_are_pinned():
+    h = hashlib.sha256()
+    for argv in CLI_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        h.update(json.dumps([argv, code, out.getvalue(), err.getvalue()], separators=(",", ":")).encode())
+    assert h.hexdigest() == CLI_DIGEST

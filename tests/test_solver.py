@@ -20,7 +20,7 @@ from vknots.diagram import (
     relabel_canonical,
 )
 from vknots.moves import random_equivalent
-from vknots.errors import CeilingExceeded, InvalidParameter
+from vknots.errors import InvalidParameter, SearchBoundExceeded
 from vknots.invariants import coloring_weight
 from vknots.solver import (
     brute_force_colorings,
@@ -124,7 +124,7 @@ def test_non_automorphism_rejected():
 def test_ceiling_enforced():
     # the ceiling bounds the arc assignments: kishino has four arcs, 4^4 = 256 over R4
     d = builder("kishino")
-    with pytest.raises(CeilingExceeded):
+    with pytest.raises(SearchBoundExceeded, match=r"4\^4 arc assignments exceed the ceiling 100"):
         brute_force_colorings(d, Q4, ID4, ceiling=100)
     assert brute_force_colorings(d, Q4, ID4, ceiling=256) == enumerate_colorings(d, Q4, ID4)
     assert brute_force_colorings(d, Q4, ID4, ceiling=10**6) == enumerate_colorings(d, Q4, ID4)

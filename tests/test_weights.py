@@ -15,12 +15,10 @@ from vknots.weights import (
     WeightPolynomial,
     coboundary,
     cocycle_from_json,
-    cocycle_inverse,
     cocycle_product,
     cocycle_space_basis,
     cocycle_to_json,
     example_cocycle_r4,
-    identity_weight,
     is_cohomologous,
     preservation_witness,
     preserves,
@@ -34,11 +32,7 @@ TRIVIAL2 = make_from_table([[0, 0], [1, 1]])
 
 def test_weight_arithmetic_exact():
     big = 10**40
-    a, b, c = Weight(Z, big), Weight(Z, -3), Weight(Z, 7 * big)
-    assert ((a * b) * c).exponent == a.exponent + b.exponent + c.exponent
-    assert (a * b) * c == a * (b * c)
-    assert (a * a.inverse()).is_identity()
-    assert (a**3).exponent == 3 * big
+    assert Weight(Z, 7 * big - 3).exponent == 7 * big - 3
     assert str(Weight(Z, 0)) == "1"
     assert str(Weight(Z, 1)) == "t"
     assert str(Weight(Z, -2)) == "t^-2"
@@ -48,11 +42,9 @@ def test_weight_modulus_reduction():
     g = CoefficientGroup(5)
     assert Weight(g, 7).exponent == 2
     assert Weight(g, -1).exponent == 4
-    assert (Weight(g, 3) * Weight(g, 4)).exponent == 2
+    assert Weight(g, 10**40).exponent == 0
     with pytest.raises(InvalidParameter):
         CoefficientGroup(-1)
-    with pytest.raises(InvalidParameter):
-        Weight(g, 0) * Weight(Z, 0)
 
 
 def test_weight_polynomial_basics():
@@ -61,9 +53,7 @@ def test_weight_polynomial_basics():
     assert p.evaluate_at_one() == 6
     assert str(p) == "3 + 3*t"
     assert str(WeightPolynomial.from_pairs([(0, 8), (1, 8)])) == "8 + 8*t"
-    assert str(WeightPolynomial.zero()) == "0"
-    assert p.scale(2).terms == ((0, 6), (1, 6))
-    assert (p + WeightPolynomial.from_pairs([(2, 1)])).terms == ((0, 3), (1, 3), (2, 1))
+    assert str(WeightPolynomial(())) == "0"
     assert p.to_json_obj() == [[0, 3], [1, 3]]
     with pytest.raises(InvalidParameter):
         WeightPolynomial.from_pairs([(0, -1)])
@@ -71,9 +61,10 @@ def test_weight_polynomial_basics():
 
 def test_example_cocycle_r4_values():
     c = example_cocycle_r4()
-    assert c.weight_at(0, 1) == Weight(Z, 1)
-    assert c.weight_at(0, 3) == Weight(Z, 1)
-    assert c.weight_at(2, 2).is_identity()
+    assert c.group == Z
+    assert c.exponents[0][1] == 1
+    assert c.exponents[0][3] == 1
+    assert c.exponents[2][2] == 0
     assert sum(e for row in c.exponents for e in row) == 2
     assert validate_cocycle(c).ok
 
@@ -119,8 +110,8 @@ def test_coboundary_examples():
     constant = coboundary(q, Z, Cochain1(Z, (5, 5, 5, 5)))
     assert constant == trivial_cocycle(q)
     c = coboundary(q, Z, Cochain1(Z, (1, 0, 0, 0)))
-    assert c.entry(0, 1) == 1  # 0*1 = 2, so psi(0) - psi(2) = 1
-    assert all(c.entry(x, x) == 0 for x in range(4))
+    assert c.exponents[0][1] == 1  # 0*1 = 2, so psi(0) - psi(2) = 1
+    assert all(c.exponents[x][x] == 0 for x in range(4))
     with pytest.raises(InvalidParameter):
         coboundary(q, Z, Cochain1(Z, (1, 0)))
 
@@ -137,8 +128,9 @@ def test_coboundaries_always_validate(n, data):
 
 def test_product_and_inverse():
     c = example_cocycle_r4()
-    assert cocycle_product(c, cocycle_inverse(c)) == trivial_cocycle(c.quandle)
-    assert cocycle_product(c, c).entry(0, 1) == 2
+    inverse = Cocycle2(c.quandle, c.group, tuple(tuple(-e for e in row) for row in c.exponents))
+    assert cocycle_product(c, inverse) == trivial_cocycle(c.quandle)
+    assert cocycle_product(c, c).exponents[0][1] == 2
     q3 = make_dihedral(3)
     with pytest.raises(InvalidParameter):
         cocycle_product(c, trivial_cocycle(q3))
