@@ -299,10 +299,14 @@ def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
     cycles_b = successor_cycles(b)
     if sorted(map(len, cycles_a)) != sorted(map(len, cycles_b)):
         return False
-    target = sorted(b.crossings)  # b's records are normalised, like _renamed's outputs
-
-    def crossings_match(mapping) -> bool:
-        return sorted([_renamed(c, mapping) for c in a.crossings]) == target
+    target = set(b.crossings)  # b's records are normalised, like _renamed's outputs
+    # each crossing of a is tested as soon as the last cycle holding one of
+    # its edges is mapped; the records of a diagram are distinct, so once
+    # every crossing of a is found in b's equally many, the two sets agree
+    component = {e: idx for idx, cyc in enumerate(cycles_a) for e in cyc}
+    ready: list[list[Crossing]] = [[] for _ in cycles_a]
+    for c in a.crossings:
+        ready[max(component[e] for e in c[2:])].append(c)
 
     by_len: dict[int, list[list[int]]] = {}
     for cyc in cycles_b:
@@ -313,7 +317,8 @@ def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
 
     def assign(idx: int):
         """Map a's cycle idx onto each unused b cycle of its length, at each
-        rotation, yielding once per choice."""
+        rotation, yielding once per choice under which the crossings it
+        completes are crossings of b."""
         cyc = cycles_a[idx]
         for bi, bcyc in enumerate(by_len.get(len(cyc), [])):
             if (len(cyc), bi) in used:
@@ -322,7 +327,8 @@ def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
             for offset in range(len(bcyc)):
                 for pos, e in enumerate(cyc):
                     mapping[e] = bcyc[(offset + pos) % len(bcyc)]
-                yield
+                if all(_renamed(c, mapping) in target for c in ready[idx]):
+                    yield
             used.discard((len(cyc), bi))
 
     # one suspended generator per matched cycle on an explicit stack, so that
@@ -333,7 +339,7 @@ def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
             stack.pop()
         elif len(stack) < len(cycles_a):
             stack.append(assign(len(stack)))
-        elif crossings_match(mapping):
+        else:
             return True
     return False
 

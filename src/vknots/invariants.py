@@ -36,7 +36,7 @@ from .algebra import FiniteQuandle, QuandleMap, automorphisms
 from .diagram import VirtualDiagram
 from .errors import InvalidParameter, PreconditionFailed, WrongKind
 from .kernel import check_coloring, check_twist, compile_problem, satisfying
-from .solver import enumerate_colorings
+from .solver import _enumerate
 from .value import Value, set_field
 from .weights import Cocycle2, Weight, WeightPolynomial, preservation_witness
 
@@ -82,11 +82,12 @@ def _exponent(c: Cocycle2, slots, coloring) -> int:
 
 def _state_sum(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> WeightPolynomial:
     """f's state sum: t**weight for every coloring under the twist map f, from one
-    enumeration, each multiplicity times the free-loop factor |G|**free_loops."""
+    enumeration, each multiplicity times the free-loop factor |G|**free_loops.
+    The caller has checked that f is an automorphism."""
     slots = _weight_slots(d)
     loops = q.order**d.free_loops
     return WeightPolynomial.from_pairs(
-        (c.group.reduce(_exponent(c, slots, a)), loops) for a in enumerate_colorings(d, q, f)
+        (c.group.reduce(_exponent(c, slots, a)), loops) for a in _enumerate(d, q, f)
     )
 
 
@@ -97,8 +98,7 @@ def _z1(c: Cocycle2, s: WeightPolynomial) -> Weight:
 
 def _z3(d, q, c, f) -> tuple[WeightPolynomial, WeightPolynomial]:
     """Z3 and f's state sum, enumerating the colorings under each twist map once;
-    f is checked first, so a map that is no automorphism costs no enumeration."""
-    check_twist(q, f)
+    f must be a checked automorphism, and so are the maps ``automorphisms`` returns."""
     sums = {g: _state_sum(d, q, c, g) for g in automorphisms(q)}
     z3 = WeightPolynomial.from_pairs((_z1(c, s).exponent, 1) for s in sums.values())
     return z3, sums[f]
@@ -160,6 +160,7 @@ def invariant_bundle(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: Quandl
     one enumeration per automorphism (f's state sum serves all but Z3).
     """
     _check_cocycle_quandle(q, c)
+    check_twist(q, f)  # before any enumeration
     z3, own = _z3(d, q, c, f)
     bundle = {"colorings": own.evaluate_at_one(), "z1": _z1(c, own).exponent, "z3": z3.to_json_obj()}
     if preservation_witness(f, c) is None:
@@ -187,14 +188,15 @@ def compute_invariant(
         f = QuandleMap.identity(q.order)
     elif f is None:
         raise InvalidParameter(f"invariant {kind!r} needs an automorphism")
+    elif kind not in ("z1", "z2", "z3"):
+        raise InvalidParameter(f"unknown invariant kind {kind!r}")
+    else:
+        check_twist(q, f)  # before any enumeration and before Z2 reads f's images
     if kind == "z3":
         z3, own = _z3(d, q, c, f)
         return InvariantResult("Z3", z3, own.evaluate_at_one())
     if kind == "z2":
-        check_twist(q, f)  # before the preservation check reads f's images
         _check_preserving(f, c)
-    elif kind not in ("z", "z1"):
-        raise InvalidParameter(f"unknown invariant kind {kind!r}")
     own = _state_sum(d, q, c, f)
     if kind == "z1":
         return InvariantResult("Z1", _z1(c, own), own.evaluate_at_one())

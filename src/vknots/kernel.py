@@ -17,10 +17,12 @@ automorphism.  A rule with ``by = -1`` is a bijection read directly from
 ``fwd`` and ``back``; an under-rule needs the over color first, and the
 tables are stored by over color so that ``fwd[o]`` is again a bijection.
 
-The search (``solver.enumerate_colorings``) propagates these rules; the
-oracle, ``verify_coloring`` and ``coloring_weight`` test them with
-``satisfying``.  The crossing weights are not rules; ``invariants`` reads
-them off the diagram itself.
+The search (``solver.enumerate_colorings``) composes the ``by = -1`` rules
+along each arc and propagates the under-rules between arcs; the oracle,
+``verify_coloring`` and ``coloring_weight`` test the rules with
+``satisfying``.  ``compile_problem`` does not check the twist map: each
+public entry point calls ``check_twist`` once.  The crossing weights are
+not rules; ``invariants`` reads them off the diagram itself.
 """
 
 from __future__ import annotations
@@ -50,14 +52,14 @@ def check_coloring(d: VirtualDiagram, q: FiniteQuandle, coloring) -> None:
 
 
 def compile_problem(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> tuple[Rule, ...]:
-    """The strand rules of d over the quandle q with twist automorphism f.
+    """The strand rules of d over the quandle q with twist automorphism f,
+    which the caller has checked.
 
     The under-rules of the classical crossings come first (in crossing
     order), then their over-rules, then the virtual passages; so the
     under-rules are the rules with ``by >= 0``, and the first
     ``2 * len(d.classical())`` rules do not depend on the twist map.
     """
-    check_twist(q, f)
     times, divide = q.columns, q.division  # times[o][x] = x * o, divide[o][x * o] = x
     fplus = f.images
     fminus = f.inverse().images

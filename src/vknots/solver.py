@@ -8,21 +8,33 @@ opposite powers of a fixed quandle automorphism f, decided by its
 chirality bit, so that traversing a virtual kink applies f then f^-1.
 ``kernel.compile_problem`` encodes these rules once, as a tuple of
 strand rules with the tables bound; every function here reads them from
-there, and the search indexes them by edge itself.
+there.
 
 A coloring is fixed by the colors of the diagram's arcs, the pieces of
-strand from one undercrossing to the next.  So ``enumerate_colorings``
-branches on arcs: it picks the uncolored over-arc of an under-rule whose
-strand is already colored, tries each color, and propagates.  Every
-branch then colors a whole arc plus the next under-strand edge, and the
-search tree has one level per arc instead of one per edge.  Only when no
-such rule applies -- at the start, or on an all-virtual diagram -- does
-it branch on the lowest uncolored edge.  ``brute_force_colorings`` is
-the oracle: it tries every assignment of colors to the arcs (n^arcs of
-them, bounded by a ceiling), completes each by walking the arcs through
-their over-passages and twists, and tests it against every compiled
-rule; it shares no code with the propagation.  Past its ceiling it
-raises ``SearchBoundExceeded``, the error of every search bound.
+strand from one under passage to the next, so ``enumerate_colorings``
+searches over arcs, one variable per arc: the color of its first edge.
+Walking an arc from an under-rule's ``out`` edge through the ``by = -1``
+rules composes the twist tables met on the way (only those that are not
+the identity, so an over-passage costs nothing) into a permutation from
+the arc's start color to each edge's color.  A component with no under
+passage is one closed arc, walked from its lowest edge; it may take only
+the fixed points of the permutation composed once round it.  Each
+classical crossing becomes one arc rule relating its in-arc and out-arc
+through the color of its over-arc, each color read through its edge's
+permutation.  The search branches on the uncolored over-arc of the first
+crossing, in crossing order, whose in-arc or out-arc is colored, else on
+the arc that holds the lowest uncolored edge; it propagates the arc rules
+and backtracks on conflict.  Each solution is expanded to its edge colors
+by walking its arcs, and the list is sorted.  A public entry point checks
+the twist map once; the invariant layer, which has checked it, calls the
+unchecked ``_enumerate``.
+
+``brute_force_colorings`` is the oracle: it tries every assignment of
+colors to the arcs (n^arcs of them, bounded by a ceiling), completes each
+by walking the arcs edge by edge through their over-passages and twists,
+and tests it against every compiled rule; it shares no code with the
+search beyond the compiled rules.  Past its ceiling it raises
+``SearchBoundExceeded``, the error of every search bound.
 
 Free loops are never enumerated -- they contribute a |G|^free_loops
 factor handled by the invariant layer and by ``count_colorings``.
@@ -35,7 +47,7 @@ from itertools import product
 from .algebra import FiniteQuandle, QuandleMap
 from .diagram import VirtualDiagram
 from .errors import SearchBoundExceeded
-from .kernel import check_coloring, compile_problem, satisfying
+from .kernel import check_coloring, check_twist, compile_problem, satisfying
 
 DEFAULT_BRUTE_FORCE_CEILING = 10**7
 
@@ -43,6 +55,7 @@ DEFAULT_BRUTE_FORCE_CEILING = 10**7
 def verify_coloring(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap, coloring) -> bool:
     """True iff every crossing constraint holds for the given edge colors."""
     check_coloring(d, q, coloring)
+    check_twist(q, f)
     return bool(satisfying(compile_problem(d, q, f), [coloring]))
 
 
@@ -51,80 +64,141 @@ def enumerate_colorings(
 ) -> list[tuple[int, ...]]:
     """All satisfying colorings, sorted lexicographically as color vectors.
 
-    Strategy: branch on the uncolored ``by`` edge (the over-arc) of the
-    first under-rule whose strand has a colored edge, falling back to the
-    lowest uncolored edge when no such rule exists; try each color,
-    propagate through every rule that has enough known slots (each rule is
-    a bijection along its strand once its ``by`` color is known), and
-    backtrack on conflict.  The branching order does not change the
-    result, which is sorted before it is returned.
+    The search has one variable per arc, the color of its first edge; the
+    color of every other edge of the arc is read through the twists
+    composed along it.  Strategy: branch on the uncolored over-arc of the
+    first under-rule, in crossing order, whose in-arc or out-arc is
+    colored, falling back to the arc that holds the lowest uncolored edge;
+    try each color the arc may take (a closed arc only the fixed points of
+    the twists composed once round it), propagate through every crossing
+    whose over-arc and one strand arc are colored (its rule is then a
+    bijection between the two strand arcs), and backtrack on conflict.
+    Each solution is expanded to its edge colors by walking its arcs, and
+    the list is sorted, so the branching order does not change the result.
     """
+    check_twist(q, f)
+    return _enumerate(d, q, f)
+
+
+def _arcs(d: VirtualDiagram, rules, identity: tuple):
+    """Per edge, its arc and the permutation from the arc's start color to
+    the edge's color; per arc, the permutation composed once round it when
+    the arc is closed, else None.
+
+    Walking forward from an under-rule's ``out`` edge through the
+    ``by = -1`` rules ends at the next under-rule's ``in`` edge; a
+    component with no under passage is one closed arc, walked from its
+    lowest edge.  Only twist tables that are not the identity are
+    composed, so the walk costs O(virtual passages * n) and an
+    over-passage costs nothing.
+    """
+    classical = 2 * len(d.classical())  # under-rules, then over-rules, then twists
+    step = {
+        i: (o, None if k < classical or fwd == identity else fwd)
+        for k, (i, o, b, fwd, _) in enumerate(rules)
+        if b < 0
+    }
+    arc_of = [-1] * d.edges
+    perm_of: list[tuple] = [identity] * d.edges
+    loops: list[tuple | None] = []
+    for start in [o for _, o, b, _, _ in rules if b >= 0] + list(range(d.edges)):
+        if arc_of[start] >= 0:
+            continue
+        e, perm = start, identity
+        while True:
+            arc_of[e], perm_of[e] = len(loops), perm
+            if e not in step:  # an under passage ends the arc
+                loops.append(None)
+                break
+            e, table = step[e]
+            if table is not None:
+                perm = table if perm is identity else tuple(map(table.__getitem__, perm))
+            if e == start:
+                loops.append(perm)
+                break
+    return arc_of, perm_of, loops
+
+
+def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple[int, ...]]:
+    """``enumerate_colorings`` for a twist map the caller has checked."""
     rules = compile_problem(d, q, f)
     n = q.order
-    E = d.edges
-    incident: list[list[int]] = [[] for _ in range(E)]  # edge -> indices of the rules it appears in
-    for r, (i, o, b, _, _) in enumerate(rules):
-        for e in {i, o, b} - {-1}:
-            incident[e].append(r)
-    under = [r for r in rules if r[2] >= 0]
-    colors: list[int | None] = [None] * E
+    identity = tuple(range(n))
+    arc_of, perm_of, loops = _arcs(d, rules, identity)
+    colors: list[int | None] = [None] * len(loops)
+    # one arc rule (in-arc, p_in, p_in^-1, out-arc, over-arc, fwd, back) per
+    # classical crossing, in crossing order, its tables indexed by the
+    # over-arc's color: color(out-arc) = fwd[color(over-arc)][p_in[color(in-arc)]]
+    arc_rules = []
+    for i, o, b, fwd, back in rules:
+        if b >= 0:
+            p_in, p_by = perm_of[i], perm_of[b]
+            if p_by is not identity:
+                fwd, back = [fwd[z] for z in p_by], [back[z] for z in p_by]
+            p_in_inv = p_in if p_in is identity else tuple(sorted(identity, key=p_in.__getitem__))
+            arc_rules.append((arc_of[i], p_in, p_in_inv, arc_of[o], arc_of[b], fwd, back))
+    incident: list[list[tuple]] = [[] for _ in loops]  # arc -> the arc rules it appears in
+    for rule in arc_rules:
+        for a in {rule[0], rule[3], rule[4]}:
+            incident[a].append(rule)
+    # a closed arc may take only the fixed points of its loop permutation
+    domains = [range(n) if p is None else [x for x in range(n) if p[x] == x] for p in loops]
+    by_lowest_edge = list(dict.fromkeys(arc_of))
     results: list[tuple[int, ...]] = []
 
-    def propagate(edge: int, value: int) -> list[int] | None:
-        """Color edge and everything that forces; returns the trail or None."""
+    def propagate(arc: int, value: int) -> list[int] | None:
+        """Color arc and everything that forces; returns the trail or None."""
         trail: list[int] = []
-        stack = [(edge, value)]
+        stack = [(arc, value)]
         while stack:
-            e, v = stack.pop()
-            cur = colors[e]
+            a, v = stack.pop()
+            cur = colors[a]
             if cur is not None:
                 if cur != v:
                     for t in trail:
                         colors[t] = None
                     return None
                 continue
-            colors[e] = v
-            trail.append(e)
-            for r in incident[e]:
-                i, o, b, fwd, back = rules[r]
-                if b >= 0:
-                    z = colors[b]
-                    if z is None:
-                        continue
-                    fwd, back = fwd[z], back[z]
-                x, y = colors[i], colors[o]
+            colors[a] = v
+            trail.append(a)
+            for ia, p_in, p_in_inv, oa, ba, fwd, back in incident[a]:
+                z = colors[ba]
+                if z is None:
+                    continue
+                x, y = colors[ia], colors[oa]
                 if x is not None:
-                    want = fwd[x]
+                    want = fwd[z][p_in[x]]
                     if y is None:
-                        stack.append((o, want))
+                        stack.append((oa, want))
                     elif y != want:
                         for t in trail:
                             colors[t] = None
                         return None
                 elif y is not None:
-                    stack.append((i, back[y]))
+                    stack.append((ia, p_in_inv[back[z][y]]))
         return trail
 
-    def branch_edge() -> int | None:
-        """The uncolored over-arc of an under-rule whose strand is colored;
-        else the lowest uncolored edge; None when all are colored."""
-        for i, o, b, _, _ in under:
-            if colors[b] is None and (colors[i] is not None or colors[o] is not None):
-                return b
-        for e in range(E):
-            if colors[e] is None:
-                return e
+    def branch_arc() -> int | None:
+        """The uncolored over-arc of the first arc rule with a colored strand
+        arc; else the arc of the lowest uncolored edge; None when all are
+        colored."""
+        for ia, _, _, oa, ba, _, _ in arc_rules:
+            if colors[ba] is None and (colors[ia] is not None or colors[oa] is not None):
+                return ba
+        for a in by_lowest_edge:
+            if colors[a] is None:
+                return a
         return None
 
     def branches():
-        """One branch level: record the coloring when every edge is colored,
-        else yield once per color of the branch edge that propagates."""
-        edge = branch_edge()
-        if edge is None:
+        """One branch level: record the arc colors when every arc is colored,
+        else yield once per color of the branch arc that propagates."""
+        arc = branch_arc()
+        if arc is None:
             results.append(tuple(colors))  # type: ignore[arg-type]
             return
-        for v in range(n):
-            trail = propagate(edge, v)
+        for v in domains[arc]:
+            trail = propagate(arc, v)
             if trail is not None:
                 yield
                 for t in trail:
@@ -140,8 +214,8 @@ def enumerate_colorings(
             stack.pop()
         else:
             stack.append(branches())
-    results.sort()
-    return results
+    edges = list(zip(arc_of, perm_of))
+    return sorted(tuple([p[c[a]] for a, p in edges]) for c in results)
 
 
 def count_colorings(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> int:
@@ -169,6 +243,7 @@ def brute_force_colorings(
     ``enumerate_colorings`` (no propagation) and must return the same
     list on every diagram within the ceiling.
     """
+    check_twist(q, f)
     compiled = compile_problem(d, q, f)
     n = q.order
     passage = {i: (o, fwd) for i, o, b, fwd, _ in compiled if b < 0}

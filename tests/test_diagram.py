@@ -344,6 +344,29 @@ def test_isomorphic_matches_many_components_without_recursion():
     assert not isomorphic(kinks, VirtualDiagram(2 * n, 1, kinks.crossings))
 
 
+def test_isomorphic_prunes_each_component_as_it_is_matched():
+    # 12 disjoint virtual kinks against the same kinks with the first one stored
+    # at the other chirality: only the second rotation of the first kink maps
+    # its crossing into b, and trying every matching of the other 11 kinks
+    # under the first rotation would take hours
+    import time
+
+    n = 12
+    kinks = VirtualDiagram(2 * n, 0, tuple(VirtualCrossing(2 * k, 2 * k + 1, 2 * k + 1, 2 * k, 1) for k in range(n)))
+    flipped = VirtualDiagram(2 * n, 0, (VirtualCrossing(0, 1, 1, 0, -1),) + kinks.crossings[1:])
+    # two circles crossing each other twice in place of the first two kinks:
+    # the same counts of edges, crossings and components of each length
+    linked = VirtualDiagram(
+        2 * n, 0, (VirtualCrossing(0, 1, 2, 3, 1), VirtualCrossing(1, 0, 3, 2, 1)) + kinks.crossings[2:]
+    )
+    assert validate_diagram(flipped).ok and validate_diagram(linked).ok
+    start = time.perf_counter()
+    assert isomorphic(flipped, kinks)
+    assert isomorphic(kinks, flipped)
+    assert not isomorphic(linked, kinks)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_isomorphic_handles_chirality_normalisation():
     # swapping the labels of a closed virtual kink flips the stored
     # chirality bit, so the two stored forms denote the same diagram

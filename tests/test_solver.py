@@ -5,6 +5,7 @@ import pytest
 from vknots import intlin
 from vknots.algebra import (
     QuandleMap,
+    automorphisms,
     inner_automorphism,
     is_automorphism,
     make_dihedral,
@@ -15,13 +16,13 @@ from vknots.diagram import (
     BUILDER_NAMES,
     ClassicalCrossing,
     VirtualCrossing,
-    VirtualDiagram,
     builder,
     relabel_canonical,
+    validate_diagram,
 )
 from vknots.moves import random_equivalent
 from vknots.errors import InvalidParameter, SearchBoundExceeded
-from vknots.invariants import coloring_weight
+from vknots.invariants import coloring_weight, compute_invariant, invariant_bundle
 from vknots.solver import (
     brute_force_colorings,
     count_colorings,
@@ -113,12 +114,47 @@ def test_verify_matches_enumeration():
 
 
 def test_non_automorphism_rejected():
-    with pytest.raises(InvalidParameter):
-        enumerate_colorings(builder("trefoil"), Q4, QuandleMap((0, 0, 1, 2)))
-    with pytest.raises(InvalidParameter):
-        brute_force_colorings(builder("trefoil"), Q4, QuandleMap((0, 1, 3, 2)))
+    d, c = builder("trefoil"), example_cocycle_r4()
+    entry_points = [
+        lambda f: enumerate_colorings(d, Q4, f),
+        lambda f: count_colorings(d, Q4, f),
+        lambda f: brute_force_colorings(d, Q4, f),
+        lambda f: verify_coloring(d, Q4, f, (0,) * 6),
+        lambda f: invariant_bundle(d, Q4, c, f),
+        *(lambda f, kind=kind: compute_invariant(kind, d, Q4, c, f) for kind in ("z1", "z2", "z3")),
+    ]
+    for call in entry_points:
+        for f in (QuandleMap((0, 0, 1, 2)), QuandleMap((0, 1, 3, 2))):
+            with pytest.raises(InvalidParameter, match="the twist map must be an automorphism of the quandle"):
+                call(f)
     with pytest.raises(InvalidParameter):
         verify_coloring(builder("trefoil"), Q4, ID4, (0,) * 5)
+
+
+def test_each_entry_point_checks_the_twist_once(monkeypatch):
+    # the automorphism test is O(n^2), so no entry point repeats it: not per
+    # enumeration, and not for the maps automorphisms() has just returned
+    import vknots.kernel
+
+    calls = []
+    check = vknots.kernel.is_automorphism
+    monkeypatch.setattr(vknots.kernel, "is_automorphism", lambda q, f: calls.append(f) or check(q, f))
+    d, c, f = builder("virtual_trefoil"), example_cocycle_r4(), inner_automorphism(Q4, 0)
+    entry_points = {
+        "enumerate_colorings": lambda: enumerate_colorings(d, Q4, f),
+        "count_colorings": lambda: count_colorings(d, Q4, f),
+        "brute_force_colorings": lambda: brute_force_colorings(d, Q4, f),
+        "verify_coloring": lambda: verify_coloring(d, Q4, f, (0,) * 6),
+        "invariant_bundle": lambda: invariant_bundle(d, Q4, c, f),
+        **{kind: lambda kind=kind: compute_invariant(kind, d, Q4, c, f) for kind in ("z1", "z2", "z3")},
+    }
+    for name, call in entry_points.items():
+        calls.clear()
+        call()
+        assert calls == [f], name
+    calls.clear()
+    compute_invariant("z", builder("trefoil"), Q4, c)  # Z uses the identity, which needs no check
+    assert calls == []
 
 
 def test_ceiling_enforced():
@@ -152,18 +188,66 @@ def test_oracle_equivalence_at_scale(seed):
             assert brute_force_colorings(d, q, f) == enumerate_colorings(d, q, f)
 
 
-def test_twisted_count_can_drop():
-    # two circles crossing each other twice virtually with equal chirality:
-    # each color must be fixed by the square of the twist
-    d = VirtualDiagram(
-        4, 0, (VirtualCrossing(0, 1, 2, 3, 1), VirtualCrossing(1, 0, 3, 2, 1))
-    )
-    from vknots.diagram import validate_diagram
+def _crossing_twice(second_chirality):
+    # two circles crossing each other twice virtually: with equal chiralities
+    # each circle twists by the same power of f at both crossings, with
+    # opposite ones the two twists cancel
+    return relabel_canonical([VirtualCrossing(0, 1, 2, 3, 1), VirtualCrossing(1, 0, 3, 2, second_chirality)], 0)
 
+
+def test_twisted_count_can_drop():
+    # equal chiralities: each color must be fixed by the square of the twist
+    d = _crossing_twice(1)
     assert validate_diagram(d).ok
     assert count_colorings(d, Q4, ID4) == 16
     assert count_colorings(d, Q4, SHIFT4) == 0  # shift^2 has no fixed points
     assert count_colorings(d, Q4, inner_automorphism(Q4, 0)) == 16  # an involution
+    # opposite chiralities: the twists cancel round each circle
+    d = _crossing_twice(-1)
+    assert validate_diagram(d).ok
+    assert count_colorings(d, Q4, ID4) == count_colorings(d, Q4, SHIFT4) == 16
+
+
+# Diagrams whose arcs the corpus does not exercise: closed arcs with a
+# twisted loop, a closed all-virtual strand passing over classical
+# crossings, and classical kinks whose in-arc, out-arc and over-arc are one
+# arc, twisted on the way round by virtual crossings with a closed circle.
+ARC_CASES = {
+    "crossing twice, equal chiralities": lambda: _crossing_twice(1),
+    "crossing twice, opposite chiralities": lambda: _crossing_twice(-1),
+    # strand 0 -> 1 -> 2 -> 0 passes under the closed strand 3 -> 4 -> 5 -> 3
+    # twice; the two cross virtually on 3 -> 4, so the over edges are twisted
+    "closed strand over two crossings": lambda: relabel_canonical(
+        [
+            ClassicalCrossing(1, under_in=0, over_in=4, under_out=1, over_out=5),
+            ClassicalCrossing(-1, under_in=1, over_in=5, under_out=2, over_out=3),
+            VirtualCrossing(2, 0, 3, 4, 1),
+        ],
+        0,
+    ),
+    **{
+        f"kink sign {sign}, chiralities {c1} {c2}": lambda sign=sign, c1=c1, c2=c2: relabel_canonical(
+            [
+                ClassicalCrossing(sign, under_in=0, over_in=2, under_out=1, over_out=3),
+                VirtualCrossing(1, 2, 4, 5, c1),
+                VirtualCrossing(3, 0, 5, 4, c2),
+            ],
+            0,
+        )
+        for sign in (1, -1)
+        for c1, c2 in ((1, 1), (1, -1))
+    },
+}
+
+
+@pytest.mark.parametrize("case", ARC_CASES)
+def test_arc_search_matches_oracle_on_new_arc_cases(case):
+    d = ARC_CASES[case]()
+    assert validate_diagram(d).ok
+    for n in (3, 4, 5, 6):
+        q = make_dihedral(n)
+        for f in automorphisms(q):
+            assert enumerate_colorings(d, q, f) == brute_force_colorings(d, q, f), (n, f.images)
 
 
 def test_global_twist_relabelling_is_a_bijection():
