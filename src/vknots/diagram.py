@@ -162,10 +162,13 @@ def strand_passages(c: Crossing) -> tuple[tuple[int, int, int], ...]:
 def _slot_maps(crossings) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
     consumed: dict[int, tuple[int, int]] = {}
     emitted: dict[int, tuple[int, int]] = {}
-    for ci, c in enumerate(crossings):
-        (i0, o0), (i1, o1) = c.PASSAGES
-        consumed[c[i0]] = emitted[c[o0]] = (ci, 0)
-        consumed[c[i1]] = emitted[c[o1]] = (ci, 1)
+    for ci, (tag, _, w, x, y, z) in enumerate(crossings):
+        if tag:  # virtual: passages (w -> x) and (y -> z)
+            consumed[w] = emitted[x] = (ci, 0)
+            consumed[y] = emitted[z] = (ci, 1)
+        else:  # classical: passages (w -> y) and (x -> z)
+            consumed[w] = emitted[y] = (ci, 0)
+            consumed[x] = emitted[z] = (ci, 1)
     return consumed, emitted
 
 
@@ -258,25 +261,63 @@ def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
     ``slot_maps`` are filled in here, so a move output never rebuilds them.
     """
     succ: dict[int, int] = {}
-    for c in crossings:
-        (i0, o0), (i1, o1) = c.PASSAGES
-        succ[c[i0]] = c[o0]
-        succ[c[i1]] = c[o1]
+    for tag, _, w, x, y, z in crossings:
+        if tag:  # virtual: passages (w -> x) and (y -> z)
+            succ[w] = x
+            succ[y] = z
+        else:  # classical: passages (w -> y) and (x -> z)
+            succ[w] = y
+            succ[x] = z
     outs = set(succ.values())
     if len(outs) != 2 * len(crossings):  # an in-edge overwritten or an out-edge repeated
         _raise_reused_slot(crossings)
     if succ.keys() != outs:
         raise MalformedInput("dangling edge ends after rewiring")
     label: dict[int, int] = {}
+    n = 0
     for start in sorted(succ):
         e = start
         while e not in label:
-            label[e] = len(label)
+            label[e] = n
+            n += 1
             e = succ[e]
-    records = tuple(sorted([_renamed(c, label) for c in crossings]))
-    d = VirtualDiagram(len(label), free_loops, records)
+    # renamed as in _renamed; plain tuples sort as the records do, and faster
+    renamed = []
+    for tag, s, w, x, y, z in crossings:
+        w, x, y, z = label[w], label[x], label[y], label[z]
+        if tag and w > y:  # virtual strands swapped so that first_in < second_in
+            renamed.append((1, -s, y, z, w, x))
+        else:
+            renamed.append((tag, s, w, x, y, z))
+    renamed.sort()
+    records = tuple([tuple.__new__(VirtualCrossing if r[0] else ClassicalCrossing, r) for r in renamed])
+    d = VirtualDiagram(n, free_loops, records)
     d.__dict__["slot_maps"] = _slot_maps(records)  # the cached_property's slot
     return d
+
+
+def _component_signatures(d: VirtualDiagram, cycles) -> list:
+    """The sorted label-free signatures of the components (successor cycles)
+    of ``d``.
+
+    A component's signature is its length and the sorted list of its
+    passages.  A passage is (0, sign, role, same) on a classical crossing
+    and (1, chirality seen from this strand, same) on a virtual one, where
+    ``same`` tells whether the other strand is on the same component.  An
+    isomorphism maps each component onto one with the same signature.
+    """
+    component = {e: idx for idx, cyc in enumerate(cycles) for e in cyc}
+    passages: list[list[tuple]] = [[] for _ in cycles]
+    for tag, s, w, x, y, _ in d.crossings:
+        k0, k1 = component[w], component[y if tag else x]  # the in-edges of passages 0 and 1
+        same = k0 == k1
+        if tag:
+            passages[k0].append((1, s, same))
+            passages[k1].append((1, -s, same))
+        else:
+            passages[k0].append((0, s, 0, same))
+            passages[k1].append((0, s, 1, same))
+    return sorted((len(cyc), sorted(p)) for cyc, p in zip(cycles, passages))
 
 
 def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
@@ -285,19 +326,12 @@ def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
         return False
     if len(a.crossings) != len(b.crossings):
         return False
-    # stored chirality flips under relabelling (records are normalised by
-    # edge order), so only classical signs and the virtual count are
-    # label-independent
-    sig = lambda d: sorted(
-        (0, c.sign) if isinstance(c, ClassicalCrossing) else (1, 0) for c in d.crossings
-    )
-    if sig(a) != sig(b):
-        return False
     if a.edges == 0:
         return True
     cycles_a = successor_cycles(a)
     cycles_b = successor_cycles(b)
-    if sorted(map(len, cycles_a)) != sorted(map(len, cycles_b)):
+    # refuses most pairs that are not isomorphic without a search
+    if _component_signatures(a, cycles_a) != _component_signatures(b, cycles_b):
         return False
     target = set(b.crossings)  # b's records are normalised, like _renamed's outputs
     # each crossing of a is tested as soon as the last cycle holding one of

@@ -27,18 +27,24 @@ additionally requires the two route chiralities p, q to satisfy
 p*q = side_a*side_b, where a side is +1 when the route crosses the
 incoming half of the classical crossing's strand; other combinations do
 not arise from a planar slide and do not preserve twisted colorings.
-Each family is tested for existence only (its scan stops at the first
-site); the sorted site list is built for the drawn family alone.
+The poke-removal and semi-virtual slide sites come from one walk of the
+consecutive virtual passage pairs; the virtual slide is tested for
+existence only (its scan stops at the first site).  The sorted site list
+is built for the drawn family alone.
 
 Every move edits crossing records through one passage model: a role is
 a passage index (0 = under/first strand, 1 = over/second strand, as in
 ``diagram.strand_passages``), and a record class's ``PASSAGES`` names the
 tuple indices of each passage's (in, out) edges.  ``_passage`` reads
-them and ``_with_passages`` writes them into a copy of the record, the
-same index arithmetic for classical and virtual records.
+them, ``_rewire`` sets one slot and ``_with_passages`` writes both
+passages into a copy of the record, the same index arithmetic for
+classical and virtual records.
 A move finds the in-slot to rewire in ``d.slot_maps`` (a detour, after
-deleting its interior crossings, in the consumer map that
-``_remove_crossings`` returns); no move scans the crossing list for it.
+deleting its interior crossings, in a consumer map built from the chain
+ends that ``_remove_crossings`` returns); no move scans the crossing list
+for it.  The scans that run on every move read a record unpacked, as
+``(tag, sign, w, x, y, z)``: passages (w, y), (x, z) when classical and
+(w, x), (y, z) when virtual.
 
 A trace is a list of ``MoveRecord``s, and a record is the call that
 replays it: ``apply_move`` calls the move its ``kind`` names with its
@@ -87,68 +93,72 @@ def _with_passages(c, p0, p1):
     return tuple.__new__(type(c), r)
 
 
-def _rewire(crossings, slot, new_edge):
-    """Make the in-slot ``slot`` = (crossing index, role) consume ``new_edge``."""
+def _rewire(crossings, slot, new_edge, end=0):
+    """Make the slot ``slot`` = (crossing index, role) of ``crossings`` carry
+    ``new_edge`` at its in-end (``end`` 0) or out-end (``end`` 1)."""
     ci, role = slot
     c = crossings[ci]
-    passages = [_passage(c, 0), _passage(c, 1)]
-    passages[role] = (new_edge, passages[role][1])
-    crossings[ci] = _with_passages(c, *passages)
+    r = list(c)
+    r[c.PASSAGES[role][end]] = new_edge
+    crossings[ci] = tuple.__new__(type(c), r)
 
 
 def _remove_crossings(d: VirtualDiagram, remove: set[int]):
     """Delete crossings, merging the through-edges of every deleted passage.
 
-    Returns (survivors, free loops gained, find, consumer): ``survivors``
-    maps each kept crossing's original index to its record with merged
-    labels, ``find`` maps any original edge to its merged representative,
-    and ``consumer`` maps every representative that still has an in-slot
-    to that slot, (original crossing index, role).
+    The edges joined by deleted passages form chains.  Each chain whose
+    first edge has a surviving emitter is walked through the deleted
+    passages to its last edge, whose consumer survives, and both of those
+    slots are renamed to the chain's lowest label, its representative.
+    A chain left over is a closed cycle through deleted passages only and
+    becomes one free loop.
+
+    Returns (survivors, free loops gained, rep, ends): ``survivors`` maps
+    each kept crossing's original index to its record with merged labels,
+    ``rep`` maps every edge of a chain to its representative, and ``ends``
+    maps the representative of every open chain to the in-slot (original
+    crossing index, role) that consumes it.
     """
-    parent: dict[int, int] = {}
-
-    def find(e: int) -> int:
-        root = e
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(e, e) != root:
-            parent[e], e = root, parent[e]
-        return root
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-        parent.setdefault(ra, ra)
-
-    touched: set[int] = set()
-    for ci in remove:
-        c = d.crossings[ci]
-        for role in (0, 1):
-            e_in, e_out = _passage(c, role)
-            union(e_in, e_out)
-            touched.add(e_in)
-            touched.add(e_out)
-    root = {e: find(e) for e in touched}
-
     consumed, emitted = d.slot_maps
-    survivors = {ci: c for ci, c in enumerate(d.crossings) if ci not in remove}
-    # only the surviving crossings at either end of a merged edge change
-    stale = {ci for e, r in root.items() if r != e for ci in (consumed[e][0], emitted[e][0])} - remove
-    for ci in stale:
-        c = survivors[ci]
-        (in0, out0), (in1, out1) = _passage(c, 0), _passage(c, 1)
-        survivors[ci] = _with_passages(c, (find(in0), find(out0)), (find(in1), find(out1)))
-    # a merged strand survives when its last edge keeps its consumer; the
-    # others close into free loops
-    ends = {r: consumed[e] for e, r in root.items() if consumed[e][0] not in remove}
-    consumer = dict(consumed)
-    for e in touched:
-        del consumer[e]
-    consumer.update(ends)
-    return survivors, len(set(root.values())) - len(ends), find, consumer
+    crossings = d.crossings
+    survivors = {ci: c for ci, c in enumerate(crossings) if ci not in remove}
+    ins = [crossings[ci][i] for ci in remove for i, _ in crossings[ci].PASSAGES]  # deleted passages' in-edges
+    rep: dict[int, int] = {}
+    ends: dict[int, tuple[int, int]] = {}
+    for first in ins:
+        if emitted[first][0] in remove:
+            continue
+        chain = [first]
+        ci, role = consumed[first]
+        while ci in remove:
+            c = crossings[ci]
+            chain.append(c[c.PASSAGES[role][1]])
+            ci, role = consumed[chain[-1]]
+        low = min(chain)
+        for e in chain:
+            rep[e] = low
+        ends[low] = (ci, role)
+        if low != first:
+            _rewire(survivors, emitted[first], low, 1)
+        if low != chain[-1]:
+            _rewire(survivors, (ci, role), low)
+    gained = 0
+    for first in ins:
+        if first in rep:
+            continue
+        gained += 1
+        chain = [first]
+        while True:
+            ci, role = consumed[chain[-1]]
+            c = crossings[ci]
+            e = c[c.PASSAGES[role][1]]
+            if e == first:
+                break
+            chain.append(e)
+        low = min(chain)
+        for e in chain:
+            rep[e] = low
+    return survivors, gained, rep, ends
 
 
 def _check_edge(d: VirtualDiagram, e) -> None:
@@ -177,16 +187,13 @@ def _insert_kink(d: VirtualDiagram, edge, kink) -> VirtualDiagram:
     return relabel_canonical(crossings, d.free_loops)
 
 
-def _kink_scan(d: VirtualDiagram, kind):
-    """Loop edges of the kinks made by one crossing of type ``kind``; a crossing
-    that is a kink both ways is listed once, by its passage-0 out-edge."""
-    for c in d.crossings:
-        if type(c) is kind:
-            (in0, out0), (in1, out1) = _passage(c, 0), _passage(c, 1)
-            if out0 == in1:
-                yield out0
-            elif out1 == in0:
-                yield out1
+def _kink_sites(d: VirtualDiagram, tag: int) -> list[int]:
+    """Sorted loop edges of the kinks made by one crossing with record tag
+    ``tag`` (0 classical, 1 virtual); a crossing that is a kink both ways is
+    listed once, by its passage-0 out-edge."""
+    # in a record (tag, s, w, x, y, z) of either type, x == y is passage 0
+    # feeding passage 1 and z == w is passage 1 feeding passage 0
+    return sorted({x if x == y else z for t, _, w, x, y, z in d.crossings if t == tag and (x == y or z == w)})
 
 
 def _remove_kink(d: VirtualDiagram, loop: int, kind, what: str) -> VirtualDiagram:
@@ -221,7 +228,7 @@ def r1_insert(d: VirtualDiagram, edge, sign: int, handed: str = "under") -> Virt
 
 def find_r1_sites(d: VirtualDiagram) -> list[int]:
     """Loop edges of removable classical kinks."""
-    return sorted(set(_kink_scan(d, ClassicalCrossing)))
+    return _kink_sites(d, 0)
 
 
 def r1_remove(d: VirtualDiagram, loop: int) -> VirtualDiagram:
@@ -340,27 +347,29 @@ def _is_r3_site(d: VirtualDiagram, bridges) -> bool:
 
 def find_r3_sites(d: VirtualDiagram) -> list[tuple[int, int, int]]:
     """Bridge-edge triples of realizable triangle slides, sorted."""
-    consumed, emitted = d.slot_maps
-    links: dict[frozenset, list[int]] = {}
-    neighbours: dict[int, set[int]] = {}
-    for e in range(d.edges):
-        a, b = emitted[e][0], consumed[e][0]
-        if a == b:
+    consumed = d.slot_maps[0]
+    crossings = d.crossings
+    links: dict[tuple[int, int], list[int]] = {}  # (a, b), a < b -> edges between them
+    neighbours = [set() for _ in crossings]
+    for a, (tag, _, _, _, y, z) in enumerate(crossings):
+        if tag:
             continue
-        if type(d.crossings[a]) is ClassicalCrossing and type(d.crossings[b]) is ClassicalCrossing:
-            links.setdefault(frozenset((a, b)), []).append(e)
-            neighbours.setdefault(a, set()).add(b)
-            neighbours.setdefault(b, set()).add(a)
+        for e in (y, z):  # the classical out-edges, under then over
+            b = consumed[e][0]
+            if b == a or crossings[b][0]:
+                continue
+            links.setdefault((a, b) if a < b else (b, a), []).append(e)
+            neighbours[a].add(b)
+            neighbours[b].add(a)
     sites = set()
-    for pair in links:
-        a, b = sorted(pair)
+    for (a, b), e0s in links.items():
         # each triangle once: from its two lowest crossings
         for third in neighbours[a] & neighbours[b]:
             if third < b:
                 continue
-            e1s = links[frozenset((a, third))]
-            e2s = links[frozenset((b, third))]
-            for e0 in links[pair]:
+            e1s = links[a, third]
+            e2s = links[b, third]
+            for e0 in e0s:
                 for e1 in e1s:
                     for e2 in e2s:
                         bridges = tuple(sorted((e0, e1, e2)))
@@ -400,7 +409,7 @@ def vkink_insert(d: VirtualDiagram, edge, chirality: int) -> VirtualDiagram:
 
 
 def find_vkink_sites(d: VirtualDiagram) -> list[int]:
-    return sorted(set(_kink_scan(d, VirtualCrossing)))
+    return _kink_sites(d, 1)
 
 
 def vkink_remove(d: VirtualDiagram, loop: int) -> VirtualDiagram:
@@ -409,11 +418,6 @@ def vkink_remove(d: VirtualDiagram, loop: int) -> VirtualDiagram:
 
 # ---------------------------------------------------------------------------
 # detour
-
-
-def _route_chirality(c: VirtualCrossing, route_role: int) -> int:
-    """Chirality as seen with the route strand in first position."""
-    return -c.chirality if route_role else c.chirality
 
 
 def _segment(d: VirtualDiagram, start: int, end: int) -> list[tuple[int, int]]:
@@ -451,19 +455,22 @@ def detour(d: VirtualDiagram, start: int, end: int, passages) -> VirtualDiagram:
     if emitted[start][0] in interior or consumed[end][0] in interior:
         raise NotApplicable("segment endpoints lie on interior crossings")
 
-    survivors, gained, find, consumer = _remove_crossings(d, interior)
-    route = find(start)
+    survivors, gained, rep, ends = _remove_crossings(d, interior)
+    route = rep.get(start, start)
 
     targets = []
     for t, ch in passages:
         _check_edge(d, t)
         if ch not in (1, -1):
             raise InvalidParameter("chirality must be +1 or -1")
-        rep = find(t)
-        if rep == route:
+        t = rep.get(t, t)
+        if t == route:
             raise InvalidParameter("a detour cannot cross its own route")
-        targets.append((rep, ch))
+        targets.append((t, ch))
 
+    # every edge with an in-slot after the removal -> that slot
+    consumer = {e: slot for e, slot in consumed.items() if e not in rep}
+    consumer.update(ends)
     fresh = d.edges + len(targets)
     pieces = [route, *range(d.edges, fresh)]
     if targets:
@@ -490,7 +497,8 @@ def segment_passages(d: VirtualDiagram, start: int, end: int) -> list[tuple[int,
     out = []
     for ci, role in _segment(d, start, end):
         c = d.crossings[ci]
-        out.append((_passage(c, 1 - role)[0], _route_chirality(c, role)))
+        # the chirality as seen with the route strand in first position
+        out.append((_passage(c, 1 - role)[0], -c.chirality if role else c.chirality))
     return out
 
 
@@ -498,106 +506,116 @@ def segment_passages(d: VirtualDiagram, start: int, end: int) -> list[tuple[int,
 # fuzz-safe detour instance families
 
 
-# Each family is one private scan that yields its sites (with repeats, in
-# crossing order).  The fuzzer only asks whether a family has a site, which
-# stops at the first one; the public finder sorts the distinct sites.
+# The fuzzer calls ``_pair_sites`` once per detour draw and sorts only the
+# list of the family it draws; of the virtual slide scan it asks only
+# whether there is a site.  Each public finder sorts the distinct sites.
 
 
 def _virtual_pairs(d: VirtualDiagram):
     """Two consecutive virtual passages of one strand on distinct crossings,
     whose route in-edge and out-edge meet other crossings:
-    (v1, role1, v2, role2, r_in, r_mid, r_end), the route running r_in ->
-    v1 -> r_mid -> v2 -> r_end."""
+    (r_in, r_mid, r_end, p, t1, q, t2), the route running r_in -> v1 -> r_mid
+    -> v2 -> r_end, with route-view chiralities p at v1 and q at v2 and the
+    transversal passages t1 at v1 and t2 at v2, each an (in, out) pair."""
     consumed, emitted = d.slot_maps
-    for v1, c1 in enumerate(d.crossings):
-        if type(c1) is not VirtualCrossing:
+    crossings = d.crossings
+    for v1, (tag1, ch1, w1, x1, y1, z1) in enumerate(crossings):
+        if not tag1:
             continue
-        for role1 in (0, 1):
-            r_in, r_mid = _passage(c1, role1)
+        # passage 0 is (w, x), passage 1 is (y, z); the route-view chirality
+        # is negated when the route takes passage 1
+        for r_in, r_mid, p, t1 in ((w1, x1, ch1, (y1, z1)), (y1, z1, -ch1, (w1, x1))):
             v2, role2 = consumed[r_mid]
-            c2 = d.crossings[v2]
-            if v2 == v1 or type(c2) is not VirtualCrossing:
+            tag2, ch2, w2, x2, y2, z2 = crossings[v2]
+            if v2 == v1 or not tag2:
                 continue
-            r_end = _passage(c2, role2)[1]
+            if role2:
+                r_end, q, t2 = z2, -ch2, (w2, x2)
+            else:
+                r_end, q, t2 = x2, ch2, (y2, z2)
             if emitted[r_in][0] in (v1, v2) or consumed[r_end][0] in (v1, v2):
                 continue
-            yield v1, role1, v2, role2, r_in, r_mid, r_end
+            yield r_in, r_mid, r_end, p, t1, q, t2
 
 
-def _poke_remove_scan(d: VirtualDiagram):
-    for v1, role1, v2, role2, r_in, _, r_end in _virtual_pairs(d):
-        c1, c2 = d.crossings[v1], d.crossings[v2]
-        if _route_chirality(c1, role1) + _route_chirality(c2, role2) != 0:
+def _pair_sites(d: VirtualDiagram, semi_virtual: bool):
+    """(poke-removal sites, semi-virtual slide sites) from one walk of the
+    virtual passage pairs, each with repeats in crossing order; the second
+    list stays empty unless ``semi_virtual``.
+
+    A pair is a poke removal when its chiralities cancel and its
+    transversals run through each other.  It is a semi-virtual slide when
+    both transversals meet the two strands of one classical crossing next
+    to the route with p*q = side1*side2, and that crossing's other-half
+    edges lie off the route.
+    """
+    consumed, emitted = d.slot_maps
+    crossings = d.crossings
+
+    def adjacency(transversal):
+        """(classical crossing, side, passage role there, other-half edge) or None;
+        the side is +1 at the transversal's next neighbour, -1 at its previous one."""
+        t_in, t_out = transversal
+        qi, qrole = consumed[t_out]
+        if type(crossings[qi]) is ClassicalCrossing:
+            return qi, 1, qrole, _passage(crossings[qi], qrole)[1]
+        qi, qrole = emitted[t_in]
+        if type(crossings[qi]) is ClassicalCrossing:
+            return qi, -1, qrole, _passage(crossings[qi], qrole)[0]
+        return None
+
+    pokes, slides = [], []
+    for r_in, r_mid, r_end, p, t1, q, t2 in _virtual_pairs(d):
+        if p + q == 0 and (t1[1] == t2[0] or t2[1] == t1[0]):
+            pokes.append((r_in, r_end))
+        if not semi_virtual:
             continue
-        t1_in, t1_out = _passage(c1, 1 - role1)
-        t2_in, t2_out = _passage(c2, 1 - role2)
-        if t1_out != t2_in and t2_out != t1_in:
+        adj1 = adjacency(t1)
+        adj2 = adjacency(t2)
+        if adj1 is None or adj2 is None:
             continue
-        yield (r_in, r_end)
+        q1, s1, qrole1, other1 = adj1
+        q2, s2, qrole2, other2 = adj2
+        if q1 != q2 or qrole1 == qrole2 or p * q != s1 * s2:
+            continue
+        if other1 in (r_in, r_mid, r_end) or other2 in (r_in, r_mid, r_end):
+            continue
+        slides.append((r_in, r_end, ((other2, q), (other1, p))))
+    return pokes, slides
 
 
 def find_poke_remove_sites(d: VirtualDiagram) -> list[tuple[int, int]]:
     """(start, end) segments whose two virtual passages form a cancelling bigon."""
-    return sorted(set(_poke_remove_scan(d)))
+    return sorted(set(_pair_sites(d, False)[0]))
 
 
 def _virtual_slide_scan(d: VirtualDiagram):
     consumed, emitted = d.slot_maps
-    # a strand's neighbour at end 1 consumes its out-edge, at end 0 emits its in-edge
-    ends = ((consumed, 1), (emitted, 0))
-    for v, c in enumerate(d.crossings):
-        if type(c) is not VirtualCrossing:
+    crossings = d.crossings
+    for v, (tag, ch, w, x, y, z) in enumerate(crossings):
+        if not tag:
             continue
-        for role in (0, 1):
-            r_in, r_out = _passage(c, role)
+        # (route in, route out, transversal, route-view chirality) per passage
+        for r_in, r_out, (t_in, t_out), rch in ((w, x, (y, z), ch), (y, z, (w, x), -ch)):
             if emitted[r_in][0] == v or consumed[r_out][0] == v:
                 continue  # the route kinks through this crossing; not a slide site
-            transversal = _passage(c, 1 - role)
-            ch = _route_chirality(c, role)
-            for slots, end in ends:  # hop across the transversal's neighbour to the edge beyond
-                wi, wrole = slots[transversal[end]]
-                if wi != v and type(d.crossings[wi]) is VirtualCrossing:
-                    u = _passage(d.crossings[wi], wrole)[end]
-                    if u not in (r_in, r_out):
-                        yield (r_in, r_out, ((u, ch),))
+            # hop across the transversal's neighbour to the edge beyond: the
+            # next neighbour's out-edge, then the previous neighbour's in-edge
+            wi, wrole = consumed[t_out]
+            if wi != v and crossings[wi][0]:
+                u = _passage(crossings[wi], wrole)[1]
+                if u != r_in and u != r_out:
+                    yield (r_in, r_out, ((u, rch),))
+            wi, wrole = emitted[t_in]
+            if wi != v and crossings[wi][0]:
+                u = _passage(crossings[wi], wrole)[0]
+                if u != r_in and u != r_out:
+                    yield (r_in, r_out, ((u, rch),))
 
 
 def find_virtual_slide_sites(d: VirtualDiagram) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
     """Single virtual passages that can hop across an adjacent virtual crossing."""
     return sorted(set(_virtual_slide_scan(d)))
-
-
-def _semi_virtual_slide_scan(d: VirtualDiagram):
-    consumed, emitted = d.slot_maps
-    ends = ((consumed, 1), (emitted, 0))
-
-    def adjacency(c, other_role):
-        """(classical crossing, side, passage role there, other-half edge) or None;
-        the side is +1 at the transversal's next neighbour, -1 at its previous one."""
-        transversal = _passage(c, other_role)
-        for slots, end in ends:
-            qi, qrole = slots[transversal[end]]
-            if type(d.crossings[qi]) is ClassicalCrossing:
-                return qi, 2 * end - 1, qrole, _passage(d.crossings[qi], qrole)[end]
-        return None
-
-    for v1, role1, v2, role2, r_in, r_mid, r_end in _virtual_pairs(d):
-        c1, c2 = d.crossings[v1], d.crossings[v2]
-        adj1 = adjacency(c1, 1 - role1)
-        adj2 = adjacency(c2, 1 - role2)
-        if adj1 is None or adj2 is None:
-            continue
-        q1, s1, qrole1, other1 = adj1
-        q2, s2, qrole2, other2 = adj2
-        if q1 != q2 or qrole1 == qrole2:
-            continue
-        p = _route_chirality(c1, role1)
-        qch = _route_chirality(c2, role2)
-        if p * qch != s1 * s2:
-            continue
-        if {other1, other2} & {r_in, r_mid, r_end}:
-            continue
-        yield (r_in, r_end, ((other2, qch), (other1, p)))
 
 
 def find_semi_virtual_slide_sites(
@@ -610,7 +628,7 @@ def find_semi_virtual_slide_sites(
     Only chirality pairs with p*q = side1*side2 are offered (the planar
     slide condition).
     """
-    return sorted(set(_semi_virtual_slide_scan(d)))
+    return sorted(set(_pair_sites(d, True)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +661,6 @@ def apply_move(d: VirtualDiagram, record: MoveRecord) -> VirtualDiagram:
         raise InvalidParameter(f"unknown move kind {record.kind!r}")
     # looked up per call, so that a wrapper bound over a move's name is the one called
     return globals()[record.kind](d, **record.site)
-
-
-def _has_site(scan) -> bool:
-    return next(scan, None) is not None
 
 
 def _draw(rng, kind: str, key: str, sites: list):
@@ -684,14 +698,15 @@ def _instantiate(d, rng, kind, allow_semi_virtual, prefer_removal):
     if kind == "vkink_remove":
         return _draw(rng, kind, "loop", find_vkink_sites(d))
     if kind == "detour":
-        families = []
+        pokes, slides = _pair_sites(d, allow_semi_virtual)
+        families = []  # in this order, so that rng draws the same way
         if d.edges >= 2:
             families.append("poke_insert")
-        if _has_site(_poke_remove_scan(d)):
+        if pokes:
             families.append("poke_remove")
-        if _has_site(_virtual_slide_scan(d)):
+        if next(_virtual_slide_scan(d), None) is not None:
             families.append("virtual_slide")
-        if allow_semi_virtual and _has_site(_semi_virtual_slide_scan(d)):
+        if slides:
             families.append("semi_virtual_slide")
         if not families:
             return None
@@ -704,11 +719,11 @@ def _instantiate(d, rng, kind, allow_semi_virtual, prefer_removal):
             ch = rng.choice((1, -1))
             site = {"start": e, "end": e, "passages": [[t, ch], [t, -ch]]}
         elif family == "poke_remove":
-            start, end = rng.choice(find_poke_remove_sites(d))
+            start, end = rng.choice(sorted(set(pokes)))
             site = {"start": start, "end": end, "passages": []}
         else:
-            find = find_virtual_slide_sites if family == "virtual_slide" else find_semi_virtual_slide_sites
-            start, end, passages = rng.choice(find(d))
+            sites = find_virtual_slide_sites(d) if family == "virtual_slide" else sorted(set(slides))
+            start, end, passages = rng.choice(sites)
             site = {"start": start, "end": end, "passages": [list(p) for p in passages]}
         return MoveRecord("detour", site)
 

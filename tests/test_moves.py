@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from vknots import moves
 from vknots.algebra import (
     QuandleMap,
     automorphisms,
@@ -14,6 +15,7 @@ from vknots.algebra import (
 )
 from vknots.diagram import (
     BUILDER_NAMES,
+    ClassicalCrossing,
     VirtualCrossing,
     VirtualDiagram,
     builder,
@@ -28,6 +30,7 @@ from vknots.moves import (
     CLASSICAL_KINDS,
     LOOP,
     MoveRecord,
+    _instantiate,
     _realizable,
     apply_move,
     detour,
@@ -465,6 +468,66 @@ def test_semi_virtual_slide_sites_preserve_all_invariants():
     assert exercised >= 2
 
 
+# --- crossing removal --------------------------------------------------------
+
+# the trefoil builder's code in canonical labels: what remains of the trefoil
+# after a removal elsewhere is relabelled
+TREFOIL_CANONICAL = (
+    ClassicalCrossing(1, under_in=1, over_in=4, under_out=2, over_out=5),
+    ClassicalCrossing(1, under_in=3, over_in=0, under_out=4, over_out=1),
+    ClassicalCrossing(1, under_in=5, over_in=2, under_out=0, over_out=3),
+)
+
+
+@pytest.mark.parametrize(
+    "remove, kink",
+    [(vkink_remove, VirtualCrossing(6, 7, 7, 6, 1)), (r1_remove, ClassicalCrossing(-1, 6, 7, 7, 6))],
+    ids=["vkink_remove", "r1_remove"],
+)
+def test_removing_a_components_only_crossing_leaves_a_free_loop(remove, kink):
+    # the trefoil plus a disjoint kink on edges 6 and 7: removing the kink
+    # closes both of its edges into one free loop
+    d = VirtualDiagram(8, 0, builder("trefoil").crossings + (kink,))
+    assert validate_diagram(d).ok
+    assert remove(d, 7) == VirtualDiagram(6, 1, TREFOIL_CANONICAL)
+
+
+def test_r2_remove_whose_over_strand_closes_into_a_free_loop():
+    # the over strand 4 -> 3 -> 4 runs only through the two poke crossings;
+    # the under strand 0 -> 1 -> 2 continues through a kink
+    d = VirtualDiagram(
+        6,
+        0,
+        (
+            ClassicalCrossing(1, under_in=0, over_in=4, under_out=1, over_out=3),
+            ClassicalCrossing(-1, under_in=1, over_in=3, under_out=2, over_out=4),
+            ClassicalCrossing(1, under_in=2, over_in=5, under_out=5, over_out=0),
+        ),
+    )
+    assert validate_diagram(d).ok and 3 in find_r2_sites(d)
+    assert r2_remove(d, 3) == VirtualDiagram(
+        2, 1, (ClassicalCrossing(1, under_in=0, over_in=1, under_out=1, over_out=0),)
+    )
+
+
+def test_a_merged_strand_is_named_by_its_lowest_label():
+    # removing the kink merges 5 -> 1 -> 4 into one edge, named 1: then the
+    # traversal labels the virtual kink on 0 and 2 first and enters the
+    # merged strand at that edge.  Named by its first edge, 5, it would be
+    # entered at edge 3 and its record stored with the other chirality
+    d = VirtualDiagram(
+        6,
+        0,
+        (
+            ClassicalCrossing(1, under_in=5, over_in=1, under_out=1, over_out=4),
+            VirtualCrossing(4, 3, 3, 5, 1),
+            VirtualCrossing(0, 2, 2, 0, 1),
+        ),
+    )
+    assert validate_diagram(d).ok
+    assert r1_remove(d, 1) == VirtualDiagram(4, 0, (VirtualCrossing(0, 1, 1, 0, 1), VirtualCrossing(2, 3, 3, 2, 1)))
+
+
 # --- fuzzer ------------------------------------------------------------------
 
 
@@ -598,3 +661,49 @@ def test_a_record_names_a_move_and_its_parameters():
         assert apply_move(ring, MoveRecord(kind, {"edge": LOOP, **site})) == apply_move(
             ring, MoveRecord(kind, {"edge": None, **site})
         )
+
+
+class _MenuSpy:
+    """A stand-in for the fuzzer's random generator that records the detour
+    family menu it is asked to choose from and picks its first entry."""
+
+    def __init__(self):
+        self.menu = None
+
+    def choice(self, seq):
+        if self.menu is None:
+            self.menu = list(seq)
+        return seq[0]
+
+    def sample(self, population, k):
+        return list(population)[:k]
+
+
+def test_detour_menu_offers_exactly_the_families_the_finders_see(monkeypatch):
+    # every diagram the fuzzer reaches, recorded as it applies its moves
+    reached = []
+
+    def recording_apply_move(d, record):
+        reached.append(apply_move(d, record))
+        return reached[-1]
+
+    monkeypatch.setattr(moves, "apply_move", recording_apply_move)
+    for name, seed in itertools.product(BUILDER_NAMES, range(20)):
+        random_equivalent(builder(name), seed, 150)
+    families = ("poke_insert", "poke_remove", "virtual_slide", "semi_virtual_slide")
+    seen = {True: set(), False: set()}
+    for d in reached:
+        present = (
+            d.edges >= 2,
+            bool(find_poke_remove_sites(d)),
+            bool(find_virtual_slide_sites(d)),
+            bool(find_semi_virtual_slide_sites(d)),
+        )
+        for allow_semi_virtual in (True, False):
+            expected = [f for f, p in zip(families, present) if p and (allow_semi_virtual or f != families[3])]
+            spy = _MenuSpy()
+            record = _instantiate(d, spy, "detour", allow_semi_virtual, False)
+            assert (spy.menu or []) == expected, (serialize_diagram(d), allow_semi_virtual)
+            assert (record is None) == (not expected)
+            seen[allow_semi_virtual].update(expected)
+    assert seen[True] == set(families) and seen[False] == set(families[:3])
