@@ -21,20 +21,19 @@ and denotes the same crossing; records are normalised so that
 Planarity of the code is deliberately not checked: every slot-coherent
 code is accepted.
 
-A passage's role is its index in ``strand_passages``: 0 for the under
-(classical) or first (virtual) strand, 1 for the over or second strand.
-``slot_maps`` records every in- and out-slot as (crossing index, role).
-
 A record is a tuple that is its own sort key:
-(0, sign, under_in, over_in, under_out, over_out) for a classical
+(0, sign, under_in, under_out, over_in, over_out) for a classical
 crossing, (1, chirality, first_in, first_out, second_in, second_out) for
-a virtual one; the named fields read these slots.  Each class declares
-its constructor and JSON field order (``FIELDS``) and the tuple indices
-of its two passages (``PASSAGES``), so passage code reads and rewrites
-records by index, whatever their type.  ``relabel_canonical``, the last
-step of every move, renames each record's edges (renormalising virtual
-strands), sorts the renamed records themselves and fills the result's
-``slot_maps`` index, so a move output never rebuilds it.
+a virtual one.  Either way passage k, its role (0 = under or first
+strand, 1 = over or second strand, as in ``strand_passages``), holds its
+in- and out-edge at tuple indices 2 + 2k and 3 + 2k, so passage code
+reads and rewrites records by index without asking their type;
+``slot_maps`` records every in- and out-slot as (crossing index, role).
+The named fields read these slots, and each class declares its
+constructor and JSON field order (``FIELDS``).  ``relabel_canonical``,
+the last step of every move, renames each record's edges (renormalising
+virtual strands), sorts the renamed records themselves and fills the
+result's ``slot_maps`` index, so a move output never rebuilds it.
 """
 
 from __future__ import annotations
@@ -48,40 +47,38 @@ from .value import Value, set_field
 
 
 class _Record(tuple):
-    """A crossing record: a tuple (tag, sign or chirality, four edges) that is
-    its own sort key.  A class declares ``TYPE`` (its JSON type), ``FIELDS``
-    (its constructor and JSON field order) and ``PASSAGES``, the tuple indices
-    (in, out) of passages 0 and 1."""
+    """A crossing record: a tuple (tag, sign or chirality, passage 0's in and
+    out edges, passage 1's in and out edges) that is its own sort key.  A class
+    declares ``TYPE`` (its JSON type) and ``FIELDS`` (its constructor and JSON
+    field order)."""
 
     __slots__ = ()
     TYPE: str
     FIELDS: tuple[str, ...]
-    PASSAGES: tuple[tuple[int, int], tuple[int, int]]
 
-    def __getnewargs__(self):  # pickle and copy call the constructor with these
-        return tuple(getattr(self, name) for name in self.FIELDS)
+    def __reduce__(self):  # pickle and copy call the constructor with the fields
+        return type(self), tuple(getattr(self, name) for name in self.FIELDS)
 
     __repr__ = Value.__repr__  # Name(field=value, ...) in FIELDS order
 
 
 class ClassicalCrossing(_Record):
-    """The tuple (0, sign, under_in, over_in, under_out, over_out)."""
+    """The tuple (0, sign, under_in, under_out, over_in, over_out)."""
 
     __slots__ = ()
     TYPE = "classical"
     FIELDS = ("sign", "under_in", "over_in", "under_out", "over_out")
-    PASSAGES = ((2, 4), (3, 5))
 
     def __new__(cls, sign: int, under_in: int, over_in: int, under_out: int, over_out: int):
         # type() rather than a bare membership test: True == 1 and 1.0 == 1
         if type(sign) is not int or sign not in (1, -1):
             raise MalformedInput(f"crossing sign must be +1 or -1, got {sign!r}")
-        return tuple.__new__(cls, (0, sign, under_in, over_in, under_out, over_out))
+        return tuple.__new__(cls, (0, sign, under_in, under_out, over_in, over_out))
 
     sign = property(itemgetter(1))
     under_in = property(itemgetter(2))
-    over_in = property(itemgetter(3))
-    under_out = property(itemgetter(4))
+    under_out = property(itemgetter(3))
+    over_in = property(itemgetter(4))
     over_out = property(itemgetter(5))
 
 
@@ -91,7 +88,6 @@ class VirtualCrossing(_Record):
     __slots__ = ()
     TYPE = "virtual"
     FIELDS = ("first_in", "first_out", "second_in", "second_out", "chirality")
-    PASSAGES = ((2, 3), (4, 5))
 
     def __new__(cls, first_in: int, first_out: int, second_in: int, second_out: int, chirality: int):
         if type(chirality) is not int or chirality not in (1, -1):
@@ -155,20 +151,15 @@ class DiagramReport(Value):
 def strand_passages(c: Crossing) -> tuple[tuple[int, int, int], ...]:
     """The two (role, in_edge, out_edge) strand passages of a crossing: role 0 is
     the under (or first) strand, role 1 the over (or second) strand."""
-    (i0, o0), (i1, o1) = c.PASSAGES
-    return ((0, c[i0], c[o0]), (1, c[i1], c[o1]))
+    return ((0, c[2], c[3]), (1, c[4], c[5]))
 
 
 def _slot_maps(crossings) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
     consumed: dict[int, tuple[int, int]] = {}
     emitted: dict[int, tuple[int, int]] = {}
-    for ci, (tag, _, w, x, y, z) in enumerate(crossings):
-        if tag:  # virtual: passages (w -> x) and (y -> z)
-            consumed[w] = emitted[x] = (ci, 0)
-            consumed[y] = emitted[z] = (ci, 1)
-        else:  # classical: passages (w -> y) and (x -> z)
-            consumed[w] = emitted[y] = (ci, 0)
-            consumed[x] = emitted[z] = (ci, 1)
+    for ci, (_, _, w, x, y, z) in enumerate(crossings):  # passages (w -> x) and (y -> z)
+        consumed[w] = emitted[x] = (ci, 0)
+        consumed[y] = emitted[z] = (ci, 1)
     return consumed, emitted
 
 
@@ -231,7 +222,7 @@ def _renamed(c: Crossing, label) -> Crossing:
     a checked record: its sign or chirality is not checked again."""
     tag, s, w, x, y, z = c
     w, x, y, z = label[w], label[x], label[y], label[z]
-    if tag and w > y:  # virtual: first strand (w, x), second strand (y, z)
+    if tag and w > y:  # virtual strands swapped so that first_in < second_in
         return tuple.__new__(VirtualCrossing, (1, -s, y, z, w, x))
     return tuple.__new__(type(c), (tag, s, w, x, y, z))
 
@@ -261,13 +252,9 @@ def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
     ``slot_maps`` are filled in here, so a move output never rebuilds them.
     """
     succ: dict[int, int] = {}
-    for tag, _, w, x, y, z in crossings:
-        if tag:  # virtual: passages (w -> x) and (y -> z)
-            succ[w] = x
-            succ[y] = z
-        else:  # classical: passages (w -> y) and (x -> z)
-            succ[w] = y
-            succ[x] = z
+    for _, _, w, x, y, z in crossings:  # passages (w -> x) and (y -> z)
+        succ[w] = x
+        succ[y] = z
     outs = set(succ.values())
     if len(outs) != 2 * len(crossings):  # an in-edge overwritten or an out-edge repeated
         _raise_reused_slot(crossings)
@@ -308,8 +295,8 @@ def _component_signatures(d: VirtualDiagram, cycles) -> list:
     """
     component = {e: idx for idx, cyc in enumerate(cycles) for e in cyc}
     passages: list[list[tuple]] = [[] for _ in cycles]
-    for tag, s, w, x, y, _ in d.crossings:
-        k0, k1 = component[w], component[y if tag else x]  # the in-edges of passages 0 and 1
+    for tag, s, w, _, y, _ in d.crossings:
+        k0, k1 = component[w], component[y]  # the in-edges of passages 0 and 1
         same = k0 == k1
         if tag:
             passages[k0].append((1, s, same))

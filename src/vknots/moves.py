@@ -32,19 +32,17 @@ consecutive virtual passage pairs; the virtual slide is tested for
 existence only (its scan stops at the first site).  The sorted site list
 is built for the drawn family alone.
 
-Every move edits crossing records through one passage model: a role is
-a passage index (0 = under/first strand, 1 = over/second strand, as in
-``diagram.strand_passages``), and a record class's ``PASSAGES`` names the
-tuple indices of each passage's (in, out) edges.  ``_passage`` reads
-them, ``_rewire`` sets one slot and ``_with_passages`` writes both
-passages into a copy of the record, the same index arithmetic for
-classical and virtual records.
+Every move edits crossing records through the one record layout of
+``diagram``: a role is a passage index (0 = under/first strand, 1 =
+over/second strand) and passage k holds its (in, out) edges at tuple
+indices 2 + 2k and 3 + 2k, classical or virtual.  ``_passage`` reads a
+passage, ``_rewire`` sets one slot and ``_with_passages`` writes both
+passages into a copy of the record.
 A move finds the in-slot to rewire in ``d.slot_maps`` (a detour, after
 deleting its interior crossings, in a consumer map built from the chain
 ends that ``_remove_crossings`` returns); no move scans the crossing list
 for it.  The scans that run on every move read a record unpacked, as
-``(tag, sign, w, x, y, z)``: passages (w, y), (x, z) when classical and
-(w, x), (y, z) when virtual.
+``(tag, sign, w, x, y, z)``, with passages (w, x) and (y, z).
 
 A trace is a list of ``MoveRecord``s, and a record is the call that
 replays it: ``apply_move`` calls the move its ``kind`` names with its
@@ -78,19 +76,14 @@ LOOP = "loop"  # site value standing for "a free loop" in kink insertions
 
 def _passage(c, role):
     """(in_edge, out_edge) of the passage ``role`` of a crossing."""
-    i, o = c.PASSAGES[role]
-    return c[i], c[o]
+    return c[2 + 2 * role], c[3 + 2 * role]
 
 
 def _with_passages(c, p0, p1):
     """``c`` with the (in, out) pairs p0, p1 as its passages 0 and 1, keeping its
     sign or chirality.  Virtual strands are not renormalised (``relabel_canonical``
     does that), so a record's slot roles stay put while a move rewires it."""
-    (i0, o0), (i1, o1) = c.PASSAGES
-    r = list(c)
-    r[i0], r[o0] = p0
-    r[i1], r[o1] = p1
-    return tuple.__new__(type(c), r)
+    return tuple.__new__(type(c), (c[0], c[1], *p0, *p1))
 
 
 def _rewire(crossings, slot, new_edge, end=0):
@@ -99,7 +92,7 @@ def _rewire(crossings, slot, new_edge, end=0):
     ci, role = slot
     c = crossings[ci]
     r = list(c)
-    r[c.PASSAGES[role][end]] = new_edge
+    r[2 + 2 * role + end] = new_edge
     crossings[ci] = tuple.__new__(type(c), r)
 
 
@@ -122,7 +115,7 @@ def _remove_crossings(d: VirtualDiagram, remove: set[int]):
     consumed, emitted = d.slot_maps
     crossings = d.crossings
     survivors = {ci: c for ci, c in enumerate(crossings) if ci not in remove}
-    ins = [crossings[ci][i] for ci in remove for i, _ in crossings[ci].PASSAGES]  # deleted passages' in-edges
+    ins = [crossings[ci][i] for ci in remove for i in (2, 4)]  # deleted passages' in-edges
     rep: dict[int, int] = {}
     ends: dict[int, tuple[int, int]] = {}
     for first in ins:
@@ -131,8 +124,7 @@ def _remove_crossings(d: VirtualDiagram, remove: set[int]):
         chain = [first]
         ci, role = consumed[first]
         while ci in remove:
-            c = crossings[ci]
-            chain.append(c[c.PASSAGES[role][1]])
+            chain.append(crossings[ci][3 + 2 * role])
             ci, role = consumed[chain[-1]]
         low = min(chain)
         for e in chain:
@@ -150,8 +142,7 @@ def _remove_crossings(d: VirtualDiagram, remove: set[int]):
         chain = [first]
         while True:
             ci, role = consumed[chain[-1]]
-            c = crossings[ci]
-            e = c[c.PASSAGES[role][1]]
+            e = crossings[ci][3 + 2 * role]
             if e == first:
                 break
             chain.append(e)
@@ -191,17 +182,18 @@ def _kink_sites(d: VirtualDiagram, tag: int) -> list[int]:
     """Sorted loop edges of the kinks made by one crossing with record tag
     ``tag`` (0 classical, 1 virtual); a crossing that is a kink both ways is
     listed once, by its passage-0 out-edge."""
-    # in a record (tag, s, w, x, y, z) of either type, x == y is passage 0
-    # feeding passage 1 and z == w is passage 1 feeding passage 0
+    # in a record (tag, s, w, x, y, z), x == y is passage 0 feeding
+    # passage 1 and z == w is passage 1 feeding passage 0
     return sorted({x if x == y else z for t, _, w, x, y, z in d.crossings if t == tag and (x == y or z == w)})
 
 
 def _remove_kink(d: VirtualDiagram, loop: int, kind, what: str) -> VirtualDiagram:
     """Remove the crossing of type ``kind`` that emits ``loop`` from one
     passage and consumes it in the other."""
+    _check_edge(d, loop)
     consumed, emitted = d.slot_maps
-    ci, role = emitted.get(loop, (None, None))
-    if ci is None or consumed.get(loop) != (ci, 1 - role) or type(d.crossings[ci]) is not kind:
+    ci, role = emitted[loop]
+    if consumed[loop] != (ci, 1 - role) or type(d.crossings[ci]) is not kind:
         raise NotApplicable(f"edge {loop} is not the loop of a {what}")
     return _delete(d, {ci})
 
@@ -266,10 +258,11 @@ def r2_insert(d: VirtualDiagram, edge_a: int, edge_b: int, over_first: bool = Tr
 
 
 def _is_r2_site(d: VirtualDiagram, mid) -> bool:
-    """Whether ``mid`` is the over-strand middle edge of a removable poke."""
+    """Whether ``mid``, an edge label of ``d``, is the over-strand middle edge
+    of a removable poke."""
     consumed, emitted = d.slot_maps
-    ei, ri = emitted.get(mid, (None, None))
-    cj, rj = consumed.get(mid, (None, None))
+    ei, ri = emitted[mid]
+    cj, rj = consumed[mid]
     if ri != 1 or rj != 1 or ei == cj:  # over at both ends
         return False
     x1, x2 = d.crossings[ei], d.crossings[cj]
@@ -279,12 +272,14 @@ def _is_r2_site(d: VirtualDiagram, mid) -> bool:
 
 
 def find_r2_sites(d: VirtualDiagram) -> list[int]:
-    """Over-strand middle edges of removable pokes."""
-    return [mid for mid in range(d.edges) if _is_r2_site(d, mid)]
+    """Over-strand middle edges of removable pokes, sorted."""
+    # a poke's over-middle is emitted by a classical over passage: its over_out
+    return sorted(z for tag, _, _, _, _, z in d.crossings if not tag and _is_r2_site(d, z))
 
 
 def r2_remove(d: VirtualDiagram, over_mid: int) -> VirtualDiagram:
     """Remove the poke whose over-strand middle edge is given."""
+    _check_edge(d, over_mid)
     if not _is_r2_site(d, over_mid):
         raise NotApplicable(f"edge {over_mid} is not the over-middle of a poke")
     consumed, emitted = d.slot_maps
@@ -318,14 +313,15 @@ def _realizable(firsts, overs, signs) -> bool:
 
 
 def _is_r3_site(d: VirtualDiagram, bridges) -> bool:
-    """Whether three distinct edges are the bridges of a realizable triangle.
+    """Whether ``bridges``, edge labels of ``d``, are three distinct edges and
+    the bridges of a realizable triangle.
 
     The bridges are labelled once, p < q < r as strands 1, 2 and 3 of
     ``_realizable``: X is the crossing p and q share.  The other labelling,
     q and r swapped, is realizable exactly when this one is.
     """
     consumed, emitted = d.slot_maps
-    if len(bridges) != 3 or len(set(bridges)) != 3 or not all(e in consumed for e in bridges):
+    if len(bridges) != 3 or len(set(bridges)) != 3:
         return False
     p, q, r = sorted(bridges)
     cp, cq, cr = ({emitted[e][0], consumed[e][0]} for e in (p, q, r))
@@ -351,10 +347,10 @@ def find_r3_sites(d: VirtualDiagram) -> list[tuple[int, int, int]]:
     crossings = d.crossings
     links: dict[tuple[int, int], list[int]] = {}  # (a, b), a < b -> edges between them
     neighbours = [set() for _ in crossings]
-    for a, (tag, _, _, _, y, z) in enumerate(crossings):
+    for a, (tag, _, _, x, _, z) in enumerate(crossings):
         if tag:
             continue
-        for e in (y, z):  # the classical out-edges, under then over
+        for e in (x, z):  # the classical out-edges, under then over
             b = consumed[e][0]
             if b == a or crossings[b][0]:
                 continue
@@ -381,6 +377,8 @@ def find_r3_sites(d: VirtualDiagram) -> list[tuple[int, int, int]]:
 def r3_slide(d: VirtualDiagram, bridges) -> VirtualDiagram:
     """Flip the triangle identified by its three bridge edges."""
     bridges = tuple(bridges)
+    for e in bridges:
+        _check_edge(d, e)
     if not _is_r3_site(d, bridges):
         raise NotApplicable(f"edges {bridges} do not form a realizable triangle")
     consumed, emitted = d.slot_maps

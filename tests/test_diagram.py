@@ -284,9 +284,9 @@ def test_records_are_their_own_sort_keys(name, d):
 
 
 def test_record_tuples_and_repr():
-    c = ClassicalCrossing(sign=-1, under_in=2, over_in=3, under_out=3, over_out=4)
-    assert c == (0, -1, 2, 3, 3, 4)
-    assert repr(c) == "ClassicalCrossing(sign=-1, under_in=2, over_in=3, under_out=3, over_out=4)"
+    c = ClassicalCrossing(sign=-1, under_in=2, over_in=3, under_out=4, over_out=5)
+    assert c == (0, -1, 2, 4, 3, 5)  # passage k at indices 2 + 2k, 3 + 2k, as in a virtual record
+    assert repr(c) == "ClassicalCrossing(sign=-1, under_in=2, over_in=3, under_out=4, over_out=5)"
     v = VirtualCrossing(5, 0, 2, 3, 1)  # normalised: strands swapped, chirality negated
     assert v == (1, -1, 2, 3, 5, 0)
     assert repr(v) == "VirtualCrossing(first_in=2, first_out=3, second_in=5, second_out=0, chirality=-1)"
@@ -295,6 +295,8 @@ def test_record_tuples_and_repr():
     assert ClassicalCrossing(1, 0, 1, 2, 3) < VirtualCrossing(0, 1, 2, 3, 1)
     for record in (c, v):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            # every protocol calls the constructor with the fields, never the raw tuple
+            assert record.__reduce_ex__(protocol)[0] is type(record)
             copied = pickle.loads(pickle.dumps(record, protocol))
             assert type(copied) is type(record) and copied == record
         assert not hasattr(record, "__dict__")

@@ -224,9 +224,12 @@ def test_r3_slide_rejects_malformed_bridge_tuples():
     p, q, r = find_r3_sites(d)[0]
     spare = next(e for e in range(d.edges) if e not in (p, q, r))
     assert validate_diagram(r3_slide(d, (r, p, q))).ok  # any order of the three bridges
-    malformed = [(), (p,), (p, q), (p, q, r, spare), (p, p, q), (p, q, q), (p, p, q, r), (-1, q, r), (p, q, d.edges)]
+    malformed = [(), (p,), (p, q), (p, q, r, spare), (p, p, q), (p, q, q), (p, p, q, r)]
     for bridges in malformed:
         with pytest.raises(NotApplicable):
+            r3_slide(d, bridges)
+    for bridges in [(-1, q, r), (p, q, d.edges)]:
+        with pytest.raises(InvalidParameter, match="out of range"):
             r3_slide(d, bridges)
 
 
@@ -633,10 +636,14 @@ EDGE_ARGUMENTS = {
     "detour-start": lambda d, e: detour(d, e, 0, []),
     "detour-end": lambda d, e: detour(d, 0, e, []),
     "detour-target": lambda d, e: detour(d, 0, 0, [(e, 1), (e, -1)]),
+    "r1_remove": r1_remove,
+    "vkink_remove": vkink_remove,
+    "r2_remove": r2_remove,
+    "r3_slide": lambda d, e: r3_slide(d, (e, 0, 1)),
 }
 
 
-@pytest.mark.parametrize("bad", [1.5, 2.0, True, "0"])
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "0", [0]])
 @pytest.mark.parametrize("move", list(EDGE_ARGUMENTS.values()), ids=list(EDGE_ARGUMENTS))
 def test_every_edge_argument_must_be_an_int_label(move, bad):
     # floats and strings used to raise KeyError, and 2.0 and True were accepted
