@@ -101,7 +101,9 @@ class QuandleMap(Value):
         return QuandleMap(tuple(range(n)))
 
     def is_permutation(self) -> bool:
-        return sorted(self.images) == list(range(len(self.images)))
+        """True iff the images are the ints 0..order-1, each once."""
+        # type(), not isinstance(): bool is an int
+        return set(map(type, self.images)) <= {int} and sorted(self.images) == list(range(self.order))
 
     def compose(self, other: "QuandleMap") -> "QuandleMap":
         """Map applying ``other`` first, then ``self``."""
@@ -112,10 +114,15 @@ class QuandleMap(Value):
     def inverse(self) -> "QuandleMap":
         if not self.is_permutation():
             raise InvalidParameter("only permutations can be inverted")
-        inv = [0] * self.order
-        for a, b in enumerate(self.images):
-            inv[b] = a
-        return QuandleMap(tuple(inv))
+        return QuandleMap(_invert(self.images))
+
+
+def _invert(images) -> tuple[int, ...]:
+    """The inverse of a permutation of 0..n-1 given as its image list, unchecked."""
+    inv = [0] * len(images)
+    for a, b in enumerate(images):
+        inv[b] = a
+    return tuple(inv)
 
 
 class QuandleReport(Value):
@@ -190,7 +197,7 @@ def is_automorphism(q: FiniteQuandle, m: QuandleMap) -> bool:
 
 def inner_automorphism(q: FiniteQuandle, a: int) -> QuandleMap:
     """The map x -> x * a (an automorphism of every valid quandle)."""
-    if not 0 <= a < q.order:
+    if type(a) is not int or not 0 <= a < q.order:  # type(), not isinstance(): bool is an int
         raise InvalidParameter(f"element {a!r} out of range 0..{q.order - 1}")
     return QuandleMap(q.columns[a])
 

@@ -22,15 +22,16 @@ families whose effect on twisted colorings is understood exactly --
 poke insertion/removal with cancelling chiralities, sliding a virtual
 passage across an adjacent virtual crossing, and sliding a consecutive
 pair of virtual passages past a classical crossing (the semi-virtual
-slide, gated by ``allow_semi_virtual``).  The semi-virtual slide
+slide, offered only with ``allow_semi_virtual``).  The semi-virtual slide
 additionally requires the two route chiralities p, q to satisfy
 p*q = side_a*side_b, where a side is +1 when the route crosses the
 incoming half of the classical crossing's strand; other combinations do
 not arise from a planar slide and do not preserve twisted colorings.
 The poke-removal and semi-virtual slide sites come from one walk of the
-consecutive virtual passage pairs; the virtual slide is tested for
-existence only (its scan stops at the first site).  The sorted site list
-is built for the drawn family alone.
+consecutive virtual passage pairs, which always builds both lists; the
+fuzzer's family menu alone reads ``allow_semi_virtual``.  The virtual
+slide is tested for existence only (its scan stops at the first site).
+The sorted site list is built for the drawn family alone.
 
 Every move edits crossing records through the one record layout of
 ``diagram``: a role is a passage index (0 = under/first strand, 1 =
@@ -47,9 +48,14 @@ for it.  The scans that run on every move read a record unpacked, as
 A trace is a list of ``MoveRecord``s, and a record is the call that
 replays it: ``apply_move`` calls the move its ``kind`` names with its
 ``site`` as keyword arguments, so the site keys are the parameter names
-(``LOOP`` as a kink's edge stands for a free loop).  Every edge argument
-of a move is checked once, by ``_check_edge``: an int label of the
-diagram, else ``InvalidParameter``.
+(``LOOP`` as a kink's edge stands for a free loop).  Every argument of
+a move is checked before it is used, else ``InvalidParameter``: an edge
+is an int label of the diagram (``_check_edge``), a sign or chirality the
+int +1 or -1, ``handed`` "under" or "over", ``over_first`` a bool, the
+bridges a list and the passages a list of (edge, chirality) pairs.  A
+site is a dict whose keys are among the move's parameters and include
+every parameter without a default; ``apply_move`` reads the names once,
+at import, from the move functions themselves.
 
 After every move the edge labels are renumbered canonically (successor
 traversal from the lowest surviving label) and the crossing list is
@@ -158,6 +164,12 @@ def _check_edge(d: VirtualDiagram, e) -> None:
         raise InvalidParameter(f"edge {e!r} out of range")
 
 
+def _check_unit(x, what: str) -> None:
+    """Refuse anything but the int +1 or -1 as a sign or chirality."""
+    if type(x) is not int or x not in (1, -1):
+        raise InvalidParameter(f"{what} must be +1 or -1")
+
+
 def _delete(d: VirtualDiagram, crossings: set[int]) -> VirtualDiagram:
     """``d`` without the given crossings, the through-edges of each passage merged."""
     survivors, gained, _, _ = _remove_crossings(d, crossings)
@@ -207,8 +219,7 @@ def r1_insert(d: VirtualDiagram, edge, sign: int, handed: str = "under") -> Virt
 
     ``handed`` selects which passage the incoming strand takes first.
     """
-    if sign not in (1, -1):
-        raise InvalidParameter("kink sign must be +1 or -1")
+    _check_unit(sign, "kink sign")
     if handed not in ("under", "over"):
         raise InvalidParameter("handed must be 'under' or 'over'")
     if handed == "under":  # in -> under -> loop -> over -> out
@@ -242,6 +253,8 @@ def r2_insert(d: VirtualDiagram, edge_a: int, edge_b: int, over_first: bool = Tr
     _check_edge(d, edge_b)
     if edge_a == edge_b:
         raise InvalidParameter("poke needs two distinct edges")
+    if type(over_first) is not bool:
+        raise InvalidParameter(f"over_first must be True or False, got {over_first!r}")
     m1, m2, k1, k2 = d.edges, d.edges + 1, d.edges + 2, d.edges + 3
     consumed = d.slot_maps[0]
     crossings = list(d.crossings)
@@ -376,6 +389,8 @@ def find_r3_sites(d: VirtualDiagram) -> list[tuple[int, int, int]]:
 
 def r3_slide(d: VirtualDiagram, bridges) -> VirtualDiagram:
     """Flip the triangle identified by its three bridge edges."""
+    if not isinstance(bridges, (list, tuple)):
+        raise InvalidParameter(f"bridges must be a list of edges, got {bridges!r}")
     bridges = tuple(bridges)
     for e in bridges:
         _check_edge(d, e)
@@ -400,8 +415,7 @@ def r3_slide(d: VirtualDiagram, bridges) -> VirtualDiagram:
 
 def vkink_insert(d: VirtualDiagram, edge, chirality: int) -> VirtualDiagram:
     """Insert a virtual kink on an edge, or onto a free loop (edge None or LOOP)."""
-    if chirality not in (1, -1):
-        raise InvalidParameter("chirality must be +1 or -1")
+    _check_unit(chirality, "chirality")
     kink = lambda e_in, loop, e_out: VirtualCrossing(e_in, loop, loop, e_out, chirality)
     return _insert_kink(d, edge, kink)
 
@@ -448,6 +462,8 @@ def detour(d: VirtualDiagram, start: int, end: int, passages) -> VirtualDiagram:
     """
     _check_edge(d, start)
     _check_edge(d, end)
+    if not isinstance(passages, (list, tuple)):
+        raise InvalidParameter(f"passages must be a list of [edge, chirality] pairs, got {passages!r}")
     consumed, emitted = d.slot_maps
     interior = {ci for ci, _ in _segment(d, start, end)}
     if emitted[start][0] in interior or consumed[end][0] in interior:
@@ -457,10 +473,12 @@ def detour(d: VirtualDiagram, start: int, end: int, passages) -> VirtualDiagram:
     route = rep.get(start, start)
 
     targets = []
-    for t, ch in passages:
+    for passage in passages:
+        if not isinstance(passage, (list, tuple)) or len(passage) != 2:
+            raise InvalidParameter(f"a passage must be an [edge, chirality] pair, got {passage!r}")
+        t, ch = passage
         _check_edge(d, t)
-        if ch not in (1, -1):
-            raise InvalidParameter("chirality must be +1 or -1")
+        _check_unit(ch, "chirality")
         t = rep.get(t, t)
         if t == route:
             raise InvalidParameter("a detour cannot cross its own route")
@@ -536,10 +554,11 @@ def _virtual_pairs(d: VirtualDiagram):
             yield r_in, r_mid, r_end, p, t1, q, t2
 
 
-def _pair_sites(d: VirtualDiagram, semi_virtual: bool):
+def _pair_sites(d: VirtualDiagram):
     """(poke-removal sites, semi-virtual slide sites) from one walk of the
-    virtual passage pairs, each with repeats in crossing order; the second
-    list stays empty unless ``semi_virtual``.
+    virtual passage pairs, each with repeats in crossing order; both lists
+    are always built, and the fuzzer drops the second without
+    ``allow_semi_virtual``.
 
     A pair is a poke removal when its chiralities cancel and its
     transversals run through each other.  It is a semi-virtual slide when
@@ -566,8 +585,6 @@ def _pair_sites(d: VirtualDiagram, semi_virtual: bool):
     for r_in, r_mid, r_end, p, t1, q, t2 in _virtual_pairs(d):
         if p + q == 0 and (t1[1] == t2[0] or t2[1] == t1[0]):
             pokes.append((r_in, r_end))
-        if not semi_virtual:
-            continue
         adj1 = adjacency(t1)
         adj2 = adjacency(t2)
         if adj1 is None or adj2 is None:
@@ -584,7 +601,7 @@ def _pair_sites(d: VirtualDiagram, semi_virtual: bool):
 
 def find_poke_remove_sites(d: VirtualDiagram) -> list[tuple[int, int]]:
     """(start, end) segments whose two virtual passages form a cancelling bigon."""
-    return sorted(set(_pair_sites(d, False)[0]))
+    return sorted(set(_pair_sites(d)[0]))
 
 
 def _virtual_slide_scan(d: VirtualDiagram):
@@ -626,7 +643,7 @@ def find_semi_virtual_slide_sites(
     Only chirality pairs with p*q = side1*side2 are offered (the planar
     slide condition).
     """
-    return sorted(set(_pair_sites(d, True)[1]))
+    return sorted(set(_pair_sites(d)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -652,13 +669,32 @@ ALL_KINDS = CLASSICAL_KINDS + VIRTUAL_KINDS
 _SHRINKING = {"r1_remove", "r2_remove", "vkink_remove"}
 
 
+def _site_keys(move) -> tuple[set, set, tuple]:
+    """The keys a site of ``move`` must hold, the keys it may hold and their
+    order: the move's parameters after ``d``, those without a default required."""
+    code = move.__code__
+    names = code.co_varnames[1 : code.co_argcount]
+    return set(names[: len(names) - len(move.__defaults__ or ())]), set(names), names
+
+
+# read once from the moves as defined here, since a wrapper bound over a
+# move's name later may take *args, **kwargs
+_SITE_KEYS = {kind: _site_keys(globals()[kind]) for kind in ALL_KINDS}
+
+
 def apply_move(d: VirtualDiagram, record: MoveRecord) -> VirtualDiagram:
     """Replay a record: the move function named by its kind, called with its site
-    as keyword arguments (a missing or unknown site key is a ``TypeError``)."""
+    as keyword arguments; a site that is not a dict of the move's parameters
+    is an ``InvalidParameter``."""
     if record.kind not in ALL_KINDS:
         raise InvalidParameter(f"unknown move kind {record.kind!r}")
+    required, allowed, names = _SITE_KEYS[record.kind]
+    site = record.site
+    if type(site) is not dict or not required <= site.keys() <= allowed:
+        keys = ", ".join(k if k in required else f"[{k}]" for k in names)
+        raise InvalidParameter(f"{record.kind} takes a site dict of {keys}, got {site!r}")
     # looked up per call, so that a wrapper bound over a move's name is the one called
-    return globals()[record.kind](d, **record.site)
+    return globals()[record.kind](d, **site)
 
 
 def _draw(rng, kind: str, key: str, sites: list):
@@ -696,7 +732,7 @@ def _instantiate(d, rng, kind, allow_semi_virtual, prefer_removal):
     if kind == "vkink_remove":
         return _draw(rng, kind, "loop", find_vkink_sites(d))
     if kind == "detour":
-        pokes, slides = _pair_sites(d, allow_semi_virtual)
+        pokes, slides = _pair_sites(d)
         families = []  # in this order, so that rng draws the same way
         if d.edges >= 2:
             families.append("poke_insert")
@@ -704,7 +740,7 @@ def _instantiate(d, rng, kind, allow_semi_virtual, prefer_removal):
             families.append("poke_remove")
         if next(_virtual_slide_scan(d), None) is not None:
             families.append("virtual_slide")
-        if slides:
+        if allow_semi_virtual and slides:
             families.append("semi_virtual_slide")
         if not families:
             return None

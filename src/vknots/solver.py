@@ -24,10 +24,12 @@ through the color of its over-arc, each color read through its edge's
 permutation.  The search branches on the uncolored over-arc of the first
 crossing, in crossing order, whose in-arc or out-arc is colored, else on
 the arc that holds the lowest uncolored edge; it propagates the arc rules
-and backtracks on conflict.  Each solution is expanded to its edge colors
-by walking its arcs, and the list is sorted.  A public entry point checks
-the twist map once; the invariant layer, which has checked it, calls the
-unchecked ``_enumerate``.
+and backtracks on conflict; a branch, taken or failed, uncolors the arcs
+its propagation colored in one place.  Each solution is expanded to its
+edge colors by walking its arcs.  Only ``enumerate_colorings`` sorts the
+list.  A public entry point checks the twist map once; the invariant
+layer, which has checked it and sums over the colorings in any order,
+calls the unchecked ``_enumerate``.
 
 ``brute_force_colorings`` is the oracle: it tries every assignment of
 colors to the arcs (n^arcs of them, bounded by a ceiling), completes each
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import FiniteQuandle, QuandleMap
+from .algebra import FiniteQuandle, QuandleMap, _invert
 from .diagram import VirtualDiagram
 from .errors import SearchBoundExceeded
 from .kernel import check_coloring, check_twist, compile_problem, satisfying
@@ -77,7 +79,7 @@ def enumerate_colorings(
     the list is sorted, so the branching order does not change the result.
     """
     check_twist(q, f)
-    return _enumerate(d, q, f)
+    return sorted(_enumerate(d, q, f))
 
 
 def _arcs(d: VirtualDiagram, rules, identity: tuple):
@@ -120,7 +122,7 @@ def _arcs(d: VirtualDiagram, rules, identity: tuple):
 
 
 def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple[int, ...]]:
-    """``enumerate_colorings`` for a twist map the caller has checked."""
+    """``enumerate_colorings`` unsorted, for a twist map the caller has checked."""
     rules = compile_problem(d, q, f)
     n = q.order
     identity = tuple(range(n))
@@ -135,7 +137,7 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
             p_in, p_by = perm_of[i], perm_of[b]
             if p_by is not identity:
                 fwd, back = [fwd[z] for z in p_by], [back[z] for z in p_by]
-            p_in_inv = p_in if p_in is identity else tuple(sorted(identity, key=p_in.__getitem__))
+            p_in_inv = p_in if p_in is identity else _invert(p_in)
             arc_rules.append((arc_of[i], p_in, p_in_inv, arc_of[o], arc_of[b], fwd, back))
     incident: list[list[tuple]] = [[] for _ in loops]  # arc -> the arc rules it appears in
     for rule in arc_rules:
@@ -146,8 +148,8 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
     by_lowest_edge = list(dict.fromkeys(arc_of))
     results: list[tuple[int, ...]] = []
 
-    def propagate(arc: int, value: int) -> list[int] | None:
-        """Color arc and everything that forces; returns the trail or None."""
+    def propagate(arc: int, value: int) -> tuple[list[int], bool]:
+        """Color arc and everything that forces; returns (trail, held)."""
         trail: list[int] = []
         stack = [(arc, value)]
         while stack:
@@ -155,9 +157,7 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
             cur = colors[a]
             if cur is not None:
                 if cur != v:
-                    for t in trail:
-                        colors[t] = None
-                    return None
+                    return trail, False
                 continue
             colors[a] = v
             trail.append(a)
@@ -171,12 +171,10 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
                     if y is None:
                         stack.append((oa, want))
                     elif y != want:
-                        for t in trail:
-                            colors[t] = None
-                        return None
+                        return trail, False
                 elif y is not None:
                     stack.append((ia, p_in_inv[back[z][y]]))
-        return trail
+        return trail, True
 
     def branch_arc() -> int | None:
         """The uncolored over-arc of the first arc rule with a colored strand
@@ -198,11 +196,11 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
             results.append(tuple(colors))  # type: ignore[arg-type]
             return
         for v in domains[arc]:
-            trail = propagate(arc, v)
-            if trail is not None:
+            trail, held = propagate(arc, v)
+            if held:
                 yield
-                for t in trail:
-                    colors[t] = None
+            for t in trail:
+                colors[t] = None
 
     # one suspended generator per branch level on an explicit stack, so deep
     # diagrams cannot hit the interpreter recursion limit: a level that
@@ -215,7 +213,7 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
         else:
             stack.append(branches())
     edges = list(zip(arc_of, perm_of))
-    return sorted(tuple([p[c[a]] for a, p in edges]) for c in results)
+    return [tuple([p[c[a]] for a, p in edges]) for c in results]
 
 
 def count_colorings(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> int:

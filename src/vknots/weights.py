@@ -201,24 +201,21 @@ def is_cohomologous(c1: Cocycle2, c2: Cocycle2) -> Cochain1 | None:
 
     The defining equations psi(x) - psi(x*y) = delta(x, y) are pure
     difference constraints, so one BFS labelling per connected component
-    plus a full consistency check decides solvability exactly, over Z
+    plus a check with ``coboundary`` decides solvability exactly, over Z
     (modulus 0) and over Z_m alike.
     """
     _check_same_space(c1, c2)
     q = c1.quandle
     n = q.order
     group = c1.group
-    red = group.reduce
-    delta = [
-        [red(c1.exponents[a][b] - c2.exponents[a][b]) for b in range(n)] for a in range(n)
-    ]
-    # edges of the difference graph: psi[x] - psi[x*y] = delta[x][y]
+    # edges of the difference graph: psi[x] - psi[x*y] = delta(x, y); the
+    # cochain and the check reduce mod m, so the labels need not
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for x in range(n):
         for y in range(n):
-            z = q.table[x][y]
-            adj[x].append((z, -delta[x][y]))  # psi[z] = psi[x] - delta
-            adj[z].append((x, delta[x][y]))
+            z, delta = q.table[x][y], c1.exponents[x][y] - c2.exponents[x][y]
+            adj[x].append((z, -delta))  # psi[z] = psi[x] - delta
+            adj[z].append((x, delta))
     psi = [None] * n
     for start in range(n):
         if psi[start] is not None:
@@ -229,13 +226,10 @@ def is_cohomologous(c1: Cocycle2, c2: Cocycle2) -> Cochain1 | None:
             x = stack.pop()
             for z, diff in adj[x]:
                 if psi[z] is None:
-                    psi[z] = red(psi[x] + diff)
+                    psi[z] = psi[x] + diff
                     stack.append(z)
-    for x in range(n):
-        for y in range(n):
-            if red(psi[x] - psi[q.table[x][y]] - delta[x][y]):
-                return None
-    return Cochain1(group, tuple(psi))
+    cochain = Cochain1(group, tuple(psi))
+    return cochain if cocycle_product(c2, coboundary(q, group, cochain)) == c1 else None
 
 
 def preserves(f: QuandleMap, c: Cocycle2) -> bool:

@@ -203,6 +203,32 @@ def test_inner_automorphism_examples():
         inner_automorphism(make_dihedral(3), 3)
 
 
+@pytest.mark.parametrize("a", [1.0, True, "1", None, -1, 4])
+def test_inner_automorphism_takes_an_int_element(a):
+    # 1.0 raised a TypeError from the column lookup, and True returned element 1's map
+    with pytest.raises(InvalidParameter, match="out of range"):
+        inner_automorphism(make_dihedral(4), a)
+
+
+@pytest.mark.parametrize("images", [(True, 2, 3, 0), (0.0, 1.0, 2.0, 3.0), (0, 1, 2, 3.0)])
+def test_a_map_with_non_int_images_is_no_permutation(images):
+    # (True, 2, 3, 0) passed as an automorphism of R4, and float images raised
+    # a TypeError from the product test
+    m, q = QuandleMap(images), make_dihedral(4)
+    assert not m.is_permutation()
+    assert not is_automorphism(q, m)
+    for call in (m.inverse, lambda: map_order(m), lambda: count_colorings(builder("trefoil"), q, m)):
+        with pytest.raises(InvalidParameter):
+            call()
+
+
+def test_map_refusals():
+    with pytest.raises(InvalidParameter, match="different orders"):
+        QuandleMap.identity(3).compose(QuandleMap.identity(4))
+    with pytest.raises(InvalidParameter, match="only permutations"):
+        QuandleMap((0, 0, 1)).inverse()
+
+
 @given(st.integers(min_value=1, max_value=8), st.data())
 @settings(max_examples=40)
 def test_inner_maps_are_automorphisms(n, data):

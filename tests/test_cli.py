@@ -238,6 +238,29 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+# each command missing an option it needs is refused by the parser
+MISSING_OPTIONS = {
+    "diagram-validate": (["diagram", "validate"], "diagram validate needs --diagram"),
+    "cocycle-check": (["cocycle", "check", "--quandle", "dihedral:4"], "cocycle check needs --cocycle"),
+    "cocycle-preserves": (["cocycle", "preserves", "--quandle", "dihedral:4", "--cocycle", "trivial"], "needs --aut"),
+    "cocycle-cohomologous": (["cocycle", "cohomologous", "--quandle", "dihedral:4", "--cocycle", "trivial"], "needs --other"),
+    "cocycle-coboundary": (["cocycle", "coboundary", "--quandle", "dihedral:4"], "needs --psi"),
+    "cocycle-basis": (["cocycle", "basis", "--quandle", "dihedral:4", "--m", "1"], "needs --m >= 2"),
+    "invariant-z1": (
+        ["invariant", "z1", "--diagram", "trefoil", "--quandle", "dihedral:4", "--cocycle", "trivial"],
+        "invariant z1 needs --aut",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(MISSING_OPTIONS.values()), ids=list(MISSING_OPTIONS))
+def test_a_missing_option_is_a_parser_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_builder_is_usage_error(capsys):
     code, _, err = run(capsys, "diagram", "components", "--diagram", "borromean")
     assert code == 2

@@ -109,6 +109,12 @@ def test_validate_rejects_dangling():
     assert not report.ok
 
 
+@pytest.mark.parametrize("edges, free_loops", [(-1, 0), (0, -1), (-2, -2)])
+def test_validate_rejects_negative_counts(edges, free_loops):
+    report = validate_diagram(VirtualDiagram(edges, free_loops, ()))
+    assert not report.ok and "non-negative" in report.message
+
+
 def test_parse_unknot():
     d = parse_diagram(UNKNOT_TEXT)
     assert d == builder("unknot")
@@ -332,6 +338,22 @@ def test_isomorphic_basics():
     assert not isomorphic(builder("unknot_kink_pos"), builder("unknot_kink_neg"))
     assert not isomorphic(builder("unknot"), VirtualDiagram(0, 2, ()))
     assert isomorphic(builder("unknot"), builder("unknot"))
+
+
+def test_isomorphic_search_tells_apart_diagrams_with_equal_signatures():
+    # two positive kinks on one circle, one after the other (Gauss word
+    # U0 O0 U1 O1) or the second inside the first's loop (U0 U1 O1 O0): the
+    # same component signature, so only the search can refuse the pair
+    from vknots.diagram import _component_signatures
+    from vknots.moves import LOOP, r1_insert
+
+    ring = VirtualDiagram(0, 1, ())
+    after = r1_insert(r1_insert(ring, LOOP, 1, "over"), 1, 1, "under")
+    inside = r1_insert(r1_insert(ring, LOOP, 1, "under"), 1, 1, "under")
+    signature = lambda d: _component_signatures(d, successor_cycles(d))
+    assert signature(after) == signature(inside)
+    assert not isomorphic(after, inside) and not isomorphic(inside, after)
+    assert isomorphic(after, after) and isomorphic(inside, inside)
 
 
 def test_isomorphic_matches_many_components_without_recursion():

@@ -110,3 +110,14 @@ def test_solve_mod_agrees_with_enumeration(seed, m):
 def test_empty_system():
     assert intlin.kernel_mod([], 5) == []
     assert intlin.solve_mod([], [], 5) == []
+
+
+@pytest.mark.parametrize("m", [1, 0, -3])
+@pytest.mark.parametrize(
+    "solve",
+    [lambda m: intlin.kernel_mod([[1, 2]], m), lambda m: intlin.solve_mod([[1, 2]], [1], m)],
+    ids=["kernel_mod", "solve_mod"],
+)
+def test_a_modulus_below_two_is_refused(solve, m):
+    with pytest.raises(ValueError, match="needs a modulus m >= 2"):
+        solve(m)

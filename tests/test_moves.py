@@ -22,6 +22,7 @@ from vknots.diagram import (
     component_count,
     isomorphic,
     serialize_diagram,
+    successor_cycles,
     validate_diagram,
 )
 from vknots.errors import InvalidParameter, NotApplicable
@@ -660,7 +661,7 @@ def test_a_record_names_a_move_and_its_parameters():
     with pytest.raises(InvalidParameter, match="unknown move kind"):
         apply_move(d, MoveRecord("_delete", {"crossings": {0}}))
     for site in ({}, {"loop_edge": loop}, {"loop": loop, "sign": 1}):
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidParameter, match="r1_remove takes a site dict of loop"):
             apply_move(d, MoveRecord("r1_remove", site))
     # a kink insertion reads LOOP as None: onto a free loop
     ring = VirtualDiagram(0, 1, ())
@@ -668,6 +669,113 @@ def test_a_record_names_a_move_and_its_parameters():
         assert apply_move(ring, MoveRecord(kind, {"edge": LOOP, **site})) == apply_move(
             ring, MoveRecord(kind, {"edge": None, **site})
         )
+
+
+# records whose site is not a dict of the move's parameters; each raised a
+# bare TypeError from the keyword call
+MALFORMED_SITES = {
+    "missing-key": ("r1_insert", {"edge": 0}),
+    "unknown-key": ("r1_remove", {"loop": 0, "extra": 1}),
+    "d-as-a-key": ("r2_remove", {"d": 0, "over_mid": 0}),
+    "list": ("r1_remove", [0]),
+    "none": ("detour", None),
+    "pairs": ("r3_slide", (("bridges", [0, 1, 2]),)),
+}
+
+
+@pytest.mark.parametrize("kind, site", list(MALFORMED_SITES.values()), ids=list(MALFORMED_SITES))
+def test_a_site_must_be_a_dict_of_the_moves_parameters(kind, site):
+    with pytest.raises(InvalidParameter, match=f"{kind} takes a site dict of"):
+        apply_move(builder("trefoil"), MoveRecord(kind, site))
+
+
+def test_site_keys_are_read_from_the_moves_as_defined(monkeypatch):
+    # a wrapper bound over a move's name takes *args, **kwargs, as the
+    # benchmark tracer's do; the record is still checked against the move
+    calls = []
+    original = moves.r1_insert
+
+    def wrapper(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(moves, "r1_insert", wrapper)
+    d = builder("trefoil")
+    site = {"edge": 0, "sign": 1}
+    assert apply_move(d, MoveRecord("r1_insert", site)) == original(d, 0, 1)
+    assert calls == [site]
+    with pytest.raises(InvalidParameter, match=r"r1_insert takes a site dict of edge, sign, \[handed\]"):
+        apply_move(d, MoveRecord("r1_insert", {"edge": 0, "sign": 1, "hand": "over"}))
+    assert len(calls) == 1
+
+
+# non-edge arguments of the wrong type or shape; each was either accepted or
+# refused with a TypeError or ValueError instead of InvalidParameter
+MALFORMED_ARGUMENTS = {
+    "r3_slide-int": lambda d: r3_slide(d, 5),
+    "r3_slide-none": lambda d: r3_slide(d, None),
+    "detour-none": lambda d: detour(d, 0, 0, None),
+    "detour-int": lambda d: detour(d, 0, 0, 5),
+    "detour-int-passage": lambda d: detour(d, 0, 0, [5]),
+    "detour-short-passage": lambda d: detour(d, 0, 0, [[1]]),
+    "detour-long-passage": lambda d: detour(d, 0, 0, [[1, 1, 1]]),
+    "detour-float-chirality": lambda d: detour(d, 0, 0, [[1, 1.0], [1, -1]]),
+    "detour-bool-chirality": lambda d: detour(d, 0, 0, [[1, True], [1, -1]]),
+    "r1_insert-bool-sign": lambda d: r1_insert(d, 0, True),
+    "r1_insert-float-sign": lambda d: r1_insert(d, 0, 1.0),
+    "vkink_insert-float-chirality": lambda d: vkink_insert(d, 0, 1.0),
+    "vkink_insert-bool-chirality": lambda d: vkink_insert(d, 0, True),
+    "r2_insert-str-over_first": lambda d: r2_insert(d, 0, 1, over_first="no"),
+    "r2_insert-int-over_first": lambda d: r2_insert(d, 0, 1, over_first=1),
+}
+
+
+@pytest.mark.parametrize("move", list(MALFORMED_ARGUMENTS.values()), ids=list(MALFORMED_ARGUMENTS))
+def test_every_malformed_argument_is_an_invalid_parameter(move):
+    with pytest.raises(InvalidParameter):
+        move(builder("trefoil"))
+
+
+def _two_virtual_kinks():
+    """Two components, each one virtual kink: edges 0, 1 and 2, 3."""
+    d = vkink_insert(vkink_insert(VirtualDiagram(0, 2, ()), LOOP, 1), LOOP, 1)
+    assert [sorted(c) for c in successor_cycles(d)] == [[0, 1], [2, 3]]
+    return d
+
+
+# every other refusal of a move, with the error and message it raises
+REFUSALS = {
+    "r1_insert-no-free-loop": (lambda: r1_insert(builder("trefoil"), LOOP, 1), NotApplicable, "no free loop"),
+    "vkink_insert-no-free-loop": (lambda: vkink_insert(builder("trefoil"), None, -1), NotApplicable, "no free loop"),
+    "r1_insert-sign": (lambda: r1_insert(builder("trefoil"), 0, 0), InvalidParameter, "kink sign"),
+    "r1_insert-handed": (lambda: r1_insert(builder("trefoil"), 0, 1, "left"), InvalidParameter, "handed"),
+    "vkink_insert-chirality": (lambda: vkink_insert(builder("trefoil"), 0, 0), InvalidParameter, "chirality"),
+    "detour-chirality": (lambda: detour(builder("trefoil"), 0, 0, [[1, 2]]), InvalidParameter, "chirality"),
+    "detour-off-the-component": (lambda: detour(_two_virtual_kinks(), 0, 2, []), NotApplicable, "never reaches"),
+    "detour-endpoint-inside": (lambda: detour(builder("unknot_vkink"), 0, 1, []), NotApplicable, "endpoints lie on"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", list(REFUSALS.values()), ids=list(REFUSALS))
+def test_every_refusal_of_a_move(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_r3_slide_refuses_a_third_bridge_that_does_not_close_the_triangle():
+    d = builder("trefoil")
+    consumed, emitted = d.slot_maps
+    ends = [{emitted[e][0], consumed[e][0]} for e in range(d.edges)]
+    # bridges 0 and 1 leave one shared crossing for two others, which 3 does not join
+    assert len(ends[0]) == len(ends[1]) == 2 and len(ends[0] & ends[1]) == 1
+    assert ends[3] != ends[0] ^ ends[1]
+    with pytest.raises(NotApplicable, match="realizable triangle"):
+        r3_slide(d, (0, 1, 3))
+
+
+def test_random_equivalent_stops_when_no_move_applies():
+    empty = VirtualDiagram(0, 0, ())
+    assert random_equivalent(empty, 0, 5) == (empty, [])
 
 
 class _MenuSpy:

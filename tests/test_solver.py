@@ -124,9 +124,10 @@ def test_non_automorphism_rejected():
         *(lambda f, kind=kind: compute_invariant(kind, d, Q4, c, f) for kind in ("z1", "z2", "z3")),
     ]
     for call in entry_points:
-        for f in (QuandleMap((0, 0, 1, 2)), QuandleMap((0, 1, 3, 2))):
+        # images must be ints: True passed as 1, and floats raised a TypeError
+        for images in ((0, 0, 1, 2), (0, 1, 3, 2), (True, 2, 3, 0), (0.0, 1.0, 2.0, 3.0)):
             with pytest.raises(InvalidParameter, match="the twist map must be an automorphism of the quandle"):
-                call(f)
+                call(QuandleMap(images))
     with pytest.raises(InvalidParameter):
         verify_coloring(builder("trefoil"), Q4, ID4, (0,) * 5)
 
