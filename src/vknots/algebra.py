@@ -11,10 +11,11 @@ Validation is deliberately separate from construction so that broken
 tables can be built and fed to negative tests.
 
 A quandle carries its derived tables, built on first use and freed with
-it: the right translations ``columns``, their inverses ``division`` and
-``preserves_products``.  That one test, m(a * b) = m(a) * m(b) compared
-column by column, checks axiom 3 (every right translation preserves
-products), ``is_automorphism`` and each candidate of ``automorphisms``.
+it: the right translations ``columns``, their inverses ``division``,
+``preserves_products`` and the greedy generating set ``generation``.  That
+one test, m(a * b) = m(a) * m(b) compared column by column, checks axiom 3,
+``is_automorphism``, each candidate of ``automorphisms`` and the inner maps
+of ``generation``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from itertools import permutations
-from math import gcd
+from math import lcm
 from operator import itemgetter
 
 from .errors import InvalidParameter, MalformedInput, SearchBoundExceeded, load_json
@@ -79,6 +80,35 @@ class FiniteQuandle(Value):
             return all(after[b](images) == through(cols[mb]) for b, mb in enumerate(images))
 
         return preserves_products
+
+    @cached_property
+    def generation(self):
+        """``(generators, words, inner)``: the greedy generators, each the least
+        element the earlier ones do not generate, in O(n^2); a word x = a * b over
+        earlier elements for every other x; the generators g whose translation
+        ``columns[g]`` preserves products, or None unless axiom 2 holds (only then
+        is ``division`` the inverse that every automorphism respects)."""
+        n, t, cols = self.order, self.table, self.columns
+        placed, order, generators, words = [False] * n, [], [], []
+        i = 0
+        while len(order) < n:
+            if i == len(order):  # closed under *: the least unplaced element generates
+                g = placed.index(False)
+                placed[g] = True
+                generators.append(g)
+                order.append(g)
+            x = order[i]
+            for y in order[: i + 1]:
+                for a, b in ((x, y), (y, x)):
+                    ab = t[a][b]
+                    if not placed[ab]:
+                        placed[ab] = True
+                        order.append(ab)
+                        words.append((ab, a, b))
+            i += 1
+        bijective = all(len(set(col)) == n for col in cols)
+        inner = tuple(g for g in generators if self.preserves_products(cols[g])) if bijective else None
+        return tuple(generators), tuple(words), inner
 
 
 class QuandleMap(Value):
@@ -168,8 +198,7 @@ def make_dihedral(n: int) -> FiniteQuandle:
 
 def validate_quandle(q: FiniteQuandle) -> QuandleReport:
     """Check the three quandle axioms exhaustively, reporting the first failure."""
-    n = q.order
-    t = q.table
+    n, t = q.order, q.table
     for a in range(n):
         if t[a][a] != a:
             return QuandleReport(False, axiom=1, witness=(a,))
@@ -214,59 +243,30 @@ def automorphisms(q: FiniteQuandle, bound: int = DEFAULT_AUT_SEARCH_BOUND) -> li
     n = q.order
     if n > bound:
         raise SearchBoundExceeded(f"order {n} exceeds automorphism search bound {bound}")
-    t = q.table
-    # greedy generators, and a word x = a * b over earlier elements for every
-    # other x; each ordered pair of placed elements is read once, O(n^2)
-    placed = [False] * n
-    order, generators, words = [], [], []
-    i = 0
-    for g in range(n):
-        if placed[g]:
-            continue
-        placed[g] = True
-        generators.append(g)
-        order.append(g)
-        while i < len(order):
-            x = order[i]
-            for y in order[: i + 1]:
-                for a, b in ((x, y), (y, x)):
-                    ab = t[a][b]
-                    if not placed[ab]:
-                        placed[ab] = True
-                        order.append(ab)
-                        words.append((ab, a, b))
-            i += 1
-    preserves_products = q.preserves_products
-    found = []
-    images = [0] * n
+    t, (generators, words, _) = q.table, q.generation
+    found, images = [], [0] * n
     for choice in permutations(range(n), len(generators)):
         for g, v in zip(generators, choice):
             images[g] = v
         for x, a, b in words:
             images[x] = t[images[a]][images[b]]
-        if len(set(images)) == n and preserves_products(images):
+        if len(set(images)) == n and q.preserves_products(images):
             found.append(QuandleMap(tuple(images)))
-    found.sort(key=lambda m: m.images)
-    return found
+    return sorted(found, key=lambda m: m.images)
 
 
 def map_order(m: QuandleMap) -> int:
     """Minimal k >= 1 with the k-fold composite of m equal to the identity."""
     if not m.is_permutation():
         raise InvalidParameter("map_order is defined for permutations only")
-    remaining = set(range(m.order))
-    k = 1
-    while remaining:
-        start = min(remaining)
+    k, seen = 1, set()
+    for x in range(m.order):
         length = 0
-        x = start
-        while True:
-            remaining.discard(x)
-            length += 1
+        while x not in seen:  # walk the cycle through x unless an earlier walk did
+            seen.add(x)
             x = m.images[x]
-            if x == start:
-                break
-        k = k * length // gcd(k, length)
+            length += 1
+        k = lcm(k, length or 1)
     return k
 
 

@@ -27,7 +27,7 @@ not rules; ``invariants`` reads them off the diagram itself.
 
 from __future__ import annotations
 
-from .algebra import FiniteQuandle, QuandleMap, is_automorphism
+from .algebra import FiniteQuandle, QuandleMap, _invert, is_automorphism
 from .diagram import VirtualDiagram
 from .errors import InvalidParameter
 
@@ -62,7 +62,7 @@ def compile_problem(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> tuple
     """
     times, divide = q.columns, q.division  # times[o][x] = x * o, divide[o][x * o] = x
     fplus = f.images
-    fminus = f.inverse().images
+    fminus = _invert(fplus)
     identity = tuple(range(q.order))
     classical = d.classical()
     under, over = [], []

@@ -25,11 +25,30 @@ permutation.  The search branches on the uncolored over-arc of the first
 crossing, in crossing order, whose in-arc or out-arc is colored, else on
 the arc that holds the lowest uncolored edge; it propagates the arc rules
 and backtracks on conflict; a branch, taken or failed, uncolors the arcs
-its propagation colored in one place.  Each solution is expanded to its
+its propagation colored in one place.  A rule forces its in-arc from its
+out-arc only when every column of q is a bijection (axiom 2); otherwise
+the in-arc is left to a later branch.  Each solution is expanded to its
 edge colors by walking its arcs.  Only ``enumerate_colorings`` sorts the
 list.  A public entry point checks the twist map once; the invariant
 layer, which has checked it and sums over the colorings in any order,
 calls the unchecked ``_enumerate``.
+
+The root arc, the first one branched on, tries one color per orbit of a
+group H of automorphisms that commute with f.  Such an h maps the
+colorings onto themselves: h o c meets every crossing rule that c meets,
+since h preserves products and so divisions, and every twist, since
+h f = f h.  H is generated by f and by the inner maps S_g: x -> x * g of
+q's greedy generators g (``FiniteQuandle.generation``) with
+S_{f(g)} = S_g, which is S_g f = f S_g because f S_g f^-1 = S_{f(g)}.
+It stays exact on every table: an S_g acts only if it preserves products,
+and H is trivial unless every column is a bijection, for otherwise
+``division`` is not the inverse that automorphisms respect.  H commutes
+with the twists composed round a closed root arc, so it keeps that arc's
+fixed points.  The colorings of each other color x of an orbit are the
+images h o c of those of the color y that reached it in a Schreier tree
+(x = h(y) for a generator h of H).  So ``_enumerate`` lists each orbit
+representative's colorings in search order, then their images, an order
+that changes with H; the sorted list does not.
 
 ``brute_force_colorings`` is the oracle: it tries every assignment of
 colors to the arcs (n^arcs of them, bounded by a ceiling), completes each
@@ -74,7 +93,10 @@ def enumerate_colorings(
     try each color the arc may take (a closed arc only the fixed points of
     the twists composed once round it), propagate through every crossing
     whose over-arc and one strand arc are colored (its rule is then a
-    bijection between the two strand arcs), and backtrack on conflict.
+    bijection between the two strand arcs; without axiom 2 only the in-arc
+    forces the out-arc), and backtrack on conflict.
+    The first arc tries one color per orbit of the automorphisms that
+    commute with f, and the colorings of the other colors are their images.
     Each solution is expanded to its edge colors by walking its arcs, and
     the list is sorted, so the branching order does not change the result.
     """
@@ -121,6 +143,35 @@ def _arcs(d: VirtualDiagram, rules, identity: tuple):
     return arc_of, perm_of, loops
 
 
+def _root_orbits(q: FiniteQuandle, f: QuandleMap, domain, identity: tuple):
+    """One color per orbit on ``domain`` of the group H of the module
+    docstring, and a Schreier tree of ``(x, h, y)``: x = h(y) for a
+    generator h of H, y reached before x.  H is generated by f and by the
+    S_g = ``columns[g]`` with S_{f(g)} = S_g for the g that ``generation``
+    lists, those whose S_g preserves products; without axiom 2 it is trivial.
+    """
+    inner = q.generation[2]
+    if inner is None:
+        return domain, []
+    cols, fi = q.columns, f.images
+    maps = [h for h in (fi, *(cols[g] for g in inner if cols[fi[g]] == cols[g])) if h != identity]
+    reps, tree, seen = [], [], set()
+    for r in domain:
+        if r in seen:
+            continue
+        reps.append(r)
+        seen.add(r)
+        orbit = [r]
+        for y in orbit:  # the list grows while it is read: a breadth-first walk
+            for h in maps:
+                x = h[y]
+                if x not in seen:
+                    seen.add(x)
+                    orbit.append(x)
+                    tree.append((x, h, y))
+    return reps, tree
+
+
 def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple[int, ...]]:
     """``enumerate_colorings`` unsorted, for a twist map the caller has checked."""
     rules = compile_problem(d, q, f)
@@ -130,7 +181,10 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
     colors: list[int | None] = [None] * len(loops)
     # one arc rule (in-arc, p_in, p_in^-1, out-arc, over-arc, fwd, back) per
     # classical crossing, in crossing order, its tables indexed by the
-    # over-arc's color: color(out-arc) = fwd[color(over-arc)][p_in[color(in-arc)]]
+    # over-arc's color: color(out-arc) = fwd[color(over-arc)][p_in[color(in-arc)]];
+    # back is None unless every column is a bijection (axiom 2), for only then
+    # does the out-arc's color force the in-arc's
+    bijective = q.generation[2] is not None
     arc_rules = []
     for i, o, b, fwd, back in rules:
         if b >= 0:
@@ -138,7 +192,7 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
             if p_by is not identity:
                 fwd, back = [fwd[z] for z in p_by], [back[z] for z in p_by]
             p_in_inv = p_in if p_in is identity else _invert(p_in)
-            arc_rules.append((arc_of[i], p_in, p_in_inv, arc_of[o], arc_of[b], fwd, back))
+            arc_rules.append((arc_of[i], p_in, p_in_inv, arc_of[o], arc_of[b], fwd, back if bijective else None))
     incident: list[list[tuple]] = [[] for _ in loops]  # arc -> the arc rules it appears in
     for rule in arc_rules:
         for a in {rule[0], rule[3], rule[4]}:
@@ -172,7 +226,7 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
                         stack.append((oa, want))
                     elif y != want:
                         return trail, False
-                elif y is not None:
+                elif y is not None and back is not None:
                     stack.append((ia, p_in_inv[back[z][y]]))
         return trail, True
 
@@ -202,6 +256,12 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
             for t in trail:
                 colors[t] = None
 
+    # the root arc tries one color per orbit of the automorphisms that commute
+    # with f, each of which maps the colorings onto themselves
+    root = branch_arc()
+    tree: list[tuple] = []
+    if root is not None:
+        domains[root], tree = _root_orbits(q, f, domains[root], identity)
     # one suspended generator per branch level on an explicit stack, so deep
     # diagrams cannot hit the interpreter recursion limit: a level that
     # yields has taken a branch and its child level is pushed; an exhausted
@@ -212,8 +272,16 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
             stack.pop()
         else:
             stack.append(branches())
+    found = results
+    if tree:  # the colorings of x = h(y) are the images h o c of those of y
+        by_root: dict[int, list] = {}
+        for c in results:
+            by_root.setdefault(c[root], []).append(c)
+        for x, h, y in tree:
+            by_root[x] = [tuple(map(h.__getitem__, c)) for c in by_root.get(y, ())]
+        found = [c for cs in by_root.values() for c in cs]
     edges = list(zip(arc_of, perm_of))
-    return [tuple([p[c[a]] for a, p in edges]) for c in results]
+    return [tuple([p[c[a]] for a, p in edges]) for c in found]
 
 
 def count_colorings(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> int:

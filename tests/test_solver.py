@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -10,6 +11,7 @@ from vknots.algebra import (
     is_automorphism,
     make_dihedral,
     make_from_table,
+    map_order,
     validate_quandle,
 )
 from vknots.diagram import (
@@ -24,6 +26,7 @@ from vknots.moves import random_equivalent
 from vknots.errors import InvalidParameter, SearchBoundExceeded
 from vknots.invariants import coloring_weight, compute_invariant, invariant_bundle
 from vknots.solver import (
+    _root_orbits,
     brute_force_colorings,
     count_colorings,
     enumerate_colorings,
@@ -292,6 +295,96 @@ def test_alexander_counts_survive_moves():
             final, _ = random_equivalent(d, seed, 200)
             for spec, f in A5_TWISTS.items():
                 assert count_colorings(final, A5, f) == base[spec], (name, seed, spec)
+
+
+# ---------------------------------------------------------------------------
+# The root arc tries one color per orbit of the group H generated by the
+# twist f and the inner maps S_g of q's greedy generators that commute with
+# f; the other colors' colorings are images h o c.  These quandles give H
+# every shape: on T4 every S_a is the identity, so only f acts; on the
+# conjugation quandle of S3 an order-3 twist keeps some S_g; on a table
+# failing axiom 2 no symmetry is used at all; and on a Latin square failing
+# only axiom 3, S_0 commutes with the identity twist but does not preserve
+# products, so only S_1 may act.
+
+
+def _trivial(n):
+    return make_from_table([[a] * n for a in range(n)])
+
+
+def _s3_conjugation():
+    group = list(permutations(range(3)))  # a * b = b^-1 a b
+    inverse = {p: tuple(p.index(i) for i in range(3)) for p in group}
+    return make_from_table([[group.index(tuple(inverse[b][a[b[i]]] for i in range(3))) for b in group] for a in group])
+
+
+T4, S3_CONJ = _trivial(4), _s3_conjugation()
+NO_AXIOM_2 = make_from_table([[0, 0, 0], [0, 1, 1], [2, 2, 2]])
+NO_AXIOM_3 = make_from_table(
+    [[0, 3, 1, 4, 2], [4, 1, 3, 2, 0], [1, 4, 2, 0, 3], [2, 0, 4, 3, 1], [3, 2, 0, 1, 4]]
+)
+ROOT_ORBIT_CASES = {
+    "T4": (T4, automorphisms(T4)),
+    "S3 conjugation": (S3_CONJ, [QuandleMap.identity(6), inner_automorphism(S3_CONJ, 3)]),
+    "A5": (A5, list(A5_TWISTS.values())),
+    "axiom 2 fails": (NO_AXIOM_2, [QuandleMap.identity(3)]),
+    "only axiom 3 fails": (NO_AXIOM_3, automorphisms(NO_AXIOM_3)),
+}
+
+
+def test_root_orbit_quandles_are_what_they_claim():
+    assert validate_quandle(T4).ok and validate_quandle(S3_CONJ).ok
+    assert all(QuandleMap(col) == QuandleMap.identity(4) for col in T4.columns)
+    assert map_order(inner_automorphism(S3_CONJ, 3)) == 3
+    assert validate_quandle(NO_AXIOM_2).axiom == 2
+    assert validate_quandle(NO_AXIOM_3).axiom == 3
+    assert [NO_AXIOM_3.preserves_products(NO_AXIOM_3.columns[g]) for g in (0, 1)] == [False, True]
+    assert len(ROOT_ORBIT_CASES["only axiom 3 fails"][1]) == 4
+
+
+@pytest.mark.parametrize("case", ROOT_ORBIT_CASES)
+def test_root_orbits_match_the_oracle(case):
+    q, twists = ROOT_ORBIT_CASES[case]
+    diagrams = [builder(name) for name in BUILDER_NAMES] + [make() for make in ARC_CASES.values()]
+    for d in diagrams:
+        for f in twists:
+            assert enumerate_colorings(d, q, f) == brute_force_colorings(d, q, f), (d, f.images)
+
+
+def test_a_closed_root_arc_keeps_its_fixed_points():
+    # each circle of the diagram is one closed arc that twists by f^2 on the
+    # way round; f = (0 1)(2 3 4) on the trivial quandle of order 5, so f^2
+    # fixes only 0 and 1, and f swaps them: the root tries 0 and builds 1
+    d, q, f = _crossing_twice(1), _trivial(5), QuandleMap((1, 0, 3, 4, 2))
+    cols = enumerate_colorings(d, q, f)
+    assert cols == brute_force_colorings(d, q, f)
+    assert len(cols) == 4 and {c[0] for c in cols} == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "q, f, reps",
+    [
+        (make_dihedral(5), QuandleMap.identity(5), [0]),  # S_0, S_1 act transitively
+        (make_dihedral(4), QuandleMap.identity(4), [0, 1]),  # parity is kept
+        (make_dihedral(5), inner_automorphism(make_dihedral(5), 0), [0, 1, 2]),  # S_1 does not commute
+        (Q4, SHIFT4, [0]),  # f alone
+        (T4, QuandleMap.identity(4), [0, 1, 2, 3]),  # every map is the identity
+        (NO_AXIOM_2, QuandleMap.identity(3), [0, 1, 2]),  # no symmetry without axiom 2
+        (NO_AXIOM_3, QuandleMap.identity(5), [0, 1, 2]),  # S_1 = (0 3)(2 4) alone
+    ],
+)
+def test_root_orbit_representatives(q, f, reps):
+    identity = tuple(range(q.order))
+    found, tree = _root_orbits(q, f, range(q.order), identity)
+    assert list(found) == reps
+    assert sorted([*reps, *(x for x, _, _ in tree)]) == list(identity)
+    assert all(h[y] == x for x, h, y in tree)
+
+
+def test_a_count_over_a_large_order():
+    # only the 256 constant colorings color the trefoil over R256, and the
+    # root arc tries two colors, one per parity
+    assert count_colorings(builder("trefoil"), make_dihedral(256), QuandleMap.identity(256)) == 256
 
 
 # ---------------------------------------------------------------------------
