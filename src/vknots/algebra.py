@@ -64,8 +64,7 @@ class FiniteQuandle(Value):
     @cached_property
     def division(self) -> tuple[tuple[int, ...], ...]:
         """``division[b][y]`` = the x with x * b = y; without axiom 2 the last such x, or 0."""
-        inverses = ({y: x for x, y in enumerate(col)} for col in self.columns)  # the last x wins
-        return tuple(tuple(inverse.get(y, 0) for y in range(self.order)) for inverse in inverses)
+        return tuple(map(_invert, self.columns))
 
     @cached_property
     def preserves_products(self):
@@ -148,7 +147,8 @@ class QuandleMap(Value):
 
 
 def _invert(images) -> tuple[int, ...]:
-    """The inverse of a permutation of 0..n-1 given as its image list, unchecked."""
+    """The inverse of a permutation of 0..n-1 given as its image list, unchecked;
+    of any other list of 0..n-1, ``inv[b]`` is the last a with a -> b, or 0."""
     inv = [0] * len(images)
     for a, b in enumerate(images):
         inv[b] = a

@@ -27,11 +27,10 @@ additionally requires the two route chiralities p, q to satisfy
 p*q = side_a*side_b, where a side is +1 when the route crosses the
 incoming half of the classical crossing's strand; other combinations do
 not arise from a planar slide and do not preserve twisted colorings.
-The poke-removal and semi-virtual slide sites come from one walk of the
-consecutive virtual passage pairs, which always builds both lists; the
-fuzzer's family menu alone reads ``allow_semi_virtual``.  The virtual
-slide is tested for existence only (its scan stops at the first site).
-The sorted site list is built for the drawn family alone.
+The sites of every family but poke insertion come from one walk of the
+virtual passages, ``_detour_sites``, which always builds the three lists;
+the public finders sort them, and the fuzzer sorts the drawn family's
+list alone.  Only the fuzzer's family menu reads ``allow_semi_virtual``.
 
 Every move edits crossing records through the one record layout of
 ``diagram``: a role is a passage index (0 = under/first strand, 1 =
@@ -522,115 +521,88 @@ def segment_passages(d: VirtualDiagram, start: int, end: int) -> list[tuple[int,
 # fuzz-safe detour instance families
 
 
-# The fuzzer calls ``_pair_sites`` once per detour draw and sorts only the
-# list of the family it draws; of the virtual slide scan it asks only
-# whether there is a site.  Each public finder sorts the distinct sites.
+def _detour_sites(d: VirtualDiagram):
+    """(poke-removal, virtual-slide, semi-virtual slide) sites from one walk of
+    the virtual passages, each a (start, end, passages) triple, with repeats;
+    a poke removal has no passages.
 
-
-def _virtual_pairs(d: VirtualDiagram):
-    """Two consecutive virtual passages of one strand on distinct crossings,
-    whose route in-edge and out-edge meet other crossings:
-    (r_in, r_mid, r_end, p, t1, q, t2), the route running r_in -> v1 -> r_mid
-    -> v2 -> r_end, with route-view chiralities p at v1 and q at v2 and the
-    transversal passages t1 at v1 and t2 at v2, each an (in, out) pair."""
-    consumed, emitted = d.slot_maps
-    crossings = d.crossings
-    for v1, (tag1, ch1, w1, x1, y1, z1) in enumerate(crossings):
-        if not tag1:
-            continue
-        # passage 0 is (w, x), passage 1 is (y, z); the route-view chirality
-        # is negated when the route takes passage 1
-        for r_in, r_mid, p, t1 in ((w1, x1, ch1, (y1, z1)), (y1, z1, -ch1, (w1, x1))):
-            v2, role2 = consumed[r_mid]
-            tag2, ch2, w2, x2, y2, z2 = crossings[v2]
-            if v2 == v1 or not tag2:
-                continue
-            if role2:
-                r_end, q, t2 = z2, -ch2, (w2, x2)
-            else:
-                r_end, q, t2 = x2, ch2, (y2, z2)
-            if emitted[r_in][0] in (v1, v2) or consumed[r_end][0] in (v1, v2):
-                continue
-            yield r_in, r_mid, r_end, p, t1, q, t2
-
-
-def _pair_sites(d: VirtualDiagram):
-    """(poke-removal sites, semi-virtual slide sites) from one walk of the
-    virtual passage pairs, each with repeats in crossing order; both lists
-    are always built, and the fuzzer drops the second without
-    ``allow_semi_virtual``.
-
-    A pair is a poke removal when its chiralities cancel and its
-    transversals run through each other.  It is a semi-virtual slide when
-    both transversals meet the two strands of one classical crossing next
-    to the route with p*q = side1*side2, and that crossing's other-half
-    edges lie off the route.
+    Each passage is read once from its route: in-edge, out-edge, route-view
+    chirality and transversal.  A passage whose route kinks through its own
+    crossing gives no site.  Any other one is a virtual slide across each
+    virtual neighbour of its transversal, to the edge beyond.  With the
+    route's next passage, when that one lies on another virtual crossing
+    and the route leaves both, it forms a pair: a poke removal when the
+    chiralities cancel and the transversals run through each other, a
+    semi-virtual slide when both transversals meet the two strands of one
+    classical crossing next to the route with p*q = side1*side2, and that
+    crossing's other-half edges lie off the route.
     """
     consumed, emitted = d.slot_maps
     crossings = d.crossings
 
-    def adjacency(transversal):
+    def adjacency(t_in, t_out):
         """(classical crossing, side, passage role there, other-half edge) or None;
         the side is +1 at the transversal's next neighbour, -1 at its previous one."""
-        t_in, t_out = transversal
         qi, qrole = consumed[t_out]
-        if type(crossings[qi]) is ClassicalCrossing:
-            return qi, 1, qrole, _passage(crossings[qi], qrole)[1]
+        if not crossings[qi][0]:
+            return qi, 1, qrole, crossings[qi][3 + 2 * qrole]
         qi, qrole = emitted[t_in]
-        if type(crossings[qi]) is ClassicalCrossing:
-            return qi, -1, qrole, _passage(crossings[qi], qrole)[0]
+        if not crossings[qi][0]:
+            return qi, -1, qrole, crossings[qi][2 + 2 * qrole]
         return None
 
-    pokes, slides = [], []
-    for r_in, r_mid, r_end, p, t1, q, t2 in _virtual_pairs(d):
-        if p + q == 0 and (t1[1] == t2[0] or t2[1] == t1[0]):
-            pokes.append((r_in, r_end))
-        adj1 = adjacency(t1)
-        adj2 = adjacency(t2)
+    # route in-edge -> (crossing, route out-edge, route-view chirality, transversal
+    # in-edge and out-edge); passage 0 is (w, x), passage 1 is (y, z), and the
+    # chirality is negated when the route takes passage 1
+    views = {}
+    for v, (tag, ch, w, x, y, z) in enumerate(crossings):
+        if tag:
+            views[w] = (v, x, ch, y, z)
+            views[y] = (v, z, -ch, w, x)
+    pokes, slides, semis = [], [], []
+    for r_in, (v, r_out, p, t_in, t_out) in views.items():
+        if emitted[r_in][0] == v or consumed[r_out][0] == v:
+            continue  # the route kinks through this crossing
+        # hop across the transversal's next, then previous, virtual neighbour
+        wi, wrole = consumed[t_out]
+        if wi != v and crossings[wi][0]:
+            u = crossings[wi][3 + 2 * wrole]
+            if u != r_in and u != r_out:
+                slides.append((r_in, r_out, ((u, p),)))
+        wi, wrole = emitted[t_in]
+        if wi != v and crossings[wi][0]:
+            u = crossings[wi][2 + 2 * wrole]
+            if u != r_in and u != r_out:
+                slides.append((r_in, r_out, ((u, p),)))
+        if r_out not in views:
+            continue
+        v2, r_end, q, t2_in, t2_out = views[r_out]  # v2 != v: the route does not kink
+        if emitted[r_in][0] == v2 or consumed[r_end][0] in (v, v2):
+            continue
+        if p + q == 0 and (t_out == t2_in or t2_out == t_in):
+            pokes.append((r_in, r_end, ()))
+        adj1 = adjacency(t_in, t_out)
+        adj2 = adjacency(t2_in, t2_out)
         if adj1 is None or adj2 is None:
             continue
         q1, s1, qrole1, other1 = adj1
         q2, s2, qrole2, other2 = adj2
         if q1 != q2 or qrole1 == qrole2 or p * q != s1 * s2:
             continue
-        if other1 in (r_in, r_mid, r_end) or other2 in (r_in, r_mid, r_end):
+        if other1 in (r_in, r_out, r_end) or other2 in (r_in, r_out, r_end):
             continue
-        slides.append((r_in, r_end, ((other2, q), (other1, p))))
-    return pokes, slides
+        semis.append((r_in, r_end, ((other2, q), (other1, p))))
+    return pokes, slides, semis
 
 
 def find_poke_remove_sites(d: VirtualDiagram) -> list[tuple[int, int]]:
     """(start, end) segments whose two virtual passages form a cancelling bigon."""
-    return sorted(set(_pair_sites(d)[0]))
-
-
-def _virtual_slide_scan(d: VirtualDiagram):
-    consumed, emitted = d.slot_maps
-    crossings = d.crossings
-    for v, (tag, ch, w, x, y, z) in enumerate(crossings):
-        if not tag:
-            continue
-        # (route in, route out, transversal, route-view chirality) per passage
-        for r_in, r_out, (t_in, t_out), rch in ((w, x, (y, z), ch), (y, z, (w, x), -ch)):
-            if emitted[r_in][0] == v or consumed[r_out][0] == v:
-                continue  # the route kinks through this crossing; not a slide site
-            # hop across the transversal's neighbour to the edge beyond: the
-            # next neighbour's out-edge, then the previous neighbour's in-edge
-            wi, wrole = consumed[t_out]
-            if wi != v and crossings[wi][0]:
-                u = _passage(crossings[wi], wrole)[1]
-                if u != r_in and u != r_out:
-                    yield (r_in, r_out, ((u, rch),))
-            wi, wrole = emitted[t_in]
-            if wi != v and crossings[wi][0]:
-                u = _passage(crossings[wi], wrole)[0]
-                if u != r_in and u != r_out:
-                    yield (r_in, r_out, ((u, rch),))
+    return sorted({site[:2] for site in _detour_sites(d)[0]})
 
 
 def find_virtual_slide_sites(d: VirtualDiagram) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
     """Single virtual passages that can hop across an adjacent virtual crossing."""
-    return sorted(set(_virtual_slide_scan(d)))
+    return sorted(set(_detour_sites(d)[1]))
 
 
 def find_semi_virtual_slide_sites(
@@ -643,7 +615,7 @@ def find_semi_virtual_slide_sites(
     Only chirality pairs with p*q = side1*side2 are offered (the planar
     slide condition).
     """
-    return sorted(set(_pair_sites(d)[1]))
+    return sorted(set(_detour_sites(d)[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -732,32 +704,24 @@ def _instantiate(d, rng, kind, allow_semi_virtual, prefer_removal):
     if kind == "vkink_remove":
         return _draw(rng, kind, "loop", find_vkink_sites(d))
     if kind == "detour":
-        pokes, slides = _pair_sites(d)
-        families = []  # in this order, so that rng draws the same way
-        if d.edges >= 2:
-            families.append("poke_insert")
-        if pokes:
-            families.append("poke_remove")
-        if next(_virtual_slide_scan(d), None) is not None:
-            families.append("virtual_slide")
-        if allow_semi_virtual and slides:
-            families.append("semi_virtual_slide")
+        pokes, slides, semis = _detour_sites(d)
+        # the families in this order, so that rng draws the same way
+        sites = {
+            "poke_insert": d.edges >= 2,
+            "poke_remove": pokes,
+            "virtual_slide": slides,
+            "semi_virtual_slide": allow_semi_virtual and semis,
+        }
+        families = [family for family, present in sites.items() if present]
         if not families:
             return None
-        if prefer_removal and "poke_remove" in families:
-            family = "poke_remove"
-        else:
-            family = rng.choice(families)
+        family = "poke_remove" if prefer_removal and pokes else rng.choice(families)
         if family == "poke_insert":
             e, t = rng.sample(range(d.edges), 2)
             ch = rng.choice((1, -1))
             site = {"start": e, "end": e, "passages": [[t, ch], [t, -ch]]}
-        elif family == "poke_remove":
-            start, end = rng.choice(sorted(set(pokes)))
-            site = {"start": start, "end": end, "passages": []}
         else:
-            sites = find_virtual_slide_sites(d) if family == "virtual_slide" else sorted(set(slides))
-            start, end, passages = rng.choice(sites)
+            start, end, passages = rng.choice(sorted(set(sites[family])))
             site = {"start": start, "end": end, "passages": [list(p) for p in passages]}
         return MoveRecord("detour", site)
 
@@ -777,8 +741,12 @@ def random_equivalent(
     ``soft_cap`` steers move choice toward removals once the diagram
     outgrows it, keeping fuzz traces affordable.
     """
+    if type(n_moves) is not int:  # type(), not isinstance(): bool is an int
+        raise InvalidParameter(f"move count must be an int, got {n_moves!r}")
     if n_moves < 0:
         raise InvalidParameter(f"move count must be non-negative, got {n_moves}")
+    if soft_cap is not None and type(soft_cap) is not int:
+        raise InvalidParameter(f"soft cap must be None or an int, got {soft_cap!r}")
     menu = ALL_KINDS if kinds is None else tuple(kinds)
     for kind in menu:
         if kind not in ALL_KINDS:

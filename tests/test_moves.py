@@ -541,6 +541,19 @@ def test_random_equivalent_zero_moves():
     assert out == d and trace == []
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"n_moves": 2.0}, {"n_moves": "3"}, {"n_moves": None}, {"n_moves": True}, {"n_moves": -1},
+     {"soft_cap": 30.0}, {"soft_cap": "30"}, {"soft_cap": True}],
+    ids=repr,
+)
+def test_random_equivalent_refuses_a_count_or_cap_that_is_no_int(kwargs):
+    # a float, str or None move count used to raise a bare TypeError, and True ran one move
+    args = {"n_moves": 5, **kwargs}
+    with pytest.raises(InvalidParameter, match="move count|soft cap"):
+        random_equivalent(builder("kishino"), 0, **args)
+
+
 def test_random_equivalent_deterministic():
     d = builder("virtual_trefoil")
     a1, t1 = random_equivalent(d, 42, 60)

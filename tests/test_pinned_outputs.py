@@ -1,6 +1,6 @@
-"""Exact outputs of the moves engine, the Smith normal form, the Smith-form
-basis, the automorphism search, the invariants and the command line,
-pinned by digest.
+"""Exact outputs of the moves engine and its detour finders, the Smith
+normal form, the Smith-form basis, the automorphism search, the invariants
+and the command line, pinned by digest.
 
 The other tests check that move outputs are valid and keep the invariants,
 that basis vectors are cocycles and that automorphisms preserve products;
@@ -13,7 +13,9 @@ rewritten, so any change to the exact diagrams, traces, bases,
 automorphism lists or invariant outputs (errors included) shows.  The
 command-line digest was taken before the CLI's usage errors were raised
 as library error types, so any change to an exit code or to a byte the CLI
-writes shows.
+writes shows.  The detour-site digest was taken before the fuzzer's three
+detour scans were merged into one walk, so any change to the sorted site
+list of a detour family on a reached diagram shows.
 """
 
 import contextlib
@@ -27,7 +29,13 @@ from vknots.cli import main
 from vknots.intlin import smith_normal_form
 from vknots.diagram import BUILDER_NAMES, VirtualDiagram, builder, serialize_diagram
 from vknots.invariants import compute_invariant, invariant_bundle
-from vknots.moves import random_equivalent
+from vknots.moves import (
+    apply_move,
+    find_poke_remove_sites,
+    find_semi_virtual_slide_sites,
+    find_virtual_slide_sites,
+    random_equivalent,
+)
 from vknots.weights import (
     Cochain1,
     Cocycle2,
@@ -47,6 +55,7 @@ AUT_DIGEST = "4430ca5d2b7eddb784d9c741244d526785820f6434c3a12c60877bafb75ca498"
 SNF_DIGEST = "8fdabb05576f109b88466ca62243f1398f7f76581cfa36bc8b68e93b73c8e788"
 INVARIANT_DIGEST = "88610efbb4c1394407c8ac3b7c0401edd2a94444a92b46c35eb69bf447ed0c27"
 CLI_DIGEST = "6581096361c278bd38b4ca5154fd7613b42bc4ba2b5f75283f16a8b9c089f2ac"
+DETOUR_SITES_DIGEST = "87049c22d17dc07d7890660b5c97a2c00787a32c20347675c57eac635ffa7223"
 
 # (builder, seed, moves, soft_cap) of the benchmark ladder diagrams, E = 54, 102, 146;
 # long traces past the soft cap, where removals are preferred
@@ -71,6 +80,21 @@ def test_soft_cap_ladder_traces_are_pinned():
         random_equivalent(builder(name), seed, moves, soft_cap=cap) for name, seed, moves, cap in LADDER
     )
     assert _digest_traces(runs) == LADDER_DIGEST
+
+
+def test_detour_site_lists_are_pinned():
+    # every diagram a 100-move trace reaches, its start included
+    h = hashlib.sha256()
+    for name in BUILDER_NAMES:
+        for seed in range(3):
+            d = builder(name)
+            reached = [d]
+            for record in random_equivalent(d, seed, 100)[1]:
+                reached.append(apply_move(reached[-1], record))
+            for d in reached:
+                for finder in (find_poke_remove_sites, find_virtual_slide_sites, find_semi_virtual_slide_sites):
+                    h.update(json.dumps(finder(d), separators=(",", ":")).encode())
+    assert h.hexdigest() == DETOUR_SITES_DIGEST
 
 
 def test_cocycle_bases_are_pinned():
