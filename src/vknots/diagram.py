@@ -30,10 +30,11 @@ in- and out-edge at tuple indices 2 + 2k and 3 + 2k, so passage code
 reads and rewrites records by index without asking their type;
 ``slot_maps`` records every in- and out-slot as (crossing index, role).
 The named fields read these slots, and each class declares its
-constructor and JSON field order (``FIELDS``).  ``relabel_canonical``,
-the last step of every move, renames each record's edges (renormalising
-virtual strands), sorts the renamed records themselves and fills the
-result's ``slot_maps`` index, so a move output never rebuilds it.
+constructor and JSON field order (``FIELDS``).  Records come only from
+the two checked constructors and from ``_renamed``, the one rename rule,
+which ``isomorphic`` and ``relabel_canonical`` read.  The latter, the last
+step of every move, remakes the plain slot tuples the moves edit into
+sorted records and fills the result's ``slot_maps``.
 """
 
 from __future__ import annotations
@@ -216,15 +217,16 @@ def component_count(d: VirtualDiagram) -> int:
     return len(successor_cycles(d)) + d.free_loops
 
 
-def _renamed(c: Crossing, label) -> Crossing:
-    """``c`` with its edges renamed by ``label``, the virtual strands swapped
-    (and the chirality negated) so that first_in < second_in.  ``c`` must be
-    a checked record: its sign or chirality is not checked again."""
-    tag, s, w, x, y, z = c
-    w, x, y, z = label[w], label[x], label[y], label[z]
-    if tag and w > y:  # virtual strands swapped so that first_in < second_in
-        return tuple.__new__(VirtualCrossing, (1, -s, y, z, w, x))
-    return tuple.__new__(type(c), (tag, s, w, x, y, z))
+def _renamed(crossings, label):
+    """The records of ``crossings`` (records or plain slot tuples, not checked
+    again) with edges renamed by ``label``, each made by its tag; virtual
+    strands are swapped, negating the chirality, so that first_in < second_in."""
+    for tag, s, w, x, y, z in crossings:
+        w, x, y, z = label[w], label[x], label[y], label[z]
+        if tag and w > y:  # virtual strands swapped so that first_in < second_in
+            yield tuple.__new__(VirtualCrossing, (1, -s, y, z, w, x))
+        else:
+            yield tuple.__new__(VirtualCrossing if tag else ClassicalCrossing, (tag, s, w, x, y, z))
 
 
 def _raise_reused_slot(crossings) -> None:
@@ -247,8 +249,8 @@ def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
     Edges are renumbered in successor-traversal order starting from the
     lowest label, continuing from the lowest unvisited label, and the
     crossing list is sorted; the result is the canonical labelling used
-    after every rewriting move.  The records must already be checked
-    (built by the public constructors or by this function); the result's
+    after every rewriting move.  The entries are checked records or plain
+    slot tuples edited from them, each remade by ``_renamed``; the result's
     ``slot_maps`` are filled in here, so a move output never rebuilds them.
     """
     succ: dict[int, int] = {}
@@ -268,16 +270,7 @@ def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
             label[e] = n
             n += 1
             e = succ[e]
-    # renamed as in _renamed; plain tuples sort as the records do, and faster
-    renamed = []
-    for tag, s, w, x, y, z in crossings:
-        w, x, y, z = label[w], label[x], label[y], label[z]
-        if tag and w > y:  # virtual strands swapped so that first_in < second_in
-            renamed.append((1, -s, y, z, w, x))
-        else:
-            renamed.append((tag, s, w, x, y, z))
-    renamed.sort()
-    records = tuple([tuple.__new__(VirtualCrossing if r[0] else ClassicalCrossing, r) for r in renamed])
+    records = tuple(sorted(_renamed(crossings, label)))
     d = VirtualDiagram(n, free_loops, records)
     d.__dict__["slot_maps"] = _slot_maps(records)  # the cached_property's slot
     return d
@@ -348,7 +341,7 @@ def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
             for offset in range(len(bcyc)):
                 for pos, e in enumerate(cyc):
                     mapping[e] = bcyc[(offset + pos) % len(bcyc)]
-                if all(_renamed(c, mapping) in target for c in ready[idx]):
+                if all(r in target for r in _renamed(ready[idx], mapping)):
                     yield
             used.discard((len(cyc), bi))
 

@@ -181,6 +181,8 @@ def compute_invariant(
     return its ``value``; one enumeration per twist map (Z ignores f and
     uses the identity, Z3 enumerates under every automorphism).
     """
+    if kind not in ("z", "z1", "z2", "z3"):
+        raise InvalidParameter(f"unknown invariant kind {kind!r}")
     _check_cocycle_quandle(q, c)
     if kind == "z":
         if d.virtual():
@@ -188,8 +190,6 @@ def compute_invariant(
         f = QuandleMap.identity(q.order)
     elif f is None:
         raise InvalidParameter(f"invariant {kind!r} needs an automorphism")
-    elif kind not in ("z1", "z2", "z3"):
-        raise InvalidParameter(f"unknown invariant kind {kind!r}")
     else:
         check_twist(q, f)  # before any enumeration and before Z2 reads f's images
     if kind == "z3":

@@ -32,12 +32,12 @@ virtual passages, ``_detour_sites``, which always builds the three lists;
 the public finders sort them, and the fuzzer sorts the drawn family's
 list alone.  Only the fuzzer's family menu reads ``allow_semi_virtual``.
 
-Every move edits crossing records through the one record layout of
-``diagram``: a role is a passage index (0 = under/first strand, 1 =
-over/second strand) and passage k holds its (in, out) edges at tuple
-indices 2 + 2k and 3 + 2k, classical or virtual.  ``_passage`` reads a
-passage, ``_rewire`` sets one slot and ``_with_passages`` writes both
-passages into a copy of the record.
+Every move edits crossings through the one record layout of ``diagram``:
+a role is a passage index (0 = under/first strand, 1 = over/second
+strand) and passage k holds its (in, out) edges at tuple indices 2 + 2k
+and 3 + 2k, classical or virtual.  ``_passage`` reads a passage;
+``_rewire`` (one slot) and ``_with_passages`` (both passages) write plain
+slot tuples, which ``relabel_canonical`` remakes into records by tag.
 A move finds the in-slot to rewire in ``d.slot_maps`` (a detour, after
 deleting its interior crossings, in a consumer map built from the chain
 ends that ``_remove_crossings`` returns); no move scans the crossing list
@@ -57,11 +57,10 @@ every parameter without a default; ``apply_move`` reads the names once,
 at import, from the move functions themselves.
 
 After every move the edge labels are renumbered canonically (successor
-traversal from the lowest surviving label) and the crossing list is
-sorted, so structural equality of move outputs is meaningful;
+traversal from the lowest surviving label), the crossing list is sorted
+and the output's ``slot_maps``, which the next move's site finders read,
+are filled in; so structural equality of move outputs is meaningful, and
 ``diagram.isomorphic`` decides equality up to relabelling in tests.
-The relabelling also normalises virtual records and fills the output's
-``slot_maps``, which the site finders of the next move read.
 """
 
 from __future__ import annotations
@@ -85,20 +84,17 @@ def _passage(c, role):
 
 
 def _with_passages(c, p0, p1):
-    """``c`` with the (in, out) pairs p0, p1 as its passages 0 and 1, keeping its
-    sign or chirality.  Virtual strands are not renormalised (``relabel_canonical``
-    does that), so a record's slot roles stay put while a move rewires it."""
-    return tuple.__new__(type(c), (c[0], c[1], *p0, *p1))
+    """``c``'s slot tuple with the (in, out) pairs p0, p1 as passages 0 and 1."""
+    return (c[0], c[1], *p0, *p1)
 
 
 def _rewire(crossings, slot, new_edge, end=0):
     """Make the slot ``slot`` = (crossing index, role) of ``crossings`` carry
     ``new_edge`` at its in-end (``end`` 0) or out-end (``end`` 1)."""
     ci, role = slot
-    c = crossings[ci]
-    r = list(c)
+    r = list(crossings[ci])
     r[2 + 2 * role + end] = new_edge
-    crossings[ci] = tuple.__new__(type(c), r)
+    crossings[ci] = tuple(r)
 
 
 def _remove_crossings(d: VirtualDiagram, remove: set[int]):
@@ -112,7 +108,7 @@ def _remove_crossings(d: VirtualDiagram, remove: set[int]):
     becomes one free loop.
 
     Returns (survivors, free loops gained, rep, ends): ``survivors`` maps
-    each kept crossing's original index to its record with merged labels,
+    each kept crossing's original index to its slot tuple with merged labels,
     ``rep`` maps every edge of a chain to its representative, and ``ends``
     maps the representative of every open chain to the in-slot (original
     crossing index, role) that consumes it.
@@ -741,7 +737,9 @@ def random_equivalent(
     ``soft_cap`` steers move choice toward removals once the diagram
     outgrows it, keeping fuzz traces affordable.
     """
-    if type(n_moves) is not int:  # type(), not isinstance(): bool is an int
+    if type(seed) is not int:  # type(), not isinstance(): bool is an int
+        raise InvalidParameter(f"seed must be an int, got {seed!r}")
+    if type(n_moves) is not int:
         raise InvalidParameter(f"move count must be an int, got {n_moves!r}")
     if n_moves < 0:
         raise InvalidParameter(f"move count must be non-negative, got {n_moves}")

@@ -31,6 +31,8 @@ class CoefficientGroup(Value):
     __slots__ = FIELDS = ("modulus",)
 
     def __init__(self, modulus: int = 0):
+        if type(modulus) is not int:  # type(), not isinstance(): bool is an int
+            raise InvalidParameter(f"modulus must be an int, got {modulus!r}")
         if modulus < 0:
             raise InvalidParameter("modulus must be non-negative")
         set_field(self, "modulus", modulus)
@@ -99,6 +101,17 @@ class WeightPolynomial(Value):
         return " + ".join(parts)
 
 
+def _reduced(group: CoefficientGroup, exponents, what: str) -> tuple[int, ...]:
+    """The exponents, read once, reduced in ``group``; an entry that is not an
+    int is refused."""
+    reduced = []
+    for e in exponents:
+        if type(e) is not int:  # type(), not isinstance(): bool is an int
+            raise MalformedInput(f"{what} exponent {e!r} is not an integer")
+        reduced.append(group.reduce(e))
+    return tuple(reduced)
+
+
 class Cochain1(Value):
     """psi: G -> <t>, stored as the exponent of psi(x) for each element x."""
 
@@ -106,7 +119,7 @@ class Cochain1(Value):
 
     def __init__(self, group: CoefficientGroup, exponents: tuple[int, ...]):
         set_field(self, "group", group)
-        set_field(self, "exponents", tuple(group.reduce(e) for e in exponents))
+        set_field(self, "exponents", _reduced(group, exponents, "cochain"))
 
 
 class Cocycle2(Value):
@@ -120,7 +133,7 @@ class Cocycle2(Value):
             raise MalformedInput("cocycle table size does not match the quandle order")
         set_field(self, "quandle", quandle)
         set_field(self, "group", group)
-        set_field(self, "exponents", tuple(tuple(group.reduce(e) for e in row) for row in exponents))
+        set_field(self, "exponents", tuple(_reduced(group, row, "cocycle") for row in exponents))
 
 
 class CocycleReport(Value):

@@ -296,6 +296,13 @@ def test_invariants_without_a_twist_map_are_refused():
         compute_invariant("z3", d, Q4, PHI, QuandleMap((0, 0, 0, 0)))
 
 
+def test_an_unknown_invariant_kind_is_refused_before_the_twist_map_is_read():
+    # without a twist map this used to ask for an automorphism, not name the kind
+    for f in (None, QuandleMap.identity(4), QuandleMap((0, 0, 0, 0))):
+        with pytest.raises(InvalidParameter, match="unknown invariant kind 'zz'"):
+            compute_invariant("zz", builder("trefoil"), Q4, PHI, f)
+
+
 @pytest.mark.parametrize("order", [3, 5])
 def test_a_cocycle_from_another_quandle_is_refused(order):
     # example-r4 lives on R4: over R3 it used to give a meaningless t^3, over

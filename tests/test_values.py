@@ -164,11 +164,19 @@ def test_defaults():
 def test_constructor_checks():
     with pytest.raises(InvalidParameter, match="modulus must be non-negative"):
         CoefficientGroup(-1)
+    for modulus in (2.5, 2.0, True, "2", None):
+        with pytest.raises(InvalidParameter, match="modulus must be an int"):
+            CoefficientGroup(modulus)
     q = make_dihedral(3)
     group = CoefficientGroup(0)
     for exponents in (((0, 0), (0, 0)), ((0, 0, 0),) * 3 + ((0, 0, 0),), ((0, 0, 0), (0, 0), (0, 0, 0))):
         with pytest.raises(MalformedInput, match="cocycle table size"):
             Cocycle2(q, group, exponents)
+    for bad in (0.5, 1.0, False, "1", None):
+        with pytest.raises(MalformedInput, match="cocycle exponent .* is not an integer"):
+            Cocycle2(q, group, ((0, 0, 0), (0, 0, bad), (0, 0, 0)))
+        with pytest.raises(MalformedInput, match="cochain exponent .* is not an integer"):
+            Cochain1(group, (0, bad, 0))
 
 
 def test_constructor_normalisation():
