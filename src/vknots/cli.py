@@ -104,20 +104,34 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
+def _report(report, rule: str) -> int:
+    """Print a check report, naming the failing ``rule`` and its witness; exit 1 on a failure."""
+    obj = {"valid": report.ok}
+    if not report.ok:
+        obj[rule] = getattr(report, rule)
+        obj["witness"] = list(report.witness)
+    _emit(obj)
+    return 0 if report.ok else 1
+
+
+def _require(report, what: str, rule: str) -> None:
+    """Raise PreconditionFailed unless the ``what`` passed its check.  Every dihedral spelling,
+    trivial and example-r4 are valid by construction; table and JSON-cocycle input is checked."""
+    if not report.ok:
+        raise PreconditionFailed(
+            f"the {what} fails {rule} {getattr(report, rule)}, witness {list(report.witness)}",
+            witness=report.witness,
+        )
+
+
 def _cmd_quandle(args) -> int:
     q = make_dihedral(args.dihedral) if args.dihedral is not None else _load_quandle(args.quandle)
     if args.action == "check":
-        report = validate_quandle(q)
-        obj = {"valid": report.ok}
-        if not report.ok:
-            obj["axiom"] = report.axiom
-            obj["witness"] = list(report.witness)
-        _emit(obj)
-        return 0 if report.ok else 1
-    # the search refuses orders above the bound itself, so only tables it
-    # would search pay for the O(n^3) axiom check
-    if args.dihedral is None and q.order <= args.bound:
-        _require_quandle(q, args.quandle)
+        return _report(validate_quandle(q), "axiom")
+    # the search refuses orders above the bound itself, so only quandles it
+    # would search are checked
+    if q.order <= args.bound:
+        _require(q.report, "quandle", "axiom")
     auts = automorphisms(q, bound=args.bound)
     _emit({"count": len(auts), "automorphisms": [list(m.images) for m in auts]})
     return 0
@@ -127,10 +141,10 @@ def _cmd_cocycle(args) -> int:
     from . import weights
 
     q = _load_quandle(args.quandle)
-    # the basis refuses orders above its bound itself, so only tables it
-    # would solve pay for the O(n^3) axiom check
+    # the basis refuses orders above its bound itself, so only quandles it
+    # would solve are checked
     if args.action != "basis" or q.order <= MAX_COCYCLE_BASIS_ORDER:
-        _require_quandle(q, args.quandle)
+        _require(q.report, "quandle", "axiom")
     if args.action == "coboundary":
         exps = load_json(_read_spec(args.psi), "psi")
         if not (isinstance(exps, list) and all(type(x) is int for x in exps)):
@@ -145,13 +159,7 @@ def _cmd_cocycle(args) -> int:
         return 0
     c = _load_cocycle(args.cocycle, q)
     if args.action == "check":
-        report = weights.validate_cocycle(c)
-        obj = {"valid": report.ok}
-        if not report.ok:
-            obj["condition"] = report.condition
-            obj["witness"] = list(report.witness)
-        _emit(obj)
-        return 0 if report.ok else 1
+        return _report(weights.validate_cocycle(c), "condition")
     if args.action == "preserves":
         f = _load_aut(args.aut, q)
         witness = weights.preservation_witness(f, c)
@@ -185,44 +193,15 @@ def _cmd_diagram(args) -> int:
     return 0
 
 
-# The shortcuts dihedral:N, trivial and example-r4 build objects that are
-# valid by construction, so they skip the O(n^3) checks below (the test
-# suite checks make_dihedral, trivial_cocycle and example_cocycle_r4
-# against the validators); table and JSON input is always checked.
-_BUILT_IN_COCYCLES = ("trivial", "example-r4")
-
-
-def _require_quandle(q, spec: str) -> None:
-    """Raise PreconditionFailed unless the quandle loaded from ``spec`` satisfies
-    the axioms; ``dihedral:N`` does by construction."""
-    if spec.startswith("dihedral:"):
-        return
-    report = validate_quandle(q)
-    if not report.ok:
-        raise PreconditionFailed(
-            f"the quandle fails axiom {report.axiom}, witness {list(report.witness)}",
-            witness=report.witness,
-        )
-
-
 def _load_valid_quandle(spec: str):
     q = _load_quandle(spec)
-    _require_quandle(q, spec)
+    _require(q.report, "quandle", "axiom")
     return q
 
 
 def _load_valid_cocycle(spec: str, q):
-    from . import weights
-
     c = _load_cocycle(spec, q)
-    if spec in _BUILT_IN_COCYCLES:  # trivial is a cocycle on any quandle, and q has been checked
-        return c
-    report = weights.validate_cocycle(c)
-    if not report.ok:
-        raise PreconditionFailed(
-            f"the cocycle fails condition {report.condition}, witness {list(report.witness)}",
-            witness=report.witness,
-        )
+    _require(c.report, "cocycle", "condition")
     return c
 
 

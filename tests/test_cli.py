@@ -369,7 +369,7 @@ def test_oversized_cocycle_basis_is_usage_error(capsys, monkeypatch, argv, order
     def refused(*args):
         raise AssertionError("an oversized basis request reached the axiom check or the solver")
 
-    monkeypatch.setattr("vknots.cli.validate_quandle", refused)
+    monkeypatch.setattr("vknots.algebra.validate_quandle", refused)
     monkeypatch.setattr("vknots.intlin.kernel_mod", refused)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -448,10 +448,11 @@ def test_invalid_algebra_fails_check_before_computing(capsys, argv, witness):
 
 
 def test_quandle_auts_refuses_orders_above_the_bound_before_the_axiom_check(capsys, monkeypatch):
-    import vknots.cli as cli
+    import vknots.algebra as algebra
 
     checked = []
-    monkeypatch.setattr(cli, "validate_quandle", lambda q: checked.append(q.order) or validate_quandle(q))
+    # FiniteQuandle.report calls algebra.validate_quandle
+    monkeypatch.setattr(algebra, "validate_quandle", lambda q: checked.append(q.order) or validate_quandle(q))
     r9_table = json.dumps({"kind": "table", "table": [[(2 * j - i) % 9 for j in range(9)] for i in range(9)]})
     # an invalid table above the bound is refused by order too: exit 2, not 1
     for argv in (("--quandle", r9_table), ("--quandle", _NOT_A_QUANDLE, "--bound", "1")):
@@ -473,22 +474,28 @@ def test_negative_move_count_is_usage_error(capsys):
 
 
 def test_built_in_algebra_skips_the_axiom_checks(capsys, monkeypatch):
-    import vknots.cli as cli
+    import vknots.algebra as algebra
     import vknots.weights as weights
 
     checked = []
-    monkeypatch.setattr(cli, "validate_quandle", lambda q: checked.append("quandle") or validate_quandle(q))
-    # the CLI imports weights inside its handlers and calls weights.validate_cocycle
+    # FiniteQuandle.report and Cocycle2.report call the module-level validators
+    monkeypatch.setattr(algebra, "validate_quandle", lambda q: checked.append("quandle") or validate_quandle(q))
     monkeypatch.setattr(weights, "validate_cocycle", lambda c: checked.append("cocycle") or validate_cocycle(c))
-    for cocycle in ("trivial", "example-r4"):
-        code, _, _ = run(capsys, "invariant", "z", "--diagram", "trefoil", "--quandle", "dihedral:4", "--cocycle", cocycle)
-        assert code == 0
+    r4_json = '{"kind":"dihedral","n":4}'  # make_dihedral builds it too
+    for quandle in ("dihedral:4", r4_json):
+        for cocycle in ("trivial", "example-r4"):
+            code, _, _ = run(capsys, "invariant", "z", "--diagram", "trefoil", "--quandle", quandle, "--cocycle", cocycle)
+            assert code == 0
     code, _, _ = run(capsys, "color", "count", "--diagram", "trefoil", "--quandle", "dihedral:3")
     assert code == 0
     for argv in (
         ("quandle", "auts", "--dihedral", "4"),
         ("quandle", "auts", "--quandle", "dihedral:4"),
         ("cocycle", "basis", "--quandle", "dihedral:4", "--m", "4"),
+        ("quandle", "auts", "--quandle", r4_json),
+        ("cocycle", "basis", "--quandle", r4_json, "--m", "4"),
+        ("color", "count", "--diagram", "trefoil", "--quandle", r4_json),
+        ("fuzz", "--diagram", "trefoil", "--quandle", r4_json, "--cocycle", "example-r4", "--aut", "identity", "--moves", "3"),
     ):
         code, _, _ = run(capsys, *argv)
         assert code == 0

@@ -24,6 +24,7 @@ from vknots.weights import (
     CocycleReport,
     Weight,
     WeightPolynomial,
+    example_cocycle_r4,
     trivial_cocycle,
 )
 
@@ -177,6 +178,17 @@ def test_constructor_checks():
             Cocycle2(q, group, ((0, 0, 0), (0, 0, bad), (0, 0, 0)))
         with pytest.raises(MalformedInput, match="cochain exponent .* is not an integer"):
             Cochain1(group, (0, bad, 0))
+        with pytest.raises(MalformedInput, match="weight exponent .* is not an integer"):
+            Weight(group, bad)
+        for term in ((bad, 1), (0, bad)):
+            with pytest.raises(MalformedInput, match="polynomial term .* does not hold integers"):
+                WeightPolynomial(((-1, 1), term))
+    for terms in (((0, -2),), ((0, 0),), ((1, 2), (1, 3)), ((1, 2), (0, 3))):
+        with pytest.raises(InvalidParameter, match="polynomial (multiplicity .* is not positive|exponent .* does not follow)"):
+            WeightPolynomial(terms)
+    for pairs in ([(0, -1)], [(0, 2), (0, -2)], [(1, 0)]):
+        with pytest.raises(InvalidParameter, match="polynomial multiplicity"):
+            WeightPolynomial.from_pairs(pairs)
 
 
 def test_constructor_normalisation():
@@ -188,6 +200,7 @@ def test_constructor_normalisation():
     c = Cocycle2(make_dihedral(2), CoefficientGroup(2), [[0, 3], (-2, 0)])
     assert c.exponents == ((0, 1), (0, 0)) and c == Cocycle2(c.quandle, c.group, ((0, 1), (0, 0)))
     assert trivial_cocycle(make_dihedral(2)).group == CoefficientGroup(0)
+    assert WeightPolynomial([[0, 3], [2, 1]]).terms == ((0, 3), (2, 1))
 
 
 def test_move_records_are_unhashable():
@@ -201,3 +214,14 @@ def test_a_diagram_keeps_its_slot_maps_cache():
     maps = d.slot_maps
     assert vars(d)["slot_maps"] is maps and d.slot_maps is maps
     assert d == builder("virtual_hopf") and hash(d) == hash(builder("virtual_hopf"))
+
+
+def test_built_in_algebra_stores_a_passing_report():
+    q = FiniteQuandle(make_dihedral(3).table)
+    assert "report" not in vars(q)
+    report = q.report
+    assert report == QuandleReport(True) and vars(q)["report"] is report and q == make_dihedral(3)
+    for value in (make_dihedral(3), trivial_cocycle(q), example_cocycle_r4()):
+        assert vars(value)["report"].ok
+    c = Cocycle2(q, CoefficientGroup(0), ((0, 1, 0), (0, 0, 0), (0, 0, 0)))
+    assert "report" not in vars(c) and c.report == CocycleReport(False, 2, (0, 1, 0))

@@ -114,6 +114,10 @@ def test_coboundary_examples():
     assert all(c.exponents[x][x] == 0 for x in range(4))
     with pytest.raises(InvalidParameter):
         coboundary(q, Z, Cochain1(Z, (1, 0)))
+    # only a cochain over the coboundary's own group: no bare sequence, no other modulus
+    for psi in ((1, 0, 0, 0), (True, 0, 0, 0), Cochain1(CoefficientGroup(2), (1, 0, 0, 0))):
+        with pytest.raises(InvalidParameter, match="not a Cochain1 over the coefficient group"):
+            coboundary(q, CoefficientGroup(3), psi)
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())
