@@ -15,21 +15,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += x * bk[j]
-    return out
-
-
 def smith_normal_form(
     matrix: list[list[int]], row_transform: bool = True
 ) -> tuple[list[list[int]], list[list[int]] | None, list[list[int]]]:
@@ -98,18 +83,14 @@ def smith_normal_form(
         if dirty:
             continue  # remainders left; pick a smaller pivot and repeat
 
-        # enforce the divisibility chain: d[t][t] must divide everything below-right
-        fixup = False
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if w[i][j] % w[t][t]:
-                    add_row(i, t, 1)
-                    fixup = True
-                    break
-            if fixup:
-                break
-        if fixup:
-            continue
+        # enforce the divisibility chain: d[t][t] must divide everything
+        # below-right, which a pivot of 1 always does
+        p = w[t][t]
+        if p != 1:
+            i = next((i for i in range(t + 1, rows) if any(x % p for x in w[i][t + 1 : cols])), None)
+            if i is not None:
+                add_row(i, t, 1)
+                continue
         t += 1
 
     d = [r[:cols] for r in w[:rows]]
@@ -142,27 +123,3 @@ def kernel_mod(matrix: list[list[int]], m: int) -> list[list[int]]:
                 seen.add(key)
                 gens.append(vec)
     return gens
-
-
-def solve_mod(matrix: list[list[int]], rhs: list[int], m: int) -> list[int] | None:
-    """One solution of matrix @ x == rhs (mod m), or None when inconsistent."""
-    if m < 2:
-        raise ValueError("solve_mod needs a modulus m >= 2")
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    d, u, v = smith_normal_form(matrix)
-    c = [sum(u[i][k] * rhs[k] for k in range(rows)) % m for i in range(rows)]
-    y = [0] * cols
-    for i in range(rows):
-        diag = d[i][i] if i < min(rows, cols) else 0
-        if diag == 0:
-            if c[i] % m:
-                return None
-            continue
-        g = gcd(diag, m)
-        if c[i] % g:
-            return None
-        mg = m // g
-        y[i] = (c[i] // g) * pow(diag // g, -1, mg) % mg
-    x = [sum(v[i][k] * y[k] for k in range(cols)) % m for i in range(cols)]
-    return x

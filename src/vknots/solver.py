@@ -27,11 +27,13 @@ the arc that holds the lowest uncolored edge; it propagates the arc rules
 and backtracks on conflict; a branch, taken or failed, uncolors the arcs
 its propagation colored in one place.  A rule forces its in-arc from its
 out-arc only when every column of q is a bijection (axiom 2); otherwise
-the in-arc is left to a later branch.  Each solution is expanded to its
-edge colors by walking its arcs.  Only ``enumerate_colorings`` sorts the
-list.  A public entry point checks the twist map once; the invariant
-layer, which has checked it and sums over the colorings in any order,
-calls the unchecked ``_enumerate``.
+the in-arc is left to a later branch.  ``_search`` runs this search and
+two finishers read it: ``_enumerate`` lists, expanding each solution to
+its edge colors by walking its arcs (only ``enumerate_colorings`` sorts
+the list), and ``count_colorings`` counts, building no coloring.  A
+public entry point checks the twist map once; the invariant layer, which
+has checked it and sums over the colorings in any order, calls the
+unchecked ``_enumerate``.
 
 The root arc, the first one branched on, tries one color per orbit of a
 group H of automorphisms that commute with f.  Such an h maps the
@@ -48,7 +50,8 @@ fixed points.  The colorings of each other color x of an orbit are the
 images h o c of those of the color y that reached it in a Schreier tree
 (x = h(y) for a generator h of H).  So ``_enumerate`` lists each orbit
 representative's colorings in search order, then their images, an order
-that changes with H; the sorted list does not.
+that changes with H; the sorted list does not.  As c -> h o c maps y's
+colorings one-to-one onto x's, ``count_colorings`` gives x the count of y.
 
 ``brute_force_colorings`` is the oracle: it tries every assignment of
 colors to the arcs (n^arcs of them, bounded by a ceiling), completes each
@@ -63,6 +66,7 @@ factor handled by the invariant layer and by ``count_colorings``.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 from .algebra import FiniteQuandle, QuandleMap, _invert
@@ -172,8 +176,12 @@ def _root_orbits(q: FiniteQuandle, f: QuandleMap, domain, identity: tuple):
     return reps, tree
 
 
-def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple[int, ...]]:
-    """``enumerate_colorings`` unsorted, for a twist map the caller has checked."""
+def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
+    """The propagation search, for a twist map the caller has checked:
+    ``(results, root, tree, arc_of, perm_of)``, the arc colorings of the
+    root-orbit representatives in search order, the root arc (None when
+    there is no arc), the Schreier tree of ``_root_orbits`` and the arcs
+    of ``_arcs``."""
     rules = compile_problem(d, q, f)
     n = q.order
     identity = tuple(range(n))
@@ -272,6 +280,12 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
             stack.pop()
         else:
             stack.append(branches())
+    return results, root, tree, arc_of, perm_of
+
+
+def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple[int, ...]]:
+    """``enumerate_colorings`` unsorted, for a twist map the caller has checked."""
+    results, root, tree, arc_of, perm_of = _search(d, q, f)
     found = results
     if tree:  # the colorings of x = h(y) are the images h o c of those of y
         by_root: dict[int, list] = {}
@@ -285,8 +299,21 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
 
 
 def count_colorings(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> int:
-    """Number of colorings, including the |G|^free_loops factor."""
-    return len(enumerate_colorings(d, q, f)) * q.order**d.free_loops
+    """Number of colorings, including the |G|^free_loops factor.
+
+    The search's colorings are counted per root color; each other color
+    x = h(y) of an orbit has as many as y, since c -> h o c maps y's
+    colorings one-to-one onto x's.  No image or edge color is built.
+    """
+    check_twist(q, f)
+    results, root, tree, _, _ = _search(d, q, f)
+    count = len(results)
+    if tree:
+        per_root = Counter(c[root] for c in results)
+        for x, _, y in tree:
+            per_root[x] = per_root[y]
+            count += per_root[y]
+    return count * q.order**d.free_loops
 
 
 def brute_force_colorings(

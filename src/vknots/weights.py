@@ -104,7 +104,11 @@ class WeightPolynomial(Value):
         acc: dict[int, int] = {}
         for exponent, multiplicity in pairs:
             acc[exponent] = acc.get(exponent, 0) + multiplicity
-        return WeightPolynomial(tuple(sorted(acc.items())))
+        try:
+            terms = sorted(acc.items())
+        except TypeError:  # exponents that do not compare: a non-int goes first, for the term check
+            terms = sorted(acc.items(), key=lambda term: type(term[0]) is int)
+        return WeightPolynomial(tuple(terms))
 
     def evaluate_at_one(self) -> int:
         """Value at t = 1, i.e. the total multiplicity."""

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from intlin_helpers import mat_mul, solve_mod
 from vknots import intlin
 
 
@@ -15,7 +16,7 @@ def _random_matrix(rng, rows, cols, lo=-6, hi=6):
 
 def test_smith_normal_form_small():
     d, u, v = intlin.smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    assert _mat_eq(intlin.mat_mul(intlin.mat_mul(u, [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]), v), d)
+    assert _mat_eq(mat_mul(mat_mul(u, [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]), v), d)
     diag = [d[i][i] for i in range(3)]
     assert diag == [2, 2, 156]
     assert diag[0] * diag[1] * diag[2] == 624  # |det| of the input
@@ -30,7 +31,7 @@ def test_smith_normal_form_random(seed):
     rows, cols = rng.randint(1, 5), rng.randint(1, 5)
     a = _random_matrix(rng, rows, cols)
     d, u, v = intlin.smith_normal_form(a)
-    assert _mat_eq(intlin.mat_mul(intlin.mat_mul(u, a), v), d)
+    assert _mat_eq(mat_mul(mat_mul(u, a), v), d)
     for i in range(rows):
         for j in range(cols):
             if i != j:
@@ -90,7 +91,7 @@ def test_solve_mod_agrees_with_enumeration(seed, m):
     def residual(x):
         return all(sum(r * v for r, v in zip(row, x)) % m == rhs % m for row, rhs in zip(a, b))
 
-    found = intlin.solve_mod(a, b, m)
+    found = solve_mod(a, b, m)
     brute_solvable = False
     stack = [[]]
     while stack:
@@ -109,13 +110,13 @@ def test_solve_mod_agrees_with_enumeration(seed, m):
 
 def test_empty_system():
     assert intlin.kernel_mod([], 5) == []
-    assert intlin.solve_mod([], [], 5) == []
+    assert solve_mod([], [], 5) == []
 
 
 @pytest.mark.parametrize("m", [1, 0, -3])
 @pytest.mark.parametrize(
     "solve",
-    [lambda m: intlin.kernel_mod([[1, 2]], m), lambda m: intlin.solve_mod([[1, 2]], [1], m)],
+    [lambda m: intlin.kernel_mod([[1, 2]], m), lambda m: solve_mod([[1, 2]], [1], m)],
     ids=["kernel_mod", "solve_mod"],
 )
 def test_a_modulus_below_two_is_refused(solve, m):

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from intlin_helpers import solve_mod
 from vknots import intlin
 from vknots.algebra import (
     QuandleMap,
@@ -18,6 +19,7 @@ from vknots.diagram import (
     BUILDER_NAMES,
     ClassicalCrossing,
     VirtualCrossing,
+    VirtualDiagram,
     builder,
     relabel_canonical,
     validate_diagram,
@@ -58,6 +60,9 @@ def test_unknot_has_one_empty_coloring():
     assert enumerate_colorings(d, Q4, ID4) == [()]
     assert brute_force_colorings(d, Q4, ID4) == [()]
     assert count_colorings(d, Q4, ID4) == 4  # free-loop factor
+    # no arc, so no root arc and no tree: one empty coloring times n^free_loops
+    for loops in (0, 3):
+        assert count_colorings(VirtualDiagram(0, loops, ()), Q4, SHIFT4) == 4**loops
 
 
 def test_the_search_depth_has_no_recursion_limit():
@@ -348,7 +353,10 @@ def test_root_orbits_match_the_oracle(case):
     diagrams = [builder(name) for name in BUILDER_NAMES] + [make() for make in ARC_CASES.values()]
     for d in diagrams:
         for f in twists:
-            assert enumerate_colorings(d, q, f) == brute_force_colorings(d, q, f), (d, f.images)
+            expected = brute_force_colorings(d, q, f)
+            assert enumerate_colorings(d, q, f) == expected, (d, f.images)
+            # the count gives each x = h(y) of the tree the count of y
+            assert count_colorings(d, q, f) == len(expected) * q.order**d.free_loops, (d, f.images)
 
 
 def test_a_closed_root_arc_keeps_its_fixed_points():
@@ -359,6 +367,7 @@ def test_a_closed_root_arc_keeps_its_fixed_points():
     cols = enumerate_colorings(d, q, f)
     assert cols == brute_force_colorings(d, q, f)
     assert len(cols) == 4 and {c[0] for c in cols} == {0, 1}
+    assert count_colorings(d, q, f) == 4  # the tree gives 1 the count of 0
 
 
 @pytest.mark.parametrize(
@@ -385,6 +394,19 @@ def test_a_count_over_a_large_order():
     # only the 256 constant colorings color the trefoil over R256, and the
     # root arc tries two colors, one per parity
     assert count_colorings(builder("trefoil"), make_dihedral(256), QuandleMap.identity(256)) == 256
+
+
+def test_the_count_builds_no_coloring(monkeypatch):
+    import vknots.solver
+
+    def refuse(*args):
+        raise AssertionError("count_colorings listed the colorings")
+
+    monkeypatch.setattr(vknots.solver, "_enumerate", refuse)
+    monkeypatch.setattr(vknots.solver, "enumerate_colorings", refuse)
+    # the root tries one color of R3 and of R5, and the tree gives the rest
+    assert count_colorings(builder("trefoil"), Q3, ID3) == 9
+    assert count_colorings(builder("figure_eight"), make_dihedral(5), QuandleMap.identity(5)) == 25
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +440,7 @@ def _affine_count(d, n, u, b):
             first, second = (f_inv, f) if c.chirality > 0 else (f, f_inv)
             for e_in, e_out, (uu, bb) in ((c.first_in, c.first_out, first), (c.second_in, c.second_out, second)):
                 equation([(e_out, 1), (e_in, -uu)], bb)
-    if intlin.solve_mod(rows, rhs, n) is None:
+    if solve_mod(rows, rhs, n) is None:
         return 0
     diag, _, _ = intlin.smith_normal_form(rows)
     rank_bound = min(len(rows), d.edges)

@@ -9,6 +9,7 @@ constructor keeps its signature, checks and normalisations.
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -188,6 +189,17 @@ def test_constructor_checks():
             WeightPolynomial(terms)
     for pairs in ([(0, -1)], [(0, 2), (0, -2)], [(1, 0)]):
         with pytest.raises(InvalidParameter, match="polynomial multiplicity"):
+            WeightPolynomial.from_pairs(pairs)
+
+
+def test_from_pairs_refuses_exponents_that_do_not_compare():
+    # sorting these exponents fails; the term check must still name the non-int term
+    for pairs, term in (
+        ([("a", 1), (0, 1)], "('a', 1)"),
+        ([(5, 1), (3, 1), ("a", 1)], "('a', 1)"),
+        ([(0, 1), (None, 1)], "(None, 1)"),
+    ):
+        with pytest.raises(MalformedInput, match=re.escape(f"polynomial term {term} does not hold integers")):
             WeightPolynomial.from_pairs(pairs)
 
 
