@@ -28,13 +28,16 @@ a virtual one.  Either way passage k, its role (0 = under or first
 strand, 1 = over or second strand, as in ``strand_passages``), holds its
 in- and out-edge at tuple indices 2 + 2k and 3 + 2k, so passage code
 reads and rewrites records by index without asking their type;
-``slot_maps`` records every in- and out-slot as (crossing index, role).
-The named fields read these slots, and each class declares its
-constructor and JSON field order (``FIELDS``).  Records come only from
-the two checked constructors and from ``_renamed``, the one rename rule,
-which ``isomorphic`` and ``relabel_canonical`` read.  The latter, the last
-step of every move, remakes the plain slot tuples the moves edit into
-sorted records and fills the result's ``slot_maps``.
+``slot_maps`` records every in- and out-slot as (crossing index, role) in
+two lists indexed by edge.  The named fields read these slots, and each
+class declares its constructor and JSON field order (``FIELDS``).
+Records come only from the two checked constructors and from
+``_renamed``, the one rename rule, which ``isomorphic`` and
+``relabel_canonical`` read; it hands back a record whose labels the
+renaming keeps.  ``relabel_canonical``, the last step of every move,
+remakes the plain slot tuples the moves edit into sorted records and
+fills the result's ``slot_maps``; any other diagram builds them on first
+use, refusing a code that breaks the slot discipline.
 """
 
 from __future__ import annotations
@@ -105,6 +108,7 @@ class VirtualCrossing(_Record):
 
 
 Crossing = ClassicalCrossing | VirtualCrossing
+_RECORD_CLASSES = (ClassicalCrossing, VirtualCrossing)  # indexed by tag
 
 # Each free loop multiplies every coloring count by the quandle order n.
 # With this bound even n = 1024 gives 1024^1024, 3,083 digits: under
@@ -128,14 +132,17 @@ class VirtualDiagram(Value):
         return [c for c in self.crossings if isinstance(c, VirtualCrossing)]
 
     @cached_property
-    def slot_maps(self) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
-        """(consumed, emitted): edge -> (crossing index, role) of its in- and out-slot.
+    def slot_maps(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """(consumed, emitted): two lists indexed by edge, holding the (crossing
+        index, role) of the edge's in- and out-slot.
 
         Built once per diagram, which is immutable (``relabel_canonical``
         fills them in for every move output); callers must not mutate the
-        returned maps.
+        returned lists.  Built here, from records that were never checked,
+        they refuse an edge label outside 0..edges-1, a slot used twice and
+        an edge without an in- or out-slot with ``MalformedInput``.
         """
-        return _slot_maps(self.crossings)
+        return _checked_slot_maps(self.edges, self.crossings)
 
 
 class DiagramReport(Value):
@@ -155,13 +162,38 @@ def strand_passages(c: Crossing) -> tuple[tuple[int, int, int], ...]:
     return ((0, c[2], c[3]), (1, c[4], c[5]))
 
 
-def _slot_maps(crossings) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
-    consumed: dict[int, tuple[int, int]] = {}
-    emitted: dict[int, tuple[int, int]] = {}
+def _slot_maps(edges: int, crossings) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The slot maps of records whose edges are 0..edges-1, each once an in- and
+    once an out-slot; not checked."""
+    consumed: list = [None] * edges
+    emitted: list = [None] * edges
     for ci, (_, _, w, x, y, z) in enumerate(crossings):  # passages (w -> x) and (y -> z)
         consumed[w] = emitted[x] = (ci, 0)
         consumed[y] = emitted[z] = (ci, 1)
     return consumed, emitted
+
+
+def _checked_slot_maps(edges: int, crossings) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The slot maps of any crossings, refusing a code that breaks the slot
+    discipline with ``MalformedInput``, at its first fault in passage order.
+    The slots are gathered in dicts, so a huge edge count costs nothing
+    before the first edge found without a slot."""
+    consumed: dict[int, tuple[int, int]] = {}
+    emitted: dict[int, tuple[int, int]] = {}
+    for ci, c in enumerate(crossings):
+        for role, e_in, e_out in strand_passages(c):
+            for e, slots, what in ((e_in, consumed, "in"), (e_out, emitted, "out")):
+                if type(e) is not int or not 0 <= e < edges:
+                    raise MalformedInput(f"crossings[{ci}]: edge label {e!r} out of range 0..{edges - 1}")
+                if e in slots:
+                    raise MalformedInput(f"crossings[{ci}]: edge {e} used more than once as an {what}-slot")
+                slots[e] = (ci, role)
+    for e in range(edges):
+        if e not in consumed:
+            raise MalformedInput(f"edge {e} is never consumed (dangling out end)")
+        if e not in emitted:
+            raise MalformedInput(f"edge {e} is never emitted (dangling in end)")
+    return [consumed[e] for e in range(edges)], [emitted[e] for e in range(edges)]
 
 
 def validate_diagram(d: VirtualDiagram) -> DiagramReport:
@@ -172,25 +204,10 @@ def validate_diagram(d: VirtualDiagram) -> DiagramReport:
         return DiagramReport(False, "edge and free-loop counts must be non-negative")
     if d.free_loops > MAX_FREE_LOOPS:
         return DiagramReport(False, f"free_loops {d.free_loops} exceeds the maximum {MAX_FREE_LOOPS}")
-    ins: dict[int, int] = {}
-    outs: dict[int, int] = {}
-    for ci, c in enumerate(d.crossings):
-        for role, e_in, e_out in strand_passages(c):
-            for e, counter, what in ((e_in, ins, "in"), (e_out, outs, "out")):
-                if type(e) is not int or not 0 <= e < d.edges:
-                    return DiagramReport(
-                        False, f"crossings[{ci}]: edge label {e!r} out of range 0..{d.edges - 1}"
-                    )
-                counter[e] = counter.get(e, 0) + 1
-                if counter[e] > 1:
-                    return DiagramReport(
-                        False, f"crossings[{ci}]: edge {e} used more than once as an {what}-slot"
-                    )
-    for e in range(d.edges):
-        if e not in ins:
-            return DiagramReport(False, f"edge {e} is never consumed (dangling out end)")
-        if e not in outs:
-            return DiagramReport(False, f"edge {e} is never emitted (dangling in end)")
+    try:
+        _checked_slot_maps(d.edges, d.crossings)
+    except MalformedInput as exc:
+        return DiagramReport(False, str(exc))
     return DiagramReport(True)
 
 
@@ -220,13 +237,17 @@ def component_count(d: VirtualDiagram) -> int:
 def _renamed(crossings, label):
     """The records of ``crossings`` (records or plain slot tuples, not checked
     again) with edges renamed by ``label``, each made by its tag; virtual
-    strands are swapped, negating the chirality, so that first_in < second_in."""
-    for tag, s, w, x, y, z in crossings:
-        w, x, y, z = label[w], label[x], label[y], label[z]
-        if tag and w > y:  # virtual strands swapped so that first_in < second_in
-            yield tuple.__new__(VirtualCrossing, (1, -s, y, z, w, x))
+    strands are swapped, negating the chirality, so that first_in < second_in.
+    A record whose four labels ``label`` keeps is yielded as it is."""
+    for c in crossings:
+        tag, s, w, x, y, z = c
+        nw, nx, ny, nz = label[w], label[x], label[y], label[z]
+        if nw == w and nx == x and ny == y and nz == z and type(c) is _RECORD_CLASSES[tag]:
+            yield c
+        elif tag and nw > ny:  # virtual strands swapped so that first_in < second_in
+            yield tuple.__new__(VirtualCrossing, (1, -s, ny, nz, nw, nx))
         else:
-            yield tuple.__new__(VirtualCrossing if tag else ClassicalCrossing, (tag, s, w, x, y, z))
+            yield tuple.__new__(_RECORD_CLASSES[tag], (tag, s, nw, nx, ny, nz))
 
 
 def _raise_reused_slot(crossings) -> None:
@@ -270,9 +291,11 @@ def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
             label[e] = n
             n += 1
             e = succ[e]
+        if n == len(succ):  # every edge labelled: no later start is needed
+            break
     records = tuple(sorted(_renamed(crossings, label)))
     d = VirtualDiagram(n, free_loops, records)
-    d.__dict__["slot_maps"] = _slot_maps(records)  # the cached_property's slot
+    d.__dict__["slot_maps"] = _slot_maps(n, records)  # the cached_property's slot
     return d
 
 
@@ -364,7 +387,7 @@ def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
 
 # JSON crossing record type -> record class; a record's JSON form is its
 # TYPE followed by its FIELDS, in that order
-_RECORD_TYPES = {cls.TYPE: cls for cls in (ClassicalCrossing, VirtualCrossing)}
+_RECORD_TYPES = {cls.TYPE: cls for cls in _RECORD_CLASSES}
 
 
 def serialize_diagram(d: VirtualDiagram) -> str:

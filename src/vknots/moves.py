@@ -38,9 +38,10 @@ strand) and passage k holds its (in, out) edges at tuple indices 2 + 2k
 and 3 + 2k, classical or virtual.  ``_passage`` reads a passage;
 ``_rewire`` (one slot) and ``_with_passages`` (both passages) write plain
 slot tuples, which ``relabel_canonical`` remakes into records by tag.
-A move finds the in-slot to rewire in ``d.slot_maps`` (a detour, after
-deleting its interior crossings, in a consumer map built from the chain
-ends that ``_remove_crossings`` returns); no move scans the crossing list
+A move finds the in-slot to rewire in ``d.slot_maps``, two lists indexed
+by edge (a detour, after deleting its interior crossings, in the chain
+ends that ``_remove_crossings`` returns for the merged edges, and in
+``d.slot_maps`` for every other edge); no move scans the crossing list
 for it.  The scans that run on every move read a record unpacked, as
 ``(tag, sign, w, x, y, z)``, with passages (w, x) and (y, z).
 
@@ -479,27 +480,30 @@ def detour(d: VirtualDiagram, start: int, end: int, passages) -> VirtualDiagram:
             raise InvalidParameter("a detour cannot cross its own route")
         targets.append((t, ch))
 
-    # every edge with an in-slot after the removal -> that slot
-    consumer = {e: slot for e, slot in consumed.items() if e not in rep}
-    consumer.update(ends)
+    # after the removal a chain's representative is consumed by its slot in
+    # ``ends``, a closed chain's by none, and every edge off the chains by its
+    # slot in ``consumed``; ``tail`` holds the slots that the route moves
     fresh = d.edges + len(targets)
     pieces = [route, *range(d.edges, fresh)]
     if targets:
         # the slot that consumed the segment now consumes the last route piece
-        _rewire(survivors, consumer[route], pieces[-1])
+        _rewire(survivors, ends[route] if route in rep else consumed[route], pieces[-1])
     added = []
-    tail: dict[int, int] = {}  # target rep -> piece carrying its current far end
+    tail: dict[int, tuple[int, tuple[int, int]]] = {}  # target rep -> (piece carrying its far end, its consumer)
     for i, (t, ch) in enumerate(targets):
-        t_cur = tail.get(t, t)
-        if t_cur not in consumer:
-            raise NotApplicable(f"edge {t_cur} has no consumer")
+        if t in tail:
+            t_cur, slot = tail[t]
+        elif t in ends:
+            t_cur, slot = t, ends[t]
+        elif t in rep:
+            raise NotApplicable(f"edge {t} has no consumer")
+        else:
+            t_cur, slot = t, consumed[t]
         t_next = fresh
         fresh += 1
-        slot = consumer.pop(t_cur)  # t_cur is consumed by the new crossing from here on
-        _rewire(survivors, slot, t_next)
-        consumer[t_next] = slot
+        _rewire(survivors, slot, t_next)  # t_cur is consumed by the new crossing from here on
         added.append(VirtualCrossing(pieces[i], pieces[i + 1], t_cur, t_next, ch))
-        tail[t] = t_next
+        tail[t] = t_next, slot
     return relabel_canonical([*survivors.values(), *added], d.free_loops + gained)
 
 

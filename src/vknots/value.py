@@ -5,8 +5,9 @@ stores them in ``__slots__``; its own ``__init__`` checks and normalises
 the arguments and stores each field with ``set_field``.  ``Value`` derives
 the rest from ``FIELDS``: equality between values of the same class and a
 hash, both of the field tuple; the repr ``Name(field=value, ...)``;
-pickling and copying through the constructor; and an ``AttributeError`` on
-any assignment or deletion after construction.
+pickling and copying through the constructor, which keep a stored
+``report`` (of a quandle or a cocycle) and rebuild any other cached table;
+and an ``AttributeError`` on any assignment or deletion after construction.
 """
 
 from operator import attrgetter
@@ -44,5 +45,10 @@ class Value:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __reduce__(self):  # pickle and copy call the constructor with the fields
-        return type(self), self._fields()
+    def __reduce__(self):
+        """Pickle and copy call the constructor with the fields; a stored
+        validity ``report`` goes along, no other cached table does."""
+        report = getattr(self, "__dict__", {}).get("report")
+        if report is None:
+            return type(self), self._fields()
+        return type(self), self._fields(), {"report": report}

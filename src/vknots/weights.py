@@ -102,8 +102,11 @@ class WeightPolynomial(Value):
     def from_pairs(pairs) -> "WeightPolynomial":
         """Sum the multiplicities of each exponent; every sum must be positive."""
         acc: dict[int, int] = {}
-        for exponent, multiplicity in pairs:
-            acc[exponent] = acc.get(exponent, 0) + multiplicity
+        try:
+            for exponent, multiplicity in pairs:
+                acc[exponent] = acc.get(exponent, 0) + multiplicity
+        except (TypeError, ValueError) as exc:  # no pair, no hashable exponent, or a sum that fails
+            raise MalformedInput(f"polynomial terms must be (exponent, multiplicity) int pairs: {exc}") from exc
         try:
             terms = sorted(acc.items())
         except TypeError:  # exponents that do not compare: a non-int goes first, for the term check

@@ -21,7 +21,7 @@ from vknots.diagram import (
     validate_diagram,
 )
 from vknots.errors import InvalidParameter, MalformedInput
-from vknots.moves import apply_move, random_equivalent
+from vknots.moves import MoveRecord, apply_move, random_equivalent
 
 UNKNOT_TEXT = '{"edges":0,"free_loops":1,"crossings":[]}'
 
@@ -234,7 +234,7 @@ def test_relabel_canonical_rejects_bad_rewiring(crossings, message):
 
 
 def _rebuilt_slot_maps(d):
-    consumed, emitted = {}, {}
+    consumed, emitted = [None] * d.edges, [None] * d.edges
     for ci, c in enumerate(d.crossings):
         for role, e_in, e_out in strand_passages(c):
             consumed[e_in] = (ci, role)
@@ -248,13 +248,18 @@ def _public_copy(c):
     return VirtualCrossing(c.first_in, c.first_out, c.second_in, c.second_out, c.chirality)
 
 
+def _outputs(d, seed, moves):
+    """Every diagram of a fuzz trace from ``d``, in order."""
+    for record in random_equivalent(d, seed, moves)[1]:
+        d = apply_move(d, record)
+        yield d
+
+
 def test_move_outputs_have_seeded_slot_maps_and_checked_records():
     outputs = 0
     for name in BUILDER_NAMES:
         for seed in range(5):
-            d = builder(name)
-            for record in random_equivalent(d, seed, 200)[1]:
-                d = apply_move(d, record)
+            for d in _outputs(builder(name), seed, 200):
                 outputs += 1
                 assert "slot_maps" in vars(d)  # filled by relabel_canonical, not on first use
                 assert d.slot_maps == _rebuilt_slot_maps(d)
@@ -266,6 +271,73 @@ def test_move_outputs_have_seeded_slot_maps_and_checked_records():
                 assert list(map(repr, public)) == list(map(repr, d.crossings))
                 assert relabel_canonical(public, d.free_loops) == d
     assert outputs == 10 * 5 * 200
+
+
+def test_the_renaming_keeps_the_records_whose_labels_it_keeps():
+    knots = 0
+    for name in BUILDER_NAMES:
+        for seed in range(3):
+            for d in _outputs(builder(name), seed, 40):
+                # a canonical code renamed again keeps every record object ...
+                again = relabel_canonical(list(d.crossings), d.free_loops)
+                assert again == d and all(a is c for a, c in zip(again.crossings, d.crossings))
+                # ... and its plain slot tuples always come back as records
+                plain = relabel_canonical([tuple(c) for c in d.crossings], d.free_loops)
+                assert plain == d and [type(c) for c in plain.crossings] == [type(c) for c in d.crossings]
+                # a kink on the last edge of a knot's walk renames no other edge, so a
+                # move output holds every input record but the one its new slot edits
+                cycles = successor_cycles(d)
+                if len(cycles) != 1:
+                    continue
+                knots += 1
+                last = cycles[0][-1]
+                out = apply_move(d, MoveRecord("r1_insert", {"edge": last, "sign": 1}))
+                held = [c for c in d.crossings if any(c is o for o in out.crossings)]
+                assert held == [c for c in d.crossings if last not in (c[2], c[4])]
+    assert knots > 100
+
+
+def test_built_in_slot_maps_are_edge_indexed_lists():
+    for name in BUILDER_NAMES:
+        d = builder(name)
+        consumed, emitted = d.slot_maps
+        assert type(consumed) is list and type(emitted) is list
+        assert (consumed, emitted) == _rebuilt_slot_maps(d)
+
+
+# Codes built with the constructor, unchecked; slot_maps refuses each at its
+# first fault in passage order, with validate_diagram's message.
+INCONSISTENT_CODES = {
+    "label-out-of-range": (
+        VirtualDiagram(2, 0, (ClassicalCrossing(1, 0, 5, 1, 6),)),
+        "crossings[0]: edge label 5 out of range 0..1",
+    ),
+    "negative-label": (
+        VirtualDiagram(2, 0, (ClassicalCrossing(1, 0, -1, 1, 0),)),
+        "crossings[0]: edge label -1 out of range 0..1",
+    ),
+    "slot-used-twice": (
+        VirtualDiagram(4, 0, (ClassicalCrossing(1, 0, 1, 2, 3), ClassicalCrossing(1, 0, 2, 1, 0))),
+        "crossings[1]: edge 0 used more than once as an in-slot",
+    ),
+    "no-in-slot": (
+        VirtualDiagram(4, 0, (ClassicalCrossing(1, 0, 1, 1, 0),)),
+        "edge 2 is never consumed (dangling out end)",
+    ),
+    "no-out-slot": (
+        VirtualDiagram(3, 0, (ClassicalCrossing(1, 0, 1, 2, 0),)),
+        "edge 1 is never emitted (dangling in end)",
+    ),
+}
+
+
+@pytest.mark.parametrize("d, message", list(INCONSISTENT_CODES.values()), ids=list(INCONSISTENT_CODES))
+def test_slot_maps_refuse_an_inconsistent_code(d, message):
+    with pytest.raises(MalformedInput) as err:
+        d.slot_maps
+    assert str(err.value) == message
+    assert validate_diagram(d).message == message
+    assert "slot_maps" not in vars(d)
 
 
 # Move outputs: the final diagram of a short trace per corpus name and seed.

@@ -25,7 +25,7 @@ from vknots.diagram import (
     successor_cycles,
     validate_diagram,
 )
-from vknots.errors import InvalidParameter, NotApplicable
+from vknots.errors import InvalidParameter, MalformedInput, NotApplicable
 from vknots.moves import (
     ALL_KINDS,
     CLASSICAL_KINDS,
@@ -780,6 +780,22 @@ REFUSALS = {
 def test_every_refusal_of_a_move(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+# A code built with the constructor whose over-strand edges 5 and 6 are no
+# labels of its two edges: the finders and the fuzzer read its slot maps,
+# which refuse it.
+INCONSISTENT = VirtualDiagram(2, 0, (ClassicalCrossing(1, 0, 5, 1, 6),))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [find_r2_sites, find_r3_sites, lambda d: random_equivalent(d, 0, 5)],
+    ids=["find_r2_sites", "find_r3_sites", "random_equivalent"],
+)
+def test_an_inconsistent_code_is_refused_as_malformed_input(call):
+    with pytest.raises(MalformedInput, match="edge label 5 out of range 0..1"):
+        call(INCONSISTENT)
 
 
 def test_r3_slide_refuses_a_third_bridge_that_does_not_close_the_triangle():

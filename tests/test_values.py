@@ -3,8 +3,9 @@
 Each value compares equal to, and hashes like, a twin built from the same
 arguments and is unequal to a value of another class; its repr names its
 fields; assignment and deletion raise ``AttributeError``; pickle (every
-protocol) and deepcopy give an equal value of the same class; and the
-constructor keeps its signature, checks and normalisations.
+protocol) and deepcopy give an equal value of the same class, which keeps a
+stored validity report and no other cached table; and the constructor keeps
+its signature, checks and normalisations.
 """
 
 import copy
@@ -13,6 +14,7 @@ import re
 
 import pytest
 
+from vknots import algebra, weights
 from vknots.algebra import FiniteQuandle, QuandleMap, QuandleReport, make_dihedral
 from vknots.diagram import DiagramReport, VirtualDiagram, builder
 from vknots.errors import InvalidParameter, MalformedInput
@@ -203,6 +205,13 @@ def test_from_pairs_refuses_exponents_that_do_not_compare():
             WeightPolynomial.from_pairs(pairs)
 
 
+def test_from_pairs_refuses_what_is_no_pair_of_ints_as_malformed_input():
+    # each fails inside the summing loop: an int plus a str, a 1-tuple, an int
+    for pairs in ([(0, "x")], [(1,)], [5], [(0, 1, 2)], [([0], 1)], 5):
+        with pytest.raises(MalformedInput, match=re.escape("polynomial terms must be (exponent, multiplicity) int pairs")):
+            WeightPolynomial.from_pairs(pairs)
+
+
 def test_constructor_normalisation():
     assert Weight(CoefficientGroup(5), 7).exponent == 2
     assert Weight(CoefficientGroup(5), -1).exponent == 4
@@ -237,3 +246,35 @@ def test_built_in_algebra_stores_a_passing_report():
         assert vars(value)["report"].ok
     c = Cocycle2(q, CoefficientGroup(0), ((0, 1, 0), (0, 0, 0), (0, 0, 0)))
     assert "report" not in vars(c) and c.report == CocycleReport(False, 2, (0, 1, 0))
+
+
+_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    **{f"pickle-{p}": (lambda v, p=p: pickle.loads(pickle.dumps(v, p))) for p in range(pickle.HIGHEST_PROTOCOL + 1)},
+}
+
+
+@pytest.mark.parametrize("duplicate", list(_COPIES.values()), ids=list(_COPIES))
+def test_a_copy_keeps_a_stored_report_and_no_other_cached_table(duplicate, monkeypatch):
+    checked_q = FiniteQuandle(make_dihedral(5).table)
+    checked_c = Cocycle2(checked_q, CoefficientGroup(0), ((0,) * 5,) * 5)
+    stored = [make_dihedral(7), trivial_cocycle(make_dihedral(3)), example_cocycle_r4(), checked_q, checked_c]
+    assert checked_q.report.ok and checked_c.report.ok  # the only checks this test runs
+    assert checked_q.division and checked_q.generation  # cached tables, which no copy carries
+    unchecked = [FiniteQuandle(make_dihedral(4).table), Cocycle2(make_dihedral(2), CoefficientGroup(0), ((0, 0), (0, 0)))]
+
+    def refuse(value):
+        raise AssertionError("a copy reran the validity check")
+
+    monkeypatch.setattr(algebra, "validate_quandle", refuse)
+    monkeypatch.setattr(weights, "validate_cocycle", refuse)
+    for value in stored:
+        twin = duplicate(value)
+        assert twin == value and type(twin) is type(value)
+        assert list(vars(twin)) == ["report"] and twin.report == value.report
+    for value in unchecked:
+        twin = duplicate(value)
+        assert twin == value and "report" not in vars(twin)
+        with pytest.raises(AssertionError, match="reran"):
+            twin.report
