@@ -139,8 +139,9 @@ class VirtualDiagram(Value):
         Built once per diagram, which is immutable (``relabel_canonical``
         fills them in for every move output); callers must not mutate the
         returned lists.  Built here, from records that were never checked,
-        they refuse an edge label outside 0..edges-1, a slot used twice and
-        an edge without an in- or out-slot with ``MalformedInput``.
+        they refuse an edge count that is not an int, an edge label outside
+        0..edges-1, a slot used twice and an edge without an in- or out-slot
+        with ``MalformedInput``.
         """
         return _checked_slot_maps(self.edges, self.crossings)
 
@@ -178,6 +179,8 @@ def _checked_slot_maps(edges: int, crossings) -> tuple[list[tuple[int, int]], li
     discipline with ``MalformedInput``, at its first fault in passage order.
     The slots are gathered in dicts, so a huge edge count costs nothing
     before the first edge found without a slot."""
+    if type(edges) is not int:
+        raise MalformedInput(f"the edge count must be an integer, got {edges!r}")
     consumed: dict[int, tuple[int, int]] = {}
     emitted: dict[int, tuple[int, int]] = {}
     for ci, c in enumerate(crossings):
@@ -196,15 +199,22 @@ def _checked_slot_maps(edges: int, crossings) -> tuple[list[tuple[int, int]], li
     return [consumed[e] for e in range(edges)], [emitted[e] for e in range(edges)]
 
 
+def _check_counts(edges, free_loops) -> None:
+    """Refuse edge and free-loop counts that are not ints in range with
+    ``MalformedInput``."""
+    if type(edges) is not int or type(free_loops) is not int:  # type(), not isinstance(): bool is an int
+        raise MalformedInput("edge and free-loop counts must be integers")
+    if edges < 0 or free_loops < 0:
+        raise MalformedInput("edge and free-loop counts must be non-negative")
+    if free_loops > MAX_FREE_LOOPS:
+        raise MalformedInput(f"free_loops {free_loops} exceeds the maximum {MAX_FREE_LOOPS}")
+
+
 def validate_diagram(d: VirtualDiagram) -> DiagramReport:
-    """Check slot discipline: every edge once as an in-slot, once as an out-slot."""
-    if type(d.edges) is not int or type(d.free_loops) is not int:
-        return DiagramReport(False, "edge and free-loop counts must be integers")
-    if d.edges < 0 or d.free_loops < 0:
-        return DiagramReport(False, "edge and free-loop counts must be non-negative")
-    if d.free_loops > MAX_FREE_LOOPS:
-        return DiagramReport(False, f"free_loops {d.free_loops} exceeds the maximum {MAX_FREE_LOOPS}")
+    """Check the two counts and the slot discipline: every edge once as an
+    in-slot, once as an out-slot."""
     try:
+        _check_counts(d.edges, d.free_loops)
         _checked_slot_maps(d.edges, d.crossings)
     except MalformedInput as exc:
         return DiagramReport(False, str(exc))

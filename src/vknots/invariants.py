@@ -83,12 +83,12 @@ def _exponent(c: Cocycle2, slots, coloring) -> int:
 def _state_sum(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> WeightPolynomial:
     """f's state sum: t**weight for every coloring under the twist map f, from one
     enumeration, each multiplicity times the free-loop factor |G|**free_loops.
-    The caller has checked that f is an automorphism."""
+    The caller has checked that f is an automorphism; the enumeration comes
+    first, so that a malformed diagram is refused before its counts are read."""
+    colorings = _enumerate(d, q, f)
     slots = _weight_slots(d)
     loops = q.order**d.free_loops
-    return WeightPolynomial.from_pairs(
-        (c.group.reduce(_exponent(c, slots, a)), loops) for a in _enumerate(d, q, f)
-    )
+    return WeightPolynomial.from_pairs((c.group.reduce(_exponent(c, slots, a)), loops) for a in colorings)
 
 
 def _z1(c: Cocycle2, s: WeightPolynomial) -> Weight:
@@ -126,8 +126,9 @@ def coloring_weight(d: VirtualDiagram, c: Cocycle2, coloring) -> Weight:
     on the twist map and are the solver's business).
     """
     q = c.quandle
+    rules = compile_problem(d, q, QuandleMap.identity(q.order))  # refuses a malformed diagram
     check_coloring(d, q, coloring)
-    classical = compile_problem(d, q, QuandleMap.identity(q.order))[: 2 * len(d.classical())]
+    classical = rules[: 2 * len(d.classical())]
     if not satisfying(classical, [coloring]):
         raise InvalidParameter("coloring violates a classical crossing rule")
     return Weight(c.group, _exponent(c, _weight_slots(d), coloring))
@@ -185,9 +186,10 @@ def compute_invariant(
         raise InvalidParameter(f"unknown invariant kind {kind!r}")
     _check_cocycle_quandle(q, c)
     if kind == "z":
+        f = QuandleMap.identity(q.order)
+        compile_problem(d, q, f)  # refuses a malformed diagram before its records are read
         if d.virtual():
             raise WrongKind("the classical state sum is undefined on virtual diagrams; use Z2")
-        f = QuandleMap.identity(q.order)
     elif f is None:
         raise InvalidParameter(f"invariant {kind!r} needs an automorphism")
     else:

@@ -17,18 +17,23 @@ automorphism.  A rule with ``by = -1`` is a bijection read directly from
 ``fwd`` and ``back``; an under-rule needs the over color first, and the
 tables are stored by over color so that ``fwd[o]`` is again a bijection.
 
-The search (``solver.enumerate_colorings``) composes the ``by = -1`` rules
-along each arc and propagates the under-rules between arcs; the oracle,
+``compile_problem`` reads each crossing record once, unpacking it as
+``(tag, sign or chirality, in, out, in, out)``, and returns the
+under-rules, then the over-rules, then the virtual rules.  The search
+(``solver.enumerate_colorings``) composes the ``by = -1`` rules along
+each arc and propagates the under-rules between arcs; the oracle,
 ``verify_coloring`` and ``coloring_weight`` test the rules with
-``satisfying``.  ``compile_problem`` does not check the twist map: each
-public entry point calls ``check_twist`` once.  The crossing weights are
-not rules; ``invariants`` reads them off the diagram itself.
+``satisfying``.  Since every one of them compiles first, a diagram that
+``validate_diagram`` refuses is refused here, with its message, as
+``MalformedInput``.  ``compile_problem`` does not check the twist map:
+each public entry point calls ``check_twist`` once.  The crossing
+weights are not rules; ``invariants`` reads them off the diagram itself.
 """
 
 from __future__ import annotations
 
 from .algebra import FiniteQuandle, QuandleMap, _invert, is_automorphism
-from .diagram import VirtualDiagram
+from .diagram import VirtualDiagram, _check_counts
 from .errors import InvalidParameter
 
 BACKEND = "python"
@@ -57,24 +62,28 @@ def compile_problem(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> tuple
 
     The under-rules of the classical crossings come first (in crossing
     order), then their over-rules, then the virtual passages; so the
-    under-rules are the rules with ``by >= 0``, and the first
-    ``2 * len(d.classical())`` rules do not depend on the twist map.
+    under-rules are the rules before the first one with ``by < 0``, and
+    they and the over-rules do not depend on the twist map.  A diagram
+    that ``validate_diagram`` refuses raises ``MalformedInput`` with its
+    message: its two counts are checked here and its records by its
+    ``slot_maps``, built and checked once per diagram (a move output
+    comes with them filled in).
     """
+    _check_counts(d.edges, d.free_loops)
+    d.slot_maps  # read for its check: built and checked on first use
     times, divide = q.columns, q.division  # times[o][x] = x * o, divide[o][x * o] = x
     fplus = f.images
     fminus = _invert(fplus)
     identity = tuple(range(q.order))
-    classical = d.classical()
-    under, over = [], []
-    for c in classical:
-        fwd, back = (times, divide) if c.sign > 0 else (divide, times)
-        under.append((c.under_in, c.under_out, c.over_in, fwd, back))
-        over.append((c.over_in, c.over_out, -1, identity, identity))
-    virtual = []
-    for c in d.virtual():
-        first, second = (fminus, fplus) if c.chirality > 0 else (fplus, fminus)
-        virtual.append((c.first_in, c.first_out, -1, first, second))
-        virtual.append((c.second_in, c.second_out, -1, second, first))
+    under, over, virtual = [], [], []
+    for tag, s, w, x, y, z in d.crossings:  # passages (w -> x) and (y -> z)
+        if tag:  # virtual, chirality s
+            first, second = (fminus, fplus) if s > 0 else (fplus, fminus)
+            virtual.append((w, x, -1, first, second))
+            virtual.append((y, z, -1, second, first))
+        else:  # classical, sign s: under (w -> x) by the over-strand's in-edge y
+            under.append((w, x, y, times, divide) if s > 0 else (w, x, y, divide, times))
+            over.append((y, z, -1, identity, identity))
     return tuple(under + over + virtual)
 
 

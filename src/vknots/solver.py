@@ -13,27 +13,29 @@ there.
 A coloring is fixed by the colors of the diagram's arcs, the pieces of
 strand from one under passage to the next, so ``enumerate_colorings``
 searches over arcs, one variable per arc: the color of its first edge.
-Walking an arc from an under-rule's ``out`` edge through the ``by = -1``
-rules composes the twist tables met on the way (only those that are not
-the identity, so an over-passage costs nothing) into a permutation from
-the arc's start color to each edge's color.  A component with no under
-passage is one closed arc, walked from its lowest edge; it may take only
-the fixed points of the permutation composed once round it.  Each
-classical crossing becomes one arc rule relating its in-arc and out-arc
-through the color of its over-arc, each color read through its edge's
-permutation.  The search branches on the uncolored over-arc of the first
-crossing, in crossing order, whose in-arc or out-arc is colored, else on
-the arc that holds the lowest uncolored edge; it propagates the arc rules
-and backtracks on conflict; a branch, taken or failed, uncolors the arcs
-its propagation colored in one place.  A rule forces its in-arc from its
-out-arc only when every column of q is a bijection (axiom 2); otherwise
-the in-arc is left to a later branch.  ``_search`` runs this search and
-two finishers read it: ``_enumerate`` lists, expanding each solution to
-its edge colors by walking its arcs (only ``enumerate_colorings`` sorts
-the list), and ``count_colorings`` counts, building no coloring.  A
-public entry point checks the twist map once; the invariant layer, which
-has checked it and sums over the colorings in any order, calls the
-unchecked ``_enumerate``.
+One pass over the compiled rules fills two lists indexed by edge, the
+next edge through its ``by = -1`` rule and that rule's twist table when
+it is not the identity.  Walking an arc on them from an under-rule's
+``out`` edge composes the tables met on the way (so an over-passage
+costs nothing) into a permutation from the arc's start color to each
+edge's color.  A component with no under passage is one closed arc,
+walked from its lowest edge; it may take only the fixed points of the
+permutation composed once round it.  Each classical crossing becomes one
+arc rule, made from its under-rule alone, relating its in-arc and
+out-arc through the color of its over-arc, each color read through its
+edge's permutation.  The search branches on the uncolored over-arc of
+the first crossing, in crossing order, whose in-arc or out-arc is
+colored, else on the arc that holds the lowest uncolored edge; it
+propagates the arc rules and backtracks on conflict; a branch, taken or
+failed, uncolors the arcs its propagation colored in one place.  A rule
+forces its in-arc from its out-arc only when every column of q is a
+bijection (axiom 2); otherwise the in-arc is left to a later branch.
+``_search`` runs this search and two finishers read it: ``_enumerate``
+lists, expanding each solution to its edge colors by walking its arcs
+(only ``enumerate_colorings`` sorts the list), and ``count_colorings``
+counts, building no coloring.  A public entry point checks the twist map
+once; the invariant layer, which has checked it and sums over the
+colorings in any order, calls the unchecked ``_enumerate``.
 
 The root arc, the first one branched on, tries one color per orbit of a
 group H of automorphisms that commute with f.  Such an h maps the
@@ -53,6 +55,11 @@ representative's colorings in search order, then their images, an order
 that changes with H; the sorted list does not.  As c -> h o c maps y's
 colorings one-to-one onto x's, ``count_colorings`` gives x the count of y.
 
+Every entry point compiles the rules first, so a diagram that
+``validate_diagram`` refuses (a count that is no int in range, an edge
+label out of range, a slot used twice, a dangling edge) raises
+``MalformedInput`` with its message before any coloring is read.
+
 ``brute_force_colorings`` is the oracle: it tries every assignment of
 colors to the arcs (n^arcs of them, bounded by a ceiling), completes each
 by walking the arcs edge by edge through their over-passages and twists,
@@ -67,11 +74,11 @@ factor handled by the invariant layer and by ``count_colorings``.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from itertools import chain, product
 
 from .algebra import FiniteQuandle, QuandleMap, _invert
 from .diagram import VirtualDiagram
-from .errors import SearchBoundExceeded
+from .errors import InvalidParameter, SearchBoundExceeded
 from .kernel import check_coloring, check_twist, compile_problem, satisfying
 
 DEFAULT_BRUTE_FORCE_CEILING = 10**7
@@ -79,9 +86,10 @@ DEFAULT_BRUTE_FORCE_CEILING = 10**7
 
 def verify_coloring(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap, coloring) -> bool:
     """True iff every crossing constraint holds for the given edge colors."""
-    check_coloring(d, q, coloring)
     check_twist(q, f)
-    return bool(satisfying(compile_problem(d, q, f), [coloring]))
+    rules = compile_problem(d, q, f)  # refuses a malformed diagram before the coloring is read
+    check_coloring(d, q, coloring)
+    return bool(satisfying(rules, [coloring]))
 
 
 def enumerate_colorings(
@@ -113,37 +121,49 @@ def _arcs(d: VirtualDiagram, rules, identity: tuple):
     the edge's color; per arc, the permutation composed once round it when
     the arc is closed, else None.
 
-    Walking forward from an under-rule's ``out`` edge through the
-    ``by = -1`` rules ends at the next under-rule's ``in`` edge; a
-    component with no under passage is one closed arc, walked from its
-    lowest edge.  Only twist tables that are not the identity are
-    composed, so the walk costs O(virtual passages * n) and an
-    over-passage costs nothing.
+    One pass over the rules lists the under-rules' ``out`` edges, where
+    arcs start, and fills two lists indexed by edge: the next edge through
+    the edge's ``by = -1`` rule (-1 at an under passage, which ends the
+    arc) and the rule's twist table, stored only when it is not the
+    identity, which is decided once per run of rules sharing a table
+    object (the over-rules share one).  Walking forward from an arc's
+    start ends at the next under-rule's ``in`` edge; a component with no
+    under passage is one closed arc, walked from its lowest edge.  Only
+    the stored tables are composed, so the walk costs O(virtual passages
+    * n) and an over-passage costs nothing.
     """
-    classical = 2 * len(d.classical())  # under-rules, then over-rules, then twists
-    step = {
-        i: (o, None if k < classical or fwd == identity else fwd)
-        for k, (i, o, b, fwd, _) in enumerate(rules)
-        if b < 0
-    }
-    arc_of = [-1] * d.edges
-    perm_of: list[tuple] = [identity] * d.edges
+    edges = d.edges
+    nxt = [-1] * edges
+    twist: list[tuple | None] = [None] * edges
+    starts = []
+    last = kept = None
+    for i, o, b, fwd, _ in rules:
+        if b >= 0:
+            starts.append(o)
+            continue
+        nxt[i] = o
+        if fwd is not last:  # the over-rules share one table object
+            last = fwd
+            kept = None if fwd == identity else fwd
+        twist[i] = kept
+    arc_of = [-1] * edges
+    perm_of: list[tuple] = [identity] * edges
     loops: list[tuple | None] = []
-    for start in [o for _, o, b, _, _ in rules if b >= 0] + list(range(d.edges)):
+    for start in chain(starts, range(edges)):
         if arc_of[start] >= 0:
             continue
+        arc = len(loops)
         e, perm = start, identity
         while True:
-            arc_of[e], perm_of[e] = len(loops), perm
-            if e not in step:  # an under passage ends the arc
-                loops.append(None)
-                break
-            e, table = step[e]
+            arc_of[e] = arc
+            perm_of[e] = perm
+            table = twist[e]
             if table is not None:
                 perm = table if perm is identity else tuple(map(table.__getitem__, perm))
-            if e == start:
-                loops.append(perm)
+            e = nxt[e]
+            if e < 0 or e == start:  # an under passage, which stores no twist, or the way round
                 break
+        loops.append(None if e < 0 else perm)
     return arc_of, perm_of, loops
 
 
@@ -194,19 +214,25 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
     # does the out-arc's color force the in-arc's
     bijective = q.generation[2] is not None
     arc_rules = []
-    for i, o, b, fwd, back in rules:
-        if b >= 0:
-            p_in, p_by = perm_of[i], perm_of[b]
-            if p_by is not identity:
-                fwd, back = [fwd[z] for z in p_by], [back[z] for z in p_by]
-            p_in_inv = p_in if p_in is identity else _invert(p_in)
-            arc_rules.append((arc_of[i], p_in, p_in_inv, arc_of[o], arc_of[b], fwd, back if bijective else None))
     incident: list[list[tuple]] = [[] for _ in loops]  # arc -> the arc rules it appears in
-    for rule in arc_rules:
-        for a in {rule[0], rule[3], rule[4]}:
-            incident[a].append(rule)
+    for i, o, b, fwd, back in rules:
+        if b < 0:  # the under-rules come first
+            break
+        p_in, p_by = perm_of[i], perm_of[b]
+        if p_by is not identity:
+            fwd, back = [fwd[z] for z in p_by], [back[z] for z in p_by]
+        p_in_inv = p_in if p_in is identity else _invert(p_in)
+        ia, oa, ba = arc_of[i], arc_of[o], arc_of[b]
+        rule = (ia, p_in, p_in_inv, oa, ba, fwd, back if bijective else None)
+        arc_rules.append(rule)
+        incident[ia].append(rule)
+        if oa != ia:
+            incident[oa].append(rule)
+        if ba != ia and ba != oa:
+            incident[ba].append(rule)
     # a closed arc may take only the fixed points of its loop permutation
-    domains = [range(n) if p is None else [x for x in range(n) if p[x] == x] for p in loops]
+    every = range(n)
+    domains = [every if p is None else [x for x in every if p[x] == x] for p in loops]
     by_lowest_edge = list(dict.fromkeys(arc_of))
     results: list[tuple[int, ...]] = []
 
@@ -332,12 +358,15 @@ def brute_force_colorings(
     color per strand, and the scan covers all ``n**strands`` assignments,
     each completed to a full coloring and tested by ``kernel.satisfying``
     against every rule; more than ``ceiling`` assignments raise
-    ``SearchBoundExceeded``.  It shares only the compiled rules with
-    ``enumerate_colorings`` (no propagation) and must return the same
-    list on every diagram within the ceiling.
+    ``SearchBoundExceeded``; a ceiling that is not an int (``bool``
+    included) raises ``InvalidParameter``.  It shares only the compiled
+    rules with ``enumerate_colorings`` (no propagation) and must return the
+    same list on every diagram within the ceiling.
     """
     check_twist(q, f)
     compiled = compile_problem(d, q, f)
+    if type(ceiling) is not int:  # type(), not isinstance(): bool is an int
+        raise InvalidParameter(f"the ceiling must be an integer, got {ceiling!r}")
     n = q.order
     passage = {i: (o, fwd) for i, o, b, fwd, _ in compiled if b < 0}
     starts = [o for _, o, b, _, _ in compiled if b >= 0]

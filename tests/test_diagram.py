@@ -340,6 +340,16 @@ def test_slot_maps_refuse_an_inconsistent_code(d, message):
     assert "slot_maps" not in vars(d)
 
 
+@pytest.mark.parametrize("edges", [2.5, 2.0, "2", None, True])
+def test_slot_maps_refuse_an_edge_count_that_is_no_int(edges):
+    d = VirtualDiagram(edges, 0, (ClassicalCrossing(1, 0, 1, 1, 0),))
+    with pytest.raises(MalformedInput) as err:
+        d.slot_maps
+    assert str(err.value) == f"the edge count must be an integer, got {edges!r}"
+    assert validate_diagram(d).message == "edge and free-loop counts must be integers"
+    assert "slot_maps" not in vars(d)
+
+
 # Move outputs: the final diagram of a short trace per corpus name and seed.
 _TRACED = [
     (f"{name}-{seed}", random_equivalent(builder(name), seed, 60)[0])

@@ -798,6 +798,18 @@ def test_an_inconsistent_code_is_refused_as_malformed_input(call):
         call(INCONSISTENT)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [find_r2_sites, find_r3_sites, lambda d: random_equivalent(d, 0, 5)],
+    ids=["find_r2_sites", "find_r3_sites", "random_equivalent"],
+)
+def test_an_edge_count_that_is_no_int_is_refused_as_malformed_input(call):
+    # a bare TypeError from range(2.5) before the slot maps checked the count
+    d = VirtualDiagram(2.5, 0, (ClassicalCrossing(1, 0, 1, 1, 0),))
+    with pytest.raises(MalformedInput, match=r"the edge count must be an integer, got 2\.5"):
+        call(d)
+
+
 def test_r3_slide_refuses_a_third_bridge_that_does_not_close_the_triangle():
     d = builder("trefoil")
     consumed, emitted = d.slot_maps

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 from math import gcd
 
@@ -25,9 +26,19 @@ from vknots.diagram import (
     validate_diagram,
 )
 from vknots.moves import random_equivalent
-from vknots.errors import InvalidParameter, SearchBoundExceeded
-from vknots.invariants import coloring_weight, compute_invariant, invariant_bundle
+from vknots.errors import InvalidParameter, MalformedInput, SearchBoundExceeded
+from vknots.invariants import (
+    aut_sum_z3,
+    coloring_weight,
+    compute_invariant,
+    invariant_bundle,
+    state_sum_classical,
+    state_sum_z2,
+    state_weight_z1,
+)
+from vknots.kernel import compile_problem
 from vknots.solver import (
+    _arcs,
     _root_orbits,
     brute_force_colorings,
     count_colorings,
@@ -476,3 +487,148 @@ def test_search_matches_linear_algebra_at_scale(ladder_diagrams, size, n):
     for spec, (u, b) in AFFINE_TWISTS.items():
         f = QuandleMap(tuple((u * x + b) % n for x in range(n)))
         assert count_colorings(d, q, f) == _affine_count(d, n, u, b), spec
+
+
+# ---------------------------------------------------------------------------
+# The search's set-up against references of its own.  compile_problem reads
+# each record once as a tuple and _arcs walks lists indexed by edge; these
+# references read the records' named fields and walk a dict, and must give
+# equal rules and arcs on the corpus, on move outputs and on a large diagram.
+
+
+def _reference_rules(d, q, f):
+    """The strand rules, read off the records' named fields: under-rules,
+    then over-rules, then the virtual passages."""
+    identity = tuple(range(q.order))
+    f_inv = tuple(f.images.index(x) for x in range(q.order))
+    under, over, virtual = [], [], []
+    for c in d.crossings:
+        if isinstance(c, ClassicalCrossing):
+            fwd, back = (q.columns, q.division) if c.sign == 1 else (q.division, q.columns)
+            under.append((c.under_in, c.under_out, c.over_in, fwd, back))
+            over.append((c.over_in, c.over_out, -1, identity, identity))
+        else:
+            first, second = (f_inv, f.images) if c.chirality == 1 else (f.images, f_inv)
+            virtual.append((c.first_in, c.first_out, -1, first, second))
+            virtual.append((c.second_in, c.second_out, -1, second, first))
+    return tuple(under + over + virtual)
+
+
+def _reference_arcs(d, rules, identity):
+    """The arcs of a walk on a dict from each edge to its next edge and twist."""
+    classical = 2 * len(d.classical())  # under-rules, then over-rules, then twists
+    step = {
+        i: (o, None if k < classical or fwd == identity else fwd)
+        for k, (i, o, b, fwd, _) in enumerate(rules)
+        if b < 0
+    }
+    arc_of = [-1] * d.edges
+    perm_of = [identity] * d.edges
+    loops = []
+    for start in [o for _, o, b, _, _ in rules if b >= 0] + list(range(d.edges)):
+        if arc_of[start] >= 0:
+            continue
+        e, perm = start, identity
+        while True:
+            arc_of[e], perm_of[e] = len(loops), perm
+            if e not in step:  # an under passage ends the arc
+                loops.append(None)
+                break
+            e, table = step[e]
+            if table is not None:
+                perm = table if perm is identity else tuple(map(table.__getitem__, perm))
+            if e == start:
+                loops.append(perm)
+                break
+    return arc_of, perm_of, loops
+
+
+def _set_up_inputs():
+    yield from (builder(name) for name in BUILDER_NAMES)
+    yield from (make() for make in ARC_CASES.values())
+    for name in BUILDER_NAMES:
+        for seed in range(3):
+            yield random_equivalent(builder(name), seed, 60)[0]
+    yield random_equivalent(builder("figure_eight"), 36, 250, soft_cap=105)[0]  # E = 102
+
+
+SET_UP_INPUTS = list(_set_up_inputs())
+# every automorphism of R3, R4 and R5: the identity, inner:0, the shift,
+# [1, 2, 3, 0] and x -> 2x, which differs from its inverse, among them
+SET_UP_TWISTS = [(make_dihedral(n), f) for n in (3, 4, 5) for f in automorphisms(make_dihedral(n))]
+
+
+def test_set_up_twists_include_the_named_maps():
+    maps = {f.images for _, f in SET_UP_TWISTS}
+    named = [
+        *(tuple(range(n)) for n in (3, 4, 5)),
+        *(inner_automorphism(make_dihedral(n), 0).images for n in (3, 4, 5)),
+        *(tuple((x + 1) % n for x in range(n)) for n in (3, 4, 5)),
+        (1, 2, 3, 0),
+        (0, 2, 4, 1, 3),
+    ]
+    assert all(images in maps for images in named)
+    assert len(SET_UP_INPUTS) == 10 + len(ARC_CASES) + 30 + 1 and SET_UP_INPUTS[-1].edges == 102
+
+
+def test_compile_problem_matches_the_named_fields():
+    for d in SET_UP_INPUTS:
+        for q, f in SET_UP_TWISTS:
+            assert compile_problem(d, q, f) == _reference_rules(d, q, f), (d, f.images)
+
+
+def test_arcs_match_a_dict_walk():
+    for d in SET_UP_INPUTS:
+        for q, f in SET_UP_TWISTS:
+            rules, identity = compile_problem(d, q, f), tuple(range(q.order))
+            arcs, reference = _arcs(d, rules, identity), _reference_arcs(d, rules, identity)
+            assert arcs == reference, (d, f.images)
+            # an edge whose permutation is the identity holds the identity object itself
+            assert [p is identity for p in arcs[1]] == [p is identity for p in reference[1]]
+
+
+# ---------------------------------------------------------------------------
+# Diagrams that validate_diagram refuses, built with the constructor: every
+# coloring entry point refuses them with its message.  They used to raise a
+# bare TypeError, IndexError or KeyError, or were answered.
+
+TREFOIL_RECORDS = builder("trefoil").crossings
+MALFORMED = {
+    "edge count 2.5": VirtualDiagram(2.5, 0, (ClassicalCrossing(1, 0, 1, 1, 0),)),
+    "label 5 of 2 edges": VirtualDiagram(2, 0, (ClassicalCrossing(1, 0, 5, 1, 0),)),
+    "dangling third edge": VirtualDiagram(3, 0, (ClassicalCrossing(1, 0, 1, 1, 0),)),
+    **{f"free_loops {x!r}": VirtualDiagram(6, x, TREFOIL_RECORDS) for x in (0.5, -1, True, 2000)},
+    # Z refuses a virtual diagram with WrongKind, but only a well-formed one
+    "virtual kink, edge count 2.5": VirtualDiagram(2.5, 0, (VirtualCrossing(0, 1, 1, 0, 1),)),
+}
+
+
+COLORING_CALLS = {
+    "count_colorings": lambda d: count_colorings(d, Q4, ID4),
+    "enumerate_colorings": lambda d: enumerate_colorings(d, Q4, ID4),
+    "brute_force_colorings": lambda d: brute_force_colorings(d, Q4, ID4),
+    "verify_coloring": lambda d: verify_coloring(d, Q4, ID4, (0,) * 6),
+    "coloring_weight": lambda d: coloring_weight(d, example_cocycle_r4(), (0,) * 6),
+    "state_sum_classical": lambda d: state_sum_classical(d, Q4, example_cocycle_r4()),
+    "state_weight_z1": lambda d: state_weight_z1(d, Q4, example_cocycle_r4(), ID4),
+    "state_sum_z2": lambda d: state_sum_z2(d, Q4, example_cocycle_r4(), ID4),
+    "aut_sum_z3": lambda d: aut_sum_z3(d, Q4, example_cocycle_r4()),
+    "invariant_bundle": lambda d: invariant_bundle(d, Q4, example_cocycle_r4(), ID4),
+}
+
+
+@pytest.mark.parametrize("call", COLORING_CALLS)
+@pytest.mark.parametrize("case", MALFORMED)
+def test_every_coloring_entry_point_refuses_a_malformed_diagram(case, call):
+    d = MALFORMED[case]
+    message = validate_diagram(d).message
+    assert message
+    with pytest.raises(MalformedInput) as err:
+        COLORING_CALLS[call](d)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("ceiling", [None, "10", 2.5, 10.0, True, False])
+def test_the_oracle_refuses_a_ceiling_that_is_no_int(ceiling):
+    with pytest.raises(InvalidParameter, match=rf"the ceiling must be an integer, got {re.escape(repr(ceiling))}"):
+        brute_force_colorings(builder("trefoil"), Q4, ID4, ceiling)
