@@ -34,10 +34,21 @@ class declares its constructor and JSON field order (``FIELDS``).
 Records come only from the two checked constructors and from
 ``_renamed``, the one rename rule, which ``isomorphic`` and
 ``relabel_canonical`` read; it hands back a record whose labels the
-renaming keeps.  ``relabel_canonical``, the last step of every move,
-remakes the plain slot tuples the moves edit into sorted records and
-fills the result's ``slot_maps``; any other diagram builds them on first
-use, refusing a code that breaks the slot discipline.
+renaming keeps.
+
+A crossing's kind is its tag: past the gate, every kind test in the
+package reads ``c[0]`` (0 classical, 1 virtual), never the record's
+class.  That holds because a diagram comes in through one of two doors.  ``slot_maps`` is the one gate for any
+diagram the moves engine did not make, built on first use: it checks the
+two counts, then, crossing by crossing in passage order, that each is a
+record of its tag's class and keeps the slot discipline, and refuses the
+first fault with ``MalformedInput``.  ``validate_diagram``, the coloring
+problem, the invariants, the successor cycles and every move read it
+before anything else of the diagram.  The second door is
+``relabel_canonical``, the last step of every move: it remakes the plain
+slot tuples the moves edit (from a diagram that passed the gate) into
+sorted records and fills the result's ``slot_maps`` unchecked, so it
+checks the two counts it emits.
 """
 
 from __future__ import annotations
@@ -126,24 +137,28 @@ class VirtualDiagram(Value):
         set_field(self, "crossings", crossings)
 
     def classical(self) -> list[ClassicalCrossing]:
-        return [c for c in self.crossings if isinstance(c, ClassicalCrossing)]
+        return [c for c in self.crossings if not c[0]]
 
     def virtual(self) -> list[VirtualCrossing]:
-        return [c for c in self.crossings if isinstance(c, VirtualCrossing)]
+        return [c for c in self.crossings if c[0]]
 
     @cached_property
     def slot_maps(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """(consumed, emitted): two lists indexed by edge, holding the (crossing
         index, role) of the edge's in- and out-slot.
 
-        Built once per diagram, which is immutable (``relabel_canonical``
-        fills them in for every move output); callers must not mutate the
-        returned lists.  Built here, from records that were never checked,
-        they refuse an edge count that is not an int, an edge label outside
-        0..edges-1, a slot used twice and an edge without an in- or out-slot
-        with ``MalformedInput``.
+        The one gate: built once per diagram, which is immutable
+        (``relabel_canonical`` fills them in for every move output, after
+        checking its two counts); callers must not mutate the returned
+        lists.  Built here, from a diagram that was never checked, they
+        refuse it with ``MalformedInput`` at its first fault, in this order:
+        an edge or free-loop count that is no int, is negative or (free
+        loops) exceeds ``MAX_FREE_LOOPS``; then, crossing by crossing in
+        passage order, a crossing that is no record of its tag's class (a
+        plain tuple, say), an edge label outside 0..edges-1 and a slot used
+        twice; last, an edge without an in- or out-slot.
         """
-        return _checked_slot_maps(self.edges, self.crossings)
+        return _checked_slot_maps(self.edges, self.free_loops, self.crossings)
 
 
 class DiagramReport(Value):
@@ -174,16 +189,18 @@ def _slot_maps(edges: int, crossings) -> tuple[list[tuple[int, int]], list[tuple
     return consumed, emitted
 
 
-def _checked_slot_maps(edges: int, crossings) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The slot maps of any crossings, refusing a code that breaks the slot
-    discipline with ``MalformedInput``, at its first fault in passage order.
+def _checked_slot_maps(edges, free_loops, crossings) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The slot maps of any diagram, refusing it with ``MalformedInput`` at its
+    first fault: its two counts, then, in passage order, a crossing that is no
+    record of its tag's class or a slot that breaks the slot discipline.
     The slots are gathered in dicts, so a huge edge count costs nothing
     before the first edge found without a slot."""
-    if type(edges) is not int:
-        raise MalformedInput(f"the edge count must be an integer, got {edges!r}")
+    _check_counts(edges, free_loops)
     consumed: dict[int, tuple[int, int]] = {}
     emitted: dict[int, tuple[int, int]] = {}
     for ci, c in enumerate(crossings):
+        if type(c) not in _RECORD_CLASSES or type(c) is not _RECORD_CLASSES[c[0]]:
+            raise MalformedInput(f"crossings[{ci}]: {c!r} is not a crossing record")
         for role, e_in, e_out in strand_passages(c):
             for e, slots, what in ((e_in, consumed, "in"), (e_out, emitted, "out")):
                 if type(e) is not int or not 0 <= e < edges:
@@ -211,11 +228,12 @@ def _check_counts(edges, free_loops) -> None:
 
 
 def validate_diagram(d: VirtualDiagram) -> DiagramReport:
-    """Check the two counts and the slot discipline: every edge once as an
-    in-slot, once as an out-slot."""
+    """The gate's verdict: whether ``d.slot_maps`` builds, which checks the two
+    counts, then in passage order that each crossing is a record of its tag's
+    class and that every edge is once an in-slot and once an out-slot; the
+    message is that of the first fault."""
     try:
-        _check_counts(d.edges, d.free_loops)
-        _checked_slot_maps(d.edges, d.crossings)
+        d.slot_maps
     except MalformedInput as exc:
         return DiagramReport(False, str(exc))
     return DiagramReport(True)
@@ -223,8 +241,8 @@ def validate_diagram(d: VirtualDiagram) -> DiagramReport:
 
 def successor_cycles(d: VirtualDiagram) -> list[list[int]]:
     """Cycles of the successor permutation (edge -> next edge along its strand),
-    each starting at its lowest edge."""
-    succ = {e_in: e_out for c in d.crossings for _, e_in, e_out in strand_passages(c)}
+    each starting at its lowest edge, walked on the slot maps."""
+    succ = [d.crossings[ci][3 + 2 * role] for ci, role in d.slot_maps[0]]
     seen = set()
     cycles = []
     for start in range(d.edges):
@@ -283,6 +301,8 @@ def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
     after every rewriting move.  The entries are checked records or plain
     slot tuples edited from them, each remade by ``_renamed``; the result's
     ``slot_maps`` are filled in here, so a move output never rebuilds them.
+    This is the second door by which a diagram comes in, besides the gate
+    of ``slot_maps``, so the two counts of the result are checked here.
     """
     succ: dict[int, int] = {}
     for _, _, w, x, y, z in crossings:  # passages (w -> x) and (y -> z)
@@ -303,6 +323,7 @@ def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
             e = succ[e]
         if n == len(succ):  # every edge labelled: no later start is needed
             break
+    _check_counts(n, free_loops)
     records = tuple(sorted(_renamed(crossings, label)))
     d = VirtualDiagram(n, free_loops, records)
     d.__dict__["slot_maps"] = _slot_maps(n, records)  # the cached_property's slot
@@ -335,14 +356,11 @@ def _component_signatures(d: VirtualDiagram, cycles) -> list:
 
 def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
     """Equality up to an edge relabelling (components may be matched freely)."""
-    if a.edges != b.edges or a.free_loops != b.free_loops:
-        return False
-    if len(a.crossings) != len(b.crossings):
+    cycles_a, cycles_b = successor_cycles(a), successor_cycles(b)  # each diagram through the gate
+    if (a.edges, a.free_loops, len(a.crossings)) != (b.edges, b.free_loops, len(b.crossings)):
         return False
     if a.edges == 0:
         return True
-    cycles_a = successor_cycles(a)
-    cycles_b = successor_cycles(b)
     # refuses most pairs that are not isomorphic without a search
     if _component_signatures(a, cycles_a) != _component_signatures(b, cycles_b):
         return False

@@ -72,7 +72,7 @@ class InvariantResult(Value):
 def _weight_slots(d: VirtualDiagram) -> list[tuple[int, int, int]]:
     """One slot (sign, edge, by) per classical crossing, in crossing order: a
     coloring weighs the product of phi(color(edge), color(by))**sign."""
-    return [(c.sign, c.under_in if c.sign > 0 else c.under_out, c.over_in) for c in d.classical()]
+    return [(s, w if s > 0 else x, y) for tag, s, w, x, y, _ in d.crossings if not tag]
 
 
 def _exponent(c: Cocycle2, slots, coloring) -> int:
@@ -187,7 +187,7 @@ def compute_invariant(
     _check_cocycle_quandle(q, c)
     if kind == "z":
         f = QuandleMap.identity(q.order)
-        compile_problem(d, q, f)  # refuses a malformed diagram before its records are read
+        d.slot_maps  # the gate: refuses a malformed diagram before its records are read
         if d.virtual():
             raise WrongKind("the classical state sum is undefined on virtual diagrams; use Z2")
     elif f is None:

@@ -23,17 +23,19 @@ under-rules, then the over-rules, then the virtual rules.  The search
 (``solver.enumerate_colorings``) composes the ``by = -1`` rules along
 each arc and propagates the under-rules between arcs; the oracle,
 ``verify_coloring`` and ``coloring_weight`` test the rules with
-``satisfying``.  Since every one of them compiles first, a diagram that
-``validate_diagram`` refuses is refused here, with its message, as
-``MalformedInput``.  ``compile_problem`` does not check the twist map:
-each public entry point calls ``check_twist`` once.  The crossing
+``satisfying``.  Every one of them compiles first, and
+``compile_problem`` reads the diagram's ``slot_maps``, the one gate,
+before its records: so a diagram that ``validate_diagram`` refuses is
+refused here, with its message, as ``MalformedInput``, and past the gate
+a crossing's kind is its tag.  ``compile_problem`` does not check the
+twist map: each public entry point calls ``check_twist`` once.  The crossing
 weights are not rules; ``invariants`` reads them off the diagram itself.
 """
 
 from __future__ import annotations
 
 from .algebra import FiniteQuandle, QuandleMap, _invert, is_automorphism
-from .diagram import VirtualDiagram, _check_counts
+from .diagram import VirtualDiagram
 from .errors import InvalidParameter
 
 BACKEND = "python"
@@ -63,14 +65,14 @@ def compile_problem(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> tuple
     The under-rules of the classical crossings come first (in crossing
     order), then their over-rules, then the virtual passages; so the
     under-rules are the rules before the first one with ``by < 0``, and
-    they and the over-rules do not depend on the twist map.  A diagram
-    that ``validate_diagram`` refuses raises ``MalformedInput`` with its
-    message: its two counts are checked here and its records by its
-    ``slot_maps``, built and checked once per diagram (a move output
-    comes with them filled in).
+    they and the over-rules do not depend on the twist map.  It reads
+    ``d.slot_maps`` first, the one gate, which checks the two counts, the
+    records and the slots once per diagram (a move output comes with them
+    filled in by ``relabel_canonical``, which checks its counts): a
+    diagram that ``validate_diagram`` refuses raises ``MalformedInput``
+    with its message.
     """
-    _check_counts(d.edges, d.free_loops)
-    d.slot_maps  # read for its check: built and checked on first use
+    d.slot_maps  # the gate: built and checked on first use
     times, divide = q.columns, q.division  # times[o][x] = x * o, divide[o][x * o] = x
     fplus = f.images
     fminus = _invert(fplus)

@@ -43,7 +43,9 @@ by edge (a detour, after deleting its interior crossings, in the chain
 ends that ``_remove_crossings`` returns for the merged edges, and in
 ``d.slot_maps`` for every other edge); no move scans the crossing list
 for it.  The scans that run on every move read a record unpacked, as
-``(tag, sign, w, x, y, z)``, with passages (w, x) and (y, z).
+``(tag, sign, w, x, y, z)``, with passages (w, x) and (y, z).  Every
+move and finder reads ``d.slot_maps``, the gate of ``diagram``, before
+anything else of ``d``, and tells a crossing's kind by its tag alone.
 
 A trace is a list of ``MoveRecord``s, and a record is the call that
 replays it: ``apply_move`` calls the move its ``kind`` names with its
@@ -174,6 +176,7 @@ def _delete(d: VirtualDiagram, crossings: set[int]) -> VirtualDiagram:
 
 def _insert_kink(d: VirtualDiagram, edge, kink) -> VirtualDiagram:
     """Insert ``kink(in, loop, out)`` on an edge, or onto a free loop (edge None or LOOP)."""
+    consumed = d.slot_maps[0]  # the gate, before d is read
     a, b = d.edges, d.edges + 1
     if edge is None or edge == LOOP:
         if d.free_loops < 1:
@@ -181,7 +184,7 @@ def _insert_kink(d: VirtualDiagram, edge, kink) -> VirtualDiagram:
         return relabel_canonical([*d.crossings, kink(a, b, a)], d.free_loops - 1)
     _check_edge(d, edge)
     crossings = list(d.crossings)
-    _rewire(crossings, d.slot_maps[0][edge], b)
+    _rewire(crossings, consumed[edge], b)
     crossings.append(kink(edge, a, b))
     return relabel_canonical(crossings, d.free_loops)
 
@@ -192,16 +195,17 @@ def _kink_sites(d: VirtualDiagram, tag: int) -> list[int]:
     listed once, by its passage-0 out-edge."""
     # in a record (tag, s, w, x, y, z), x == y is passage 0 feeding
     # passage 1 and z == w is passage 1 feeding passage 0
+    d.slot_maps  # the gate, before the records are read
     return sorted({x if x == y else z for t, _, w, x, y, z in d.crossings if t == tag and (x == y or z == w)})
 
 
-def _remove_kink(d: VirtualDiagram, loop: int, kind, what: str) -> VirtualDiagram:
-    """Remove the crossing of type ``kind`` that emits ``loop`` from one
-    passage and consumes it in the other."""
-    _check_edge(d, loop)
+def _remove_kink(d: VirtualDiagram, loop: int, tag: int, what: str) -> VirtualDiagram:
+    """Remove the crossing with record tag ``tag`` (0 classical, 1 virtual)
+    that emits ``loop`` from one passage and consumes it in the other."""
     consumed, emitted = d.slot_maps
+    _check_edge(d, loop)
     ci, role = emitted[loop]
-    if consumed[loop] != (ci, 1 - role) or type(d.crossings[ci]) is not kind:
+    if consumed[loop] != (ci, 1 - role) or d.crossings[ci][0] != tag:
         raise NotApplicable(f"edge {loop} is not the loop of a {what}")
     return _delete(d, {ci})
 
@@ -232,7 +236,7 @@ def find_r1_sites(d: VirtualDiagram) -> list[int]:
 
 def r1_remove(d: VirtualDiagram, loop: int) -> VirtualDiagram:
     """Remove the classical kink whose loop edge is given."""
-    return _remove_kink(d, loop, ClassicalCrossing, "classical kink")
+    return _remove_kink(d, loop, 0, "classical kink")
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +249,7 @@ def r2_insert(d: VirtualDiagram, edge_a: int, edge_b: int, over_first: bool = Tr
     With ``over_first`` the a-strand passes over the b-strand at both new
     crossings, otherwise under.
     """
+    consumed = d.slot_maps[0]  # the gate, before d is read
     _check_edge(d, edge_a)
     _check_edge(d, edge_b)
     if edge_a == edge_b:
@@ -252,7 +257,6 @@ def r2_insert(d: VirtualDiagram, edge_a: int, edge_b: int, over_first: bool = Tr
     if type(over_first) is not bool:
         raise InvalidParameter(f"over_first must be True or False, got {over_first!r}")
     m1, m2, k1, k2 = d.edges, d.edges + 1, d.edges + 2, d.edges + 3
-    consumed = d.slot_maps[0]
     crossings = list(d.crossings)
     _rewire(crossings, consumed[edge_a], m2)
     _rewire(crossings, consumed[edge_b], k2)
@@ -275,7 +279,7 @@ def _is_r2_site(d: VirtualDiagram, mid) -> bool:
     if ri != 1 or rj != 1 or ei == cj:  # over at both ends
         return False
     x1, x2 = d.crossings[ei], d.crossings[cj]
-    if type(x1) is not ClassicalCrossing or type(x2) is not ClassicalCrossing:
+    if x1[0] or x2[0]:  # a virtual crossing
         return False
     return x1.sign != x2.sign and (x1.under_out == x2.under_in or x2.under_out == x1.under_in)
 
@@ -283,15 +287,16 @@ def _is_r2_site(d: VirtualDiagram, mid) -> bool:
 def find_r2_sites(d: VirtualDiagram) -> list[int]:
     """Over-strand middle edges of removable pokes, sorted."""
     # a poke's over-middle is emitted by a classical over passage: its over_out
+    d.slot_maps  # the gate, before the records are read
     return sorted(z for tag, _, _, _, _, z in d.crossings if not tag and _is_r2_site(d, z))
 
 
 def r2_remove(d: VirtualDiagram, over_mid: int) -> VirtualDiagram:
     """Remove the poke whose over-strand middle edge is given."""
+    consumed, emitted = d.slot_maps  # the gate, before d is read
     _check_edge(d, over_mid)
     if not _is_r2_site(d, over_mid):
         raise NotApplicable(f"edge {over_mid} is not the over-middle of a poke")
-    consumed, emitted = d.slot_maps
     return _delete(d, {emitted[over_mid][0], consumed[over_mid][0]})
 
 
@@ -339,7 +344,7 @@ def _is_r3_site(d: VirtualDiagram, bridges) -> bool:
     (x,) = cp & cq
     (y,) = cp - {x}
     (z,) = cq - {x}
-    if cr != {y, z} or any(type(d.crossings[ci]) is not ClassicalCrossing for ci in (x, y, z)):
+    if cr != {y, z} or any(d.crossings[ci][0] for ci in (x, y, z)):  # a virtual crossing
         return False
     role = {(e, ci): rl for e in (p, q, r) for ci, rl in (emitted[e], consumed[e])}
     # the two bridges meeting at a crossing must ride different passages
@@ -385,6 +390,7 @@ def find_r3_sites(d: VirtualDiagram) -> list[tuple[int, int, int]]:
 
 def r3_slide(d: VirtualDiagram, bridges) -> VirtualDiagram:
     """Flip the triangle identified by its three bridge edges."""
+    consumed, emitted = d.slot_maps  # the gate, before d is read
     if not isinstance(bridges, (list, tuple)):
         raise InvalidParameter(f"bridges must be a list of edges, got {bridges!r}")
     bridges = tuple(bridges)
@@ -392,7 +398,6 @@ def r3_slide(d: VirtualDiagram, bridges) -> VirtualDiagram:
         _check_edge(d, e)
     if not _is_r3_site(d, bridges):
         raise NotApplicable(f"edges {bridges} do not form a realizable triangle")
-    consumed, emitted = d.slot_maps
     new_slots: dict[tuple[int, int], tuple[int, int]] = {}
     for bridge in bridges:
         first, second = emitted[bridge], consumed[bridge]  # (crossing, role) in traversal order
@@ -421,7 +426,7 @@ def find_vkink_sites(d: VirtualDiagram) -> list[int]:
 
 
 def vkink_remove(d: VirtualDiagram, loop: int) -> VirtualDiagram:
-    return _remove_kink(d, loop, VirtualCrossing, "virtual kink")
+    return _remove_kink(d, loop, 1, "virtual kink")
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +441,7 @@ def _segment(d: VirtualDiagram, start: int, end: int) -> list[tuple[int, int]]:
     while e != end:
         ci, role = consumed[e]
         c = d.crossings[ci]
-        if type(c) is not VirtualCrossing:
+        if not c[0]:
             raise NotApplicable("segment interior contains a classical passage")
         walk.append((ci, role))
         e = _passage(c, role)[1]
@@ -456,11 +461,11 @@ def detour(d: VirtualDiagram, start: int, end: int, passages) -> VirtualDiagram:
     crossings sit along the target in route order.  Endpoints (the slots
     emitting ``start`` and consuming ``end``) are untouched.
     """
+    consumed, emitted = d.slot_maps  # the gate, before d is read
     _check_edge(d, start)
     _check_edge(d, end)
     if not isinstance(passages, (list, tuple)):
         raise InvalidParameter(f"passages must be a list of [edge, chirality] pairs, got {passages!r}")
-    consumed, emitted = d.slot_maps
     interior = {ci for ci, _ in _segment(d, start, end)}
     if emitted[start][0] in interior or consumed[end][0] in interior:
         raise NotApplicable("segment endpoints lie on interior crossings")
@@ -741,6 +746,7 @@ def random_equivalent(
     ``soft_cap`` steers move choice toward removals once the diagram
     outgrows it, keeping fuzz traces affordable.
     """
+    d.slot_maps  # the gate, before d is read
     if type(seed) is not int:  # type(), not isinstance(): bool is an int
         raise InvalidParameter(f"seed must be an int, got {seed!r}")
     if type(n_moves) is not int:

@@ -55,9 +55,11 @@ representative's colorings in search order, then their images, an order
 that changes with H; the sorted list does not.  As c -> h o c maps y's
 colorings one-to-one onto x's, ``count_colorings`` gives x the count of y.
 
-Every entry point compiles the rules first, so a diagram that
-``validate_diagram`` refuses (a count that is no int in range, an edge
-label out of range, a slot used twice, a dangling edge) raises
+Every entry point compiles the rules first, and compiling reads the
+diagram's ``slot_maps``, the one gate; so a diagram that
+``validate_diagram`` refuses (a count that is no int in range, then, in
+passage order, a crossing that is no record of its tag's class, an edge
+label out of range or a slot used twice, last a dangling edge) raises
 ``MalformedInput`` with its message before any coloring is read.
 
 ``brute_force_colorings`` is the oracle: it tries every assignment of

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from vknots.algebra import QuandleMap, make_dihedral
 from vknots.diagram import (
     BUILDER_NAMES,
     MAX_FREE_LOOPS,
@@ -21,7 +22,10 @@ from vknots.diagram import (
     validate_diagram,
 )
 from vknots.errors import InvalidParameter, MalformedInput
-from vknots.moves import MoveRecord, apply_move, random_equivalent
+from vknots.invariants import state_sum_classical
+from vknots.moves import MoveRecord, apply_move, find_r1_sites, find_r2_sites, find_vkink_sites, random_equivalent
+from vknots.solver import count_colorings
+from vknots.weights import example_cocycle_r4
 
 UNKNOT_TEXT = '{"edges":0,"free_loops":1,"crossings":[]}'
 
@@ -305,8 +309,10 @@ def test_built_in_slot_maps_are_edge_indexed_lists():
         assert (consumed, emitted) == _rebuilt_slot_maps(d)
 
 
-# Codes built with the constructor, unchecked; slot_maps refuses each at its
-# first fault in passage order, with validate_diagram's message.
+# Codes that no check has seen, built with the record constructors or, last,
+# from plain tuples that carry a tag and a sign no constructor makes;
+# slot_maps, the one gate, refuses each at its first fault in passage order
+# with the message that validate_diagram reports.
 INCONSISTENT_CODES = {
     "label-out-of-range": (
         VirtualDiagram(2, 0, (ClassicalCrossing(1, 0, 5, 1, 6),)),
@@ -328,6 +334,15 @@ INCONSISTENT_CODES = {
         VirtualDiagram(3, 0, (ClassicalCrossing(1, 0, 1, 2, 0),)),
         "edge 1 is never emitted (dangling in end)",
     ),
+    # trefoil's code with sign 5 read as classical by its tag
+    "plain-tuples": (
+        VirtualDiagram(6, 0, tuple((0, 5) + tuple(c)[2:] for c in builder("trefoil").crossings)),
+        "crossings[0]: (0, 5, 3, 1, 0, 4) is not a crossing record",
+    ),
+    "plain-tuples-tag-7": (
+        VirtualDiagram(6, 0, tuple((7, 5) + tuple(c)[2:] for c in builder("trefoil").crossings)),
+        "crossings[0]: (7, 5, 3, 1, 0, 4) is not a crossing record",
+    ),
 }
 
 
@@ -340,12 +355,37 @@ def test_slot_maps_refuse_an_inconsistent_code(d, message):
     assert "slot_maps" not in vars(d)
 
 
+# the entry points beyond slot_maps and validate_diagram, each through the gate
+# before it reads the diagram
+_Q4 = make_dihedral(4)
+_GATED_CALLS = {
+    "count_colorings": lambda d: count_colorings(d, _Q4, QuandleMap.identity(4)),
+    "state_sum_classical": lambda d: state_sum_classical(d, _Q4, example_cocycle_r4()),
+    "find_r1_sites": find_r1_sites,
+    "find_r2_sites": find_r2_sites,
+    "find_vkink_sites": find_vkink_sites,
+    # no move, so that only the gate can refuse the diagram
+    "random_equivalent": lambda d: random_equivalent(d, 0, 0),
+    "successor_cycles": successor_cycles,
+    "component_count": component_count,
+    "isomorphic": lambda d: isomorphic(d, d),
+}
+
+
+@pytest.mark.parametrize("call", list(_GATED_CALLS.values()), ids=list(_GATED_CALLS))
+@pytest.mark.parametrize("d, message", list(INCONSISTENT_CODES.values()), ids=list(INCONSISTENT_CODES))
+def test_every_entry_point_refuses_an_inconsistent_code_with_the_gates_message(call, d, message):
+    with pytest.raises(MalformedInput) as err:
+        call(d)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("edges", [2.5, 2.0, "2", None, True])
 def test_slot_maps_refuse_an_edge_count_that_is_no_int(edges):
     d = VirtualDiagram(edges, 0, (ClassicalCrossing(1, 0, 1, 1, 0),))
     with pytest.raises(MalformedInput) as err:
         d.slot_maps
-    assert str(err.value) == f"the edge count must be an integer, got {edges!r}"
+    assert str(err.value) == "edge and free-loop counts must be integers"
     assert validate_diagram(d).message == "edge and free-loop counts must be integers"
     assert "slot_maps" not in vars(d)
 
