@@ -38,17 +38,20 @@ renaming keeps.
 
 A crossing's kind is its tag: past the gate, every kind test in the
 package reads ``c[0]`` (0 classical, 1 virtual), never the record's
-class.  That holds because a diagram comes in through one of two doors.  ``slot_maps`` is the one gate for any
-diagram the moves engine did not make, built on first use: it checks the
-two counts, then, crossing by crossing in passage order, that each is a
-record of its tag's class and keeps the slot discipline, and refuses the
-first fault with ``MalformedInput``.  ``validate_diagram``, the coloring
-problem, the invariants, the successor cycles and every move read it
-before anything else of the diagram.  The second door is
+class.  That holds because a diagram comes in through one of two doors.
+``slot_maps`` is the one gate for any diagram the moves engine did not
+make, built on first use: it checks the two counts, that the crossings
+come as a tuple, then, crossing by crossing in passage order, that each
+is a record of its tag's class and keeps the slot discipline, and
+refuses the first fault with ``MalformedInput``.  ``validate_diagram``,
+the coloring problem, the invariants, the successor cycles and every
+move read it before anything else of the diagram.  The second door is
 ``relabel_canonical``, the last step of every move: it remakes the plain
 slot tuples the moves edit (from a diagram that passed the gate) into
 sorted records and fills the result's ``slot_maps`` unchecked, so it
-checks the two counts it emits.
+refuses an entry that is neither a record nor a 6-item slot tuple whose
+tag and sign a constructor would accept, and checks the two counts it
+emits.
 """
 
 from __future__ import annotations
@@ -153,7 +156,8 @@ class VirtualDiagram(Value):
         lists.  Built here, from a diagram that was never checked, they
         refuse it with ``MalformedInput`` at its first fault, in this order:
         an edge or free-loop count that is no int, is negative or (free
-        loops) exceeds ``MAX_FREE_LOOPS``; then, crossing by crossing in
+        loops) exceeds ``MAX_FREE_LOOPS``; a ``crossings`` that is no tuple
+        (a list would not hash); then, crossing by crossing in
         passage order, a crossing that is no record of its tag's class (a
         plain tuple, say), an edge label outside 0..edges-1 and a slot used
         twice; last, an edge without an in- or out-slot.
@@ -191,11 +195,14 @@ def _slot_maps(edges: int, crossings) -> tuple[list[tuple[int, int]], list[tuple
 
 def _checked_slot_maps(edges, free_loops, crossings) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """The slot maps of any diagram, refusing it with ``MalformedInput`` at its
-    first fault: its two counts, then, in passage order, a crossing that is no
-    record of its tag's class or a slot that breaks the slot discipline.
+    first fault: its two counts, a ``crossings`` that is no tuple, then, in
+    passage order, a crossing that is no record of its tag's class or a slot
+    that breaks the slot discipline.
     The slots are gathered in dicts, so a huge edge count costs nothing
     before the first edge found without a slot."""
     _check_counts(edges, free_loops)
+    if type(crossings) is not tuple:  # a list would validate, then fail to hash
+        raise MalformedInput(f"crossings must be a tuple of crossing records, got {crossings!r}")
     consumed: dict[int, tuple[int, int]] = {}
     emitted: dict[int, tuple[int, int]] = {}
     for ci, c in enumerate(crossings):
@@ -229,9 +236,9 @@ def _check_counts(edges, free_loops) -> None:
 
 def validate_diagram(d: VirtualDiagram) -> DiagramReport:
     """The gate's verdict: whether ``d.slot_maps`` builds, which checks the two
-    counts, then in passage order that each crossing is a record of its tag's
-    class and that every edge is once an in-slot and once an out-slot; the
-    message is that of the first fault."""
+    counts, that ``crossings`` is a tuple, then in passage order that each
+    crossing is a record of its tag's class and that every edge is once an
+    in-slot and once an out-slot; the message is that of the first fault."""
     try:
         d.slot_maps
     except MalformedInput as exc:
@@ -262,15 +269,29 @@ def component_count(d: VirtualDiagram) -> int:
     return len(successor_cycles(d)) + d.free_loops
 
 
+def _check_slot_tuple(c, tag, s) -> None:
+    """Refuse an entry ``c`` = (tag, s, ...) that is no record unless it is a
+    plain tuple with the int tag 0 or 1 and the int sign or chirality +1 or -1."""
+    # type() rather than a bare membership test: True == 1 and 1.0 == 1
+    if type(c) is not tuple or type(tag) is not int or tag not in (0, 1) or type(s) is not int or s not in (1, -1):
+        raise MalformedInput(
+            f"crossing entry {c!r} is neither a crossing record nor a slot tuple with tag 0 or 1 and sign +1 or -1"
+        )
+
+
 def _renamed(crossings, label):
-    """The records of ``crossings`` (records or plain slot tuples, not checked
-    again) with edges renamed by ``label``, each made by its tag; virtual
-    strands are swapped, negating the chirality, so that first_in < second_in.
-    A record whose four labels ``label`` keeps is yielded as it is."""
+    """The records of ``crossings`` (records, or 6-item plain slot tuples whose
+    tag and sign are checked here as the constructors check them) with edges
+    renamed by ``label``, each made by its tag; virtual strands are swapped,
+    negating the chirality, so that first_in < second_in.  A record whose four
+    labels ``label`` keeps is yielded as it is."""
     for c in crossings:
         tag, s, w, x, y, z = c
+        cls = type(c)
+        if cls is not ClassicalCrossing and cls is not VirtualCrossing:  # no record: the constructors' rule
+            _check_slot_tuple(c, tag, s)
         nw, nx, ny, nz = label[w], label[x], label[y], label[z]
-        if nw == w and nx == x and ny == y and nz == z and type(c) is _RECORD_CLASSES[tag]:
+        if nw == w and nx == x and ny == y and nz == z and cls is _RECORD_CLASSES[tag]:
             yield c
         elif tag and nw > ny:  # virtual strands swapped so that first_in < second_in
             yield tuple.__new__(VirtualCrossing, (1, -s, ny, nz, nw, nx))
@@ -292,23 +313,42 @@ def _raise_reused_slot(crossings) -> None:
             outs.add(e_out)
 
 
+def _raise_unreadable(crossings) -> None:
+    """Raise for ``crossings`` if it is no list, else for its first entry that
+    does not unpack into six items with hashable edge labels."""
+    if not isinstance(crossings, (list, tuple)):
+        raise MalformedInput(f"crossings must be a list of crossing records, got {crossings!r}")
+    for c in crossings:
+        try:
+            _, _, w, x, y, z = c
+            hash((w, x, y, z))
+        except (TypeError, ValueError):
+            raise MalformedInput(f"crossing entry {c!r} is not a 6-item slot tuple with hashable edge labels") from None
+
+
 def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
     """Diagram from crossing records carrying arbitrary integer edge labels.
 
     Edges are renumbered in successor-traversal order starting from the
     lowest label, continuing from the lowest unvisited label, and the
     crossing list is sorted; the result is the canonical labelling used
-    after every rewriting move.  The entries are checked records or plain
-    slot tuples edited from them, each remade by ``_renamed``; the result's
-    ``slot_maps`` are filled in here, so a move output never rebuilds them.
+    after every rewriting move.  The entries are records, or plain 6-item
+    slot tuples edited from them whose tag and sign a constructor would
+    accept, each remade by ``_renamed``; anything else is refused with
+    ``MalformedInput``.  The result's ``slot_maps`` are filled in here, so a
+    move output never rebuilds them.
     This is the second door by which a diagram comes in, besides the gate
     of ``slot_maps``, so the two counts of the result are checked here.
     """
     succ: dict[int, int] = {}
-    for _, _, w, x, y, z in crossings:  # passages (w -> x) and (y -> z)
-        succ[w] = x
-        succ[y] = z
-    outs = set(succ.values())
+    try:
+        for _, _, w, x, y, z in crossings:  # passages (w -> x) and (y -> z)
+            succ[w] = x
+            succ[y] = z
+        outs = set(succ.values())
+    except (TypeError, ValueError):  # no list, or an entry of no six hashable items
+        _raise_unreadable(crossings)
+        raise
     if len(outs) != 2 * len(crossings):  # an in-edge overwritten or an out-edge repeated
         _raise_reused_slot(crossings)
     if succ.keys() != outs:

@@ -28,9 +28,10 @@ p*q = side_a*side_b, where a side is +1 when the route crosses the
 incoming half of the classical crossing's strand; other combinations do
 not arise from a planar slide and do not preserve twisted colorings.
 The sites of every family but poke insertion come from one walk of the
-virtual passages, ``_detour_sites``, which always builds the three lists;
-the public finders sort them, and the fuzzer sorts the drawn family's
-list alone.  Only the fuzzer's family menu reads ``allow_semi_virtual``.
+virtual passages, ``_detour_sites``, the only detour site scan, which
+always builds the three lists with repeats; the fuzzer sorts the drawn
+family's list alone.  Only the fuzzer's family menu reads
+``allow_semi_virtual``.
 
 Every move edits crossings through the one record layout of ``diagram``:
 a role is a passage index (0 = under/first strand, 1 = over/second
@@ -512,16 +513,6 @@ def detour(d: VirtualDiagram, start: int, end: int, passages) -> VirtualDiagram:
     return relabel_canonical([*survivors.values(), *added], d.free_loops + gained)
 
 
-def segment_passages(d: VirtualDiagram, start: int, end: int) -> list[tuple[int, int]]:
-    """The (transversal in-edge, route-view chirality) list along a segment."""
-    out = []
-    for ci, role in _segment(d, start, end):
-        c = d.crossings[ci]
-        # the chirality as seen with the route strand in first position
-        out.append((_passage(c, 1 - role)[0], -c.chirality if role else c.chirality))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # fuzz-safe detour instance families
 
@@ -600,29 +591,6 @@ def _detour_sites(d: VirtualDiagram):
     return pokes, slides, semis
 
 
-def find_poke_remove_sites(d: VirtualDiagram) -> list[tuple[int, int]]:
-    """(start, end) segments whose two virtual passages form a cancelling bigon."""
-    return sorted({site[:2] for site in _detour_sites(d)[0]})
-
-
-def find_virtual_slide_sites(d: VirtualDiagram) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
-    """Single virtual passages that can hop across an adjacent virtual crossing."""
-    return sorted(set(_detour_sites(d)[1]))
-
-
-def find_semi_virtual_slide_sites(
-    d: VirtualDiagram,
-) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
-    """Consecutive virtual passage pairs that can slide past a classical crossing.
-
-    The route crosses both strands of one classical crossing on the same
-    side; sliding moves both passages to the other side in swapped order.
-    Only chirality pairs with p*q = side1*side2 are offered (the planar
-    slide condition).
-    """
-    return sorted(set(_detour_sites(d)[2]))
-
-
 # ---------------------------------------------------------------------------
 # move records and the randomized fuzzer
 
@@ -641,8 +609,7 @@ class MoveRecord(Value):
 
 
 CLASSICAL_KINDS = ("r1_insert", "r1_remove", "r2_insert", "r2_remove", "r3_slide")
-VIRTUAL_KINDS = ("vkink_insert", "vkink_remove", "detour")
-ALL_KINDS = CLASSICAL_KINDS + VIRTUAL_KINDS
+ALL_KINDS = CLASSICAL_KINDS + ("vkink_insert", "vkink_remove", "detour")
 _SHRINKING = {"r1_remove", "r2_remove", "vkink_remove"}
 
 
@@ -741,8 +708,9 @@ def random_equivalent(
 ) -> tuple[VirtualDiagram, list[MoveRecord]]:
     """Apply randomly chosen applicable moves; deterministic for a fixed seed.
 
-    ``kinds`` restricts the move menu (e.g. to CLASSICAL_KINDS), and a name
-    outside ``ALL_KINDS`` is refused before the first draw; the
+    ``kinds``, None or a list or tuple, restricts the move menu (e.g. to
+    CLASSICAL_KINDS), and a name outside ``ALL_KINDS`` is refused before
+    the first draw, as is an ``allow_semi_virtual`` that is no bool; the
     ``soft_cap`` steers move choice toward removals once the diagram
     outgrows it, keeping fuzz traces affordable.
     """
@@ -755,6 +723,10 @@ def random_equivalent(
         raise InvalidParameter(f"move count must be non-negative, got {n_moves}")
     if soft_cap is not None and type(soft_cap) is not int:
         raise InvalidParameter(f"soft cap must be None or an int, got {soft_cap!r}")
+    if type(allow_semi_virtual) is not bool:
+        raise InvalidParameter(f"allow_semi_virtual must be True or False, got {allow_semi_virtual!r}")
+    if kinds is not None and not isinstance(kinds, (list, tuple)):
+        raise InvalidParameter(f"kinds must be None or a list of move kinds, got {kinds!r}")
     menu = ALL_KINDS if kinds is None else tuple(kinds)
     for kind in menu:
         if kind not in ALL_KINDS:

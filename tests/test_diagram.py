@@ -237,6 +237,38 @@ def test_relabel_canonical_rejects_bad_rewiring(crossings, message):
         relabel_canonical(crossings, 0)
 
 
+# entries that are neither records nor slot tuples a constructor would accept:
+# sign 5 used to come back as ClassicalCrossing(sign=5, ...), which the gate
+# then passed; tag 7, a 3-item entry and an int crossings raised a bare
+# IndexError, ValueError and TypeError
+BAD_ENTRIES = {
+    "sign-5": (
+        [(0, 5, 0, 1, 1, 0)],
+        "crossing entry (0, 5, 0, 1, 1, 0) is neither a crossing record nor a slot tuple with tag 0 or 1 "
+        "and sign +1 or -1",
+    ),
+    "tag-7": (
+        [(7, 1, 0, 1, 1, 0)],
+        "crossing entry (7, 1, 0, 1, 1, 0) is neither a crossing record nor a slot tuple with tag 0 or 1 "
+        "and sign +1 or -1",
+    ),
+    "three-items": ([(0, 1, 2)], "crossing entry (0, 1, 2) is not a 6-item slot tuple with hashable edge labels"),
+    # an unhashable out-edge label, which raised a bare TypeError
+    "unhashable-label": (
+        [(0, 1, 0, [1], 1, 0)],
+        "crossing entry (0, 1, 0, [1], 1, 0) is not a 6-item slot tuple with hashable edge labels",
+    ),
+    "int": (5, "crossings must be a list of crossing records, got 5"),
+}
+
+
+@pytest.mark.parametrize("crossings, message", list(BAD_ENTRIES.values()), ids=list(BAD_ENTRIES))
+def test_relabel_canonical_refuses_an_entry_no_constructor_would_accept(crossings, message):
+    with pytest.raises(MalformedInput) as err:
+        relabel_canonical(crossings, 0)
+    assert str(err.value) == message
+
+
 def _rebuilt_slot_maps(d):
     consumed, emitted = [None] * d.edges, [None] * d.edges
     for ci, c in enumerate(d.crossings):
@@ -342,6 +374,15 @@ INCONSISTENT_CODES = {
     "plain-tuples-tag-7": (
         VirtualDiagram(6, 0, tuple((7, 5) + tuple(c)[2:] for c in builder("trefoil").crossings)),
         "crossings[0]: (7, 5, 3, 1, 0, 4) is not a crossing record",
+    ),
+    # crossings that are no tuple: None and 5 used to raise a bare TypeError,
+    # and a list of valid records validated, though the diagram cannot be hashed
+    "crossings-none": (VirtualDiagram(2, 0, None), "crossings must be a tuple of crossing records, got None"),
+    "crossings-int": (VirtualDiagram(2, 0, 5), "crossings must be a tuple of crossing records, got 5"),
+    "crossings-list": (
+        VirtualDiagram(2, 0, [ClassicalCrossing(1, 0, 1, 1, 0)]),
+        "crossings must be a tuple of crossing records, got "
+        "[ClassicalCrossing(sign=1, under_in=0, over_in=1, under_out=1, over_out=0)]",
     ),
 }
 

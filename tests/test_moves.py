@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from moves_helpers import detour_site_lists
 from vknots import moves
 from vknots.algebra import (
     QuandleMap,
@@ -35,12 +36,9 @@ from vknots.moves import (
     _realizable,
     apply_move,
     detour,
-    find_poke_remove_sites,
     find_r1_sites,
     find_r2_sites,
     find_r3_sites,
-    find_semi_virtual_slide_sites,
-    find_virtual_slide_sites,
     find_vkink_sites,
     r1_insert,
     r1_remove,
@@ -48,7 +46,6 @@ from vknots.moves import (
     r2_remove,
     r3_slide,
     random_equivalent,
-    segment_passages,
     vkink_insert,
     vkink_remove,
 )
@@ -366,11 +363,10 @@ def test_identity_detour():
     # segment through the single virtual crossing of the diagram
     (v,) = d.virtual()
     start = v.first_in
-    # walk start..end across exactly that crossing
+    # walk start..end across exactly that crossing, on its first strand, so the
+    # route crosses the second strand with the crossing's own chirality
     end = v.first_out
-    passages = segment_passages(d, start, end)
-    assert len(passages) == 1
-    d2 = detour(d, start, end, passages)
+    d2 = detour(d, start, end, [(v.second_in, v.chirality)])
     assert isomorphic(d2, d)
 
 
@@ -386,7 +382,7 @@ def test_poke_insert_remove_detours():
                     assert validate_diagram(d2).ok
                     assert d2.edges == d.edges + 4
                     assert counts(d2) == c0
-                    sites = find_poke_remove_sites(d2)
+                    sites = detour_site_lists(d2)[0]
                     assert any(
                         isomorphic(detour(d2, s, en, []), d) for s, en in sites
                     )
@@ -395,7 +391,7 @@ def test_poke_insert_remove_detours():
 def test_detour_removing_a_poke_restores_the_base():
     base = builder("unknot_kink_pos")
     poked = detour(base, 0, 0, [(1, 1), (1, -1)])
-    sites = find_poke_remove_sites(poked)
+    sites = detour_site_lists(poked)[0]
     assert sites
     for s, e in sites:
         back = detour(poked, s, e, [])
@@ -440,7 +436,7 @@ def test_virtual_slide_sites_preserve_counts():
     exercised = 0
     for d in _pool():
         c0 = counts(d)
-        for start, end, passages in find_virtual_slide_sites(d)[:4]:
+        for start, end, passages in detour_site_lists(d)[1][:4]:
             d2 = detour(d, start, end, list(passages))
             assert validate_diagram(d2).ok
             assert d2.edges == d.edges
@@ -461,7 +457,7 @@ def test_semi_virtual_slide_sites_preserve_all_invariants():
         c0 = counts(d)
         z2_0 = state_sum_z2(d, Q4, phi, inner0)
         z1_0 = state_weight_z1(d, Q4, phi, shift)
-        for start, end, passages in find_semi_virtual_slide_sites(d):
+        for start, end, passages in detour_site_lists(d)[2]:
             d2 = detour(d, start, end, list(passages))
             assert validate_diagram(d2).ok
             assert d2.edges == d.edges
@@ -606,6 +602,24 @@ def test_unknown_kind_in_the_menu_is_refused_before_any_draw(seed):
     # so 9 of these seeds returned a trace without error
     with pytest.raises(InvalidParameter, match="unknown move kind 'bogus'"):
         random_equivalent(builder("trefoil"), seed, 1, kinds=("r1_insert", "bogus"))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        # used to raise a bare TypeError
+        ({"kinds": 5}, "kinds must be None or a list of move kinds, got 5"),
+        # used to be read letter by letter and refused as the unknown kind 'r'
+        ({"kinds": "r1_insert"}, "kinds must be None or a list of move kinds, got 'r1_insert'"),
+        # used to be read as true
+        ({"allow_semi_virtual": "no"}, "allow_semi_virtual must be True or False, got 'no'"),
+    ],
+    ids=["kinds-int", "kinds-str", "allow_semi_virtual-str"],
+)
+def test_random_equivalent_refuses_a_menu_argument_of_the_wrong_type(kwargs, message):
+    with pytest.raises(InvalidParameter) as err:
+        random_equivalent(builder("kishino"), 0, 20, **kwargs)
+    assert str(err.value) == message
 
 
 def test_classical_only_fuzz_preserves_classical_state_sum():
@@ -893,12 +907,7 @@ def test_detour_menu_offers_exactly_the_families_the_finders_see(monkeypatch):
     families = ("poke_insert", "poke_remove", "virtual_slide", "semi_virtual_slide")
     seen = {True: set(), False: set()}
     for d in reached:
-        present = (
-            d.edges >= 2,
-            bool(find_poke_remove_sites(d)),
-            bool(find_virtual_slide_sites(d)),
-            bool(find_semi_virtual_slide_sites(d)),
-        )
+        present = (d.edges >= 2, *map(bool, detour_site_lists(d)))
         for allow_semi_virtual in (True, False):
             expected = [f for f, p in zip(families, present) if p and (allow_semi_virtual or f != families[3])]
             spy = _MenuSpy()

@@ -1,4 +1,4 @@
-"""Exact outputs of the moves engine and its detour finders, the Smith
+"""Exact outputs of the moves engine and its detour site walk, the Smith
 normal form, the Smith-form basis, the automorphism search, the invariants
 and the command line, pinned by digest.
 
@@ -15,7 +15,13 @@ command-line digest was taken before the CLI's usage errors were raised
 as library error types, so any change to an exit code or to a byte the CLI
 writes shows.  The detour-site digest was taken before the fuzzer's three
 detour scans were merged into one walk, so any change to the sorted site
-list of a detour family on a reached diagram shows.
+list of a detour family on a reached diagram shows; it reads that walk,
+``moves._detour_sites``, through ``moves_helpers.detour_site_lists``.
+
+One test here pins no digest but the seam of the pinned traces that a
+move-local check reads: every applied move hands ``relabel_canonical``
+exactly one list, the input's records less those it removed (X) plus
+those it inserted (Y), and X and Y meet the kept records in the same edges.
 """
 
 import contextlib
@@ -23,19 +29,16 @@ import hashlib
 import io
 import json
 import random
+from collections import Counter
 
+from moves_helpers import detour_site_lists
+from vknots import moves
 from vknots.algebra import QuandleMap, automorphisms, inner_automorphism, make_dihedral, make_from_table
 from vknots.cli import main
 from vknots.intlin import smith_normal_form
-from vknots.diagram import BUILDER_NAMES, VirtualDiagram, builder, serialize_diagram
+from vknots.diagram import BUILDER_NAMES, VirtualDiagram, builder, relabel_canonical, serialize_diagram
 from vknots.invariants import compute_invariant, invariant_bundle
-from vknots.moves import (
-    apply_move,
-    find_poke_remove_sites,
-    find_semi_virtual_slide_sites,
-    find_virtual_slide_sites,
-    random_equivalent,
-)
+from vknots.moves import apply_move, random_equivalent
 from vknots.weights import (
     Cochain1,
     Cocycle2,
@@ -75,6 +78,38 @@ def test_move_outputs_and_traces_are_pinned():
     assert _digest_traces(runs) == MOVES_DIGEST
 
 
+def test_every_move_hands_relabel_canonical_one_list_with_equal_boundaries(monkeypatch):
+    handed = []  # every list handed to relabel_canonical, in call order
+    steps = []  # (input diagram, the lists handed while the move ran)
+
+    def spy(crossings, free_loops):
+        handed.append(list(crossings))
+        return relabel_canonical(crossings, free_loops)
+
+    def recording_apply_move(d, record):
+        first = len(handed)
+        out = apply_move(d, record)
+        steps.append((d, handed[first:]))
+        return out
+
+    monkeypatch.setattr(moves, "relabel_canonical", spy)
+    monkeypatch.setattr(moves, "apply_move", recording_apply_move)
+    runs = [random_equivalent(builder(name), seed, 200) for name in BUILDER_NAMES for seed in range(5)]
+    assert _digest_traces(runs) == MOVES_DIGEST  # the pinned traces, untouched by the spies
+    assert len(steps) == sum(len(trace) for _, trace in runs) == len(handed)
+
+    def boundary(records, kept_edges):
+        return {e for c in records for e in c[2:]} & kept_edges
+
+    for d, lists in steps:
+        assert len(lists) == 1
+        # records and plain slot tuples compare and hash as tuples
+        before, after = Counter(d.crossings), Counter(lists[0])
+        removed, inserted = before - after, after - before
+        kept_edges = {e for c in (before & after) for e in c[2:]}
+        assert boundary(removed, kept_edges) == boundary(inserted, kept_edges), serialize_diagram(d)
+
+
 def test_soft_cap_ladder_traces_are_pinned():
     runs = (
         random_equivalent(builder(name), seed, moves, soft_cap=cap) for name, seed, moves, cap in LADDER
@@ -92,8 +127,8 @@ def test_detour_site_lists_are_pinned():
             for record in random_equivalent(d, seed, 100)[1]:
                 reached.append(apply_move(reached[-1], record))
             for d in reached:
-                for finder in (find_poke_remove_sites, find_virtual_slide_sites, find_semi_virtual_slide_sites):
-                    h.update(json.dumps(finder(d), separators=(",", ":")).encode())
+                for sites in detour_site_lists(d):
+                    h.update(json.dumps(sites, separators=(",", ":")).encode())
     assert h.hexdigest() == DETOUR_SITES_DIGEST
 
 
