@@ -12,9 +12,11 @@ tables can be built and fed to negative tests.
 
 A quandle carries its derived tables, built on first use and freed with
 it: the right translations ``columns``, their inverses ``division``,
-``preserves_products``, the greedy generating set ``generation`` and the
-axiom ``report``: ``make_dihedral`` stores a passing one, so every dihedral
-spelling is valid by construction, and a table is always checked.  That
+``preserves_products``, the greedy generating set ``generation``, the
+image lists ``automorphism_images`` of the one search behind
+``automorphisms``, and the axiom ``report``: ``make_dihedral`` stores a
+passing one, so every dihedral spelling is valid by construction, and a
+table is always checked.  That
 one test, m(a * b) = m(a) * m(b) compared column by column, checks axiom 3,
 ``is_automorphism``, each candidate of ``automorphisms`` and the inner maps
 of ``generation``.
@@ -110,6 +112,15 @@ class FiniteQuandle(Value):
         bijective = all(len(set(col)) == n for col in cols)
         inner = tuple(g for g in generators if self.preserves_products(cols[g])) if bijective else None
         return tuple(generators), tuple(words), inner
+
+    @cached_property
+    def automorphism_images(self) -> tuple[tuple[int, ...], ...]:
+        """Every automorphism as an image list, sorted.  ``automorphisms``
+        runs the one search per object and stores its result here; asking
+        first runs it unbounded, so a caller bounds it (it tries n!/(n-g)!
+        candidates for the g greedy generators)."""
+        automorphisms(self, self.order)
+        return self.__dict__["automorphism_images"]
 
     @cached_property
     def report(self) -> "QuandleReport":
@@ -248,20 +259,24 @@ def automorphisms(q: FiniteQuandle, bound: int = DEFAULT_AUT_SEARCH_BOUND) -> li
     the other elements, and the bijections that preserve products are kept.
     Orders above ``bound`` are refused since the number of candidates,
     n!/(n-g)! for g generators, is factorial for the trivial quandles.
+    The search runs once per quandle object, which keeps the result as
+    ``automorphism_images``.
     """
     n = q.order
     if n > bound:
         raise SearchBoundExceeded(f"order {n} exceeds automorphism search bound {bound}")
-    t, (generators, words, _) = q.table, q.generation
-    found, images = [], [0] * n
-    for choice in permutations(range(n), len(generators)):
-        for g, v in zip(generators, choice):
-            images[g] = v
-        for x, a, b in words:
-            images[x] = t[images[a]][images[b]]
-        if len(set(images)) == n and q.preserves_products(images):
-            found.append(QuandleMap(tuple(images)))
-    return sorted(found, key=lambda m: m.images)
+    if "automorphism_images" not in q.__dict__:
+        t, (generators, words, _) = q.table, q.generation
+        found, images = [], [0] * n
+        for choice in permutations(range(n), len(generators)):
+            for g, v in zip(generators, choice):
+                images[g] = v
+            for x, a, b in words:
+                images[x] = t[images[a]][images[b]]
+            if len(set(images)) == n and q.preserves_products(images):
+                found.append(tuple(images))
+        q.__dict__["automorphism_images"] = tuple(sorted(found))
+    return list(map(QuandleMap, q.automorphism_images))
 
 
 def map_order(m: QuandleMap) -> int:

@@ -314,10 +314,8 @@ def _raise_reused_slot(crossings) -> None:
 
 
 def _raise_unreadable(crossings) -> None:
-    """Raise for ``crossings`` if it is no list, else for its first entry that
-    does not unpack into six items with hashable edge labels."""
-    if not isinstance(crossings, (list, tuple)):
-        raise MalformedInput(f"crossings must be a list of crossing records, got {crossings!r}")
+    """Raise for the first entry of ``crossings`` that does not unpack into
+    six items with hashable edge labels."""
     for c in crossings:
         try:
             _, _, w, x, y, z = c
@@ -332,21 +330,23 @@ def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
     Edges are renumbered in successor-traversal order starting from the
     lowest label, continuing from the lowest unvisited label, and the
     crossing list is sorted; the result is the canonical labelling used
-    after every rewriting move.  The entries are records, or plain 6-item
-    slot tuples edited from them whose tag and sign a constructor would
-    accept, each remade by ``_renamed``; anything else is refused with
-    ``MalformedInput``.  The result's ``slot_maps`` are filled in here, so a
-    move output never rebuilds them.
+    after every rewriting move.  ``crossings`` is a list or a tuple; its
+    entries are records, or plain 6-item slot tuples edited from them whose
+    tag and sign a constructor would accept, each remade by ``_renamed``;
+    anything else is refused with ``MalformedInput``.  The result's
+    ``slot_maps`` are filled in here, so a move output never rebuilds them.
     This is the second door by which a diagram comes in, besides the gate
     of ``slot_maps``, so the two counts of the result are checked here.
     """
+    if type(crossings) not in (list, tuple):  # a dict or a set would be read by its keys
+        raise MalformedInput(f"crossings must be a list of crossing records, got {crossings!r}")
     succ: dict[int, int] = {}
     try:
         for _, _, w, x, y, z in crossings:  # passages (w -> x) and (y -> z)
             succ[w] = x
             succ[y] = z
         outs = set(succ.values())
-    except (TypeError, ValueError):  # no list, or an entry of no six hashable items
+    except (TypeError, ValueError):  # an entry of no six hashable items
         _raise_unreadable(crossings)
         raise
     if len(outs) != 2 * len(crossings):  # an in-edge overwritten or an out-edge repeated

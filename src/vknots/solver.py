@@ -41,10 +41,21 @@ The root arc, the first one branched on, tries one color per orbit of a
 group H of automorphisms that commute with f.  Such an h maps the
 colorings onto themselves: h o c meets every crossing rule that c meets,
 since h preserves products and so divisions, and every twist, since
-h f = f h.  H is generated by f and by the inner maps S_g: x -> x * g of
-q's greedy generators g (``FiniteQuandle.generation``) with
-S_{f(g)} = S_g, which is S_g f = f S_g because f S_g f^-1 = S_{f(g)}.
-It stays exact on every table: an S_g acts only if it preserves products,
+h f = f h.  When Aut(q) is cheap to list, that is when q's order is at
+most ``DEFAULT_AUT_SEARCH_BOUND`` and its search tries at most n(n-1)
+candidates (n!/(n-g)! for the g greedy generators of
+``FiniteQuandle.generation``), H is the centralizer of f in Aut(q):
+every h of ``FiniteQuandle.automorphism_images`` with h f = f h, found
+by one search per quandle object.  That covers every dihedral quandle
+and every connected Alexander quandle (1 - t a unit) of order at most 8,
+and under the identity twist H is then transitive on every dihedral
+quandle of order at most 8.  Otherwise (every order above 8, and from
+order 4 on every quandle of three or more greedy generators, such as
+the trivial ones or 5a - 4b mod 8) no automorphism search runs, and H
+is generated by f and by the inner maps S_g: x -> x * g of the greedy
+generators g with S_{f(g)} = S_g, which is S_g f = f S_g because
+f S_g f^-1 = S_{f(g)}.
+It stays exact on every table: an h acts only if it preserves products,
 and H is trivial unless every column is a bijection, for otherwise
 ``division`` is not the inverse that automorphisms respect.  H commutes
 with the twists composed round a closed root arc, so it keeps that arc's
@@ -77,8 +88,10 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, product
+from math import perm
+from operator import itemgetter
 
-from .algebra import FiniteQuandle, QuandleMap, _invert
+from .algebra import DEFAULT_AUT_SEARCH_BOUND, FiniteQuandle, QuandleMap, _invert
 from .diagram import VirtualDiagram
 from .errors import InvalidParameter, SearchBoundExceeded
 from .kernel import check_coloring, check_twist, compile_problem, satisfying
@@ -172,15 +185,24 @@ def _arcs(d: VirtualDiagram, rules, identity: tuple):
 def _root_orbits(q: FiniteQuandle, f: QuandleMap, domain, identity: tuple):
     """One color per orbit on ``domain`` of the group H of the module
     docstring, and a Schreier tree of ``(x, h, y)``: x = h(y) for a
-    generator h of H, y reached before x.  H is generated by f and by the
-    S_g = ``columns[g]`` with S_{f(g)} = S_g for the g that ``generation``
-    lists, those whose S_g preserves products; without axiom 2 it is trivial.
+    generator h of H, y reached before x.  When Aut(q) is cheap to list
+    (order at most ``DEFAULT_AUT_SEARCH_BOUND`` and at most n(n-1)
+    candidates, n!/(n-g)! for the g greedy generators), the generators
+    are every automorphism h with h o f = f o h, compared as image lists;
+    otherwise f and the S_g = ``columns[g]`` with S_{f(g)} = S_g for the
+    g that ``generation`` lists, those whose S_g preserves products.
+    Without axiom 2 H is trivial.
     """
-    inner = q.generation[2]
+    generators, _, inner = q.generation
     if inner is None:
         return domain, []
-    cols, fi = q.columns, f.images
-    maps = [h for h in (fi, *(cols[g] for g in inner if cols[fi[g]] == cols[g])) if h != identity]
+    n, fi = q.order, f.images
+    if n <= DEFAULT_AUT_SEARCH_BOUND and perm(n, len(generators)) <= n * (n - 1):
+        after_f = itemgetter(*fi)  # after_f(h) is h o f
+        maps = [h for h in q.automorphism_images if h != identity and after_f(h) == itemgetter(*h)(fi)]
+    else:
+        cols = q.columns
+        maps = [h for h in (fi, *(cols[g] for g in inner if cols[fi[g]] == cols[g])) if h != identity]
     reps, tree, seen = [], [], set()
     for r in domain:
         if r in seen:

@@ -269,6 +269,24 @@ def test_relabel_canonical_refuses_an_entry_no_constructor_would_accept(crossing
     assert str(err.value) == message
 
 
+# a crossings that is no list or tuple: a dict or a set of one readable
+# entry used to come back as a one-kink diagram built from its keys, and a
+# generator raised a bare TypeError from len()
+NO_LIST = {
+    "dict": lambda: {(0, 1, 0, 1, 1, 0): 1},
+    "set": lambda: {(0, 1, 0, 1, 1, 0)},
+    "generator": lambda: (c for c in [(0, 1, 0, 1, 1, 0)]),
+}
+
+
+@pytest.mark.parametrize("make", list(NO_LIST.values()), ids=list(NO_LIST))
+def test_relabel_canonical_refuses_crossings_that_are_no_list_or_tuple(make):
+    crossings = make()
+    with pytest.raises(MalformedInput) as err:
+        relabel_canonical(crossings, 0)
+    assert str(err.value) == f"crossings must be a list of crossing records, got {crossings!r}"
+
+
 def _rebuilt_slot_maps(d):
     consumed, emitted = [None] * d.edges, [None] * d.edges
     for ci, c in enumerate(d.crossings):

@@ -314,14 +314,18 @@ def test_alexander_counts_survive_moves():
 
 
 # ---------------------------------------------------------------------------
-# The root arc tries one color per orbit of the group H generated by the
-# twist f and the inner maps S_g of q's greedy generators that commute with
-# f; the other colors' colorings are images h o c.  These quandles give H
-# every shape: on T4 every S_a is the identity, so only f acts; on the
-# conjugation quandle of S3 an order-3 twist keeps some S_g; on a table
-# failing axiom 2 no symmetry is used at all; and on a Latin square failing
-# only axiom 3, S_0 commutes with the identity twist but does not preserve
-# products, so only S_1 may act.
+# The root arc tries one color per orbit of a group H of automorphisms
+# that commute with the twist f; the other colors' colorings are images
+# h o c.  When Aut(q) is cheap to list (order <= 8, at most n(n-1)
+# candidates) H is the centralizer of f in Aut(q); otherwise it is
+# generated by f and the inner maps S_g of q's greedy generators that
+# commute with f.  These quandles give H every shape: on T4 (24 candidates)
+# every S_a is the identity, so only f acts; on the conjugation quandle of
+# S3 an order-3 twist keeps some automorphisms; on a table failing axiom 2
+# no symmetry is used at all; on a Latin square failing only axiom 3 the
+# four product-preserving bijections act; and over R5-R8, whose
+# automorphisms x -> ux + v are not all inner, every twist keeps its
+# centralizer.
 
 
 def _trivial(n):
@@ -345,6 +349,7 @@ ROOT_ORBIT_CASES = {
     "A5": (A5, list(A5_TWISTS.values())),
     "axiom 2 fails": (NO_AXIOM_2, [QuandleMap.identity(3)]),
     "only axiom 3 fails": (NO_AXIOM_3, automorphisms(NO_AXIOM_3)),
+    **{f"R{n}": (make_dihedral(n), automorphisms(make_dihedral(n))) for n in (5, 6, 7, 8)},
 }
 
 
@@ -384,13 +389,17 @@ def test_a_closed_root_arc_keeps_its_fixed_points():
 @pytest.mark.parametrize(
     "q, f, reps",
     [
-        (make_dihedral(5), QuandleMap.identity(5), [0]),  # S_0, S_1 act transitively
-        (make_dihedral(4), QuandleMap.identity(4), [0, 1]),  # parity is kept
-        (make_dihedral(5), inner_automorphism(make_dihedral(5), 0), [0, 1, 2]),  # S_1 does not commute
+        (make_dihedral(5), QuandleMap.identity(5), [0]),  # x -> x + 1 acts transitively
+        (make_dihedral(4), QuandleMap.identity(4), [0]),  # x -> x + 1, which is no inner map
+        (make_dihedral(6), QuandleMap.identity(6), [0]),
+        # the centralizer of x -> -x is x -> ux + v with 2v = 0
+        (make_dihedral(5), inner_automorphism(make_dihedral(5), 0), [0, 1]),
+        (make_dihedral(7), inner_automorphism(make_dihedral(7), 0), [0, 1]),
+        (make_dihedral(8), inner_automorphism(make_dihedral(8), 0), [0, 1, 2]),  # {0, 4}, the odd, {2, 6}
         (Q4, SHIFT4, [0]),  # f alone
-        (T4, QuandleMap.identity(4), [0, 1, 2, 3]),  # every map is the identity
+        (T4, QuandleMap.identity(4), [0, 1, 2, 3]),  # 24 > 12 candidates: f and the S_a, all the identity
         (NO_AXIOM_2, QuandleMap.identity(3), [0, 1, 2]),  # no symmetry without axiom 2
-        (NO_AXIOM_3, QuandleMap.identity(5), [0, 1, 2]),  # S_1 = (0 3)(2 4) alone
+        (NO_AXIOM_3, QuandleMap.identity(5), [0, 1]),  # its 4 product-preserving bijections
     ],
 )
 def test_root_orbit_representatives(q, f, reps):
@@ -399,6 +408,30 @@ def test_root_orbit_representatives(q, f, reps):
     assert list(found) == reps
     assert sorted([*reps, *(x for x, _, _ in tree)]) == list(identity)
     assert all(h[y] == x for x, h, y in tree)
+
+
+@pytest.mark.parametrize(
+    "q, counts",
+    [
+        # 7! and 8! candidates, far more than n(n-1): H stays f and the S_g
+        (_trivial(7), {"trefoil": [7, 7], "virtual_hopf": [49, 0], "kishino": [7, 7]}),
+        (_trivial(8), {"trefoil": [8, 8], "virtual_hopf": [64, 0], "kishino": [8, 8]}),
+        # an order above DEFAULT_AUT_SEARCH_BOUND
+        (make_dihedral(256), {"trefoil": [256, 256], "virtual_hopf": [512, 0], "kishino": [256, 256]}),
+    ],
+)
+def test_a_costly_automorphism_group_is_never_searched(monkeypatch, q, counts):
+    import vknots.algebra
+
+    def refuse(*args):
+        raise AssertionError("the coloring search listed Aut(q)")
+
+    monkeypatch.setattr(vknots.algebra, "automorphisms", refuse)
+    monkeypatch.setattr(vknots.algebra.FiniteQuandle, "automorphism_images", property(refuse))
+    n = q.order
+    twists = [QuandleMap.identity(n), QuandleMap(tuple((x + 1) % n for x in range(n)))]
+    for name, expected in counts.items():
+        assert [count_colorings(builder(name), q, f) for f in twists] == expected, name
 
 
 def test_a_count_over_a_large_order():
