@@ -1,4 +1,4 @@
-"""The coloring problem of a diagram, compiled once into strand rules.
+"""The coloring problem of a diagram: its strand rules, and the arcs the search walks.
 
 This module is the one place that encodes the crossing rules.  Every
 crossing becomes two strand rules ``(in, out, by, fwd, back)``, each
@@ -19,20 +19,31 @@ tables are stored by over color so that ``fwd[o]`` is again a bijection.
 
 ``compile_problem`` reads each crossing record once, unpacking it as
 ``(tag, sign or chirality, in, out, in, out)``, and returns the
-under-rules, then the over-rules, then the virtual rules.  The search
-(``solver.enumerate_colorings``) composes the ``by = -1`` rules along
-each arc and propagates the under-rules between arcs; the oracle,
-``verify_coloring`` and ``coloring_weight`` test the rules with
-``satisfying``.  Every one of them compiles first, and
-``compile_problem`` reads the diagram's ``slot_maps``, the one gate,
-before its records: so a diagram that ``validate_diagram`` refuses is
-refused here, with its message, as ``MalformedInput``, and past the gate
-a crossing's kind is its tag.  ``compile_problem`` does not check the
-twist map: each public entry point calls ``check_twist`` once.  The crossing
-weights are not rules; ``invariants`` reads them off the diagram itself.
+under-rules, then the over-rules, then the virtual rules.  The oracle
+(``solver.brute_force_colorings``), ``verify_coloring`` and
+``coloring_weight`` test these rules with ``satisfying``.
+
+Beside it, ``arc_skeleton`` holds the same conventions in the form the
+search (``solver.enumerate_colorings``) reads: the ``by = -1`` rules
+composed along each arc.  A virtual passage twists by f^(-c) or f^(+c)
+and an over-passage by f^0, so the twist from an arc's start to an edge
+is f^k, k the sum of the exponents met on the way.  The arcs and every
+k depend on the diagram alone, so they are walked once per diagram
+object and kept in its ``__dict__``, and each search binds q and f to
+them over the classical crossings alone.
+
+Both read the diagram's ``slot_maps``, the one gate, before its records
+(``arc_skeleton`` on its first build): so a diagram that
+``validate_diagram`` refuses is refused here, with its message, as
+``MalformedInput``, and past the gate a crossing's kind is its tag.
+Neither checks the twist map: each public entry point calls
+``check_twist`` once.  The crossing weights are not rules;
+``invariants`` reads them off the diagram itself.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .algebra import FiniteQuandle, QuandleMap, _invert, is_automorphism
 from .diagram import VirtualDiagram
@@ -41,6 +52,7 @@ from .errors import InvalidParameter
 BACKEND = "python"
 
 Rule = tuple[int, int, int, tuple, tuple]
+ArcSkeleton = tuple[list[int], list[int], list, list[tuple[int, int, int, int, int, int]], list[int]]
 
 
 def check_twist(q: FiniteQuandle, f: QuandleMap) -> None:
@@ -87,6 +99,71 @@ def compile_problem(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> tuple
             under.append((w, x, y, times, divide) if s > 0 else (w, x, y, divide, times))
             over.append((y, z, -1, identity, identity))
     return tuple(under + over + virtual)
+
+
+def arc_skeleton(d: VirtualDiagram) -> ArcSkeleton:
+    """The arcs of d and the twist exponents along them, built once per
+    diagram object and kept in its ``__dict__`` beside ``slot_maps``; like
+    them, not a field, so they take no part in equality or hashing, and
+    pickle and copy rebuild them.  The first build reads ``d.slot_maps``,
+    the gate, before anything else, so a diagram it refuses caches nothing.
+    """
+    skeleton = d.__dict__.get("arc_skeleton")
+    if skeleton is None:
+        skeleton = d.__dict__["arc_skeleton"] = _build_arc_skeleton(d)
+    return skeleton
+
+
+def _build_arc_skeleton(d: VirtualDiagram) -> ArcSkeleton:
+    """``(arc_of, k_of, loops, crossings, by_lowest_edge)``: per edge, its arc
+    and its exponent k, so that color(edge) = f^k(color of the arc's first
+    edge); per arc, the exponent once round when the arc is closed, else
+    None; per classical crossing, in crossing order, ``(in-arc, k of its
+    in-edge, out-arc, over-arc, k of its over-edge, sign)``; and the arcs in
+    the order of their lowest edges.
+
+    An arc starts at the under-strand's out-edge of a classical crossing, in
+    crossing order, and runs through over-passages (exponent 0) and virtual
+    passages (-c on the first strand, +c on the second) to the next under
+    passage; a component with no under passage is one closed arc, walked
+    from its lowest edge.  These are the arcs of ``compile_problem``'s rules,
+    numbered as the rules list them, and f^k is the composition of the twist
+    tables met on the way, whatever f is.
+    """
+    d.slot_maps  # the gate: built and checked on first use
+    edges = d.edges
+    nxt = [-1] * edges  # the next edge along the strand; -1 at an under passage
+    step = [0] * edges  # the twist exponent of that passage
+    starts = []
+    for tag, s, w, x, y, z in d.crossings:  # passages (w -> x) and (y -> z)
+        if tag:  # virtual, chirality s
+            nxt[w], step[w] = x, -s
+            nxt[y], step[y] = z, s
+        else:  # classical: the under passage ends an arc and starts the next
+            starts.append(x)
+            nxt[y] = z
+    arc_of = [-1] * edges
+    k_of = [0] * edges
+    loops: list[int | None] = []
+    for start in chain(starts, range(edges)):
+        if arc_of[start] >= 0:
+            continue
+        arc = len(loops)
+        e, k = start, 0
+        while True:
+            arc_of[e] = arc
+            k_of[e] = k
+            k += step[e]
+            e = nxt[e]
+            if e < 0 or e == start:  # an under passage, or the way round
+                break
+        loops.append(None if e < 0 else k)
+    crossings = [
+        (arc_of[w], k_of[w], arc_of[x], arc_of[y], k_of[y], s)
+        for tag, s, w, x, y, _ in d.crossings
+        if not tag
+    ]
+    return arc_of, k_of, loops, crossings, list(dict.fromkeys(arc_of))
 
 
 def satisfying(rules, colorings) -> list:

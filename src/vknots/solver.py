@@ -6,24 +6,29 @@ color, passing under it multiplies by (sign +1) or divides by (sign -1)
 the over color, and a virtual crossing twists its two strands by
 opposite powers of a fixed quandle automorphism f, decided by its
 chirality bit, so that traversing a virtual kink applies f then f^-1.
-``kernel.compile_problem`` encodes these rules once, as a tuple of
-strand rules with the tables bound; every function here reads them from
-there.
+``kernel`` writes these rules down once: ``compile_problem`` as a tuple
+of strand rules with the tables bound, which the oracle and
+``verify_coloring`` read, and ``arc_skeleton`` as the diagram's arcs,
+which the search reads.
 
 A coloring is fixed by the colors of the diagram's arcs, the pieces of
 strand from one under passage to the next, so ``enumerate_colorings``
 searches over arcs, one variable per arc: the color of its first edge.
-One pass over the compiled rules fills two lists indexed by edge, the
-next edge through its ``by = -1`` rule and that rule's twist table when
-it is not the identity.  Walking an arc on them from an under-rule's
-``out`` edge composes the tables met on the way (so an over-passage
-costs nothing) into a permutation from the arc's start color to each
-edge's color.  A component with no under passage is one closed arc,
-walked from its lowest edge; it may take only the fixed points of the
-permutation composed once round it.  Each classical crossing becomes one
-arc rule, made from its under-rule alone, relating its in-arc and
-out-arc through the color of its over-arc, each color read through its
-edge's permutation.  The search branches on the uncolored over-arc of
+Every twist met along an arc is f or f^-1, so the permutation from the
+arc's start color to an edge's color is f^k, k the sum of the twist
+exponents on the way (an over-passage adds 0).  The arcs and every k
+depend on the diagram alone: ``kernel.arc_skeleton`` walks them once per
+diagram object and keeps, per edge, its arc and k; per closed arc (a
+component with no under passage, walked from its lowest edge), its k
+once round; and per classical crossing its in-arc, out-arc and over-arc
+with the k of its in- and over-edge.  Each search binds q and f over the
+classical crossings alone: one power f^k per distinct k, composed on
+demand from f and f^-1 (the identity object when it permutes nothing);
+one arc rule per classical crossing, relating its in-arc and out-arc
+through the color of its over-arc, each color read through its edge's
+power, the tables re-indexed by the over-edge's power when that is not
+the identity; and a domain per closed arc, the fixed points of its f^k.
+The search branches on the uncolored over-arc of
 the first crossing, in crossing order, whose in-arc or out-arc is
 colored, else on the arc that holds the lowest uncolored edge; it
 propagates the arc rules and backtracks on conflict; a branch, taken or
@@ -31,11 +36,12 @@ failed, uncolors the arcs its propagation colored in one place.  A rule
 forces its in-arc from its out-arc only when every column of q is a
 bijection (axiom 2); otherwise the in-arc is left to a later branch.
 ``_search`` runs this search and two finishers read it: ``_enumerate``
-lists, expanding each solution to its edge colors by walking its arcs
-(only ``enumerate_colorings`` sorts the list), and ``count_colorings``
-counts, building no coloring.  A public entry point checks the twist map
-once; the invariant layer, which has checked it and sums over the
-colorings in any order, calls the unchecked ``_enumerate``.
+lists, expanding each solution to its edge colors through each edge's
+power (only ``enumerate_colorings`` sorts the list), and
+``count_colorings`` counts, building no coloring and no edge's power.
+A public entry point checks the twist map once; the invariant layer,
+which has checked it and sums over the colorings in any order, calls
+the unchecked ``_enumerate``.
 
 The root arc, the first one branched on, tries one color per orbit of a
 group H of automorphisms that commute with f.  Such an h maps the
@@ -61,24 +67,29 @@ and H is trivial unless every column is a bijection, for otherwise
 with the twists composed round a closed root arc, so it keeps that arc's
 fixed points.  The colorings of each other color x of an orbit are the
 images h o c of those of the color y that reached it in a Schreier tree
-(x = h(y) for a generator h of H).  So ``_enumerate`` lists each orbit
-representative's colorings in search order, then their images, an order
-that changes with H; the sorted list does not.  As c -> h o c maps y's
+(x = h(y) for a generator h of H); when H is the centralizer, a group
+listed whole, y is the orbit's representative, one step away.  So
+``_enumerate`` lists each orbit representative's colorings in search
+order, then their images, an order that changes with H; the sorted list
+does not.  As c -> h o c maps y's
 colorings one-to-one onto x's, ``count_colorings`` gives x the count of y.
 
-Every entry point compiles the rules first, and compiling reads the
-diagram's ``slot_maps``, the one gate; so a diagram that
-``validate_diagram`` refuses (a count that is no int in range, then, in
-passage order, a crossing that is no record of its tag's class, an edge
-label out of range or a slot used twice, last a dangling edge) raises
-``MalformedInput`` with its message before any coloring is read.
+Every entry point reads the diagram's ``slot_maps``, the one gate,
+before anything else of it: the search through the first build of
+``arc_skeleton``, the oracle and ``verify_coloring`` through
+``compile_problem``.  So a diagram that ``validate_diagram`` refuses (a
+count that is no int in range, then, in passage order, a crossing that
+is no record of its tag's class, an edge label out of range or a slot
+used twice, last a dangling edge) raises ``MalformedInput`` with its
+message before any coloring is read, and caches no arcs.
 
 ``brute_force_colorings`` is the oracle: it tries every assignment of
 colors to the arcs (n^arcs of them, bounded by a ceiling), completes each
 by walking the arcs edge by edge through their over-passages and twists,
 and tests it against every compiled rule; it shares no code with the
-search beyond the compiled rules.  Past its ceiling it raises
-``SearchBoundExceeded``, the error of every search bound.
+search, which reads the arcs of ``arc_skeleton`` and no compiled rule.
+Past its ceiling it raises ``SearchBoundExceeded``, the error of every
+search bound.
 
 Free loops are never enumerated -- they contribute a |G|^free_loops
 factor handled by the invariant layer and by ``count_colorings``.
@@ -87,14 +98,14 @@ factor handled by the invariant layer and by ``count_colorings``.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, product
+from itertools import product
 from math import perm
 from operator import itemgetter
 
 from .algebra import DEFAULT_AUT_SEARCH_BOUND, FiniteQuandle, QuandleMap, _invert
 from .diagram import VirtualDiagram
 from .errors import InvalidParameter, SearchBoundExceeded
-from .kernel import check_coloring, check_twist, compile_problem, satisfying
+from .kernel import arc_skeleton, check_coloring, check_twist, compile_problem, satisfying
 
 DEFAULT_BRUTE_FORCE_CEILING = 10**7
 
@@ -131,55 +142,33 @@ def enumerate_colorings(
     return sorted(_enumerate(d, q, f))
 
 
-def _arcs(d: VirtualDiagram, rules, identity: tuple):
-    """Per edge, its arc and the permutation from the arc's start color to
-    the edge's color; per arc, the permutation composed once round it when
-    the arc is closed, else None.
+def _powers(f: QuandleMap, identity: tuple):
+    """k -> f^k for every integer k, each power composed once, on demand,
+    from f and f^-1.  A power equal to the identity is the identity object
+    (so f^0, and every power when f is the identity), which tells the
+    search that it permutes nothing."""
+    fi = f.images
+    if fi == identity:
+        return lambda k: identity
+    known = {0: identity, 1: fi, -1: _invert(fi)}
 
-    One pass over the rules lists the under-rules' ``out`` edges, where
-    arcs start, and fills two lists indexed by edge: the next edge through
-    the edge's ``by = -1`` rule (-1 at an under passage, which ends the
-    arc) and the rule's twist table, stored only when it is not the
-    identity, which is decided once per run of rules sharing a table
-    object (the over-rules share one).  Walking forward from an arc's
-    start ends at the next under-rule's ``in`` edge; a component with no
-    under passage is one closed arc, walked from its lowest edge.  Only
-    the stored tables are composed, so the walk costs O(virtual passages
-    * n) and an over-passage costs nothing.
-    """
-    edges = d.edges
-    nxt = [-1] * edges
-    twist: list[tuple | None] = [None] * edges
-    starts = []
-    last = kept = None
-    for i, o, b, fwd, _ in rules:
-        if b >= 0:
-            starts.append(o)
-            continue
-        nxt[i] = o
-        if fwd is not last:  # the over-rules share one table object
-            last = fwd
-            kept = None if fwd == identity else fwd
-        twist[i] = kept
-    arc_of = [-1] * edges
-    perm_of: list[tuple] = [identity] * edges
-    loops: list[tuple | None] = []
-    for start in chain(starts, range(edges)):
-        if arc_of[start] >= 0:
-            continue
-        arc = len(loops)
-        e, perm = start, identity
-        while True:
-            arc_of[e] = arc
-            perm_of[e] = perm
-            table = twist[e]
-            if table is not None:
-                perm = table if perm is identity else tuple(map(table.__getitem__, perm))
-            e = nxt[e]
-            if e < 0 or e == start:  # an under passage, which stores no twist, or the way round
-                break
-        loops.append(None if e < 0 else perm)
-    return arc_of, perm_of, loops
+    def power(k: int) -> tuple:
+        p = known.get(k)
+        if p is None:
+            unit = 1 if k > 0 else -1
+            table, j = known[unit], k - unit
+            while j not in known:  # back towards 0, to the nearest power composed
+                j -= unit
+            p = known[j]
+            while j != k:
+                j += unit
+                p = tuple(map(table.__getitem__, p))
+                if p == identity:
+                    p = identity
+                known[j] = p
+        return p
+
+    return power
 
 
 def _root_orbits(q: FiniteQuandle, f: QuandleMap, domain, identity: tuple):
@@ -187,23 +176,40 @@ def _root_orbits(q: FiniteQuandle, f: QuandleMap, domain, identity: tuple):
     docstring, and a Schreier tree of ``(x, h, y)``: x = h(y) for a
     generator h of H, y reached before x.  When Aut(q) is cheap to list
     (order at most ``DEFAULT_AUT_SEARCH_BOUND`` and at most n(n-1)
-    candidates, n!/(n-g)! for the g greedy generators), the generators
-    are every automorphism h with h o f = f o h, compared as image lists;
-    otherwise f and the S_g = ``columns[g]`` with S_{f(g)} = S_g for the
-    g that ``generation`` lists, those whose S_g preserves products.
-    Without axiom 2 H is trivial.
+    candidates, n!/(n-g)! for the g greedy generators), H is every
+    automorphism h with h o f = f o h, compared as image lists (all of
+    them under the identity twist); H is a group listed whole, so each
+    orbit is one step from its representative r and the tree holds
+    (h(r), h, r).  Otherwise H is generated by f and the S_g =
+    ``columns[g]`` with S_{f(g)} = S_g for the g that ``generation``
+    lists, those whose S_g preserves products, and a breadth-first walk
+    builds the tree.  Without axiom 2 H is trivial.
     """
     generators, _, inner = q.generation
     if inner is None:
         return domain, []
     n, fi = q.order, f.images
-    if n <= DEFAULT_AUT_SEARCH_BOUND and perm(n, len(generators)) <= n * (n - 1):
-        after_f = itemgetter(*fi)  # after_f(h) is h o f
-        maps = [h for h in q.automorphism_images if h != identity and after_f(h) == itemgetter(*h)(fi)]
-    else:
-        cols = q.columns
-        maps = [h for h in (fi, *(cols[g] for g in inner if cols[fi[g]] == cols[g])) if h != identity]
     reps, tree, seen = [], [], set()
+    if n <= DEFAULT_AUT_SEARCH_BOUND and perm(n, len(generators)) <= n * (n - 1):
+        # H is the whole centralizer, a group: one step from r reaches its orbit
+        # (the identity among the maps reaches r itself, already seen)
+        group = q.automorphism_images
+        if fi != identity:  # under the identity every automorphism commutes
+            after_f = itemgetter(*fi)  # after_f(h) is h o f
+            group = [h for h in group if after_f(h) == itemgetter(*h)(fi)]
+        for r in domain:
+            if r in seen:
+                continue
+            reps.append(r)
+            seen.add(r)
+            for h in group:
+                x = h[r]
+                if x not in seen:
+                    seen.add(x)
+                    tree.append((x, h, r))
+        return reps, tree
+    cols = q.columns
+    maps = [h for h in (fi, *(cols[g] for g in inner if cols[fi[g]] == cols[g])) if h != identity]
     for r in domain:
         if r in seen:
             continue
@@ -222,14 +228,14 @@ def _root_orbits(q: FiniteQuandle, f: QuandleMap, domain, identity: tuple):
 
 def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
     """The propagation search, for a twist map the caller has checked:
-    ``(results, root, tree, arc_of, perm_of)``, the arc colorings of the
-    root-orbit representatives in search order, the root arc (None when
-    there is no arc), the Schreier tree of ``_root_orbits`` and the arcs
-    of ``_arcs``."""
-    rules = compile_problem(d, q, f)
+    ``(results, root, tree, power)``, the arc colorings of the root-orbit
+    representatives in search order, the root arc (None when there is no
+    arc), the Schreier tree of ``_root_orbits`` and k -> f^k, bound to
+    the arcs of ``kernel.arc_skeleton``."""
+    arc_of, k_of, loops, crossings, by_lowest_edge = arc_skeleton(d)  # the gate on first build
     n = q.order
     identity = tuple(range(n))
-    arc_of, perm_of, loops = _arcs(d, rules, identity)
+    power = _powers(f, identity)
     colors: list[int | None] = [None] * len(loops)
     # one arc rule (in-arc, p_in, p_in^-1, out-arc, over-arc, fwd, back) per
     # classical crossing, in crossing order, its tables indexed by the
@@ -237,27 +243,24 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
     # back is None unless every column is a bijection (axiom 2), for only then
     # does the out-arc's color force the in-arc's
     bijective = q.generation[2] is not None
+    times, divide = q.columns, q.division
     arc_rules = []
     incident: list[list[tuple]] = [[] for _ in loops]  # arc -> the arc rules it appears in
-    for i, o, b, fwd, back in rules:
-        if b < 0:  # the under-rules come first
-            break
-        p_in, p_by = perm_of[i], perm_of[b]
+    for ia, k_in, oa, ba, k_by, s in crossings:
+        fwd, back = (times, divide) if s > 0 else (divide, times)
+        p_by = power(k_by)
         if p_by is not identity:
             fwd, back = [fwd[z] for z in p_by], [back[z] for z in p_by]
-        p_in_inv = p_in if p_in is identity else _invert(p_in)
-        ia, oa, ba = arc_of[i], arc_of[o], arc_of[b]
-        rule = (ia, p_in, p_in_inv, oa, ba, fwd, back if bijective else None)
+        rule = (ia, power(k_in), power(-k_in), oa, ba, fwd, back if bijective else None)
         arc_rules.append(rule)
         incident[ia].append(rule)
         if oa != ia:
             incident[oa].append(rule)
         if ba != ia and ba != oa:
             incident[ba].append(rule)
-    # a closed arc may take only the fixed points of its loop permutation
+    # a closed arc may take only the fixed points of f^k, k its exponent once round
     every = range(n)
-    domains = [every if p is None else [x for x in every if p[x] == x] for p in loops]
-    by_lowest_edge = list(dict.fromkeys(arc_of))
+    domains = [every if k is None else [x for x, y in enumerate(power(k)) if x == y] for k in loops]
     results: list[tuple[int, ...]] = []
 
     def propagate(arc: int, value: int) -> tuple[list[int], bool]:
@@ -330,12 +333,12 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
             stack.pop()
         else:
             stack.append(branches())
-    return results, root, tree, arc_of, perm_of
+    return results, root, tree, power
 
 
 def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple[int, ...]]:
     """``enumerate_colorings`` unsorted, for a twist map the caller has checked."""
-    results, root, tree, arc_of, perm_of = _search(d, q, f)
+    results, root, tree, power = _search(d, q, f)
     found = results
     if tree:  # the colorings of x = h(y) are the images h o c of those of y
         by_root: dict[int, list] = {}
@@ -344,7 +347,8 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
         for x, h, y in tree:
             by_root[x] = [tuple(map(h.__getitem__, c)) for c in by_root.get(y, ())]
         found = [c for cs in by_root.values() for c in cs]
-    edges = list(zip(arc_of, perm_of))
+    arc_of, k_of = arc_skeleton(d)[:2]
+    edges = [(a, power(k)) for a, k in zip(arc_of, k_of)]
     return [tuple([p[c[a]] for a, p in edges]) for c in found]
 
 
@@ -356,7 +360,7 @@ def count_colorings(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> int:
     colorings one-to-one onto x's.  No image or edge color is built.
     """
     check_twist(q, f)
-    results, root, tree, _, _ = _search(d, q, f)
+    results, root, tree, _ = _search(d, q, f)
     count = len(results)
     if tree:
         per_root = Counter(c[root] for c in results)
@@ -383,9 +387,10 @@ def brute_force_colorings(
     each completed to a full coloring and tested by ``kernel.satisfying``
     against every rule; more than ``ceiling`` assignments raise
     ``SearchBoundExceeded``; a ceiling that is not an int (``bool``
-    included) raises ``InvalidParameter``.  It shares only the compiled
-    rules with ``enumerate_colorings`` (no propagation) and must return the
-    same list on every diagram within the ceiling.
+    included) raises ``InvalidParameter``.  It shares no code with
+    ``enumerate_colorings``, which reads the arcs of ``arc_skeleton`` and
+    propagates, and must return the same list on every diagram within the
+    ceiling.
     """
     check_twist(q, f)
     compiled = compile_problem(d, q, f)

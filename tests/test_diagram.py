@@ -23,6 +23,7 @@ from vknots.diagram import (
 )
 from vknots.errors import InvalidParameter, MalformedInput
 from vknots.invariants import state_sum_classical
+from vknots.kernel import arc_skeleton
 from vknots.moves import MoveRecord, apply_move, find_r1_sites, find_r2_sites, find_vkink_sites, random_equivalent
 from vknots.solver import count_colorings
 from vknots.weights import example_cocycle_r4
@@ -457,7 +458,17 @@ _TRACED = [
 ]
 
 
-@pytest.mark.parametrize("name, d", _TRACED, ids=[name for name, _ in _TRACED])
+def _with_arcs(d: VirtualDiagram) -> VirtualDiagram:
+    """A fresh copy of d that carries its arc skeleton in its ``__dict__``."""
+    d = copy.copy(d)
+    arc_skeleton(d)
+    return d
+
+
+_COPIED = [*_TRACED, ("kishino-with-arcs", _with_arcs(random_equivalent(builder("kishino"), 0, 60)[0]))]
+
+
+@pytest.mark.parametrize("name, d", _COPIED, ids=[name for name, _ in _COPIED])
 def test_records_are_their_own_sort_keys(name, d):
     assert list(d.crossings) == sorted(d.crossings)
     for c in d.crossings:
@@ -465,9 +476,12 @@ def test_records_are_their_own_sort_keys(name, d):
         assert type(c)(*args) == type(c)(**dict(zip(c.FIELDS, args))) == c
         assert repr(c) == f"{type(c).__name__}({', '.join(f'{k}={v}' for k, v in zip(c.FIELDS, args))})"
         assert eval(repr(c)) == c
-    for copied in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
-        assert copied == d
+    for copied in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
+        assert copied == d and hash(copied) == hash(d)
         assert [type(c) for c in copied.crossings] == [type(c) for c in d.crossings]
+        # the derived tables stay behind, and a copy rebuilds them on demand
+        assert "arc_skeleton" not in vars(copied)
+        assert arc_skeleton(copied) == arc_skeleton(d)
 
 
 def test_record_tuples_and_repr():

@@ -1,3 +1,4 @@
+import copy
 import re
 from itertools import permutations
 from math import gcd
@@ -36,9 +37,9 @@ from vknots.invariants import (
     state_sum_z2,
     state_weight_z1,
 )
-from vknots.kernel import compile_problem
+from vknots.kernel import arc_skeleton, compile_problem
 from vknots.solver import (
-    _arcs,
+    _powers,
     _root_orbits,
     brute_force_colorings,
     count_colorings,
@@ -456,13 +457,16 @@ def test_the_count_builds_no_coloring(monkeypatch):
 # ---------------------------------------------------------------------------
 # Linear-algebra check at scale.  On the dihedral quandle R_n (a * b = 2b - a)
 # both classical rules read u_out + u_in - 2*o = 0 and o_out - o_in = 0, and
-# the twists below are affine, x -> u*x + b with u = +-1, so the twisted
-# colorings are the solutions of an affine system over Z_n.  Their number is
+# the twists below are affine, x -> u*x + b with u a unit of Z_n, so the
+# twisted colorings are the solutions of an affine system over Z_n.  Their number is
 # 0 when the system is inconsistent and otherwise the size of the kernel,
 # the product of gcd(d_j, n) over the Smith diagonal (d_j = 0 past the rank).
 # It shares no code with the search and needs no scan of n^E assignments.
 
 AFFINE_TWISTS = {"identity": (1, 0), "inner:0": (-1, 0), "shift": (1, 1)}
+# x -> 2x has order 4 over R5 and 3 over R7, so the arcs compose powers of f
+# past +-1 that differ from their inverses
+SCALE_TWISTS = {**AFFINE_TWISTS, "2x": (2, 0)}
 
 
 def _affine_count(d, n, u, b):
@@ -475,7 +479,8 @@ def _affine_count(d, n, u, b):
         rows.append(row)
         rhs.append(value % n)
 
-    f, f_inv = (u, b), (u, -u * b)  # u = u^-1 since u = +-1
+    u_inv = pow(u, -1, n)
+    f, f_inv = (u, b), (u_inv, -u_inv * b)
     for c in d.crossings:
         if isinstance(c, ClassicalCrossing):
             equation([(c.over_out, 1), (c.over_in, -1)], 0)
@@ -517,7 +522,7 @@ def test_search_matches_linear_algebra_at_scale(ladder_diagrams, size, n):
     d = ladder_diagrams[size]
     q = make_dihedral(n)
     assert inner_automorphism(q, 0).images == tuple(-x % n for x in range(n))
-    for spec, (u, b) in AFFINE_TWISTS.items():
+    for spec, (u, b) in SCALE_TWISTS.items():
         f = QuandleMap(tuple((u * x + b) % n for x in range(n)))
         assert count_colorings(d, q, f) == _affine_count(d, n, u, b), spec
 
@@ -612,12 +617,44 @@ def test_compile_problem_matches_the_named_fields():
 
 def test_arcs_match_a_dict_walk():
     for d in SET_UP_INPUTS:
+        arc_of, k_of, loops, crossings, by_lowest_edge = arc_skeleton(d)
         for q, f in SET_UP_TWISTS:
             rules, identity = compile_problem(d, q, f), tuple(range(q.order))
-            arcs, reference = _arcs(d, rules, identity), _reference_arcs(d, rules, identity)
-            assert arcs == reference, (d, f.images)
-            # an edge whose permutation is the identity holds the identity object itself
-            assert [p is identity for p in arcs[1]] == [p is identity for p in reference[1]]
+            ref_arc_of, ref_perm_of, ref_loops = _reference_arcs(d, rules, identity)
+            # bind f: each edge's permutation is f^k, each closed arc's f^k once round
+            power = _powers(f, identity)
+            perm_of = [power(k) for k in k_of]
+            closed = [None if k is None else power(k) for k in loops]
+            assert (arc_of, perm_of, closed) == (ref_arc_of, ref_perm_of, ref_loops), (d, f.images)
+            assert [(a, power(k_in), oa, ba, power(k_by), s) for a, k_in, oa, ba, k_by, s in crossings] == [
+                (ref_arc_of[c.under_in], ref_perm_of[c.under_in], ref_arc_of[c.under_out],
+                 ref_arc_of[c.over_in], ref_perm_of[c.over_in], c.sign)
+                for c in d.classical()
+            ], (d, f.images)
+            # a permutation equal to the identity is the identity object itself
+            bound = perm_of + [p for p in closed if p is not None]
+            assert all((p is identity) == (p == identity) for p in bound), (d, f.images)
+        assert by_lowest_edge == list(dict.fromkeys(arc_of))
+
+
+def test_the_arcs_are_built_once_per_diagram_object(monkeypatch):
+    import vknots.kernel
+
+    built = []
+    build = vknots.kernel._build_arc_skeleton
+    monkeypatch.setattr(vknots.kernel, "_build_arc_skeleton", lambda d: built.append(d) or build(d))
+    d, c = copy.copy(builder("kishino")), example_cocycle_r4()
+    assert "arc_skeleton" not in vars(d)
+    count_colorings(d, Q4, SHIFT4)
+    enumerate_colorings(d, Q4, ID4)
+    state_weight_z1(d, Q4, c, inner_automorphism(Q4, 0))
+    aut_sum_z3(d, Q4, c)
+    assert len(built) == 1 and built[0] is d
+    # an equal diagram object builds its own: the arcs live on the object
+    twin = copy.copy(d)
+    assert twin == d and hash(twin) == hash(d) and "arc_skeleton" not in vars(twin)
+    assert count_colorings(twin, Q4, SHIFT4) == count_colorings(d, Q4, SHIFT4)
+    assert len(built) == 2 and built[1] is twin and arc_skeleton(twin) == arc_skeleton(d)
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +696,18 @@ def test_every_coloring_entry_point_refuses_a_malformed_diagram(case, call):
     with pytest.raises(MalformedInput) as err:
         COLORING_CALLS[call](d)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_refused_diagram_caches_no_arcs(case):
+    d = MALFORMED[case]
+    for _ in range(2):  # refused again, with the same message
+        with pytest.raises(MalformedInput) as err:
+            arc_skeleton(d)
+        assert str(err.value) == validate_diagram(d).message
+        with pytest.raises(MalformedInput, match=re.escape(str(err.value))):
+            count_colorings(d, Q4, SHIFT4)
+        assert "arc_skeleton" not in vars(d) and "slot_maps" not in vars(d)
 
 
 @pytest.mark.parametrize("ceiling", [None, "10", 2.5, 10.0, True, False])
