@@ -18,8 +18,14 @@ image lists ``automorphism_images`` of the one search behind
 passing one, so every dihedral spelling is valid by construction, and a
 table is always checked.  That
 one test, m(a * b) = m(a) * m(b) compared column by column, checks axiom 3,
-``is_automorphism``, each candidate of ``automorphisms`` and the inner maps
-of ``generation``.
+``is_automorphism`` and each candidate of ``automorphisms``.
+
+``check_quandle`` is the one gate of a table: it reads the cached
+``report`` and refuses a failing one with ``PreconditionFailed``, naming
+the axiom and its witness.  Every coloring and invariant entry point
+calls it (through ``kernel.check_twist`` when it takes a twist map)
+before it reads the table, and so does every CLI command that computes
+on one, so the search and the invariants serve quandles only.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from itertools import permutations
 from math import lcm
 from operator import itemgetter
 
-from .errors import InvalidParameter, MalformedInput, SearchBoundExceeded, load_json
+from .errors import InvalidParameter, MalformedInput, PreconditionFailed, SearchBoundExceeded, load_json
 from .value import Value, set_field
 
 DEFAULT_AUT_SEARCH_BOUND = 8
@@ -67,7 +73,9 @@ class FiniteQuandle(Value):
 
     @cached_property
     def division(self) -> tuple[tuple[int, ...], ...]:
-        """``division[b][y]`` = the x with x * b = y; without axiom 2 the last such x, or 0."""
+        """``division[b][y]`` = the x with x * b = y, the inverse of ``columns[b]`` by
+        axiom 2; on a table without it, which ``check_quandle`` refuses before
+        any coloring reads this, the last such x, or 0."""
         return tuple(map(_invert, self.columns))
 
     @cached_property
@@ -86,12 +94,10 @@ class FiniteQuandle(Value):
 
     @cached_property
     def generation(self):
-        """``(generators, words, inner)``: the greedy generators, each the least
-        element the earlier ones do not generate, in O(n^2); a word x = a * b over
-        earlier elements for every other x; the generators g whose translation
-        ``columns[g]`` preserves products, or None unless axiom 2 holds (only then
-        is ``division`` the inverse that every automorphism respects)."""
-        n, t, cols = self.order, self.table, self.columns
+        """``(generators, words)``: the greedy generators, each the least element
+        the earlier ones do not generate, in O(n^2), and a word x = a * b over
+        earlier elements for every other x."""
+        n, t = self.order, self.table
         placed, order, generators, words = [False] * n, [], [], []
         i = 0
         while len(order) < n:
@@ -109,9 +115,7 @@ class FiniteQuandle(Value):
                         order.append(ab)
                         words.append((ab, a, b))
             i += 1
-        bijective = all(len(set(col)) == n for col in cols)
-        inner = tuple(g for g in generators if self.preserves_products(cols[g])) if bijective else None
-        return tuple(generators), tuple(words), inner
+        return tuple(generators), tuple(words)
 
     @cached_property
     def automorphism_images(self) -> tuple[tuple[int, ...], ...]:
@@ -129,12 +133,14 @@ class FiniteQuandle(Value):
 
 
 class QuandleMap(Value):
-    """A self-map of a quandle's element set, stored as an image list."""
+    """A self-map of a quandle's element set, stored as a tuple of images."""
 
     __slots__ = FIELDS = ("images",)
 
     def __init__(self, images: tuple[int, ...]):
-        set_field(self, "images", images)
+        if not isinstance(images, (list, tuple)):
+            raise InvalidParameter(f"a map's images must be a list or tuple, got {images!r}")
+        set_field(self, "images", tuple(images))
 
     @property
     def order(self) -> int:
@@ -216,6 +222,21 @@ def make_dihedral(n: int) -> FiniteQuandle:
     return q
 
 
+def check_quandle(q: FiniteQuandle) -> None:
+    """Refuse a table whose ``report`` fails, naming the axiom and its witness."""
+    _require(q.report, "quandle", "axiom")
+
+
+def _require(report, what: str, rule: str) -> None:
+    """Raise PreconditionFailed unless the ``what`` passed its check, naming the
+    failing ``rule`` (a field of the report) and its witness."""
+    if not report.ok:
+        raise PreconditionFailed(
+            f"the {what} fails {rule} {getattr(report, rule)}, witness {list(report.witness)}",
+            witness=report.witness,
+        )
+
+
 def validate_quandle(q: FiniteQuandle) -> QuandleReport:
     """Check the three quandle axioms exhaustively, reporting the first failure."""
     n, t = q.order, q.table
@@ -258,15 +279,18 @@ def automorphisms(q: FiniteQuandle, bound: int = DEFAULT_AUT_SEARCH_BOUND) -> li
     injective tuple of generator images is extended through the words of
     the other elements, and the bijections that preserve products are kept.
     Orders above ``bound`` are refused since the number of candidates,
-    n!/(n-g)! for g generators, is factorial for the trivial quandles.
+    n!/(n-g)! for g generators, is factorial for the trivial quandles; a
+    bound that is not an int (``bool`` included) is refused first.
     The search runs once per quandle object, which keeps the result as
     ``automorphism_images``.
     """
+    if type(bound) is not int:  # type(), not isinstance(): bool is an int
+        raise InvalidParameter(f"the automorphism search bound must be an integer, got {bound!r}")
     n = q.order
     if n > bound:
         raise SearchBoundExceeded(f"order {n} exceeds automorphism search bound {bound}")
     if "automorphism_images" not in q.__dict__:
-        t, (generators, words, _) = q.table, q.generation
+        t, (generators, words) = q.table, q.generation
         found, images = [], [0] * n
         for choice in permutations(range(n), len(generators)):
             for g, v in zip(generators, choice):

@@ -18,6 +18,7 @@ from .algebra import (
     MAX_COCYCLE_BASIS_ORDER,
     QuandleMap,
     automorphisms,
+    check_quandle,
     inner_automorphism,
     is_automorphism,
     make_dihedral,
@@ -94,7 +95,7 @@ def _load_aut(spec: str, q) -> QuandleMap:
     images = load_json(_read_spec(spec), "automorphism spec", spec)
     if not (isinstance(images, list) and all(type(x) is int for x in images)):
         raise MalformedInput("automorphism JSON must be a list of integers")
-    m = QuandleMap(tuple(images))
+    m = QuandleMap(images)
     if not is_automorphism(q, m):
         raise InvalidParameter(f"{spec!r} is not an automorphism of the quandle")
     return m
@@ -114,16 +115,6 @@ def _report(report, rule: str) -> int:
     return 0 if report.ok else 1
 
 
-def _require(report, what: str, rule: str) -> None:
-    """Raise PreconditionFailed unless the ``what`` passed its check.  Every dihedral spelling,
-    trivial and example-r4 are valid by construction; table and JSON-cocycle input is checked."""
-    if not report.ok:
-        raise PreconditionFailed(
-            f"the {what} fails {rule} {getattr(report, rule)}, witness {list(report.witness)}",
-            witness=report.witness,
-        )
-
-
 def _cmd_quandle(args) -> int:
     q = make_dihedral(args.dihedral) if args.dihedral is not None else _load_quandle(args.quandle)
     if args.action == "check":
@@ -131,7 +122,7 @@ def _cmd_quandle(args) -> int:
     # the search refuses orders above the bound itself, so only quandles it
     # would search are checked
     if q.order <= args.bound:
-        _require(q.report, "quandle", "axiom")
+        check_quandle(q)
     auts = automorphisms(q, bound=args.bound)
     _emit({"count": len(auts), "automorphisms": [list(m.images) for m in auts]})
     return 0
@@ -144,7 +135,7 @@ def _cmd_cocycle(args) -> int:
     # the basis refuses orders above its bound itself, so only quandles it
     # would solve are checked
     if args.action != "basis" or q.order <= MAX_COCYCLE_BASIS_ORDER:
-        _require(q.report, "quandle", "axiom")
+        check_quandle(q)
     if args.action == "coboundary":
         exps = load_json(_read_spec(args.psi), "psi")
         if not (isinstance(exps, list) and all(type(x) is int for x in exps)):
@@ -194,14 +185,20 @@ def _cmd_diagram(args) -> int:
 
 
 def _load_valid_quandle(spec: str):
+    """The quandle of ``spec``, refused unless it passes its axioms.  Every dihedral
+    spelling is valid by construction; table input is checked."""
     q = _load_quandle(spec)
-    _require(q.report, "quandle", "axiom")
+    check_quandle(q)
     return q
 
 
 def _load_valid_cocycle(spec: str, q):
+    """The cocycle of ``spec``, refused unless it passes its conditions.  trivial and
+    example-r4 are valid by construction; JSON input is checked."""
+    from . import weights
+
     c = _load_cocycle(spec, q)
-    _require(c.report, "cocycle", "condition")
+    weights.check_cocycle(c)
     return c
 
 

@@ -26,19 +26,26 @@ is t raised to the sum of exponent times multiplicity, and Z3 adds up the
 Z1 monomials over Aut(G).  Every free loop multiplies the coloring count
 by |G|, so the state sum's multiplicities carry the factor
 |G|**free_loops, and through them so do the count and the Z1 exponent.
+
+Every entry point refuses, with ``PreconditionFailed`` naming the failing
+axiom or condition and its witness, a table that is no quandle
+(``algebra.check_quandle``, through ``kernel.check_twist`` when a twist
+map is given) and, but for ``coloring_weight``, a cocycle that fails a
+cocycle condition (``weights.check_cocycle``), before any enumeration;
+``_state_sum`` checks neither.
 """
 
 from __future__ import annotations
 
 import json
 
-from .algebra import FiniteQuandle, QuandleMap, automorphisms
+from .algebra import FiniteQuandle, QuandleMap, automorphisms, check_quandle
 from .diagram import VirtualDiagram
 from .errors import InvalidParameter, PreconditionFailed, WrongKind
 from .kernel import check_coloring, check_twist, compile_problem, satisfying
 from .solver import _enumerate
 from .value import Value, set_field
-from .weights import Cocycle2, Weight, WeightPolynomial, preservation_witness
+from .weights import Cocycle2, Weight, WeightPolynomial, check_cocycle, preservation_witness
 
 
 class InvariantResult(Value):
@@ -123,9 +130,11 @@ def coloring_weight(d: VirtualDiagram, c: Cocycle2, coloring) -> Weight:
     """Product over classical crossings of phi(x, y)^sign for one coloring.
 
     The classical crossing rules are re-checked (the virtual rules depend
-    on the twist map and are the solver's business).
+    on the twist map and are the solver's business).  A cocycle table
+    that is no quandle is refused first.
     """
     q = c.quandle
+    check_quandle(q)  # the identity twist needs no automorphism test
     rules = compile_problem(d, q, QuandleMap.identity(q.order))  # refuses a malformed diagram
     check_coloring(d, q, coloring)
     classical = rules[: 2 * len(d.classical())]
@@ -162,6 +171,7 @@ def invariant_bundle(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: Quandl
     """
     _check_cocycle_quandle(q, c)
     check_twist(q, f)  # before any enumeration
+    check_cocycle(c)
     z3, own = _z3(d, q, c, f)
     bundle = {"colorings": own.evaluate_at_one(), "z1": _z1(c, own).exponent, "z3": z3.to_json_obj()}
     if preservation_witness(f, c) is None:
@@ -187,6 +197,7 @@ def compute_invariant(
     _check_cocycle_quandle(q, c)
     if kind == "z":
         f = QuandleMap.identity(q.order)
+        check_quandle(q)  # the identity twist needs no automorphism test
         d.slot_maps  # the gate: refuses a malformed diagram before its records are read
         if d.virtual():
             raise WrongKind("the classical state sum is undefined on virtual diagrams; use Z2")
@@ -194,6 +205,7 @@ def compute_invariant(
         raise InvalidParameter(f"invariant {kind!r} needs an automorphism")
     else:
         check_twist(q, f)  # before any enumeration and before Z2 reads f's images
+    check_cocycle(c)
     if kind == "z3":
         z3, own = _z3(d, q, c, f)
         return InvariantResult("Z3", z3, own.evaluate_at_one())

@@ -1,21 +1,20 @@
 """The coloring problem of a diagram: its strand rules, and the arcs the search walks.
 
 This module is the one place that encodes the crossing rules.  Every
-crossing becomes two strand rules ``(in, out, by, fwd, back)``, each
-relating the color of an edge entering a passage to the color of the
-edge leaving it:
+crossing becomes two strand rules ``(in, out, by, fwd)``, each giving the
+color of the edge leaving a passage from the color of the edge entering
+it:
 
   classical, under-strand:  color(out) = fwd[color(by)][color(in)]
-                            color(in)  = back[color(by)][color(out)]
-      sign +1:  out = in * over              (fwd = columns, back = division)
-      sign -1:  out = the x with x * over = in  (fwd = division, back = columns)
+      sign +1:  out = in * over              (fwd = columns)
+      sign -1:  out = the x with x * over = in  (fwd = division)
   classical, over-strand:   color(out) = color(in)                 (by = -1)
   virtual, chirality c:     first strand twists by f^(-c), second by f^(+c)
 
 where ``by`` is the crossing's ``over_in`` edge and f is the twist
 automorphism.  A rule with ``by = -1`` is a bijection read directly from
-``fwd`` and ``back``; an under-rule needs the over color first, and the
-tables are stored by over color so that ``fwd[o]`` is again a bijection.
+``fwd``; an under-rule needs the over color first, and the tables are
+stored by over color so that ``fwd[o]`` is again a bijection.
 
 ``compile_problem`` reads each crossing record once, unpacking it as
 ``(tag, sign or chirality, in, out, in, out)``, and returns the
@@ -36,33 +35,39 @@ Both read the diagram's ``slot_maps``, the one gate, before its records
 (``arc_skeleton`` on its first build): so a diagram that
 ``validate_diagram`` refuses is refused here, with its message, as
 ``MalformedInput``, and past the gate a crossing's kind is its tag.
-Neither checks the twist map: each public entry point calls
-``check_twist`` once.  The crossing weights are not rules;
-``invariants`` reads them off the diagram itself.
+Neither checks the quandle or the twist map: each public entry point
+calls ``check_twist`` once, which refuses a table that is no quandle
+(``algebra.check_quandle``) and then a twist map that is no automorphism
+of it.  The crossing weights are not rules; ``invariants`` reads them off
+the diagram itself.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
-from .algebra import FiniteQuandle, QuandleMap, _invert, is_automorphism
+from .algebra import FiniteQuandle, QuandleMap, _invert, check_quandle, is_automorphism
 from .diagram import VirtualDiagram
 from .errors import InvalidParameter
 
 BACKEND = "python"
 
-Rule = tuple[int, int, int, tuple, tuple]
+Rule = tuple[int, int, int, tuple]
 ArcSkeleton = tuple[list[int], list[int], list, list[tuple[int, int, int, int, int, int]], list[int]]
 
 
 def check_twist(q: FiniteQuandle, f: QuandleMap) -> None:
-    """Refuse a twist map that is not an automorphism of q."""
+    """Refuse a table that is no quandle (``check_quandle``), then a twist map
+    that is not an automorphism of q."""
+    check_quandle(q)
     if not is_automorphism(q, f):
         raise InvalidParameter("the twist map must be an automorphism of the quandle")
 
 
 def check_coloring(d: VirtualDiagram, q: FiniteQuandle, coloring) -> None:
-    """Refuse anything but one color, an int in 0..|q|-1, per edge of d."""
+    """Refuse anything but a list or tuple of one color, an int in 0..|q|-1, per edge of d."""
+    if not isinstance(coloring, (list, tuple)):
+        raise InvalidParameter(f"a coloring must be a list or tuple of colors, got {coloring!r}")
     if len(coloring) != d.edges:
         raise InvalidParameter("coloring length does not match the edge count")
     for x in coloring:
@@ -93,11 +98,11 @@ def compile_problem(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> tuple
     for tag, s, w, x, y, z in d.crossings:  # passages (w -> x) and (y -> z)
         if tag:  # virtual, chirality s
             first, second = (fminus, fplus) if s > 0 else (fplus, fminus)
-            virtual.append((w, x, -1, first, second))
-            virtual.append((y, z, -1, second, first))
+            virtual.append((w, x, -1, first))
+            virtual.append((y, z, -1, second))
         else:  # classical, sign s: under (w -> x) by the over-strand's in-edge y
-            under.append((w, x, y, times, divide) if s > 0 else (w, x, y, divide, times))
-            over.append((y, z, -1, identity, identity))
+            under.append((w, x, y, times if s > 0 else divide))
+            over.append((y, z, -1, identity))
     return tuple(under + over + virtual)
 
 
@@ -174,7 +179,7 @@ def satisfying(rules, colorings) -> list:
     """
     out = []
     for c in colorings:
-        for i, o, b, fwd, _ in rules:
+        for i, o, b, fwd in rules:
             if (fwd if b < 0 else fwd[c[b]])[c[i]] != c[o]:
                 break
         else:

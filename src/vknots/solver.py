@@ -31,17 +31,18 @@ the identity; and a domain per closed arc, the fixed points of its f^k.
 The search branches on the uncolored over-arc of
 the first crossing, in crossing order, whose in-arc or out-arc is
 colored, else on the arc that holds the lowest uncolored edge; it
-propagates the arc rules and backtracks on conflict; a branch, taken or
-failed, uncolors the arcs its propagation colored in one place.  A rule
-forces its in-arc from its out-arc only when every column of q is a
-bijection (axiom 2); otherwise the in-arc is left to a later branch.
+propagates the arc rules both ways, since every column of a quandle is
+a bijection (axiom 2), and backtracks on conflict; a branch, taken or
+failed, uncolors the arcs its propagation colored in one place.
 ``_search`` runs this search and two finishers read it: ``_enumerate``
 lists, expanding each solution to its edge colors through each edge's
 power (only ``enumerate_colorings`` sorts the list), and
 ``count_colorings`` counts, building no coloring and no edge's power.
-A public entry point checks the twist map once; the invariant layer,
-which has checked it and sums over the colorings in any order, calls
-the unchecked ``_enumerate``.
+A public entry point calls ``kernel.check_twist`` once, which refuses a
+table that is no quandle (``algebra.check_quandle``, naming the failing
+axiom and its witness) and then a twist map that is no automorphism; the
+invariant layer, which has checked both and sums over the colorings in
+any order, calls the unchecked ``_enumerate``.
 
 The root arc, the first one branched on, tries one color per orbit of a
 group H of automorphisms that commute with f.  Such an h maps the
@@ -60,24 +61,22 @@ order 4 on every quandle of three or more greedy generators, such as
 the trivial ones or 5a - 4b mod 8) no automorphism search runs, and H
 is generated by f and by the inner maps S_g: x -> x * g of the greedy
 generators g with S_{f(g)} = S_g, which is S_g f = f S_g because
-f S_g f^-1 = S_{f(g)}.
-It stays exact on every table: an h acts only if it preserves products,
-and H is trivial unless every column is a bijection, for otherwise
-``division`` is not the inverse that automorphisms respect.  H commutes
-with the twists composed round a closed root arc, so it keeps that arc's
-fixed points.  The colorings of each other color x of an orbit are the
-images h o c of those of the color y that reached it in a Schreier tree
-(x = h(y) for a generator h of H); when H is the centralizer, a group
-listed whole, y is the orbit's representative, one step away.  So
+f S_g f^-1 = S_{f(g)}; each S_g is an automorphism by axioms 2 and 3.
+H commutes with the twists composed round a closed root arc, so it
+keeps that arc's fixed points.  The colorings of each other color x of
+an orbit are the images h o c of those of the color y that reached it
+in a Schreier tree (x = h(y) for a generator h of H); when H is the
+centralizer, a group listed whole, y is the orbit's representative, one
+step away.  So
 ``_enumerate`` lists each orbit representative's colorings in search
 order, then their images, an order that changes with H; the sorted list
 does not.  As c -> h o c maps y's
 colorings one-to-one onto x's, ``count_colorings`` gives x the count of y.
 
-Every entry point reads the diagram's ``slot_maps``, the one gate,
-before anything else of it: the search through the first build of
-``arc_skeleton``, the oracle and ``verify_coloring`` through
-``compile_problem``.  So a diagram that ``validate_diagram`` refuses (a
+Past ``check_twist``, every entry point reads the diagram's
+``slot_maps``, the one gate of a diagram, before anything else of it:
+the search through the first build of ``arc_skeleton``, the oracle and
+``verify_coloring`` through ``compile_problem``.  So a diagram that ``validate_diagram`` refuses (a
 count that is no int in range, then, in passage order, a crossing that
 is no record of its tag's class, an edge label out of range or a slot
 used twice, last a dangling edge) raises ``MalformedInput`` with its
@@ -131,8 +130,8 @@ def enumerate_colorings(
     try each color the arc may take (a closed arc only the fixed points of
     the twists composed once round it), propagate through every crossing
     whose over-arc and one strand arc are colored (its rule is then a
-    bijection between the two strand arcs; without axiom 2 only the in-arc
-    forces the out-arc), and backtrack on conflict.
+    bijection between the two strand arcs), and backtrack on conflict.
+    A table that is no quandle is refused first, with ``PreconditionFailed``.
     The first arc tries one color per orbit of the automorphisms that
     commute with f, and the colorings of the other colors are their images.
     Each solution is expanded to its edge colors by walking its arcs, and
@@ -174,42 +173,27 @@ def _powers(f: QuandleMap, identity: tuple):
 def _root_orbits(q: FiniteQuandle, f: QuandleMap, domain, identity: tuple):
     """One color per orbit on ``domain`` of the group H of the module
     docstring, and a Schreier tree of ``(x, h, y)``: x = h(y) for a
-    generator h of H, y reached before x.  When Aut(q) is cheap to list
-    (order at most ``DEFAULT_AUT_SEARCH_BOUND`` and at most n(n-1)
-    candidates, n!/(n-g)! for the g greedy generators), H is every
+    generator h of H, y reached before x, built by a breadth-first walk
+    from each representative r.  When Aut(q) is cheap to list (order at
+    most ``DEFAULT_AUT_SEARCH_BOUND`` and at most n(n-1) candidates,
+    n!/(n-g)! for the g greedy generators), the maps are every
     automorphism h with h o f = f o h, compared as image lists (all of
-    them under the identity twist); H is a group listed whole, so each
-    orbit is one step from its representative r and the tree holds
-    (h(r), h, r).  Otherwise H is generated by f and the S_g =
-    ``columns[g]`` with S_{f(g)} = S_g for the g that ``generation``
-    lists, those whose S_g preserves products, and a breadth-first walk
-    builds the tree.  Without axiom 2 H is trivial.
+    them under the identity twist): H listed whole, so r's step reaches
+    its orbit, the tree holds (h(r), h, r) and the walk stops there.
+    Otherwise the maps are f and the S_g = ``columns[g]`` with
+    S_{f(g)} = S_g for the greedy generators g, and the walk runs on.
     """
-    generators, _, inner = q.generation
-    if inner is None:
-        return domain, []
-    n, fi = q.order, f.images
-    reps, tree, seen = [], [], set()
-    if n <= DEFAULT_AUT_SEARCH_BOUND and perm(n, len(generators)) <= n * (n - 1):
-        # H is the whole centralizer, a group: one step from r reaches its orbit
-        # (the identity among the maps reaches r itself, already seen)
-        group = q.automorphism_images
+    n, fi, (generators, _) = q.order, f.images, q.generation
+    whole = n <= DEFAULT_AUT_SEARCH_BOUND and perm(n, len(generators)) <= n * (n - 1)
+    if whole:  # the identity among the maps reaches a color already seen
+        maps = q.automorphism_images
         if fi != identity:  # under the identity every automorphism commutes
             after_f = itemgetter(*fi)  # after_f(h) is h o f
-            group = [h for h in group if after_f(h) == itemgetter(*h)(fi)]
-        for r in domain:
-            if r in seen:
-                continue
-            reps.append(r)
-            seen.add(r)
-            for h in group:
-                x = h[r]
-                if x not in seen:
-                    seen.add(x)
-                    tree.append((x, h, r))
-        return reps, tree
-    cols = q.columns
-    maps = [h for h in (fi, *(cols[g] for g in inner if cols[fi[g]] == cols[g])) if h != identity]
+            maps = [h for h in maps if after_f(h) == itemgetter(*h)(fi)]
+    else:
+        cols = q.columns
+        maps = [h for h in (fi, *(cols[g] for g in generators if cols[fi[g]] == cols[g])) if h != identity]
+    reps, tree, seen = [], [], set()
     for r in domain:
         if r in seen:
             continue
@@ -223,6 +207,8 @@ def _root_orbits(q: FiniteQuandle, f: QuandleMap, domain, identity: tuple):
                     seen.add(x)
                     orbit.append(x)
                     tree.append((x, h, y))
+            if whole:  # r's step has reached its whole orbit
+                break
     return reps, tree
 
 
@@ -239,10 +225,8 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
     colors: list[int | None] = [None] * len(loops)
     # one arc rule (in-arc, p_in, p_in^-1, out-arc, over-arc, fwd, back) per
     # classical crossing, in crossing order, its tables indexed by the
-    # over-arc's color: color(out-arc) = fwd[color(over-arc)][p_in[color(in-arc)]];
-    # back is None unless every column is a bijection (axiom 2), for only then
-    # does the out-arc's color force the in-arc's
-    bijective = q.generation[2] is not None
+    # over-arc's color: color(out-arc) = fwd[color(over-arc)][p_in[color(in-arc)]]
+    # and color(in-arc) = p_in^-1[back[color(over-arc)][color(out-arc)]]
     times, divide = q.columns, q.division
     arc_rules = []
     incident: list[list[tuple]] = [[] for _ in loops]  # arc -> the arc rules it appears in
@@ -251,7 +235,7 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
         p_by = power(k_by)
         if p_by is not identity:
             fwd, back = [fwd[z] for z in p_by], [back[z] for z in p_by]
-        rule = (ia, power(k_in), power(-k_in), oa, ba, fwd, back if bijective else None)
+        rule = (ia, power(k_in), power(-k_in), oa, ba, fwd, back)
         arc_rules.append(rule)
         incident[ia].append(rule)
         if oa != ia:
@@ -287,7 +271,7 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
                         stack.append((oa, want))
                     elif y != want:
                         return trail, False
-                elif y is not None and back is not None:
+                elif y is not None:
                     stack.append((ia, p_in_inv[back[z][y]]))
         return trail, True
 
@@ -397,8 +381,8 @@ def brute_force_colorings(
     if type(ceiling) is not int:  # type(), not isinstance(): bool is an int
         raise InvalidParameter(f"the ceiling must be an integer, got {ceiling!r}")
     n = q.order
-    passage = {i: (o, fwd) for i, o, b, fwd, _ in compiled if b < 0}
-    starts = [o for _, o, b, _, _ in compiled if b >= 0]
+    passage = {i: (o, fwd) for i, o, b, fwd in compiled if b < 0}
+    starts = [o for _, o, b, _ in compiled if b >= 0]
     strands: list[list[int]] = []
     covered: set[int] = set()
     for start in starts + list(range(d.edges)):
@@ -429,10 +413,7 @@ def brute_force_colorings(
     # one tuple concatenation per assignment.
     order = [e for strand in strands for e in strand]
     position = {e: k for k, e in enumerate(order)}
-    rules = [
-        (position[i], position[o], position[b] if b >= 0 else -1, fwd, back)
-        for i, o, b, fwd, back in compiled
-    ]
+    rules = [(position[i], position[o], position[b] if b >= 0 else -1, fwd) for i, o, b, fwd in compiled]
     half = len(strands) // 2
     heads = [sum(walks, ()) for walks in product(*colors[:half])]
     tails = [sum(walks, ()) for walks in product(*colors[half:])]

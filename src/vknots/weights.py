@@ -19,6 +19,10 @@ which always satisfies both conditions.
 A cocycle carries its ``validate_cocycle`` ``report``, run on first use:
 ``trivial_cocycle`` and ``example_cocycle_r4`` store a passing one, valid
 by construction; any other, one read from JSON included, is checked.
+``check_cocycle`` is the one gate of a cocycle, as ``check_quandle`` is of
+a table: every invariant entry point and the CLI call it, and it refuses
+a failing report with ``PreconditionFailed``, naming the condition and its
+witness.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 
-from .algebra import MAX_COCYCLE_BASIS_ORDER, FiniteQuandle, QuandleMap, is_automorphism, make_dihedral
+from .algebra import MAX_COCYCLE_BASIS_ORDER, FiniteQuandle, QuandleMap, _require, is_automorphism, make_dihedral
 from .errors import InvalidParameter, MalformedInput, SearchBoundExceeded, load_json
 from .value import Value, set_field
 
@@ -152,6 +156,8 @@ class Cocycle2(Value):
 
     def __init__(self, quandle: FiniteQuandle, group: CoefficientGroup, exponents: tuple[tuple[int, ...], ...]):
         n = quandle.order
+        if not isinstance(exponents, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in exponents):
+            raise MalformedInput("cocycle table must be a list of rows")
         if len(exponents) != n or any(len(row) != n for row in exponents):
             raise MalformedInput("cocycle table size does not match the quandle order")
         set_field(self, "quandle", quandle)
@@ -182,6 +188,11 @@ def trivial_cocycle(q: FiniteQuandle, group: CoefficientGroup = CoefficientGroup
     c = Cocycle2(q, group, tuple((0,) * n for _ in range(n)))
     c.__dict__["report"] = CocycleReport(True)  # valid by construction; the test suite checks it
     return c
+
+
+def check_cocycle(c: Cocycle2) -> None:
+    """Refuse a cocycle whose ``report`` fails, naming the condition and its witness."""
+    _require(c.report, "cocycle", "condition")
 
 
 def validate_cocycle(c: Cocycle2) -> CocycleReport:
@@ -306,8 +317,8 @@ def cocycle_space_basis(q: FiniteQuandle, m: int) -> list[Cocycle2]:
     Smith reduction of the condition matrix.  Orders above
     ``MAX_COCYCLE_BASIS_ORDER`` are refused before any row is built.
     """
-    if m < 2:
-        raise InvalidParameter("cocycle_space_basis needs a modulus m >= 2")
+    if type(m) is not int or m < 2:  # type(), not isinstance(): bool is an int
+        raise InvalidParameter(f"cocycle_space_basis needs an integer modulus m >= 2, got {m!r}")
     n = q.order
     if n > MAX_COCYCLE_BASIS_ORDER:
         raise SearchBoundExceeded(f"order {n} exceeds the cocycle basis bound {MAX_COCYCLE_BASIS_ORDER}")

@@ -15,7 +15,7 @@ from vknots.invariants import (
     state_sum_z2,
     state_weight_z1,
 )
-from vknots.solver import count_colorings, enumerate_colorings
+from vknots.solver import brute_force_colorings, count_colorings, enumerate_colorings, verify_coloring
 from vknots.weights import (
     CoefficientGroup,
     Cochain1,
@@ -66,6 +66,29 @@ def test_every_invariant_refuses_a_twist_map_that_is_no_automorphism(images, mes
         with pytest.raises(InvalidParameter) as refused:
             compute_invariant(kind, builder("virtual_trefoil"), Q4, PHI, f)
         assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("images", [[0, 1, 2, 3], list(INNER0.images)])
+def test_a_map_built_from_a_list_answers_like_one_built_from_a_tuple(images):
+    # Z3 and the bundle used to raise a bare TypeError on a list-built map
+    # (its images were the dict key of its state sum), while the counts and
+    # Z2 took it
+    d = builder("virtual_trefoil")
+    listed, tupled = QuandleMap(images), QuandleMap(tuple(images))
+    assert listed.images == tupled.images and listed == tupled and hash(listed) == hash(tupled)
+    coloring = enumerate_colorings(d, Q4, tupled)[-1]
+    entry_points = {
+        "count_colorings": lambda f: count_colorings(d, Q4, f),
+        "enumerate_colorings": lambda f: enumerate_colorings(d, Q4, f),
+        "brute_force_colorings": lambda f: brute_force_colorings(d, Q4, f),
+        "verify_coloring": lambda f: verify_coloring(d, Q4, f, coloring),
+        "invariant_bundle": lambda f: invariant_bundle(d, Q4, PHI, f),
+        "state_weight_z1": lambda f: state_weight_z1(d, Q4, PHI, f),
+        "state_sum_z2": lambda f: state_sum_z2(d, Q4, PHI, f),
+        **{kind: lambda f, kind=kind: compute_invariant(kind, d, Q4, PHI, f) for kind in ("z1", "z2", "z3")},
+    }
+    for name, call in entry_points.items():
+        assert call(listed) == call(tupled), name
 
 
 def test_z3_refuses_a_bad_twist_map_before_enumerating(monkeypatch):

@@ -27,7 +27,7 @@ from vknots.diagram import (
     validate_diagram,
 )
 from vknots.moves import random_equivalent
-from vknots.errors import InvalidParameter, MalformedInput, SearchBoundExceeded
+from vknots.errors import InvalidParameter, MalformedInput, PreconditionFailed, SearchBoundExceeded
 from vknots.invariants import (
     aut_sum_z3,
     coloring_weight,
@@ -46,7 +46,7 @@ from vknots.solver import (
     enumerate_colorings,
     verify_coloring,
 )
-from vknots.weights import example_cocycle_r4
+from vknots.weights import CoefficientGroup, Cocycle2, example_cocycle_r4, trivial_cocycle
 
 Q3, Q4 = make_dihedral(3), make_dihedral(4)
 ID3, ID4 = QuandleMap.identity(3), QuandleMap.identity(4)
@@ -322,11 +322,10 @@ def test_alexander_counts_survive_moves():
 # generated by f and the inner maps S_g of q's greedy generators that
 # commute with f.  These quandles give H every shape: on T4 (24 candidates)
 # every S_a is the identity, so only f acts; on the conjugation quandle of
-# S3 an order-3 twist keeps some automorphisms; on a table failing axiom 2
-# no symmetry is used at all; on a Latin square failing only axiom 3 the
-# four product-preserving bijections act; and over R5-R8, whose
+# S3 an order-3 twist keeps some automorphisms; and over R5-R8, whose
 # automorphisms x -> ux + v are not all inner, every twist keeps its
-# centralizer.
+# centralizer.  A table that is no quandle never reaches the search: the
+# gate tests below refuse it at every entry point.
 
 
 def _trivial(n):
@@ -348,8 +347,6 @@ ROOT_ORBIT_CASES = {
     "T4": (T4, automorphisms(T4)),
     "S3 conjugation": (S3_CONJ, [QuandleMap.identity(6), inner_automorphism(S3_CONJ, 3)]),
     "A5": (A5, list(A5_TWISTS.values())),
-    "axiom 2 fails": (NO_AXIOM_2, [QuandleMap.identity(3)]),
-    "only axiom 3 fails": (NO_AXIOM_3, automorphisms(NO_AXIOM_3)),
     **{f"R{n}": (make_dihedral(n), automorphisms(make_dihedral(n))) for n in (5, 6, 7, 8)},
 }
 
@@ -360,8 +357,6 @@ def test_root_orbit_quandles_are_what_they_claim():
     assert map_order(inner_automorphism(S3_CONJ, 3)) == 3
     assert validate_quandle(NO_AXIOM_2).axiom == 2
     assert validate_quandle(NO_AXIOM_3).axiom == 3
-    assert [NO_AXIOM_3.preserves_products(NO_AXIOM_3.columns[g]) for g in (0, 1)] == [False, True]
-    assert len(ROOT_ORBIT_CASES["only axiom 3 fails"][1]) == 4
 
 
 @pytest.mark.parametrize("case", ROOT_ORBIT_CASES)
@@ -399,8 +394,6 @@ def test_a_closed_root_arc_keeps_its_fixed_points():
         (make_dihedral(8), inner_automorphism(make_dihedral(8), 0), [0, 1, 2]),  # {0, 4}, the odd, {2, 6}
         (Q4, SHIFT4, [0]),  # f alone
         (T4, QuandleMap.identity(4), [0, 1, 2, 3]),  # 24 > 12 candidates: f and the S_a, all the identity
-        (NO_AXIOM_2, QuandleMap.identity(3), [0, 1, 2]),  # no symmetry without axiom 2
-        (NO_AXIOM_3, QuandleMap.identity(5), [0, 1]),  # its 4 product-preserving bijections
     ],
 )
 def test_root_orbit_representatives(q, f, reps):
@@ -409,6 +402,57 @@ def test_root_orbit_representatives(q, f, reps):
     assert list(found) == reps
     assert sorted([*reps, *(x for x, _, _ in tree)]) == list(identity)
     assert all(h[y] == x for x, h, y in tree)
+
+
+# The one gate of a table and of a cocycle: every coloring entry point
+# refuses a table that fails a quandle axiom, and every invariant entry point
+# refuses it too and a cocycle that fails condition 2, with PreconditionFailed
+# in the words the CLI prints, naming the axiom or condition and its witness.
+# A table without axiom 2 used to be searched with a one-way propagation
+# (its negative crossings reading division's "last such x, or 0"), and the
+# invariants summed a non-cocycle as if it were one.
+
+BROKEN_R4 = Cocycle2(Q4, CoefficientGroup(0), ((0, 1, 0, 0), (0,) * 4, (0,) * 4, (0,) * 4))  # example-r4, phi(0, 3) = 1
+NOT_QUANDLES = {"axiom 2 fails": NO_AXIOM_2, "only axiom 3 fails": NO_AXIOM_3}
+GATE_COLORING_CALLS = {
+    "count_colorings": lambda d, q, c, f: count_colorings(d, q, f),
+    "enumerate_colorings": lambda d, q, c, f: enumerate_colorings(d, q, f),
+    "brute_force_colorings": lambda d, q, c, f: brute_force_colorings(d, q, f),
+    "verify_coloring": lambda d, q, c, f: verify_coloring(d, q, f, (0,) * d.edges),
+    "coloring_weight": lambda d, q, c, f: coloring_weight(d, c, (0,) * d.edges),
+}
+GATE_INVARIANT_CALLS = {
+    **{f"compute_invariant {kind}": lambda d, q, c, f, kind=kind: compute_invariant(kind, d, q, c, f)
+       for kind in ("z", "z1", "z2", "z3")},
+    "invariant_bundle": lambda d, q, c, f: invariant_bundle(d, q, c, f),
+    "state_sum_classical": lambda d, q, c, f: state_sum_classical(d, q, c),
+    "state_weight_z1": lambda d, q, c, f: state_weight_z1(d, q, c, f),
+    "state_sum_z2": lambda d, q, c, f: state_sum_z2(d, q, c, f),
+    "aut_sum_z3": lambda d, q, c, f: aut_sum_z3(d, q, c),
+}
+
+
+def _refused(call, q, c, report, words):
+    with pytest.raises(PreconditionFailed) as err:
+        call(builder("trefoil"), q, c, QuandleMap.identity(q.order))
+    assert str(err.value) == f"{words} {list(report.witness)}"
+    assert err.value.witness == report.witness
+
+
+@pytest.mark.parametrize("call", [*GATE_COLORING_CALLS, *GATE_INVARIANT_CALLS])
+@pytest.mark.parametrize("table", NOT_QUANDLES)
+def test_every_entry_point_refuses_a_table_that_is_no_quandle(table, call):
+    q = NOT_QUANDLES[table]
+    report = validate_quandle(q)
+    call = {**GATE_COLORING_CALLS, **GATE_INVARIANT_CALLS}[call]
+    _refused(call, q, trivial_cocycle(q), report, f"the quandle fails axiom {report.axiom}, witness")
+
+
+@pytest.mark.parametrize("call", GATE_INVARIANT_CALLS)
+def test_every_invariant_entry_point_refuses_a_cocycle_that_fails_condition_2(call):
+    r4 = example_cocycle_r4().exponents
+    assert [(a, b) for a in range(4) for b in range(4) if BROKEN_R4.exponents[a][b] != r4[a][b]] == [(0, 3)]
+    _refused(GATE_INVARIANT_CALLS[call], Q4, BROKEN_R4, BROKEN_R4.report, "the cocycle fails condition 2, witness")
 
 
 @pytest.mark.parametrize(
@@ -529,7 +573,7 @@ def test_search_matches_linear_algebra_at_scale(ladder_diagrams, size, n):
 
 # ---------------------------------------------------------------------------
 # The search's set-up against references of its own.  compile_problem reads
-# each record once as a tuple and _arcs walks lists indexed by edge; these
+# each record once as a tuple and arc_skeleton walks lists indexed by edge; these
 # references read the records' named fields and walk a dict, and must give
 # equal rules and arcs on the corpus, on move outputs and on a large diagram.
 
@@ -542,13 +586,12 @@ def _reference_rules(d, q, f):
     under, over, virtual = [], [], []
     for c in d.crossings:
         if isinstance(c, ClassicalCrossing):
-            fwd, back = (q.columns, q.division) if c.sign == 1 else (q.division, q.columns)
-            under.append((c.under_in, c.under_out, c.over_in, fwd, back))
-            over.append((c.over_in, c.over_out, -1, identity, identity))
+            under.append((c.under_in, c.under_out, c.over_in, q.columns if c.sign == 1 else q.division))
+            over.append((c.over_in, c.over_out, -1, identity))
         else:
             first, second = (f_inv, f.images) if c.chirality == 1 else (f.images, f_inv)
-            virtual.append((c.first_in, c.first_out, -1, first, second))
-            virtual.append((c.second_in, c.second_out, -1, second, first))
+            virtual.append((c.first_in, c.first_out, -1, first))
+            virtual.append((c.second_in, c.second_out, -1, second))
     return tuple(under + over + virtual)
 
 
@@ -557,13 +600,13 @@ def _reference_arcs(d, rules, identity):
     classical = 2 * len(d.classical())  # under-rules, then over-rules, then twists
     step = {
         i: (o, None if k < classical or fwd == identity else fwd)
-        for k, (i, o, b, fwd, _) in enumerate(rules)
+        for k, (i, o, b, fwd) in enumerate(rules)
         if b < 0
     }
     arc_of = [-1] * d.edges
     perm_of = [identity] * d.edges
     loops = []
-    for start in [o for _, o, b, _, _ in rules if b >= 0] + list(range(d.edges)):
+    for start in [o for _, o, b, _ in rules if b >= 0] + list(range(d.edges)):
         if arc_of[start] >= 0:
             continue
         e, perm = start, identity
