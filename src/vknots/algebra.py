@@ -7,8 +7,11 @@ table ``table[a][b] = a * b``.  The three defining axioms are
     2. for every b, the map a -> a * b is a bijection
     3. (a * b) * c = (a * c) * (b * c)            (self-distributivity)
 
-Validation is deliberately separate from construction so that broken
-tables can be built and fed to negative tests.
+The constructor checks the table's shape: a non-empty square table of
+ints in 0..n-1, else ``MalformedInput``.  The axioms are not checked
+there, so a table that fails one is a value, and the algebra of this
+module and of ``weights`` answers exactly on it; only the coloring and
+invariant entry points need a quandle, and refuse any other table.
 
 A quandle carries its derived tables, built on first use and freed with
 it: the right translations ``columns``, their inverses ``division``,
@@ -36,7 +39,7 @@ from itertools import permutations
 from math import lcm
 from operator import itemgetter
 
-from .errors import InvalidParameter, MalformedInput, PreconditionFailed, SearchBoundExceeded, load_json
+from .errors import InvalidParameter, MalformedInput, PreconditionFailed, SearchBoundExceeded, _check_type, load_json
 from .value import Value, set_field
 
 DEFAULT_AUT_SEARCH_BOUND = 8
@@ -54,13 +57,26 @@ MAX_COCYCLE_BASIS_ORDER = 12
 
 
 class FiniteQuandle(Value):
-    """Operation table of a finite quandle candidate (validity not implied)."""
+    """Operation table of a finite quandle candidate: a non-empty square table
+    of ints in 0..n-1, checked here; the axioms are not implied."""
 
     FIELDS = ("table",)
     __slots__ = FIELDS + ("__dict__",)  # the __dict__ holds the derived tables
 
     def __init__(self, table: tuple[tuple[int, ...], ...]):
-        set_field(self, "table", table)
+        if not isinstance(table, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in table):
+            raise MalformedInput("operation table must be a list of rows")
+        n = len(table)
+        if n == 0:
+            raise MalformedInput("empty operation table")
+        for row in table:
+            if len(row) != n:
+                raise MalformedInput("operation table is not square")
+            for entry in row:
+                # type() rather than isinstance(): bool is a subclass of int
+                if type(entry) is not int or not 0 <= entry < n:
+                    raise MalformedInput(f"table entry {entry!r} is not an integer in 0..{n - 1}")
+        set_field(self, "table", tuple(map(tuple, table)))
 
     @property
     def order(self) -> int:
@@ -133,13 +149,15 @@ class FiniteQuandle(Value):
 
 
 class QuandleMap(Value):
-    """A self-map of a quandle's element set, stored as a tuple of images."""
+    """A self-map of the elements 0..n-1, stored as a tuple of n images, each an
+    int in 0..n-1 (checked here)."""
 
     __slots__ = FIELDS = ("images",)
 
     def __init__(self, images: tuple[int, ...]):
-        if not isinstance(images, (list, tuple)):
-            raise InvalidParameter(f"a map's images must be a list or tuple, got {images!r}")
+        # type(), not isinstance(): bool is an int
+        if not isinstance(images, (list, tuple)) or not all(type(x) is int and 0 <= x < len(images) for x in images):
+            raise InvalidParameter(f"a map's images must be a list or tuple of n ints in 0..n-1, got {images!r}")
         set_field(self, "images", tuple(images))
 
     @property
@@ -155,8 +173,7 @@ class QuandleMap(Value):
 
     def is_permutation(self) -> bool:
         """True iff the images are the ints 0..order-1, each once."""
-        # type(), not isinstance(): bool is an int
-        return set(map(type, self.images)) <= {int} and sorted(self.images) == list(range(self.order))
+        return len(set(self.images)) == self.order
 
     def compose(self, other: "QuandleMap") -> "QuandleMap":
         """Map applying ``other`` first, then ``self``."""
@@ -194,21 +211,8 @@ class QuandleReport(Value):
 
 
 def make_from_table(table) -> FiniteQuandle:
-    """Build a quandle value from a square table without validating the axioms."""
-    if not isinstance(table, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in table):
-        raise MalformedInput("operation table must be a list of rows")
-    rows = [tuple(row) for row in table]
-    n = len(rows)
-    if n == 0:
-        raise MalformedInput("empty operation table")
-    for row in rows:
-        if len(row) != n:
-            raise MalformedInput("operation table is not square")
-        for entry in row:
-            # type() rather than isinstance(): bool is a subclass of int
-            if type(entry) is not int or not 0 <= entry < n:
-                raise MalformedInput(f"table entry {entry!r} is not an integer in 0..{n - 1}")
-    return FiniteQuandle(tuple(rows))
+    """``FiniteQuandle(table)``: the table's shape is checked, its axioms are not."""
+    return FiniteQuandle(table)
 
 
 def make_dihedral(n: int) -> FiniteQuandle:
@@ -258,10 +262,15 @@ def validate_quandle(q: FiniteQuandle) -> QuandleReport:
     return QuandleReport(True)
 
 
+def _check_length(q: FiniteQuandle, images) -> None:
+    """Refuse the image list of a map whose length is not q's order."""
+    if len(images) != q.order:
+        raise InvalidParameter("map length does not match quandle order")
+
+
 def is_automorphism(q: FiniteQuandle, m: QuandleMap) -> bool:
     """True iff m is a permutation with m(a * b) = m(a) * m(b) for all a, b."""
-    if m.order != q.order:
-        raise InvalidParameter("map length does not match quandle order")
+    _check_length(q, m.images)
     return m.is_permutation() and q.preserves_products(m.images)
 
 
@@ -282,10 +291,9 @@ def automorphisms(q: FiniteQuandle, bound: int = DEFAULT_AUT_SEARCH_BOUND) -> li
     n!/(n-g)! for g generators, is factorial for the trivial quandles; a
     bound that is not an int (``bool`` included) is refused first.
     The search runs once per quandle object, which keeps the result as
-    ``automorphism_images``.
+    ``automorphism_images``.  It is exact on any table, quandle or not.
     """
-    if type(bound) is not int:  # type(), not isinstance(): bool is an int
-        raise InvalidParameter(f"the automorphism search bound must be an integer, got {bound!r}")
+    _check_type(bound, int, "the automorphism search bound")
     n = q.order
     if n > bound:
         raise SearchBoundExceeded(f"order {n} exceeds automorphism search bound {bound}")

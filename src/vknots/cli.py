@@ -17,6 +17,7 @@ from .algebra import (
     DEFAULT_AUT_SEARCH_BOUND,
     MAX_COCYCLE_BASIS_ORDER,
     QuandleMap,
+    _check_length,
     automorphisms,
     check_quandle,
     inner_automorphism,
@@ -95,8 +96,9 @@ def _load_aut(spec: str, q) -> QuandleMap:
     images = load_json(_read_spec(spec), "automorphism spec", spec)
     if not (isinstance(images, list) and all(type(x) is int for x in images)):
         raise MalformedInput("automorphism JSON must be a list of integers")
-    m = QuandleMap(images)
-    if not is_automorphism(q, m):
+    _check_length(q, images)  # in is_automorphism's words, before QuandleMap refuses an image outside 0..n-1
+    m = QuandleMap(images) if set(images) <= set(range(q.order)) else None
+    if m is None or not is_automorphism(q, m):
         raise InvalidParameter(f"{spec!r} is not an automorphism of the quandle")
     return m
 

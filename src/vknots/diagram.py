@@ -34,7 +34,10 @@ class declares its constructor and JSON field order (``FIELDS``).
 Records come only from the two checked constructors and from
 ``_renamed``, the one rename rule, which ``isomorphic`` and
 ``relabel_canonical`` read; it hands back a record whose labels the
-renaming keeps.
+renaming keeps.  A constructor checks every field of its record: the
+sign or chirality, the int +1 or -1, and four int edge labels, refused
+with ``MalformedInput``; a label's range depends on the diagram, so the
+gate checks it.
 
 A crossing's kind is its tag: past the gate, every kind test in the
 package reads ``c[0]`` (0 classical, 1 virtual), never the record's
@@ -44,8 +47,10 @@ make, built on first use: it checks the two counts, that the crossings
 come as a tuple, then, crossing by crossing in passage order, that each
 is a record of its tag's class and keeps the slot discipline, and
 refuses the first fault with ``MalformedInput``.  ``validate_diagram``,
-the coloring problem, the invariants, the successor cycles and every
-move read it before anything else of the diagram.  The second door is
+``serialize_diagram``, the coloring problem, the invariants, the
+successor cycles and every move read it before anything else of the
+diagram; the constructor of ``VirtualDiagram`` checks nothing, so the
+gate stays lazy.  The second door is
 ``relabel_canonical``, the last step of every move: it remakes the plain
 slot tuples the moves edit (from a diagram that passed the gate) into
 sorted records and fills the result's ``slot_maps`` unchecked, so it
@@ -80,6 +85,20 @@ class _Record(tuple):
     __repr__ = Value.__repr__  # Name(field=value, ...) in FIELDS order
 
 
+def _check_fields(s, what: str, *labels, error: type = MalformedInput) -> None:
+    """Refuse, with ``error``, a sign or chirality ``s`` other than the int +1 or
+    -1, then an edge label that is not an int; a label's range is the gate's
+    to check, against the diagram's edge count.  The record constructors
+    check their fields here, and the moves the sign or chirality of a record
+    they are asked to build, with ``InvalidParameter``."""
+    # type() rather than a bare membership test: True == 1 and 1.0 == 1
+    if type(s) is not int or s not in (1, -1):
+        raise error(f"{what} must be +1 or -1, got {s!r}")
+    for e in labels:
+        if type(e) is not int:
+            raise error(f"edge label must be an integer, got {e!r}")
+
+
 class ClassicalCrossing(_Record):
     """The tuple (0, sign, under_in, under_out, over_in, over_out)."""
 
@@ -88,9 +107,7 @@ class ClassicalCrossing(_Record):
     FIELDS = ("sign", "under_in", "over_in", "under_out", "over_out")
 
     def __new__(cls, sign: int, under_in: int, over_in: int, under_out: int, over_out: int):
-        # type() rather than a bare membership test: True == 1 and 1.0 == 1
-        if type(sign) is not int or sign not in (1, -1):
-            raise MalformedInput(f"crossing sign must be +1 or -1, got {sign!r}")
+        _check_fields(sign, "crossing sign", under_in, over_in, under_out, over_out)
         return tuple.__new__(cls, (0, sign, under_in, under_out, over_in, over_out))
 
     sign = property(itemgetter(1))
@@ -108,8 +125,7 @@ class VirtualCrossing(_Record):
     FIELDS = ("first_in", "first_out", "second_in", "second_out", "chirality")
 
     def __new__(cls, first_in: int, first_out: int, second_in: int, second_out: int, chirality: int):
-        if type(chirality) is not int or chirality not in (1, -1):
-            raise MalformedInput(f"chirality must be +1 or -1, got {chirality!r}")
+        _check_fields(chirality, "chirality", first_in, first_out, second_in, second_out)
         if first_in > second_in:
             return tuple.__new__(cls, (1, -chirality, second_in, second_out, first_in, first_out))
         return tuple.__new__(cls, (1, chirality, first_in, first_out, second_in, second_out))
@@ -210,7 +226,7 @@ def _checked_slot_maps(edges, free_loops, crossings) -> tuple[list[tuple[int, in
             raise MalformedInput(f"crossings[{ci}]: {c!r} is not a crossing record")
         for role, e_in, e_out in strand_passages(c):
             for e, slots, what in ((e_in, consumed, "in"), (e_out, emitted, "out")):
-                if type(e) is not int or not 0 <= e < edges:
+                if not 0 <= e < edges:  # an int: the record constructors checked it
                     raise MalformedInput(f"crossings[{ci}]: edge label {e!r} out of range 0..{edges - 1}")
                 if e in slots:
                     raise MalformedInput(f"crossings[{ci}]: edge {e} used more than once as an {what}-slot")
@@ -459,6 +475,8 @@ _RECORD_TYPES = {cls.TYPE: cls for cls in _RECORD_CLASSES}
 
 
 def serialize_diagram(d: VirtualDiagram) -> str:
+    """The JSON form of a diagram that passes the gate, which it reads first."""
+    d.slot_maps  # the gate: refuses a malformed diagram before its records are read
     crossings = [{"type": c.TYPE, **{name: getattr(c, name) for name in c.FIELDS}} for c in d.crossings]
     obj = {"edges": d.edges, "free_loops": d.free_loops, "crossings": crossings}
     return json.dumps(obj, separators=(",", ":"))
@@ -491,10 +509,7 @@ def parse_diagram(text: str) -> VirtualDiagram:
             raise MalformedInput(
                 f"{where}: {kind} crossings take exactly the fields {sorted(['type', *names])}"
             )
-        try:
-            crossings.append(cls(*[rec[name] for name in names]))
-        except TypeError as exc:  # e.g. a null edge in the virtual normalisation's comparison
-            raise MalformedInput(f"{where}: {exc}") from exc
+        crossings.append(cls(*[rec[name] for name in names]))
     d = VirtualDiagram(obj["edges"], obj.get("free_loops", 0), tuple(crossings))
     report = validate_diagram(d)
     if not report:
@@ -587,7 +602,7 @@ def builder(name: str) -> VirtualDiagram:
     """A fixed, validated diagram from the corpus, by name."""
     try:
         return _BUILDERS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name, which is no str
         raise InvalidParameter(
             f"unknown diagram name {name!r}; known: {', '.join(BUILDER_NAMES)}"
         ) from None

@@ -13,8 +13,8 @@ class MalformedInput(ValueError):
 
 
 def load_json(text: str, what: str, spec: str | None = None):
-    """``json.loads(text)``; a document it cannot read is a MalformedInput
-    "bad <what>[ <spec>]: <reason>".
+    """``json.loads(text)``; a document it cannot read, or a ``text`` that is no
+    str, bytes or bytearray, is a MalformedInput "bad <what>[ <spec>]: <reason>".
 
     An integer literal past the interpreter's digit limit is worded here once
     and never echoes ``spec``: the interpreter's own message quotes the value
@@ -22,12 +22,21 @@ def load_json(text: str, what: str, spec: str | None = None):
     """
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError, TypeError) as exc:
         shown = "" if spec is None else f" {spec!r}"
         raise MalformedInput(f"bad {what}{shown}: {exc}") from exc
     except ValueError as exc:  # not a decode error: an integer past the digit limit
         limit = sys.get_int_max_str_digits()
         raise MalformedInput(f"bad {what}: an integer has more than {limit} digits") from exc
+
+
+def _check_type(value, kind: type, what: str) -> None:
+    """Refuse, with InvalidParameter, a plain parameter whose type is not
+    exactly ``kind``, int or bool: the exact type, since a bool is an int.
+    Its words are "<what> must be an integer" or "<what> must be True or
+    False"."""
+    if type(value) is not kind:
+        raise InvalidParameter(f"{what} must be {'an integer' if kind is int else 'True or False'}, got {value!r}")
 
 
 class SearchBoundExceeded(RuntimeError):

@@ -29,10 +29,13 @@ by |G|, so the state sum's multiplicities carry the factor
 
 Every entry point refuses, with ``PreconditionFailed`` naming the failing
 axiom or condition and its witness, a table that is no quandle
-(``algebra.check_quandle``, through ``kernel.check_twist`` when a twist
-map is given) and, but for ``coloring_weight``, a cocycle that fails a
-cocycle condition (``weights.check_cocycle``), before any enumeration;
-``_state_sum`` checks neither.
+(``algebra.check_quandle``) and, but for ``coloring_weight``, a cocycle
+that fails a cocycle condition (``weights.check_cocycle``), before any
+enumeration.  ``compute_invariant`` and ``invariant_bundle`` share one
+gate, ``_check_inputs``: a cocycle from another quandle is an
+``InvalidParameter``, then ``kernel.check_twist`` refuses the table and
+a twist map that is no automorphism, then the cocycle is checked.
+``_state_sum`` checks nothing.
 """
 
 from __future__ import annotations
@@ -121,9 +124,14 @@ def _check_preserving(f: QuandleMap, c: Cocycle2) -> None:
         )
 
 
-def _check_cocycle_quandle(q: FiniteQuandle, c: Cocycle2) -> None:
+def _check_inputs(q: FiniteQuandle, c: Cocycle2, f: QuandleMap | None) -> None:
+    """The invariant layer's gate, in this order: the cocycle lives on q; q is a
+    quandle and f, unless None (Z's identity, which needs no test), an
+    automorphism of it (``check_twist``); the cocycle passes its conditions."""
     if c.quandle != q:
         raise InvalidParameter("the cocycle is defined on a different quandle")
+    check_twist(q, f)  # before any enumeration and before Z2 reads f's images
+    check_cocycle(c)
 
 
 def coloring_weight(d: VirtualDiagram, c: Cocycle2, coloring) -> Weight:
@@ -169,9 +177,7 @@ def invariant_bundle(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: Quandl
     The coloring count, Z1, Z3 and, when f preserves phi, Z2, built from
     one enumeration per automorphism (f's state sum serves all but Z3).
     """
-    _check_cocycle_quandle(q, c)
-    check_twist(q, f)  # before any enumeration
-    check_cocycle(c)
+    _check_inputs(q, c, f)
     z3, own = _z3(d, q, c, f)
     bundle = {"colorings": own.evaluate_at_one(), "z1": _z1(c, own).exponent, "z3": z3.to_json_obj()}
     if preservation_witness(f, c) is None:
@@ -194,18 +200,14 @@ def compute_invariant(
     """
     if kind not in ("z", "z1", "z2", "z3"):
         raise InvalidParameter(f"unknown invariant kind {kind!r}")
-    _check_cocycle_quandle(q, c)
+    if kind != "z" and f is None:
+        raise InvalidParameter(f"invariant {kind!r} needs an automorphism")
+    _check_inputs(q, c, None if kind == "z" else f)
     if kind == "z":
         f = QuandleMap.identity(q.order)
-        check_quandle(q)  # the identity twist needs no automorphism test
         d.slot_maps  # the gate: refuses a malformed diagram before its records are read
         if d.virtual():
             raise WrongKind("the classical state sum is undefined on virtual diagrams; use Z2")
-    elif f is None:
-        raise InvalidParameter(f"invariant {kind!r} needs an automorphism")
-    else:
-        check_twist(q, f)  # before any enumeration and before Z2 reads f's images
-    check_cocycle(c)
     if kind == "z3":
         z3, own = _z3(d, q, c, f)
         return InvariantResult("Z3", z3, own.evaluate_at_one())

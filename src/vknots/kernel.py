@@ -56,11 +56,12 @@ Rule = tuple[int, int, int, tuple]
 ArcSkeleton = tuple[list[int], list[int], list, list[tuple[int, int, int, int, int, int]], list[int]]
 
 
-def check_twist(q: FiniteQuandle, f: QuandleMap) -> None:
+def check_twist(q: FiniteQuandle, f: QuandleMap | None) -> None:
     """Refuse a table that is no quandle (``check_quandle``), then a twist map
-    that is not an automorphism of q."""
+    that is not an automorphism of q; f None stands for the identity, which
+    needs no test."""
     check_quandle(q)
-    if not is_automorphism(q, f):
+    if f is not None and not is_automorphism(q, f):
         raise InvalidParameter("the twist map must be an automorphism of the quandle")
 
 

@@ -54,7 +54,8 @@ replays it: ``apply_move`` calls the move its ``kind`` names with its
 (``LOOP`` as a kink's edge stands for a free loop).  Every argument of
 a move is checked before it is used, else ``InvalidParameter``: an edge
 is an int label of the diagram (``_check_edge``), a sign or chirality the
-int +1 or -1, ``handed`` "under" or "over", ``over_first`` a bool, the
+int +1 or -1 (``diagram._check_fields``, the record constructors' own
+test), ``handed`` "under" or "over", ``over_first`` a bool, the
 bridges a list and the passages a list of (edge, chirality) pairs.  A
 site is a dict whose keys are among the move's parameters and include
 every parameter without a default; ``apply_move`` reads the names once,
@@ -71,8 +72,8 @@ from __future__ import annotations
 
 import random
 
-from .diagram import ClassicalCrossing, VirtualCrossing, VirtualDiagram, relabel_canonical
-from .errors import InvalidParameter, NotApplicable
+from .diagram import ClassicalCrossing, VirtualCrossing, VirtualDiagram, _check_fields, relabel_canonical
+from .errors import InvalidParameter, NotApplicable, _check_type
 from .value import Value, set_field
 
 LOOP = "loop"  # site value standing for "a free loop" in kink insertions
@@ -163,12 +164,6 @@ def _check_edge(d: VirtualDiagram, e) -> None:
         raise InvalidParameter(f"edge {e!r} out of range")
 
 
-def _check_unit(x, what: str) -> None:
-    """Refuse anything but the int +1 or -1 as a sign or chirality."""
-    if type(x) is not int or x not in (1, -1):
-        raise InvalidParameter(f"{what} must be +1 or -1")
-
-
 def _delete(d: VirtualDiagram, crossings: set[int]) -> VirtualDiagram:
     """``d`` without the given crossings, the through-edges of each passage merged."""
     survivors, gained, _, _ = _remove_crossings(d, crossings)
@@ -220,7 +215,7 @@ def r1_insert(d: VirtualDiagram, edge, sign: int, handed: str = "under") -> Virt
 
     ``handed`` selects which passage the incoming strand takes first.
     """
-    _check_unit(sign, "kink sign")
+    _check_fields(sign, "kink sign", error=InvalidParameter)
     if handed not in ("under", "over"):
         raise InvalidParameter("handed must be 'under' or 'over'")
     if handed == "under":  # in -> under -> loop -> over -> out
@@ -255,8 +250,7 @@ def r2_insert(d: VirtualDiagram, edge_a: int, edge_b: int, over_first: bool = Tr
     _check_edge(d, edge_b)
     if edge_a == edge_b:
         raise InvalidParameter("poke needs two distinct edges")
-    if type(over_first) is not bool:
-        raise InvalidParameter(f"over_first must be True or False, got {over_first!r}")
+    _check_type(over_first, bool, "over_first")
     m1, m2, k1, k2 = d.edges, d.edges + 1, d.edges + 2, d.edges + 3
     crossings = list(d.crossings)
     _rewire(crossings, consumed[edge_a], m2)
@@ -417,7 +411,7 @@ def r3_slide(d: VirtualDiagram, bridges) -> VirtualDiagram:
 
 def vkink_insert(d: VirtualDiagram, edge, chirality: int) -> VirtualDiagram:
     """Insert a virtual kink on an edge, or onto a free loop (edge None or LOOP)."""
-    _check_unit(chirality, "chirality")
+    _check_fields(chirality, "chirality", error=InvalidParameter)
     kink = lambda e_in, loop, e_out: VirtualCrossing(e_in, loop, loop, e_out, chirality)
     return _insert_kink(d, edge, kink)
 
@@ -480,7 +474,7 @@ def detour(d: VirtualDiagram, start: int, end: int, passages) -> VirtualDiagram:
             raise InvalidParameter(f"a passage must be an [edge, chirality] pair, got {passage!r}")
         t, ch = passage
         _check_edge(d, t)
-        _check_unit(ch, "chirality")
+        _check_fields(ch, "chirality", error=InvalidParameter)
         t = rep.get(t, t)
         if t == route:
             raise InvalidParameter("a detour cannot cross its own route")
@@ -715,16 +709,13 @@ def random_equivalent(
     outgrows it, keeping fuzz traces affordable.
     """
     d.slot_maps  # the gate, before d is read
-    if type(seed) is not int:  # type(), not isinstance(): bool is an int
-        raise InvalidParameter(f"seed must be an int, got {seed!r}")
-    if type(n_moves) is not int:
-        raise InvalidParameter(f"move count must be an int, got {n_moves!r}")
+    _check_type(seed, int, "seed")
+    _check_type(n_moves, int, "move count")
     if n_moves < 0:
         raise InvalidParameter(f"move count must be non-negative, got {n_moves}")
-    if soft_cap is not None and type(soft_cap) is not int:
-        raise InvalidParameter(f"soft cap must be None or an int, got {soft_cap!r}")
-    if type(allow_semi_virtual) is not bool:
-        raise InvalidParameter(f"allow_semi_virtual must be True or False, got {allow_semi_virtual!r}")
+    if soft_cap is not None:
+        _check_type(soft_cap, int, "soft cap")
+    _check_type(allow_semi_virtual, bool, "allow_semi_virtual")
     if kinds is not None and not isinstance(kinds, (list, tuple)):
         raise InvalidParameter(f"kinds must be None or a list of move kinds, got {kinds!r}")
     menu = ALL_KINDS if kinds is None else tuple(kinds)

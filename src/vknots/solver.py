@@ -103,7 +103,7 @@ from operator import itemgetter
 
 from .algebra import DEFAULT_AUT_SEARCH_BOUND, FiniteQuandle, QuandleMap, _invert
 from .diagram import VirtualDiagram
-from .errors import InvalidParameter, SearchBoundExceeded
+from .errors import SearchBoundExceeded, _check_type
 from .kernel import arc_skeleton, check_coloring, check_twist, compile_problem, satisfying
 
 DEFAULT_BRUTE_FORCE_CEILING = 10**7
@@ -378,8 +378,7 @@ def brute_force_colorings(
     """
     check_twist(q, f)
     compiled = compile_problem(d, q, f)
-    if type(ceiling) is not int:  # type(), not isinstance(): bool is an int
-        raise InvalidParameter(f"the ceiling must be an integer, got {ceiling!r}")
+    _check_type(ceiling, int, "the ceiling")
     n = q.order
     passage = {i: (o, fwd) for i, o, b, fwd in compiled if b < 0}
     starts = [o for _, o, b, _ in compiled if b >= 0]

@@ -4,8 +4,16 @@ Weights live in the cyclic group generated by a formal variable t: a
 weight is t**e for an integer exponent e, multiplied by adding
 exponents.  A coefficient group with modulus m > 0 reduces exponents
 mod m; m = 0 means the infinite cyclic group.  Everything is exact --
-exponents and multiplicities are arbitrary-precision integers, and every
-constructor here refuses anything that is not an int.
+exponents and multiplicities are arbitrary-precision integers.
+
+Each constructor checks its fields once, where the value is made: a
+modulus that is no non-negative int and a coefficient group that is no
+``CoefficientGroup`` (one test, in ``_reduced``, for ``Weight``,
+``Cochain1`` and ``Cocycle2``) are an ``InvalidParameter``, as is a
+cocycle's quandle that is no ``FiniteQuandle``; exponents that are no
+list or tuple of ints, a cocycle table of the wrong size and polynomial
+terms that are no int pairs are a ``MalformedInput``.  The functions
+below trust those shapes and check only how their arguments relate.
 
 A 2-cocycle on a quandle G assigns a weight phi(a, b) to every ordered
 pair subject to
@@ -22,7 +30,8 @@ by construction; any other, one read from JSON included, is checked.
 ``check_cocycle`` is the one gate of a cocycle, as ``check_quandle`` is of
 a table: every invariant entry point and the CLI call it, and it refuses
 a failing report with ``PreconditionFailed``, naming the condition and its
-witness.
+witness.  The cohomology functions here answer exactly on any table,
+quandle or not, as ``validate_cocycle`` does.
 """
 
 from __future__ import annotations
@@ -30,8 +39,9 @@ from __future__ import annotations
 import json
 from functools import cached_property
 
-from .algebra import MAX_COCYCLE_BASIS_ORDER, FiniteQuandle, QuandleMap, _require, is_automorphism, make_dihedral
-from .errors import InvalidParameter, MalformedInput, SearchBoundExceeded, load_json
+from .algebra import MAX_COCYCLE_BASIS_ORDER, FiniteQuandle, QuandleMap, _check_length, _require
+from .algebra import is_automorphism, make_dihedral
+from .errors import InvalidParameter, MalformedInput, SearchBoundExceeded, _check_type, load_json
 from .value import Value, set_field
 
 
@@ -41,8 +51,7 @@ class CoefficientGroup(Value):
     __slots__ = FIELDS = ("modulus",)
 
     def __init__(self, modulus: int = 0):
-        if type(modulus) is not int:  # type(), not isinstance(): bool is an int
-            raise InvalidParameter(f"modulus must be an int, got {modulus!r}")
+        _check_type(modulus, int, "the modulus")
         if modulus < 0:
             raise InvalidParameter("modulus must be non-negative")
         set_field(self, "modulus", modulus)
@@ -52,8 +61,11 @@ class CoefficientGroup(Value):
 
 
 def _reduced(group: CoefficientGroup, exponents, what: str) -> tuple[int, ...]:
-    """The exponents, read once, reduced in ``group``; an entry that is not an
-    int is refused."""
+    """The exponents, read once, reduced in ``group``; a group that is no
+    ``CoefficientGroup``, exponents that are no list or tuple and an entry
+    that is not an int are refused."""
+    if not isinstance(group, CoefficientGroup) or not isinstance(exponents, (list, tuple)):
+        raise InvalidParameter(f"{what} needs a CoefficientGroup and a list or tuple, got {group!r}, {exponents!r}")
     reduced = []
     for e in exponents:
         if type(e) is not int:  # type(), not isinstance(): bool is an int
@@ -91,6 +103,8 @@ class WeightPolynomial(Value):
     __slots__ = FIELDS = ("terms",)
 
     def __init__(self, terms: tuple[tuple[int, int], ...]):
+        if not isinstance(terms, (list, tuple)) or not all(isinstance(t, (list, tuple)) and len(t) == 2 for t in terms):
+            raise MalformedInput(f"polynomial terms must be (exponent, multiplicity) int pairs, got {terms!r}")
         checked: list[tuple[int, int]] = []
         for e, m in terms:
             if type(e) is not int or type(m) is not int:  # type(), not isinstance(): bool is an int
@@ -111,11 +125,9 @@ class WeightPolynomial(Value):
                 acc[exponent] = acc.get(exponent, 0) + multiplicity
         except (TypeError, ValueError) as exc:  # no pair, no hashable exponent, or a sum that fails
             raise MalformedInput(f"polynomial terms must be (exponent, multiplicity) int pairs: {exc}") from exc
-        try:
-            terms = sorted(acc.items())
-        except TypeError:  # exponents that do not compare: a non-int goes first, for the term check
-            terms = sorted(acc.items(), key=lambda term: type(term[0]) is int)
-        return WeightPolynomial(tuple(terms))
+        # ints sorted, and any other exponent first, for the constructor's term check
+        key = lambda term: (type(term[0]) is int, term[0] if type(term[0]) is int else 0)
+        return WeightPolynomial(tuple(sorted(acc.items(), key=key)))
 
     def evaluate_at_one(self) -> int:
         """Value at t = 1, i.e. the total multiplicity."""
@@ -155,6 +167,8 @@ class Cocycle2(Value):
     __slots__ = FIELDS + ("__dict__",)  # the __dict__ holds the cached report
 
     def __init__(self, quandle: FiniteQuandle, group: CoefficientGroup, exponents: tuple[tuple[int, ...], ...]):
+        if not isinstance(quandle, FiniteQuandle):
+            raise InvalidParameter(f"a cocycle's quandle must be a FiniteQuandle, got {quandle!r}")
         n = quandle.order
         if not isinstance(exponents, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in exponents):
             raise MalformedInput("cocycle table must be a list of rows")
@@ -183,7 +197,7 @@ class CocycleReport(Value):
 
 
 def trivial_cocycle(q: FiniteQuandle, group: CoefficientGroup = CoefficientGroup(0)) -> Cocycle2:
-    """phi = 1 everywhere: a cocycle on any table, quandle or not."""
+    """phi = 1 everywhere: a cocycle on any table, quandle or not, over ``group``."""
     n = q.order
     c = Cocycle2(q, group, tuple((0,) * n for _ in range(n)))
     c.__dict__["report"] = CocycleReport(True)  # valid by construction; the test suite checks it
@@ -299,7 +313,9 @@ def preserves(f: QuandleMap, c: Cocycle2) -> bool:
 
 
 def preservation_witness(f: QuandleMap, c: Cocycle2) -> tuple[int, int] | None:
-    """First pair (a, b) with phi(a, b) != phi(f(a), f(b)), else None."""
+    """First pair (a, b) with phi(a, b) != phi(f(a), f(b)), else None; a map
+    whose length is not the quandle's order is refused."""
+    _check_length(c.quandle, f.images)
     n = c.quandle.order
     red = c.group.reduce
     for a in range(n):
@@ -317,7 +333,8 @@ def cocycle_space_basis(q: FiniteQuandle, m: int) -> list[Cocycle2]:
     Smith reduction of the condition matrix.  Orders above
     ``MAX_COCYCLE_BASIS_ORDER`` are refused before any row is built.
     """
-    if type(m) is not int or m < 2:  # type(), not isinstance(): bool is an int
+    group = CoefficientGroup(m)  # refuses an m that is no int
+    if m < 2:
         raise InvalidParameter(f"cocycle_space_basis needs an integer modulus m >= 2, got {m!r}")
     n = q.order
     if n > MAX_COCYCLE_BASIS_ORDER:
@@ -341,7 +358,6 @@ def cocycle_space_basis(q: FiniteQuandle, m: int) -> list[Cocycle2]:
                     rows.append(row)
     from . import intlin  # only this function solves a linear system
 
-    group = CoefficientGroup(m)
     basis = []
     for vec in intlin.kernel_mod(rows, m):
         table = tuple(tuple(vec[var(a, b)] for b in range(n)) for a in range(n))

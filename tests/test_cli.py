@@ -504,3 +504,44 @@ def test_built_in_algebra_skips_the_axiom_checks(capsys, monkeypatch):
     r3_table = json.dumps({"kind": "table", "table": [[(2 * j - i) % 3 for j in range(3)] for i in range(3)]})
     code, _, _ = run(capsys, "invariant", "z", "--diagram", "trefoil", "--quandle", r3_table, "--cocycle", _cocycle(m=0))
     assert code == 0 and checked == ["quandle", "cocycle"]
+
+
+# The exact words of refusals that a value's constructor or a shared helper
+# makes: the table checks moved from make_from_table into FiniteQuandle, the
+# move count's type check into one helper of vknots.errors, and a JSON
+# record's edge labels into the record constructors.  The first four print
+# what they printed before the move; the null edge printed Python's own
+# comparison error ("crossings[0]: '>' not supported between instances of
+# 'NoneType' and 'int'") and now names the label.
+_NULL_EDGE = json.dumps(
+    {
+        "edges": 2,
+        "free_loops": 0,
+        "crossings": [{"type": "virtual", "first_in": None, "first_out": 1, "second_in": 1, "second_out": 0, "chirality": 1}],
+    }
+)
+MOVED_CHECKS = {
+    "table-not-square": (
+        ("quandle", "check", "--quandle", '{"kind":"table","table":[[0,1],[0]]}'),
+        "error: operation table is not square\n",
+    ),
+    "table-entry-true": (
+        ("quandle", "check", "--quandle", '{"kind":"table","table":[[0,true],[1,1]]}'),
+        "error: table entry True is not an integer in 0..1\n",
+    ),
+    "dihedral-0": (
+        ("color", "count", "--diagram", "trefoil", "--quandle", "dihedral:0"),
+        "error: dihedral order must be a positive integer, got 0\n",
+    ),
+    "fuzz-moves-negative": (
+        ("fuzz", "--diagram", "trefoil", "--quandle", "dihedral:4", "--cocycle", "example-r4", "--aut", "identity",
+         "--moves", "-3"),
+        "error: move count must be non-negative, got -3\n",
+    ),
+    "virtual-null-edge": (("diagram", "validate", "--diagram", _NULL_EDGE), "error: edge label must be an integer, got None\n"),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(MOVED_CHECKS.values()), ids=list(MOVED_CHECKS))
+def test_the_words_of_a_moved_check_are_pinned(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", message)

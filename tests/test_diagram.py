@@ -181,14 +181,9 @@ BAD_RECORDS = {
     "type-list": ({**_VIRTUAL, "type": ["virtual"]}, "crossings[0]: unknown crossing type ['virtual']"),
     "bad-sign": ({**_CLASSICAL, "sign": 2}, "crossing sign must be +1 or -1, got 2"),
     "bad-chirality": ({**_VIRTUAL, "chirality": 0}, "chirality must be +1 or -1, got 0"),
-    "virtual-null-edge": (
-        {**_VIRTUAL, "first_in": None},
-        "crossings[0]: '>' not supported between instances of 'NoneType' and 'int'",
-    ),
-    "classical-null-edge": (
-        {**_CLASSICAL, "under_in": None},
-        "invalid diagram: crossings[0]: edge label None out of range 0..1",
-    ),
+    # the record constructors refuse a label that is no int, as they refuse a bad sign
+    "virtual-null-edge": ({**_VIRTUAL, "first_in": None}, "edge label must be an integer, got None"),
+    "classical-null-edge": ({**_CLASSICAL, "under_in": None}, "edge label must be an integer, got None"),
 }
 
 
