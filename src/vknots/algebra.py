@@ -165,10 +165,14 @@ class QuandleMap(Value):
         return len(self.images)
 
     def __call__(self, a: int) -> int:
+        if type(a) is not int or not 0 <= a < len(self.images):  # type(), not isinstance(): bool is an int
+            raise InvalidParameter(f"element {a!r} out of range 0..{len(self.images) - 1}")
         return self.images[a]
 
     @staticmethod
     def identity(n: int) -> "QuandleMap":
+        if type(n) is not int or n < 0:  # type(), not isinstance(): bool is an int
+            raise InvalidParameter(f"a map's order must be a non-negative integer, got {n!r}")
         return QuandleMap(tuple(range(n)))
 
     def is_permutation(self) -> bool:

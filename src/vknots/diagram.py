@@ -37,32 +37,29 @@ Records come only from the two checked constructors and from
 renaming keeps.  A constructor checks every field of its record: the
 sign or chirality, the int +1 or -1, and four int edge labels, refused
 with ``MalformedInput``; a label's range depends on the diagram, so the
-gate checks it.
+diagram's constructor checks it.
 
-A crossing's kind is its tag: past the gate, every kind test in the
-package reads ``c[0]`` (0 classical, 1 virtual), never the record's
-class.  That holds because a diagram comes in through one of two doors.
-``slot_maps`` is the one gate for any diagram the moves engine did not
-make, built on first use: it checks the two counts, that the crossings
-come as a tuple, then, crossing by crossing in passage order, that each
-is a record of its tag's class and keeps the slot discipline, and
-refuses the first fault with ``MalformedInput``.  ``validate_diagram``,
-``serialize_diagram``, the coloring problem, the invariants, the
-successor cycles and every move read it before anything else of the
-diagram; the constructor of ``VirtualDiagram`` checks nothing, so the
-gate stays lazy.  The second door is
-``relabel_canonical``, the last step of every move: it remakes the plain
-slot tuples the moves edit (from a diagram that passed the gate) into
-sorted records and fills the result's ``slot_maps`` unchecked, so it
-refuses an entry that is neither a record nor a 6-item slot tuple whose
-tag and sign a constructor would accept, and checks the two counts it
-emits.
+A crossing's kind is its tag: every kind test in the package reads
+``c[0]`` (0 classical, 1 virtual), never the record's class.  That holds
+because a diagram is checked when it is made, by one of two doors.  The
+constructor of ``VirtualDiagram`` checks the two counts, that the
+crossings come as a tuple, then, crossing by crossing in passage order,
+that each is a record of its tag's class and keeps the slot discipline,
+refuses the first fault with ``MalformedInput`` and stores the slot maps
+it built; so no malformed diagram exists, and no function that reads
+one checks it again.  The second door is ``relabel_canonical``, the last
+step of every move, which builds its output unchecked: it remakes the
+plain slot tuples the moves edit (from a diagram that was checked) into
+sorted records, so it refuses an entry that is neither a record nor a
+6-item slot tuple whose tag and sign a constructor would accept, a
+reused slot, a dangling end and a count out of range.
+``validate_diagram`` re-runs the constructor's check on a diagram's
+fields, so it checks this door's outputs too.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from operator import itemgetter
 
 from .errors import InvalidParameter, MalformedInput, load_json
@@ -87,10 +84,11 @@ class _Record(tuple):
 
 def _check_fields(s, what: str, *labels, error: type = MalformedInput) -> None:
     """Refuse, with ``error``, a sign or chirality ``s`` other than the int +1 or
-    -1, then an edge label that is not an int; a label's range is the gate's
-    to check, against the diagram's edge count.  The record constructors
-    check their fields here, and the moves the sign or chirality of a record
-    they are asked to build, with ``InvalidParameter``."""
+    -1, then an edge label that is not an int; a label's range is the
+    diagram constructor's to check, against its edge count.  The record
+    constructors check their fields here, and the moves the sign or
+    chirality of a record they are asked to build, with
+    ``InvalidParameter``."""
     # type() rather than a bare membership test: True == 1 and 1.0 == 1
     if type(s) is not int or s not in (1, -1):
         raise error(f"{what} must be +1 or -1, got {s!r}")
@@ -147,13 +145,25 @@ MAX_FREE_LOOPS = 1024
 
 
 class VirtualDiagram(Value):
+    """A diagram, checked here: the constructor refuses with ``MalformedInput``,
+    at the first fault, in this order, an edge or free-loop count that is no
+    int, is negative or (free loops) exceeds ``MAX_FREE_LOOPS``; a
+    ``crossings`` that is no tuple (a list would not hash); then, crossing by
+    crossing in passage order, a crossing that is no record of its tag's
+    class (a plain tuple, say), an edge label outside 0..edges-1 and a slot
+    used twice; last, an edge without an in- or out-slot.
+
+    ``slot_maps`` is (consumed, emitted): two lists indexed by edge, holding
+    the (crossing index, role) of the edge's in- and out-slot, stored here
+    (and by ``relabel_canonical`` for every move output); callers must not
+    mutate them.
+    """
+
     FIELDS = ("edges", "free_loops", "crossings")
-    __slots__ = FIELDS + ("__dict__",)  # the __dict__ holds the slot_maps cache
+    __slots__ = FIELDS + ("slot_maps", "__dict__")  # the __dict__ holds the arc skeleton's cache
 
     def __init__(self, edges: int, free_loops: int, crossings: tuple[Crossing, ...]):
-        set_field(self, "edges", edges)
-        set_field(self, "free_loops", free_loops)
-        set_field(self, "crossings", crossings)
+        _store(self, edges, free_loops, crossings, _checked_slot_maps(edges, free_loops, crossings))
 
     def classical(self) -> list[ClassicalCrossing]:
         return [c for c in self.crossings if not c[0]]
@@ -161,24 +171,26 @@ class VirtualDiagram(Value):
     def virtual(self) -> list[VirtualCrossing]:
         return [c for c in self.crossings if c[0]]
 
-    @cached_property
-    def slot_maps(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """(consumed, emitted): two lists indexed by edge, holding the (crossing
-        index, role) of the edge's in- and out-slot.
 
-        The one gate: built once per diagram, which is immutable
-        (``relabel_canonical`` fills them in for every move output, after
-        checking its two counts); callers must not mutate the returned
-        lists.  Built here, from a diagram that was never checked, they
-        refuse it with ``MalformedInput`` at its first fault, in this order:
-        an edge or free-loop count that is no int, is negative or (free
-        loops) exceeds ``MAX_FREE_LOOPS``; a ``crossings`` that is no tuple
-        (a list would not hash); then, crossing by crossing in
-        passage order, a crossing that is no record of its tag's class (a
-        plain tuple, say), an edge label outside 0..edges-1 and a slot used
-        twice; last, an edge without an in- or out-slot.
-        """
-        return _checked_slot_maps(self.edges, self.free_loops, self.crossings)
+def _store(d: VirtualDiagram, edges, free_loops, crossings, slot_maps) -> VirtualDiagram:
+    """Fill in ``d``'s fields and slot maps, for either door."""
+    set_field(d, "edges", edges)
+    set_field(d, "free_loops", free_loops)
+    set_field(d, "crossings", crossings)
+    set_field(d, "slot_maps", slot_maps)
+    return d
+
+
+def _unchecked_diagram(edges: int, free_loops: int, records: tuple) -> VirtualDiagram:
+    """The diagram of records whose edges are 0..edges-1, each once an in- and
+    once an out-slot, made without the constructor's check: the door of
+    ``relabel_canonical``, whose own checks stand in for it."""
+    consumed: list = [None] * edges
+    emitted: list = [None] * edges
+    for ci, (_, _, w, x, y, z) in enumerate(records):  # passages (w -> x) and (y -> z)
+        consumed[w] = emitted[x] = (ci, 0)
+        consumed[y] = emitted[z] = (ci, 1)
+    return _store(object.__new__(VirtualDiagram), edges, free_loops, records, (consumed, emitted))
 
 
 class DiagramReport(Value):
@@ -198,20 +210,10 @@ def strand_passages(c: Crossing) -> tuple[tuple[int, int, int], ...]:
     return ((0, c[2], c[3]), (1, c[4], c[5]))
 
 
-def _slot_maps(edges: int, crossings) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The slot maps of records whose edges are 0..edges-1, each once an in- and
-    once an out-slot; not checked."""
-    consumed: list = [None] * edges
-    emitted: list = [None] * edges
-    for ci, (_, _, w, x, y, z) in enumerate(crossings):  # passages (w -> x) and (y -> z)
-        consumed[w] = emitted[x] = (ci, 0)
-        consumed[y] = emitted[z] = (ci, 1)
-    return consumed, emitted
-
-
 def _checked_slot_maps(edges, free_loops, crossings) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The slot maps of any diagram, refusing it with ``MalformedInput`` at its
-    first fault: its two counts, a ``crossings`` that is no tuple, then, in
+    """The slot maps of a diagram's fields, the check of its constructor and of
+    ``validate_diagram``, refusing them with ``MalformedInput`` at the first
+    fault: the two counts, a ``crossings`` that is no tuple, then, in
     passage order, a crossing that is no record of its tag's class or a slot
     that breaks the slot discipline.
     The slots are gathered in dicts, so a huge edge count costs nothing
@@ -251,12 +253,14 @@ def _check_counts(edges, free_loops) -> None:
 
 
 def validate_diagram(d: VirtualDiagram) -> DiagramReport:
-    """The gate's verdict: whether ``d.slot_maps`` builds, which checks the two
-    counts, that ``crossings`` is a tuple, then in passage order that each
-    crossing is a record of its tag's class and that every edge is once an
-    in-slot and once an out-slot; the message is that of the first fault."""
+    """The constructor's verdict on ``d``'s fields, re-run rather than assumed,
+    so that a diagram from the unchecked door of ``relabel_canonical`` is
+    checked too: the two counts, that ``crossings`` is a tuple, then in
+    passage order that each crossing is a record of its tag's class and
+    that every edge is once an in-slot and once an out-slot; the message is
+    that of the first fault."""
     try:
-        d.slot_maps
+        _checked_slot_maps(d.edges, d.free_loops, d.crossings)
     except MalformedInput as exc:
         return DiagramReport(False, str(exc))
     return DiagramReport(True)
@@ -349,10 +353,11 @@ def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
     after every rewriting move.  ``crossings`` is a list or a tuple; its
     entries are records, or plain 6-item slot tuples edited from them whose
     tag and sign a constructor would accept, each remade by ``_renamed``;
-    anything else is refused with ``MalformedInput``.  The result's
-    ``slot_maps`` are filled in here, so a move output never rebuilds them.
-    This is the second door by which a diagram comes in, besides the gate
-    of ``slot_maps``, so the two counts of the result are checked here.
+    anything else is refused with ``MalformedInput``.  This is the second
+    door by which a diagram comes in, besides the constructor, whose check
+    it does not run: it checks what a move can get wrong (the entries,
+    reused slots, dangling ends and the two counts) and stores the
+    result's ``slot_maps`` unchecked.
     """
     if type(crossings) not in (list, tuple):  # a dict or a set would be read by its keys
         raise MalformedInput(f"crossings must be a list of crossing records, got {crossings!r}")
@@ -381,9 +386,7 @@ def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
             break
     _check_counts(n, free_loops)
     records = tuple(sorted(_renamed(crossings, label)))
-    d = VirtualDiagram(n, free_loops, records)
-    d.__dict__["slot_maps"] = _slot_maps(n, records)  # the cached_property's slot
-    return d
+    return _unchecked_diagram(n, free_loops, records)
 
 
 def _component_signatures(d: VirtualDiagram, cycles) -> list:
@@ -412,11 +415,11 @@ def _component_signatures(d: VirtualDiagram, cycles) -> list:
 
 def isomorphic(a: VirtualDiagram, b: VirtualDiagram) -> bool:
     """Equality up to an edge relabelling (components may be matched freely)."""
-    cycles_a, cycles_b = successor_cycles(a), successor_cycles(b)  # each diagram through the gate
     if (a.edges, a.free_loops, len(a.crossings)) != (b.edges, b.free_loops, len(b.crossings)):
         return False
     if a.edges == 0:
         return True
+    cycles_a, cycles_b = successor_cycles(a), successor_cycles(b)
     # refuses most pairs that are not isomorphic without a search
     if _component_signatures(a, cycles_a) != _component_signatures(b, cycles_b):
         return False
@@ -475,8 +478,7 @@ _RECORD_TYPES = {cls.TYPE: cls for cls in _RECORD_CLASSES}
 
 
 def serialize_diagram(d: VirtualDiagram) -> str:
-    """The JSON form of a diagram that passes the gate, which it reads first."""
-    d.slot_maps  # the gate: refuses a malformed diagram before its records are read
+    """The JSON form of a diagram."""
     crossings = [{"type": c.TYPE, **{name: getattr(c, name) for name in c.FIELDS}} for c in d.crossings]
     obj = {"edges": d.edges, "free_loops": d.free_loops, "crossings": crossings}
     return json.dumps(obj, separators=(",", ":"))
@@ -509,17 +511,19 @@ def parse_diagram(text: str) -> VirtualDiagram:
             raise MalformedInput(
                 f"{where}: {kind} crossings take exactly the fields {sorted(['type', *names])}"
             )
-        crossings.append(cls(*[rec[name] for name in names]))
-    d = VirtualDiagram(obj["edges"], obj.get("free_loops", 0), tuple(crossings))
-    report = validate_diagram(d)
-    if not report:
-        raise MalformedInput(f"invalid diagram: {report.message}")
-    return d
+        try:
+            crossings.append(cls(*[rec[name] for name in names]))
+        except MalformedInput as exc:
+            raise MalformedInput(f"{where}: {exc}") from None
+    try:
+        return VirtualDiagram(obj["edges"], obj.get("free_loops", 0), tuple(crossings))
+    except MalformedInput as exc:
+        raise MalformedInput(f"invalid diagram: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # Builder corpus.  Codes are fixed small diagrams used throughout the tests;
-# every builder output passes validate_diagram (checked in the test suite).
+# the constructor checks each at import.
 
 def _kishino_code() -> tuple[Crossing, ...]:
     # Connected sum of two virtually-clasped unknots with opposite clasp

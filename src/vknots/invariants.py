@@ -93,8 +93,7 @@ def _exponent(c: Cocycle2, slots, coloring) -> int:
 def _state_sum(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> WeightPolynomial:
     """f's state sum: t**weight for every coloring under the twist map f, from one
     enumeration, each multiplicity times the free-loop factor |G|**free_loops.
-    The caller has checked that f is an automorphism; the enumeration comes
-    first, so that a malformed diagram is refused before its counts are read."""
+    The caller has checked that f is an automorphism."""
     colorings = _enumerate(d, q, f)
     slots = _weight_slots(d)
     loops = q.order**d.free_loops
@@ -143,7 +142,7 @@ def coloring_weight(d: VirtualDiagram, c: Cocycle2, coloring) -> Weight:
     """
     q = c.quandle
     check_quandle(q)  # the identity twist needs no automorphism test
-    rules = compile_problem(d, q, QuandleMap.identity(q.order))  # refuses a malformed diagram
+    rules = compile_problem(d, q, QuandleMap.identity(q.order))
     check_coloring(d, q, coloring)
     classical = rules[: 2 * len(d.classical())]
     if not satisfying(classical, [coloring]):
@@ -205,7 +204,6 @@ def compute_invariant(
     _check_inputs(q, c, None if kind == "z" else f)
     if kind == "z":
         f = QuandleMap.identity(q.order)
-        d.slot_maps  # the gate: refuses a malformed diagram before its records are read
         if d.virtual():
             raise WrongKind("the classical state sum is undefined on virtual diagrams; use Z2")
     if kind == "z3":

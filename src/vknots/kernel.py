@@ -31,14 +31,11 @@ k depend on the diagram alone, so they are walked once per diagram
 object and kept in its ``__dict__``, and each search binds q and f to
 them over the classical crossings alone.
 
-Both read the diagram's ``slot_maps``, the one gate, before its records
-(``arc_skeleton`` on its first build): so a diagram that
-``validate_diagram`` refuses is refused here, with its message, as
-``MalformedInput``, and past the gate a crossing's kind is its tag.
-Neither checks the quandle or the twist map: each public entry point
-calls ``check_twist`` once, which refuses a table that is no quandle
-(``algebra.check_quandle``) and then a twist map that is no automorphism
-of it.  The crossing weights are not rules; ``invariants`` reads them off
+Neither checks the diagram, which its constructor checked, so a
+crossing's kind is its tag; nor the quandle or the twist map: each
+public entry point calls ``check_twist`` once, which refuses a table
+that is no quandle (``algebra.check_quandle``) and then a twist map that
+is no automorphism of it.  The crossing weights are not rules; ``invariants`` reads them off
 the diagram itself.
 """
 
@@ -83,14 +80,8 @@ def compile_problem(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> tuple
     The under-rules of the classical crossings come first (in crossing
     order), then their over-rules, then the virtual passages; so the
     under-rules are the rules before the first one with ``by < 0``, and
-    they and the over-rules do not depend on the twist map.  It reads
-    ``d.slot_maps`` first, the one gate, which checks the two counts, the
-    records and the slots once per diagram (a move output comes with them
-    filled in by ``relabel_canonical``, which checks its counts): a
-    diagram that ``validate_diagram`` refuses raises ``MalformedInput``
-    with its message.
+    they and the over-rules do not depend on the twist map.
     """
-    d.slot_maps  # the gate: built and checked on first use
     times, divide = q.columns, q.division  # times[o][x] = x * o, divide[o][x * o] = x
     fplus = f.images
     fminus = _invert(fplus)
@@ -109,10 +100,8 @@ def compile_problem(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> tuple
 
 def arc_skeleton(d: VirtualDiagram) -> ArcSkeleton:
     """The arcs of d and the twist exponents along them, built once per
-    diagram object and kept in its ``__dict__`` beside ``slot_maps``; like
-    them, not a field, so they take no part in equality or hashing, and
-    pickle and copy rebuild them.  The first build reads ``d.slot_maps``,
-    the gate, before anything else, so a diagram it refuses caches nothing.
+    diagram object and kept in its ``__dict__``; not a field, so they take
+    no part in equality or hashing, and pickle and copy rebuild them.
     """
     skeleton = d.__dict__.get("arc_skeleton")
     if skeleton is None:
@@ -136,7 +125,6 @@ def _build_arc_skeleton(d: VirtualDiagram) -> ArcSkeleton:
     numbered as the rules list them, and f^k is the composition of the twist
     tables met on the way, whatever f is.
     """
-    d.slot_maps  # the gate: built and checked on first use
     edges = d.edges
     nxt = [-1] * edges  # the next edge along the strand; -1 at an under passage
     step = [0] * edges  # the twist exponent of that passage

@@ -44,9 +44,9 @@ by edge (a detour, after deleting its interior crossings, in the chain
 ends that ``_remove_crossings`` returns for the merged edges, and in
 ``d.slot_maps`` for every other edge); no move scans the crossing list
 for it.  The scans that run on every move read a record unpacked, as
-``(tag, sign, w, x, y, z)``, with passages (w, x) and (y, z).  Every
-move and finder reads ``d.slot_maps``, the gate of ``diagram``, before
-anything else of ``d``, and tells a crossing's kind by its tag alone.
+``(tag, sign, w, x, y, z)``, with passages (w, x) and (y, z).  A diagram
+was checked when it was made, so every move and finder tells a
+crossing's kind by its tag alone.
 
 A trace is a list of ``MoveRecord``s, and a record is the call that
 replays it: ``apply_move`` calls the move its ``kind`` names with its
@@ -172,7 +172,7 @@ def _delete(d: VirtualDiagram, crossings: set[int]) -> VirtualDiagram:
 
 def _insert_kink(d: VirtualDiagram, edge, kink) -> VirtualDiagram:
     """Insert ``kink(in, loop, out)`` on an edge, or onto a free loop (edge None or LOOP)."""
-    consumed = d.slot_maps[0]  # the gate, before d is read
+    consumed = d.slot_maps[0]
     a, b = d.edges, d.edges + 1
     if edge is None or edge == LOOP:
         if d.free_loops < 1:
@@ -191,7 +191,6 @@ def _kink_sites(d: VirtualDiagram, tag: int) -> list[int]:
     listed once, by its passage-0 out-edge."""
     # in a record (tag, s, w, x, y, z), x == y is passage 0 feeding
     # passage 1 and z == w is passage 1 feeding passage 0
-    d.slot_maps  # the gate, before the records are read
     return sorted({x if x == y else z for t, _, w, x, y, z in d.crossings if t == tag and (x == y or z == w)})
 
 
@@ -245,7 +244,7 @@ def r2_insert(d: VirtualDiagram, edge_a: int, edge_b: int, over_first: bool = Tr
     With ``over_first`` the a-strand passes over the b-strand at both new
     crossings, otherwise under.
     """
-    consumed = d.slot_maps[0]  # the gate, before d is read
+    consumed = d.slot_maps[0]
     _check_edge(d, edge_a)
     _check_edge(d, edge_b)
     if edge_a == edge_b:
@@ -282,13 +281,12 @@ def _is_r2_site(d: VirtualDiagram, mid) -> bool:
 def find_r2_sites(d: VirtualDiagram) -> list[int]:
     """Over-strand middle edges of removable pokes, sorted."""
     # a poke's over-middle is emitted by a classical over passage: its over_out
-    d.slot_maps  # the gate, before the records are read
     return sorted(z for tag, _, _, _, _, z in d.crossings if not tag and _is_r2_site(d, z))
 
 
 def r2_remove(d: VirtualDiagram, over_mid: int) -> VirtualDiagram:
     """Remove the poke whose over-strand middle edge is given."""
-    consumed, emitted = d.slot_maps  # the gate, before d is read
+    consumed, emitted = d.slot_maps
     _check_edge(d, over_mid)
     if not _is_r2_site(d, over_mid):
         raise NotApplicable(f"edge {over_mid} is not the over-middle of a poke")
@@ -385,7 +383,7 @@ def find_r3_sites(d: VirtualDiagram) -> list[tuple[int, int, int]]:
 
 def r3_slide(d: VirtualDiagram, bridges) -> VirtualDiagram:
     """Flip the triangle identified by its three bridge edges."""
-    consumed, emitted = d.slot_maps  # the gate, before d is read
+    consumed, emitted = d.slot_maps
     if not isinstance(bridges, (list, tuple)):
         raise InvalidParameter(f"bridges must be a list of edges, got {bridges!r}")
     bridges = tuple(bridges)
@@ -456,7 +454,7 @@ def detour(d: VirtualDiagram, start: int, end: int, passages) -> VirtualDiagram:
     crossings sit along the target in route order.  Endpoints (the slots
     emitting ``start`` and consuming ``end``) are untouched.
     """
-    consumed, emitted = d.slot_maps  # the gate, before d is read
+    consumed, emitted = d.slot_maps
     _check_edge(d, start)
     _check_edge(d, end)
     if not isinstance(passages, (list, tuple)):
@@ -708,7 +706,6 @@ def random_equivalent(
     ``soft_cap`` steers move choice toward removals once the diagram
     outgrows it, keeping fuzz traces affordable.
     """
-    d.slot_maps  # the gate, before d is read
     _check_type(seed, int, "seed")
     _check_type(n_moves, int, "move count")
     if n_moves < 0:

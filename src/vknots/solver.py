@@ -73,15 +73,6 @@ order, then their images, an order that changes with H; the sorted list
 does not.  As c -> h o c maps y's
 colorings one-to-one onto x's, ``count_colorings`` gives x the count of y.
 
-Past ``check_twist``, every entry point reads the diagram's
-``slot_maps``, the one gate of a diagram, before anything else of it:
-the search through the first build of ``arc_skeleton``, the oracle and
-``verify_coloring`` through ``compile_problem``.  So a diagram that ``validate_diagram`` refuses (a
-count that is no int in range, then, in passage order, a crossing that
-is no record of its tag's class, an edge label out of range or a slot
-used twice, last a dangling edge) raises ``MalformedInput`` with its
-message before any coloring is read, and caches no arcs.
-
 ``brute_force_colorings`` is the oracle: it tries every assignment of
 colors to the arcs (n^arcs of them, bounded by a ceiling), completes each
 by walking the arcs edge by edge through their over-passages and twists,
@@ -112,7 +103,7 @@ DEFAULT_BRUTE_FORCE_CEILING = 10**7
 def verify_coloring(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap, coloring) -> bool:
     """True iff every crossing constraint holds for the given edge colors."""
     check_twist(q, f)
-    rules = compile_problem(d, q, f)  # refuses a malformed diagram before the coloring is read
+    rules = compile_problem(d, q, f)
     check_coloring(d, q, coloring)
     return bool(satisfying(rules, [coloring]))
 
@@ -218,7 +209,7 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
     representatives in search order, the root arc (None when there is no
     arc), the Schreier tree of ``_root_orbits`` and k -> f^k, bound to
     the arcs of ``kernel.arc_skeleton``."""
-    arc_of, k_of, loops, crossings, by_lowest_edge = arc_skeleton(d)  # the gate on first build
+    arc_of, k_of, loops, crossings, by_lowest_edge = arc_skeleton(d)
     n = q.order
     identity = tuple(range(n))
     power = _powers(f, identity)

@@ -57,6 +57,7 @@ class CoefficientGroup(Value):
         set_field(self, "modulus", modulus)
 
     def reduce(self, exponent: int) -> int:
+        _check_type(exponent, int, "an exponent")
         return exponent % self.modulus if self.modulus else exponent
 
 
@@ -122,12 +123,12 @@ class WeightPolynomial(Value):
         acc: dict[int, int] = {}
         try:
             for exponent, multiplicity in pairs:
+                if type(exponent) is not int or type(multiplicity) is not int:  # type(): bool is an int
+                    raise TypeError(f"polynomial term {(exponent, multiplicity)!r} does not hold integers")
                 acc[exponent] = acc.get(exponent, 0) + multiplicity
-        except (TypeError, ValueError) as exc:  # no pair, no hashable exponent, or a sum that fails
+        except (TypeError, ValueError) as exc:  # no pair, or no pair of ints
             raise MalformedInput(f"polynomial terms must be (exponent, multiplicity) int pairs: {exc}") from exc
-        # ints sorted, and any other exponent first, for the constructor's term check
-        key = lambda term: (type(term[0]) is int, term[0] if type(term[0]) is int else 0)
-        return WeightPolynomial(tuple(sorted(acc.items(), key=key)))
+        return WeightPolynomial(tuple(sorted(acc.items())))
 
     def evaluate_at_one(self) -> int:
         """Value at t = 1, i.e. the total multiplicity."""
@@ -318,9 +319,10 @@ def preservation_witness(f: QuandleMap, c: Cocycle2) -> tuple[int, int] | None:
     _check_length(c.quandle, f.images)
     n = c.quandle.order
     red = c.group.reduce
+    images = f.images
     for a in range(n):
         for b in range(n):
-            if red(c.exponents[a][b] - c.exponents[f(a)][f(b)]):
+            if red(c.exponents[a][b] - c.exponents[images[a]][images[b]]):
                 return (a, b)
     return None
 

@@ -1,12 +1,16 @@
 """The library boundary: every public name refuses what it must, with a typed error.
 
 ``WALK`` holds, for every callable of ``vknots.__all__`` (and for
-``preservation_witness``, which the CLI calls), one valid call and, for each
-parameter, a Hypothesis strategy of values that the call must refuse: junk
-of other kinds for a plain parameter (an int, a bool, a list), and for a
-value parameter a value of the right class that this call cannot take (a
-diagram the gate refuses, a table that fails a quandle axiom where a
-coloring needs a quandle, a map of the wrong length).  An object of the
+``preservation_witness``, which the CLI calls) and for every public method
+of an exported class (``__call__`` included, keyed ``Class.method`` and
+walked as a plain function whose ``self`` is a parameter), one valid call
+and, for each parameter, a Hypothesis strategy of values that the call
+must refuse: junk of other kinds for a plain parameter (an int, a bool, a
+list), and for a value parameter a value of the right class that this call
+cannot take (a table that fails a quandle axiom where a coloring needs a
+quandle, a map of the wrong length, a virtual diagram where Z needs a
+classical one).  A diagram's parameter is answered: the constructor checks
+every diagram, so none of the right class is malformed.  An object of the
 wrong class where a value is due is out of scope, except where a
 constructor checks it (a cocycle's quandle, a coefficient group).  The
 strategies draw small values only, never a valid large int, so no call
@@ -17,8 +21,8 @@ time, and the call must raise an error of ``vknots.errors``; any other
 exception fails the test with its traceback.  A parameter whose every value
 of its class is answered is ``ANSWERED``; the constants, the unchecked
 result type ``InvariantResult`` and ``MoveRecord``, whose site ``apply_move``
-checks, are in ``NOT_WALKED``; and a public name in neither place fails
-``test_the_walk_covers_every_public_name``.
+checks, are in ``NOT_WALKED`` with their methods; and a public name or
+method in neither place fails ``test_the_walk_covers_every_public_name``.
 
 ``KNOWN`` is the one list of arguments that once escaped as a bare error or
 were answered, each an explicit example of the walk with the error it
@@ -28,6 +32,7 @@ raises now.
 import inspect
 import re
 from itertools import permutations, product
+from types import FunctionType
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -192,14 +197,19 @@ RECORDS = st.one_of(
     st.builds(VirtualCrossing, *[st.integers(-1, 4)] * 4, st.sampled_from((1, -1))),
     st.tuples(st.integers(0, 2), st.sampled_from((1, -1, 5)), *[st.integers(0, 3)] * 4),  # no record
 )
-BAD_DIAGRAMS = st.builds(
-    VirtualDiagram,
-    st.integers(-1, 5) | NOT_INT,
-    st.integers(-1, 2) | st.just(1025) | NOT_INT,
-    st.lists(RECORDS, max_size=3).map(tuple) | st.lists(RECORDS, max_size=2) | NOT_SEQUENCE,
-).filter(lambda d: not validate_diagram(d))
-# a diagram that Z refuses: a malformed one, or a virtual one
-Z_DIAGRAMS = BAD_DIAGRAMS | st.sampled_from([VT, VKINK, builder("kishino")])
+
+
+def _refused(edges, free_loops, crossings) -> bool:
+    """Whether the diagram constructor refuses these fields."""
+    try:
+        VirtualDiagram(edges, free_loops, crossings)
+    except MalformedInput:
+        return True
+    return False
+
+
+# a diagram that Z refuses: a virtual one
+Z_DIAGRAMS = st.sampled_from([VT, VKINK, builder("kishino")])
 BAD_COLORINGS = NOT_SEQUENCE | st.lists(st.integers(-2, 5) | NOT_INT, max_size=8).filter(
     lambda c: len(c) != 6 or not all(type(x) is int and 0 <= x < 4 for x in c)
 )
@@ -208,6 +218,26 @@ BAD_RECORDS = st.one_of(
     st.builds(MoveRecord, st.text(max_size=3) | NOT_INT, st.just({})),
     st.builds(MoveRecord, st.sampled_from(ALL_KINDS), NOT_SEQUENCE),
     st.builds(MoveRecord, st.sampled_from(ALL_KINDS), st.dictionaries(SITE_KEYS, NOT_INT, max_size=3)),
+)
+# what from_pairs refuses: no pair of ints, or multiplicities that sum to no positive int
+BAD_PAIRS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.floats(),
+    st.lists(
+        st.one_of(
+            st.none(),
+            st.integers(-2, 2),
+            st.floats(),
+            st.text(max_size=3),
+            st.tuples(NOT_INT, st.integers(1, 2)),
+            st.tuples(st.integers(-2, 2), NOT_INT | st.integers(-2, 0)),
+            st.lists(st.integers(0, 2), min_size=3, max_size=3),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
 )
 BAD_PASSAGES = NOT_SEQUENCE | st.lists(
     st.one_of(
@@ -241,8 +271,8 @@ def case(target, base, call=None, **refusals):
     return target, base, call or target, refusals
 
 
-_D_Q_F = {"d": BAD_DIAGRAMS, "q": COLORING_Q, "f": NON_AUTOMORPHISMS}
-_D_Q_C = {"d": BAD_DIAGRAMS, "q": COLORING_Q, "c": INVARIANT_C}
+_D_Q_F = {"d": ANSWERED, "q": COLORING_Q, "f": NON_AUTOMORPHISMS}
+_D_Q_C = {"d": ANSWERED, "q": COLORING_Q, "c": INVARIANT_C}
 
 WALK = {
     # algebra
@@ -275,35 +305,33 @@ WALK = {
         chirality=bad_unit(),
         **dict.fromkeys(("first_in", "first_out", "second_in", "second_out"), NOT_INT),
     ),
-    # the diagram constructor checks nothing: the gate, slot_maps, refuses
     "VirtualDiagram": case(
         VirtualDiagram,
         {"edges": 2, "free_loops": 0, "crossings": KINK.crossings},
-        lambda **kw: VirtualDiagram(**kw).slot_maps,
         edges=NOT_INT | st.integers(-3, 1) | st.integers(3, 6),
         free_loops=NOT_INT | st.integers(-3, -1) | st.integers(1025, 1027),
         crossings=NOT_SEQUENCE
         | st.lists(RECORDS, max_size=2)
         | st.lists(RECORDS, min_size=1, max_size=2)
         .map(tuple)
-        .filter(lambda cs: not validate_diagram(VirtualDiagram(2, 0, cs))),
+        .filter(lambda cs: _refused(2, 0, cs)),
     ),
     "builder": case(builder, {"name": "trefoil"}, name=NOT_INT | st.integers(-2, 2)),
-    "component_count": case(vknots.component_count, {"d": TREFOIL}, d=BAD_DIAGRAMS),
-    "isomorphic": case(vknots.isomorphic, {"a": TREFOIL, "b": TREFOIL}, a=BAD_DIAGRAMS, b=BAD_DIAGRAMS),
+    "component_count": case(vknots.component_count, {"d": TREFOIL}, d=ANSWERED),
+    "isomorphic": case(vknots.isomorphic, {"a": TREFOIL, "b": TREFOIL}, a=ANSWERED, b=ANSWERED),
     "parse_diagram": case(
         vknots.parse_diagram,
         {"text": vknots.serialize_diagram(TREFOIL)},
         text=st.text(max_size=20) | NOT_INT.filter(lambda x: not isinstance(x, (str, bytes))),
     ),
-    "serialize_diagram": case(vknots.serialize_diagram, {"d": TREFOIL}, d=BAD_DIAGRAMS),
+    "serialize_diagram": case(vknots.serialize_diagram, {"d": TREFOIL}, d=ANSWERED),
     "validate_diagram": case(validate_diagram, {"d": TREFOIL}, d=ANSWERED),
     # invariants
     "aut_sum_z3": case(vknots.aut_sum_z3, {"d": VT, "q": R4, "c": PHI}, **_D_Q_C),
     "coloring_weight": case(
         vknots.coloring_weight,
         {"d": TREFOIL, "c": PHI, "coloring": (0,) * 6},
-        d=BAD_DIAGRAMS,
+        d=ANSWERED,
         c=NON_QUANDLES.map(trivial_cocycle),
         coloring=BAD_COLORINGS | st.lists(st.integers(0, 3), min_size=6, max_size=6).filter(
             lambda c: not verify_coloring(TREFOIL, R4, ID4, c)
@@ -325,13 +353,13 @@ WALK = {
     "apply_move": case(
         vknots.apply_move,
         {"d": TREFOIL, "record": MoveRecord("r1_insert", {"edge": 0, "sign": 1})},
-        d=BAD_DIAGRAMS,
+        d=ANSWERED,
         record=BAD_RECORDS,
     ),
     "detour": case(
         vknots.detour,
         {"d": VT, "start": 2, "end": 3, "passages": []},
-        d=BAD_DIAGRAMS,
+        d=ANSWERED,
         start=bad_edge(VT),
         end=bad_edge(VT),
         passages=BAD_PASSAGES,
@@ -339,29 +367,29 @@ WALK = {
     "r1_insert": case(
         vknots.r1_insert,
         {"d": TREFOIL, "edge": 0, "sign": 1, "handed": "under"},
-        d=BAD_DIAGRAMS,
+        d=ANSWERED,
         edge=bad_edge(TREFOIL),  # None and "loop" ask for a free loop, which the trefoil has not
         sign=bad_unit(),
         handed=NOT_INT.filter(lambda h: h not in ("under", "over")),
     ),
     "r1_remove": case(
-        vknots.r1_remove, {"d": KINK, "loop": find_r1_sites(KINK)[0]}, d=BAD_DIAGRAMS, loop=bad_edge(KINK)
+        vknots.r1_remove, {"d": KINK, "loop": find_r1_sites(KINK)[0]}, d=ANSWERED, loop=bad_edge(KINK)
     ),
     "r2_insert": case(
         vknots.r2_insert,
         {"d": TREFOIL, "edge_a": 0, "edge_b": 1, "over_first": True},
-        d=BAD_DIAGRAMS,
+        d=ANSWERED,
         edge_a=bad_edge(TREFOIL),
         edge_b=bad_edge(TREFOIL),
         over_first=NOT_BOOL,
     ),
     "r2_remove": case(
-        vknots.r2_remove, {"d": POKED, "over_mid": find_r2_sites(POKED)[0]}, d=BAD_DIAGRAMS, over_mid=bad_edge(POKED)
+        vknots.r2_remove, {"d": POKED, "over_mid": find_r2_sites(POKED)[0]}, d=ANSWERED, over_mid=bad_edge(POKED)
     ),
     "r3_slide": case(
         vknots.r3_slide,
         {"d": R3_SITE_DIAGRAM, "bridges": find_r3_sites(R3_SITE_DIAGRAM)[0]},
-        d=BAD_DIAGRAMS,
+        d=ANSWERED,
         bridges=NOT_SEQUENCE
         | st.lists(bad_edge(R3_SITE_DIAGRAM), min_size=1, max_size=3)
         | st.lists(st.integers(0, R3_SITE_DIAGRAM.edges - 1), max_size=4).filter(
@@ -371,7 +399,7 @@ WALK = {
     "random_equivalent": case(
         vknots.random_equivalent,
         {"d": TREFOIL, "seed": 0, "n_moves": 1},
-        d=BAD_DIAGRAMS,
+        d=ANSWERED,
         seed=NOT_INT,
         n_moves=NOT_INT | st.integers(-5, -1),
         allow_semi_virtual=NOT_BOOL,
@@ -382,12 +410,12 @@ WALK = {
     "vkink_insert": case(
         vknots.vkink_insert,
         {"d": TREFOIL, "edge": 0, "chirality": 1},
-        d=BAD_DIAGRAMS,
+        d=ANSWERED,
         edge=bad_edge(TREFOIL),
         chirality=bad_unit(),
     ),
     "vkink_remove": case(
-        vknots.vkink_remove, {"d": VKINK, "loop": find_vkink_sites(VKINK)[0]}, d=BAD_DIAGRAMS, loop=bad_edge(VKINK)
+        vknots.vkink_remove, {"d": VKINK, "loop": find_vkink_sites(VKINK)[0]}, d=ANSWERED, loop=bad_edge(VKINK)
     ),
     # solver
     "brute_force_colorings": case(
@@ -446,6 +474,30 @@ WALK = {
     ),
     "trivial_cocycle": case(trivial_cocycle, {"q": R3, "group": Z}, q=ANSWERED, group=NOT_A_GROUP),
     "validate_cocycle": case(validate_cocycle, {"c": PHI}, c=ANSWERED),
+    # public methods of the exported classes
+    "CoefficientGroup.reduce": case(
+        CoefficientGroup.reduce, {"self": CoefficientGroup(3), "exponent": 5}, self=ANSWERED, exponent=NOT_INT
+    ),
+    "QuandleMap.__call__": case(
+        QuandleMap.__call__, {"self": QuandleMap((0, 1)), "a": 1}, self=ANSWERED, a=NOT_INT | outside(0, 1)
+    ),
+    "QuandleMap.compose": case(
+        QuandleMap.compose, {"self": ID4, "other": SHIFT4}, self=ANSWERED, other=WRONG_LENGTH_MAPS
+    ),
+    "QuandleMap.identity": case(QuandleMap.identity, {"n": 4}, n=NOT_INT | st.integers(-3, -1)),
+    "QuandleMap.inverse": case(QuandleMap.inverse, {"self": SHIFT4}, self=NON_PERMUTATIONS),
+    "QuandleMap.is_permutation": case(QuandleMap.is_permutation, {"self": ID4}, self=ANSWERED),
+    "VirtualDiagram.classical": case(VirtualDiagram.classical, {"self": VT}, self=ANSWERED),
+    "VirtualDiagram.virtual": case(VirtualDiagram.virtual, {"self": VT}, self=ANSWERED),
+    "WeightPolynomial.evaluate_at_one": case(
+        vknots.WeightPolynomial.evaluate_at_one, {"self": vknots.WeightPolynomial(((0, 2),))}, self=ANSWERED
+    ),
+    "WeightPolynomial.from_pairs": case(
+        vknots.WeightPolynomial.from_pairs, {"pairs": [(1, 2), (0, 1), (1, 1)]}, pairs=BAD_PAIRS
+    ),
+    "WeightPolynomial.to_json_obj": case(
+        vknots.WeightPolynomial.to_json_obj, {"self": vknots.WeightPolynomial(((0, 2),))}, self=ANSWERED
+    ),
     # not exported: the CLI's preservation test, which invariant_bundle calls too
     "preservation_witness": case(
         preservation_witness,
@@ -460,12 +512,31 @@ NOT_WALKED = {
     "BUILDER_NAMES": "a constant",
     "CLASSICAL_KINDS": "a constant",
     "InvariantResult": "a result type, built by compute_invariant alone, and unchecked",
+    "InvariantResult.to_json": "a method of an unchecked result type",
     "MoveRecord": "unchecked: apply_move checks a record's mutable site where it uses it",
+    "MoveRecord.to_json_obj": "a method of an unchecked record",
 }
 
 
+def _public_methods() -> set[str]:
+    """``Class.method`` for every method, ``__call__`` included and other dunders
+    aside, that an exported class defines or inherits from a class of the
+    package."""
+    methods = set()
+    for name in vknots.__all__:
+        cls = getattr(vknots, name)
+        for base in cls.__mro__ if isinstance(cls, type) else ():
+            if not base.__module__.startswith("vknots."):
+                continue
+            for attr, value in vars(base).items():
+                if isinstance(value, (FunctionType, staticmethod)) and (attr == "__call__" or attr[0] != "_"):
+                    methods.add(f"{name}.{attr}")
+    return methods
+
+
 def test_the_walk_covers_every_public_name():
-    assert set(vknots.__all__) == (set(WALK) - {"preservation_witness"}) | set(NOT_WALKED)
+    public = set(vknots.__all__) | _public_methods()
+    assert public == (set(WALK) - {"preservation_witness"}) | set(NOT_WALKED)
     assert not set(WALK) & set(NOT_WALKED)
     for name, (target, base, _, refusals) in WALK.items():
         parameters = set(inspect.signature(target).parameters)
@@ -525,18 +596,19 @@ KNOWN = {
     "Cochain1 exponents 1.5": ("Cochain1", "exponents", 1.5, InvalidParameter, "a list or tuple"),
     # validate_quandle(FiniteQuandle(((0, 1),))) raised a bare IndexError; the table is now refused when built
     "table ((0, 1),)": ("FiniteQuandle", "table", ((0, 1),), MalformedInput, "operation table is not square"),
-    # serialize_diagram read the records before the gate
-    "serialize plain-tuple records": (
-        "serialize_diagram",
-        "d",
-        VirtualDiagram(6, 0, tuple(tuple(c) for c in TREFOIL.crossings)),
+    # serialize_diagram read the records of these diagrams before checking
+    # them; the diagram constructor refuses them now
+    "diagram plain-tuple records": (
+        "VirtualDiagram",
+        "crossings",
+        tuple(tuple(c) for c in TREFOIL.crossings),
         MalformedInput,
         re.escape("crossings[0]: (0, 1, 3, 1, 0, 4) is not a crossing record"),
     ),
-    "serialize crossings None": (
-        "serialize_diagram",
-        "d",
-        VirtualDiagram(2, 0, None),
+    "diagram crossings None": (
+        "VirtualDiagram",
+        "crossings",
+        None,
         MalformedInput,
         "crossings must be a tuple of crossing records, got None",
     ),
@@ -555,6 +627,25 @@ KNOWN = {
         QuandleMap((0, 1)),
         InvalidParameter,
         "map length does not match quandle order",
+    ),
+    # public methods: a bare TypeError or IndexError, or an answer
+    **{
+        f"identity {n!r}": (
+            "QuandleMap.identity", "n", n, InvalidParameter, f"a map's order must be a non-negative integer, got {n!r}"
+        )
+        for n in ("x", -2)
+    },
+    "map (0, 1) at 5": ("QuandleMap.__call__", "a", 5, InvalidParameter, re.escape("element 5 out of range 0..1")),
+    "map (0, 1) at -1": ("QuandleMap.__call__", "a", -1, InvalidParameter, re.escape("element -1 out of range 0..1")),
+    "reduce 'x'": ("CoefficientGroup.reduce", "exponent", "x", InvalidParameter, "an exponent must be an integer"),
+    "reduce 1.5": ("CoefficientGroup.reduce", "exponent", 1.5, InvalidParameter, "an exponent must be an integer"),
+    # a bool multiplicity was summed as an int
+    "from_pairs (0, True)": (
+        "WeightPolynomial.from_pairs",
+        "pairs",
+        [(0, True)],
+        MalformedInput,
+        re.escape("polynomial term (0, True) does not hold integers"),
     ),
 }
 

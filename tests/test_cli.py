@@ -512,12 +512,20 @@ def test_built_in_algebra_skips_the_axiom_checks(capsys, monkeypatch):
 # record's edge labels into the record constructors.  The first four print
 # what they printed before the move; the null edge printed Python's own
 # comparison error ("crossings[0]: '>' not supported between instances of
-# 'NoneType' and 'int'") and now names the label.
+# 'NoneType' and 'int'") and now names the label; a record that its
+# constructor refuses is named, as the null edge and a bad sign show.
 _NULL_EDGE = json.dumps(
     {
         "edges": 2,
         "free_loops": 0,
         "crossings": [{"type": "virtual", "first_in": None, "first_out": 1, "second_in": 1, "second_out": 0, "chirality": 1}],
+    }
+)
+_BAD_SIGN = json.dumps(
+    {
+        "edges": 2,
+        "free_loops": 0,
+        "crossings": [{"type": "classical", "sign": 2, "under_in": 0, "over_in": 1, "under_out": 1, "over_out": 0}],
     }
 )
 MOVED_CHECKS = {
@@ -538,7 +546,14 @@ MOVED_CHECKS = {
          "--moves", "-3"),
         "error: move count must be non-negative, got -3\n",
     ),
-    "virtual-null-edge": (("diagram", "validate", "--diagram", _NULL_EDGE), "error: edge label must be an integer, got None\n"),
+    "virtual-null-edge": (
+        ("diagram", "validate", "--diagram", _NULL_EDGE),
+        "error: crossings[0]: edge label must be an integer, got None\n",
+    ),
+    "classical-sign-2": (
+        ("diagram", "validate", "--diagram", _BAD_SIGN),
+        "error: crossings[0]: crossing sign must be +1 or -1, got 2\n",
+    ),
 }
 
 

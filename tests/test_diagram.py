@@ -4,13 +4,14 @@ import pickle
 
 import pytest
 
-from vknots.algebra import QuandleMap, make_dihedral
 from vknots.diagram import (
     BUILDER_NAMES,
     MAX_FREE_LOOPS,
     ClassicalCrossing,
     VirtualCrossing,
+    DiagramReport,
     VirtualDiagram,
+    _unchecked_diagram,
     builder,
     component_count,
     isomorphic,
@@ -22,11 +23,8 @@ from vknots.diagram import (
     validate_diagram,
 )
 from vknots.errors import InvalidParameter, MalformedInput
-from vknots.invariants import state_sum_classical
 from vknots.kernel import arc_skeleton
-from vknots.moves import MoveRecord, apply_move, find_r1_sites, find_r2_sites, find_vkink_sites, random_equivalent
-from vknots.solver import count_colorings
-from vknots.weights import example_cocycle_r4
+from vknots.moves import MoveRecord, apply_move, random_equivalent
 
 UNKNOT_TEXT = '{"edges":0,"free_loops":1,"crossings":[]}'
 
@@ -101,23 +99,13 @@ def test_virtual_crossing_normalisation():
     assert v == w
 
 
-def test_validate_rejects_double_use():
-    d = VirtualDiagram(2, 0, (ClassicalCrossing(1, 0, 0, 1, 1),))
-    report = validate_diagram(d)
-    assert not report.ok
-    assert "more than once" in report.message
-
-
-def test_validate_rejects_dangling():
-    d = VirtualDiagram(3, 0, (ClassicalCrossing(1, 0, 1, 1, 0),))
-    report = validate_diagram(d)
-    assert not report.ok
-
-
-@pytest.mark.parametrize("edges, free_loops", [(-1, 0), (0, -1), (-2, -2)])
-def test_validate_rejects_negative_counts(edges, free_loops):
-    report = validate_diagram(VirtualDiagram(edges, free_loops, ()))
-    assert not report.ok and "non-negative" in report.message
+def test_validate_diagram_checks_the_fields_of_an_unchecked_diagram():
+    # relabel_canonical's door stores slot maps without the constructor's
+    # check; validate_diagram re-runs that check on the fields
+    d = _unchecked_diagram(3, 0, builder("unknot_kink_pos").crossings)
+    assert d.slot_maps[0][2] is None  # edge 2 dangles
+    assert validate_diagram(d) == DiagramReport(False, "edge 2 is never consumed (dangling out end)")
+    assert validate_diagram(_unchecked_diagram(2, 0, builder("unknot_kink_pos").crossings)).ok
 
 
 def test_parse_unknot():
@@ -179,11 +167,12 @@ BAD_RECORDS = {
     "type-string": ({**_CLASSICAL, "type": "wild"}, "crossings[0]: unknown crossing type 'wild'"),
     "type-number": ({**_CLASSICAL, "type": 3}, "crossings[0]: unknown crossing type 3"),
     "type-list": ({**_VIRTUAL, "type": ["virtual"]}, "crossings[0]: unknown crossing type ['virtual']"),
-    "bad-sign": ({**_CLASSICAL, "sign": 2}, "crossing sign must be +1 or -1, got 2"),
-    "bad-chirality": ({**_VIRTUAL, "chirality": 0}, "chirality must be +1 or -1, got 0"),
-    # the record constructors refuse a label that is no int, as they refuse a bad sign
-    "virtual-null-edge": ({**_VIRTUAL, "first_in": None}, "edge label must be an integer, got None"),
-    "classical-null-edge": ({**_CLASSICAL, "under_in": None}, "edge label must be an integer, got None"),
+    # the record constructors refuse a bad sign and a label that is no int,
+    # and parse_diagram names the record
+    "bad-sign": ({**_CLASSICAL, "sign": 2}, "crossings[0]: crossing sign must be +1 or -1, got 2"),
+    "bad-chirality": ({**_VIRTUAL, "chirality": 0}, "crossings[0]: chirality must be +1 or -1, got 0"),
+    "virtual-null-edge": ({**_VIRTUAL, "first_in": None}, "crossings[0]: edge label must be an integer, got None"),
+    "classical-null-edge": ({**_CLASSICAL, "under_in": None}, "crossings[0]: edge label must be an integer, got None"),
 }
 
 
@@ -311,7 +300,6 @@ def test_move_outputs_have_seeded_slot_maps_and_checked_records():
         for seed in range(5):
             for d in _outputs(builder(name), seed, 200):
                 outputs += 1
-                assert "slot_maps" in vars(d)  # filled by relabel_canonical, not on first use
                 assert d.slot_maps == _rebuilt_slot_maps(d)
                 # the unchecked records equal (field by field, so no renormalisation)
                 # and hash equal the same records built by the public constructors
@@ -355,94 +343,72 @@ def test_built_in_slot_maps_are_edge_indexed_lists():
         assert (consumed, emitted) == _rebuilt_slot_maps(d)
 
 
-# Codes that no check has seen, built with the record constructors or, last,
-# from plain tuples that carry a tag and a sign no constructor makes;
-# slot_maps, the one gate, refuses each at its first fault in passage order
-# with the message that validate_diagram reports.
+# Codes built with the record constructors or from plain tuples that carry a
+# tag and a sign no constructor makes, and counts out of range; the diagram
+# constructor refuses each at its first fault, the counts first, then in
+# passage order.  No reader of a diagram (a coloring search, an invariant,
+# a move, a finder, the fuzzer, serialize_diagram) can be handed one.
+KINK_RECORDS = (ClassicalCrossing(1, 0, 1, 1, 0),)
+NO_INT = "edge and free-loop counts must be integers"
+NEGATIVE = "edge and free-loop counts must be non-negative"
 INCONSISTENT_CODES = {
     "label-out-of-range": (
-        VirtualDiagram(2, 0, (ClassicalCrossing(1, 0, 5, 1, 6),)),
+        (2, 0, (ClassicalCrossing(1, 0, 5, 1, 6),)),
         "crossings[0]: edge label 5 out of range 0..1",
     ),
     "negative-label": (
-        VirtualDiagram(2, 0, (ClassicalCrossing(1, 0, -1, 1, 0),)),
+        (2, 0, (ClassicalCrossing(1, 0, -1, 1, 0),)),
         "crossings[0]: edge label -1 out of range 0..1",
     ),
     "slot-used-twice": (
-        VirtualDiagram(4, 0, (ClassicalCrossing(1, 0, 1, 2, 3), ClassicalCrossing(1, 0, 2, 1, 0))),
+        (4, 0, (ClassicalCrossing(1, 0, 1, 2, 3), ClassicalCrossing(1, 0, 2, 1, 0))),
         "crossings[1]: edge 0 used more than once as an in-slot",
     ),
+    "slot-used-twice-in-one-crossing": (
+        (2, 0, (ClassicalCrossing(1, 0, 0, 1, 1),)),
+        "crossings[0]: edge 0 used more than once as an in-slot",
+    ),
+    "dangling-third-edge": ((3, 0, KINK_RECORDS), "edge 2 is never consumed (dangling out end)"),
     "no-in-slot": (
-        VirtualDiagram(4, 0, (ClassicalCrossing(1, 0, 1, 1, 0),)),
+        (4, 0, (ClassicalCrossing(1, 0, 1, 1, 0),)),
         "edge 2 is never consumed (dangling out end)",
     ),
     "no-out-slot": (
-        VirtualDiagram(3, 0, (ClassicalCrossing(1, 0, 1, 2, 0),)),
+        (3, 0, (ClassicalCrossing(1, 0, 1, 2, 0),)),
         "edge 1 is never emitted (dangling in end)",
     ),
     # trefoil's code with sign 5 read as classical by its tag
     "plain-tuples": (
-        VirtualDiagram(6, 0, tuple((0, 5) + tuple(c)[2:] for c in builder("trefoil").crossings)),
+        (6, 0, tuple((0, 5) + tuple(c)[2:] for c in builder("trefoil").crossings)),
         "crossings[0]: (0, 5, 3, 1, 0, 4) is not a crossing record",
     ),
     "plain-tuples-tag-7": (
-        VirtualDiagram(6, 0, tuple((7, 5) + tuple(c)[2:] for c in builder("trefoil").crossings)),
+        (6, 0, tuple((7, 5) + tuple(c)[2:] for c in builder("trefoil").crossings)),
         "crossings[0]: (7, 5, 3, 1, 0, 4) is not a crossing record",
     ),
     # crossings that are no tuple: None and 5 used to raise a bare TypeError,
     # and a list of valid records validated, though the diagram cannot be hashed
-    "crossings-none": (VirtualDiagram(2, 0, None), "crossings must be a tuple of crossing records, got None"),
-    "crossings-int": (VirtualDiagram(2, 0, 5), "crossings must be a tuple of crossing records, got 5"),
+    "crossings-none": ((2, 0, None), "crossings must be a tuple of crossing records, got None"),
+    "crossings-int": ((2, 0, 5), "crossings must be a tuple of crossing records, got 5"),
     "crossings-list": (
-        VirtualDiagram(2, 0, [ClassicalCrossing(1, 0, 1, 1, 0)]),
+        (2, 0, [ClassicalCrossing(1, 0, 1, 1, 0)]),
         "crossings must be a tuple of crossing records, got "
         "[ClassicalCrossing(sign=1, under_in=0, over_in=1, under_out=1, over_out=0)]",
     ),
+    # the counts are checked first, whatever the records
+    **{f"edge-count-{edges!r}": ((edges, 0, KINK_RECORDS), NO_INT) for edges in (2.5, 2.0, "2", None, True)},
+    "virtual-kink-edge-count-2.5": ((2.5, 0, (VirtualCrossing(0, 1, 1, 0, 1),)), NO_INT),
+    **{f"free-loops-{x!r}": ((2, x, KINK_RECORDS), NO_INT) for x in (0.5, 2.5, True)},
+    **{f"counts-{e}-{x}": ((e, x, ()), NEGATIVE) for e, x in ((-1, 0), (0, -1), (-2, -2), (0, -3))},
+    **{f"free-loops-{x}": ((2, x, KINK_RECORDS), f"free_loops {x} exceeds the maximum 1024") for x in (2000, 5000)},
 }
 
 
-@pytest.mark.parametrize("d, message", list(INCONSISTENT_CODES.values()), ids=list(INCONSISTENT_CODES))
-def test_slot_maps_refuse_an_inconsistent_code(d, message):
+@pytest.mark.parametrize("fields, message", list(INCONSISTENT_CODES.values()), ids=list(INCONSISTENT_CODES))
+def test_the_constructor_refuses_an_inconsistent_code(fields, message):
     with pytest.raises(MalformedInput) as err:
-        d.slot_maps
+        VirtualDiagram(*fields)
     assert str(err.value) == message
-    assert validate_diagram(d).message == message
-    assert "slot_maps" not in vars(d)
-
-
-# the entry points beyond slot_maps and validate_diagram, each through the gate
-# before it reads the diagram
-_Q4 = make_dihedral(4)
-_GATED_CALLS = {
-    "count_colorings": lambda d: count_colorings(d, _Q4, QuandleMap.identity(4)),
-    "state_sum_classical": lambda d: state_sum_classical(d, _Q4, example_cocycle_r4()),
-    "find_r1_sites": find_r1_sites,
-    "find_r2_sites": find_r2_sites,
-    "find_vkink_sites": find_vkink_sites,
-    # no move, so that only the gate can refuse the diagram
-    "random_equivalent": lambda d: random_equivalent(d, 0, 0),
-    "successor_cycles": successor_cycles,
-    "component_count": component_count,
-    "isomorphic": lambda d: isomorphic(d, d),
-}
-
-
-@pytest.mark.parametrize("call", list(_GATED_CALLS.values()), ids=list(_GATED_CALLS))
-@pytest.mark.parametrize("d, message", list(INCONSISTENT_CODES.values()), ids=list(INCONSISTENT_CODES))
-def test_every_entry_point_refuses_an_inconsistent_code_with_the_gates_message(call, d, message):
-    with pytest.raises(MalformedInput) as err:
-        call(d)
-    assert str(err.value) == message
-
-
-@pytest.mark.parametrize("edges", [2.5, 2.0, "2", None, True])
-def test_slot_maps_refuse_an_edge_count_that_is_no_int(edges):
-    d = VirtualDiagram(edges, 0, (ClassicalCrossing(1, 0, 1, 1, 0),))
-    with pytest.raises(MalformedInput) as err:
-        d.slot_maps
-    assert str(err.value) == "edge and free-loop counts must be integers"
-    assert validate_diagram(d).message == "edge and free-loop counts must be integers"
-    assert "slot_maps" not in vars(d)
 
 
 # Move outputs: the final diagram of a short trace per corpus name and seed.
@@ -502,8 +468,8 @@ def test_record_tuples_and_repr():
 
 def test_free_loops_are_bounded():
     assert validate_diagram(VirtualDiagram(0, MAX_FREE_LOOPS, ())).ok
-    report = validate_diagram(VirtualDiagram(0, MAX_FREE_LOOPS + 1, ()))
-    assert not report.ok and f"exceeds the maximum {MAX_FREE_LOOPS}" in report.message
+    with pytest.raises(MalformedInput, match=f"exceeds the maximum {MAX_FREE_LOOPS}"):
+        VirtualDiagram(0, MAX_FREE_LOOPS + 1, ())
     with pytest.raises(MalformedInput, match="exceeds the maximum"):
         parse_diagram('{"edges":0,"free_loops":10000,"crossings":[]}')
 

@@ -27,7 +27,7 @@ from vknots.diagram import (
     validate_diagram,
 )
 from vknots.moves import random_equivalent
-from vknots.errors import InvalidParameter, MalformedInput, PreconditionFailed, SearchBoundExceeded
+from vknots.errors import InvalidParameter, PreconditionFailed, SearchBoundExceeded
 from vknots.invariants import (
     aut_sum_z3,
     coloring_weight,
@@ -705,58 +705,6 @@ def test_the_arcs_are_built_once_per_diagram_object(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Diagrams that validate_diagram refuses, built with the constructor: every
-# coloring entry point refuses them with its message.  They used to raise a
-# bare TypeError, IndexError or KeyError, or were answered.
-
-TREFOIL_RECORDS = builder("trefoil").crossings
-MALFORMED = {
-    "edge count 2.5": VirtualDiagram(2.5, 0, (ClassicalCrossing(1, 0, 1, 1, 0),)),
-    "label 5 of 2 edges": VirtualDiagram(2, 0, (ClassicalCrossing(1, 0, 5, 1, 0),)),
-    "dangling third edge": VirtualDiagram(3, 0, (ClassicalCrossing(1, 0, 1, 1, 0),)),
-    **{f"free_loops {x!r}": VirtualDiagram(6, x, TREFOIL_RECORDS) for x in (0.5, -1, True, 2000)},
-    # Z refuses a virtual diagram with WrongKind, but only a well-formed one
-    "virtual kink, edge count 2.5": VirtualDiagram(2.5, 0, (VirtualCrossing(0, 1, 1, 0, 1),)),
-}
-
-
-COLORING_CALLS = {
-    "count_colorings": lambda d: count_colorings(d, Q4, ID4),
-    "enumerate_colorings": lambda d: enumerate_colorings(d, Q4, ID4),
-    "brute_force_colorings": lambda d: brute_force_colorings(d, Q4, ID4),
-    "verify_coloring": lambda d: verify_coloring(d, Q4, ID4, (0,) * 6),
-    "coloring_weight": lambda d: coloring_weight(d, example_cocycle_r4(), (0,) * 6),
-    "state_sum_classical": lambda d: state_sum_classical(d, Q4, example_cocycle_r4()),
-    "state_weight_z1": lambda d: state_weight_z1(d, Q4, example_cocycle_r4(), ID4),
-    "state_sum_z2": lambda d: state_sum_z2(d, Q4, example_cocycle_r4(), ID4),
-    "aut_sum_z3": lambda d: aut_sum_z3(d, Q4, example_cocycle_r4()),
-    "invariant_bundle": lambda d: invariant_bundle(d, Q4, example_cocycle_r4(), ID4),
-}
-
-
-@pytest.mark.parametrize("call", COLORING_CALLS)
-@pytest.mark.parametrize("case", MALFORMED)
-def test_every_coloring_entry_point_refuses_a_malformed_diagram(case, call):
-    d = MALFORMED[case]
-    message = validate_diagram(d).message
-    assert message
-    with pytest.raises(MalformedInput) as err:
-        COLORING_CALLS[call](d)
-    assert str(err.value) == message
-
-
-@pytest.mark.parametrize("case", MALFORMED)
-def test_a_refused_diagram_caches_no_arcs(case):
-    d = MALFORMED[case]
-    for _ in range(2):  # refused again, with the same message
-        with pytest.raises(MalformedInput) as err:
-            arc_skeleton(d)
-        assert str(err.value) == validate_diagram(d).message
-        with pytest.raises(MalformedInput, match=re.escape(str(err.value))):
-            count_colorings(d, Q4, SHIFT4)
-        assert "arc_skeleton" not in vars(d) and "slot_maps" not in vars(d)
-
-
 @pytest.mark.parametrize("ceiling", [None, "10", 2.5, 10.0, True, False])
 def test_the_oracle_refuses_a_ceiling_that_is_no_int(ceiling):
     with pytest.raises(InvalidParameter, match=rf"the ceiling must be an integer, got {re.escape(repr(ceiling))}"):

@@ -230,12 +230,13 @@ def test_move_records_are_unhashable():
         hash(MoveRecord("r1_remove", {"loop": 0}))
 
 
-def test_a_diagram_keeps_its_slot_maps_cache():
+def test_a_diagram_stores_its_slot_maps_when_made():
     d = VirtualDiagram(4, 0, tuple(builder("virtual_hopf").crossings))
-    assert "slot_maps" not in vars(d)
     maps = d.slot_maps
-    assert vars(d)["slot_maps"] is maps and d.slot_maps is maps
+    assert d.slot_maps is maps and "slot_maps" not in vars(d)  # a slot, not a cache
     assert d == builder("virtual_hopf") and hash(d) == hash(builder("virtual_hopf"))
+    with pytest.raises(AttributeError):
+        d.slot_maps = maps
 
 
 def test_built_in_algebra_stores_a_passing_report():
