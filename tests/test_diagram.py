@@ -11,6 +11,8 @@ from vknots.diagram import (
     VirtualCrossing,
     DiagramReport,
     VirtualDiagram,
+    _RECORD_CLASSES,
+    _store,
     _unchecked_diagram,
     builder,
     component_count,
@@ -409,6 +411,52 @@ def test_the_constructor_refuses_an_inconsistent_code(fields, message):
     with pytest.raises(MalformedInput) as err:
         VirtualDiagram(*fields)
     assert str(err.value) == message
+
+
+def _forged(edges, free_loops, crossings) -> VirtualDiagram:
+    """A diagram object that holds the given fields and no slot maps, made
+    past both doors, as only a caller of the private ``_store`` can."""
+    return _store(object.__new__(VirtualDiagram), edges, free_loops, crossings, None)
+
+
+# pickle and copy make a diagram from its fields with the constructor
+_REMADE = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda d: pickle.loads(pickle.dumps(d)),
+}
+
+
+@pytest.mark.parametrize("remake", _REMADE)
+@pytest.mark.parametrize("fields, message", list(INCONSISTENT_CODES.values()), ids=list(INCONSISTENT_CODES))
+def test_a_copy_or_pickle_of_an_inconsistent_code_is_refused_with_the_constructors_message(fields, message, remake):
+    with pytest.raises(MalformedInput) as err:
+        _REMADE[remake](_forged(*fields))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("fields, message", list(INCONSISTENT_CODES.values()), ids=list(INCONSISTENT_CODES))
+def test_validate_diagram_reports_an_inconsistent_code_with_the_constructors_message(fields, message):
+    assert validate_diagram(_forged(*fields)) == DiagramReport(False, message)
+
+
+# the codes that a JSON document can state: a tuple of records, the counts any
+# JSON value
+_JSON_CODES = {
+    name: (fields, message)
+    for name, (fields, message) in INCONSISTENT_CODES.items()
+    if type(fields[2]) is tuple and all(type(c) in _RECORD_CLASSES for c in fields[2])
+}
+
+
+@pytest.mark.parametrize("fields, message", list(_JSON_CODES.values()), ids=list(_JSON_CODES))
+def test_parse_diagram_refuses_an_inconsistent_code_with_the_constructors_message(fields, message):
+    edges, free_loops, crossings = fields
+    records = [{"type": c.TYPE, **{name: getattr(c, name) for name in c.FIELDS}} for c in crossings]
+    text = json.dumps({"edges": edges, "free_loops": free_loops, "crossings": records})
+    with pytest.raises(MalformedInput) as err:
+        parse_diagram(text)
+    assert str(err.value) == f"invalid diagram: {message}"
 
 
 # Move outputs: the final diagram of a short trace per corpus name and seed.

@@ -705,6 +705,58 @@ def test_the_arcs_are_built_once_per_diagram_object(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# A move output comes through relabel_canonical's door, which stores slot
+# maps that the constructor never checked.  Every coloring entry point
+# answers it, or refuses it, as it does the same fields made by the
+# constructor.
+
+DOOR_OUTPUTS = {name: random_equivalent(builder(name), 0, 20)[0] for name in BUILDER_NAMES}
+
+COLORING_CALLS = {
+    "count_colorings": lambda d: count_colorings(d, Q4, ID4),
+    "enumerate_colorings": lambda d: enumerate_colorings(d, Q4, ID4),
+    "brute_force_colorings": lambda d: brute_force_colorings(d, Q4, ID4),
+    "verify_coloring": lambda d: verify_coloring(d, Q4, ID4, (0,) * d.edges),
+    "coloring_weight": lambda d: coloring_weight(d, example_cocycle_r4(), (0,) * d.edges),
+    "state_sum_classical": lambda d: state_sum_classical(d, Q4, example_cocycle_r4()),
+    "state_weight_z1": lambda d: state_weight_z1(d, Q4, example_cocycle_r4(), ID4),
+    "state_sum_z2": lambda d: state_sum_z2(d, Q4, example_cocycle_r4(), ID4),
+    "aut_sum_z3": lambda d: aut_sum_z3(d, Q4, example_cocycle_r4()),
+    "invariant_bundle": lambda d: invariant_bundle(d, Q4, example_cocycle_r4(), ID4),
+}
+
+
+def _answer(call, d):
+    """What ``call`` answers on d, or the type and words of its refusal."""
+    try:
+        return call(d)
+    except (ValueError, RuntimeError) as exc:  # every error of vknots.errors
+        return type(exc), str(exc)
+
+
+def _constructed(d: VirtualDiagram) -> VirtualDiagram:
+    made = VirtualDiagram(d.edges, d.free_loops, d.crossings)
+    assert made == d and made is not d
+    return made
+
+
+@pytest.mark.parametrize("call", COLORING_CALLS)
+@pytest.mark.parametrize("case", DOOR_OUTPUTS)
+def test_every_coloring_entry_point_answers_a_move_output_as_the_constructor_made_it(case, call):
+    d = DOOR_OUTPUTS[case]
+    assert validate_diagram(d).ok
+    assert _answer(COLORING_CALLS[call], d) == _answer(COLORING_CALLS[call], _constructed(d))
+
+
+@pytest.mark.parametrize("case", DOOR_OUTPUTS)
+def test_a_move_output_has_the_slot_maps_and_arcs_of_the_constructor(case):
+    d = DOOR_OUTPUTS[case]
+    made = _constructed(d)
+    assert d.slot_maps == made.slot_maps
+    assert arc_skeleton(d) == arc_skeleton(made)  # d's arcs read its stored slot maps
+
+
+# ---------------------------------------------------------------------------
 @pytest.mark.parametrize("ceiling", [None, "10", 2.5, 10.0, True, False])
 def test_the_oracle_refuses_a_ceiling_that_is_no_int(ceiling):
     with pytest.raises(InvalidParameter, match=rf"the ceiling must be an integer, got {re.escape(repr(ceiling))}"):
