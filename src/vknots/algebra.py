@@ -16,12 +16,12 @@ invariant entry points need a quandle, and refuse any other table.
 A quandle carries its derived tables, built on first use and freed with
 it: the right translations ``columns``, their inverses ``division``,
 ``preserves_products``, the greedy generating set ``generation``, the
-image lists ``automorphism_images`` of the one search behind
-``automorphisms``, and the axiom ``report``: ``make_dihedral`` stores a
-passing one, so every dihedral spelling is valid by construction, and a
-table is always checked.  That
-one test, m(a * b) = m(a) * m(b) compared column by column, checks axiom 3,
-``is_automorphism`` and each candidate of ``automorphisms``.
+image lists ``automorphism_images`` (the one search for Aut(q), which
+``automorphisms`` bounds and maps), and the axiom ``report``:
+``make_dihedral`` stores a passing one, so every dihedral spelling is
+valid by construction, and a table is always checked.  That one test,
+m(a * b) = m(a) * m(b) compared column by column, checks axiom 3,
+``is_automorphism`` and each candidate of ``automorphism_images``.
 
 ``check_quandle`` is the one gate of a table: it reads the cached
 ``report`` and refuses a failing one with ``PreconditionFailed``, naming
@@ -135,12 +135,24 @@ class FiniteQuandle(Value):
 
     @cached_property
     def automorphism_images(self) -> tuple[tuple[int, ...], ...]:
-        """Every automorphism as an image list, sorted.  ``automorphisms``
-        runs the one search per object and stores its result here; asking
-        first runs it unbounded, so a caller bounds it (it tries n!/(n-g)!
-        candidates for the g greedy generators)."""
-        automorphisms(self, self.order)
-        return self.__dict__["automorphism_images"]
+        """Every automorphism as an image list, sorted: the one search per
+        object, unbounded, so a caller bounds it (``automorphisms`` does).
+
+        An automorphism is fixed by its images of a generating set: every
+        injective tuple of generator images (n!/(n-g)! of them for the g
+        greedy generators) is extended through the words of the other
+        elements, and the bijections that preserve products are kept.  It is
+        exact on any table, quandle or not."""
+        n, t, (generators, words) = self.order, self.table, self.generation
+        found, images = [], [0] * n
+        for choice in permutations(range(n), len(generators)):
+            for g, v in zip(generators, choice):
+                images[g] = v
+            for x, a, b in words:
+                images[x] = t[images[a]][images[b]]
+            if len(set(images)) == n and self.preserves_products(images):
+                found.append(tuple(images))
+        return tuple(sorted(found))
 
     @cached_property
     def report(self) -> "QuandleReport":
@@ -286,32 +298,14 @@ def inner_automorphism(q: FiniteQuandle, a: int) -> QuandleMap:
 
 
 def automorphisms(q: FiniteQuandle, bound: int = DEFAULT_AUT_SEARCH_BOUND) -> list[QuandleMap]:
-    """All automorphisms, sorted lexicographically by image list.
-
-    An automorphism is fixed by its images of a generating set: every
-    injective tuple of generator images is extended through the words of
-    the other elements, and the bijections that preserve products are kept.
-    Orders above ``bound`` are refused since the number of candidates,
-    n!/(n-g)! for g generators, is factorial for the trivial quandles; a
-    bound that is not an int (``bool`` included) is refused first.
-    The search runs once per quandle object, which keeps the result as
-    ``automorphism_images``.  It is exact on any table, quandle or not.
+    """All automorphisms, sorted lexicographically by image list: the maps of
+    ``q.automorphism_images``.  Orders above ``bound`` are refused since the
+    number of candidates is factorial for the trivial quandles; a bound that
+    is not an int (``bool`` included) is refused first.
     """
     _check_type(bound, int, "the automorphism search bound")
-    n = q.order
-    if n > bound:
-        raise SearchBoundExceeded(f"order {n} exceeds automorphism search bound {bound}")
-    if "automorphism_images" not in q.__dict__:
-        t, (generators, words) = q.table, q.generation
-        found, images = [], [0] * n
-        for choice in permutations(range(n), len(generators)):
-            for g, v in zip(generators, choice):
-                images[g] = v
-            for x, a, b in words:
-                images[x] = t[images[a]][images[b]]
-            if len(set(images)) == n and q.preserves_products(images):
-                found.append(tuple(images))
-        q.__dict__["automorphism_images"] = tuple(sorted(found))
+    if q.order > bound:
+        raise SearchBoundExceeded(f"order {q.order} exceeds automorphism search bound {bound}")
     return list(map(QuandleMap, q.automorphism_images))
 
 

@@ -33,11 +33,11 @@ two lists indexed by edge.  The named fields read these slots, and each
 class declares its constructor and JSON field order (``FIELDS``).
 Records come only from the two checked constructors and from
 ``_renamed``, the one rename rule, which ``isomorphic`` and
-``relabel_canonical`` read; it hands back a record whose labels the
-renaming keeps.  A constructor checks every field of its record: the
-sign or chirality, the int +1 or -1, and four int edge labels, refused
-with ``MalformedInput``; a label's range depends on the diagram, so the
-diagram's constructor checks it.
+``relabel_canonical`` read: it checks nothing, makes a record by its tag
+and hands back a record whose labels the renaming keeps.  A constructor
+checks every field of its record: the sign or chirality, the int +1 or
+-1, and four int edge labels, refused with ``MalformedInput``; a label's
+range depends on the diagram, so the diagram's constructor checks it.
 
 A crossing's kind is its tag: every kind test in the package reads
 ``c[0]`` (0 classical, 1 virtual), never the record's class.  That holds
@@ -48,11 +48,14 @@ that each is a record of its tag's class and keeps the slot discipline,
 refuses the first fault with ``MalformedInput`` and stores the slot maps
 it built; so no malformed diagram exists, and no function that reads
 one checks it again.  The second door is ``relabel_canonical``, the last
-step of every move, which builds its output unchecked: it remakes the
-plain slot tuples the moves edit (from a diagram that was checked) into
-sorted records, so it refuses an entry that is neither a record nor a
-6-item slot tuple whose tag and sign a constructor would accept, a
-reused slot, a dangling end and a count out of range.
+step of every move, which builds its output without the constructor's
+check.  A move hands it the records of its input and, in the record
+layout, plain slot tuples for every crossing it makes or edits.  It
+checks each entry once, in the pass that reads it: an entry that is no
+record must be a 6-item tuple of the int tag 0 or 1, the int sign or
+chirality +1 or -1 and four int edge labels, compared with type() as the
+constructors compare.  It then refuses a reused slot, a dangling end and
+a count out of range, and ``_renamed`` makes every record of its output.
 ``validate_diagram`` re-runs the constructor's check on a diagram's
 fields, so it checks this door's outputs too.
 """
@@ -87,7 +90,7 @@ def _check_fields(s, what: str, *labels, error: type = MalformedInput) -> None:
     -1, then an edge label that is not an int; a label's range is the
     diagram constructor's to check, against its edge count.  The record
     constructors check their fields here, and the moves the sign or
-    chirality of a record they are asked to build, with
+    chirality of a crossing they are asked to build, with
     ``InvalidParameter``."""
     # type() rather than a bare membership test: True == 1 and 1.0 == 1
     if type(s) is not int or s not in (1, -1):
@@ -289,29 +292,30 @@ def component_count(d: VirtualDiagram) -> int:
     return len(successor_cycles(d)) + d.free_loops
 
 
-def _check_slot_tuple(c, tag, s) -> None:
-    """Refuse an entry ``c`` = (tag, s, ...) that is no record unless it is a
-    plain tuple with the int tag 0 or 1 and the int sign or chirality +1 or -1."""
-    # type() rather than a bare membership test: True == 1 and 1.0 == 1
-    if type(c) is not tuple or type(tag) is not int or tag not in (0, 1) or type(s) is not int or s not in (1, -1):
+def _check_slot_tuple(c) -> None:
+    """Refuse, with ``MalformedInput``, an entry ``c`` that is no 6-item tuple
+    (tag, s, w, x, y, z) of ints with tag 0 or 1 and s +1 or -1: the
+    constructors' rule for a crossing that is no record."""
+    # type() rather than isinstance() or a bare membership test: True == 1 and 1.0 == 1
+    if (type(c) is not tuple or len(c) != 6 or type(c[2]) is not int or type(c[3]) is not int
+            or type(c[4]) is not int or type(c[5]) is not int):
+        raise MalformedInput(f"crossing entry {c!r} is not a 6-item slot tuple with int edge labels")
+    tag, s = c[0], c[1]
+    if type(tag) is not int or tag not in (0, 1) or type(s) is not int or s not in (1, -1):
         raise MalformedInput(
             f"crossing entry {c!r} is neither a crossing record nor a slot tuple with tag 0 or 1 and sign +1 or -1"
         )
 
 
 def _renamed(crossings, label):
-    """The records of ``crossings`` (records, or 6-item plain slot tuples whose
-    tag and sign are checked here as the constructors check them) with edges
+    """The records of ``crossings`` (records or plain slot tuples) with edges
     renamed by ``label``, each made by its tag; virtual strands are swapped,
     negating the chirality, so that first_in < second_in.  A record whose four
     labels ``label`` keeps is yielded as it is."""
     for c in crossings:
         tag, s, w, x, y, z = c
-        cls = type(c)
-        if cls is not ClassicalCrossing and cls is not VirtualCrossing:  # no record: the constructors' rule
-            _check_slot_tuple(c, tag, s)
         nw, nx, ny, nz = label[w], label[x], label[y], label[z]
-        if nw == w and nx == x and ny == y and nz == z and cls is _RECORD_CLASSES[tag]:
+        if nw == w and nx == x and ny == y and nz == z and type(c) is _RECORD_CLASSES[tag]:
             yield c
         elif tag and nw > ny:  # virtual strands swapped so that first_in < second_in
             yield tuple.__new__(VirtualCrossing, (1, -s, ny, nz, nw, nx))
@@ -333,43 +337,31 @@ def _raise_reused_slot(crossings) -> None:
             outs.add(e_out)
 
 
-def _raise_unreadable(crossings) -> None:
-    """Raise for the first entry of ``crossings`` that does not unpack into
-    six items with hashable edge labels."""
-    for c in crossings:
-        try:
-            _, _, w, x, y, z = c
-            hash((w, x, y, z))
-        except (TypeError, ValueError):
-            raise MalformedInput(f"crossing entry {c!r} is not a 6-item slot tuple with hashable edge labels") from None
-
-
 def relabel_canonical(crossings, free_loops: int) -> VirtualDiagram:
-    """Diagram from crossing records carrying arbitrary integer edge labels.
+    """Diagram from crossings carrying arbitrary integer edge labels.
 
     Edges are renumbered in successor-traversal order starting from the
     lowest label, continuing from the lowest unvisited label, and the
     crossing list is sorted; the result is the canonical labelling used
-    after every rewriting move.  ``crossings`` is a list or a tuple; its
-    entries are records, or plain 6-item slot tuples edited from them whose
-    tag and sign a constructor would accept, each remade by ``_renamed``;
-    anything else is refused with ``MalformedInput``.  This is the second
-    door by which a diagram comes in, besides the constructor, whose check
-    it does not run: it checks what a move can get wrong (the entries,
-    reused slots, dangling ends and the two counts) and stores the
-    result's ``slot_maps`` unchecked.
+    after every rewriting move.  ``crossings`` is a list or a tuple of
+    records and plain slot tuples, each entry checked once as it is read
+    (``_check_slot_tuple``); anything else is refused with
+    ``MalformedInput``.  This is the second door by which a diagram comes
+    in, besides the constructor, whose check it does not run: it checks
+    what a move can get wrong (the entries, reused slots, dangling ends and
+    the two counts) and stores the result's ``slot_maps`` unchecked.
     """
     if type(crossings) not in (list, tuple):  # a dict or a set would be read by its keys
         raise MalformedInput(f"crossings must be a list of crossing records, got {crossings!r}")
     succ: dict[int, int] = {}
-    try:
-        for _, _, w, x, y, z in crossings:  # passages (w -> x) and (y -> z)
-            succ[w] = x
-            succ[y] = z
-        outs = set(succ.values())
-    except (TypeError, ValueError):  # an entry of no six hashable items
-        _raise_unreadable(crossings)
-        raise
+    for c in crossings:
+        cls = type(c)
+        if cls is not ClassicalCrossing and cls is not VirtualCrossing:  # a record was checked when made
+            _check_slot_tuple(c)
+        _, _, w, x, y, z = c  # passages (w -> x) and (y -> z)
+        succ[w] = x
+        succ[y] = z
+    outs = set(succ.values())
     if len(outs) != 2 * len(crossings):  # an in-edge overwritten or an out-edge repeated
         _raise_reused_slot(crossings)
     if succ.keys() != outs:

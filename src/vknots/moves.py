@@ -33,12 +33,18 @@ always builds the three lists with repeats; the fuzzer sorts the drawn
 family's list alone.  Only the fuzzer's family menu reads
 ``allow_semi_virtual``.
 
-Every move edits crossings through the one record layout of ``diagram``:
-a role is a passage index (0 = under/first strand, 1 = over/second
-strand) and passage k holds its (in, out) edges at tuple indices 2 + 2k
-and 3 + 2k, classical or virtual.  ``_passage`` reads a passage;
-``_rewire`` (one slot) and ``_with_passages`` (both passages) write plain
-slot tuples, which ``relabel_canonical`` remakes into records by tag.
+The moves know one crossing form, the record layout of ``diagram``,
+(tag, sign or chirality, in0, out0, in1, out1): a role is a passage index
+(0 = under/first strand, 1 = over/second strand) and passage k holds its
+(in, out) edges at tuple indices 2 + 2k and 3 + 2k, classical or virtual.
+They read a sign, like a slot, by index.  Every crossing a move makes or
+edits is a plain slot tuple in that layout: ``_rewire`` (one slot) and
+``_with_passages`` (both passages) write one, and so do the kinks, the
+poke pair and a detour's new virtual crossings.  A move hands
+``relabel_canonical`` the records of its input and these tuples; it
+checks each tuple's tag, sign and int labels once, and ``_renamed`` makes
+every record of the output.
+
 A move finds the in-slot to rewire in ``d.slot_maps``, two lists indexed
 by edge (a detour, after deleting its interior crossings, in the chain
 ends that ``_remove_crossings`` returns for the merged edges, and in
@@ -72,7 +78,7 @@ from __future__ import annotations
 
 import random
 
-from .diagram import ClassicalCrossing, VirtualCrossing, VirtualDiagram, _check_fields, relabel_canonical
+from .diagram import VirtualDiagram, _check_fields, relabel_canonical
 from .errors import InvalidParameter, NotApplicable, _check_type
 from .value import Value, set_field
 
@@ -170,19 +176,23 @@ def _delete(d: VirtualDiagram, crossings: set[int]) -> VirtualDiagram:
     return relabel_canonical(list(survivors.values()), d.free_loops + gained)
 
 
-def _insert_kink(d: VirtualDiagram, edge, kink) -> VirtualDiagram:
-    """Insert ``kink(in, loop, out)`` on an edge, or onto a free loop (edge None or LOOP)."""
-    consumed = d.slot_maps[0]
+def _insert_kink(d: VirtualDiagram, edge, tag: int, s: int, over_first: bool = False) -> VirtualDiagram:
+    """Insert a kink, one crossing of record tag ``tag`` and sign or chirality
+    ``s``, on an edge, or onto a free loop (edge None or LOOP): the strand
+    runs in -> passage 0 -> loop -> passage 1 -> out, or through passage 1
+    first when ``over_first``."""
     a, b = d.edges, d.edges + 1
+    crossings = list(d.crossings)
     if edge is None or edge == LOOP:
         if d.free_loops < 1:
             raise NotApplicable("no free loop to kink")
-        return relabel_canonical([*d.crossings, kink(a, b, a)], d.free_loops - 1)
-    _check_edge(d, edge)
-    crossings = list(d.crossings)
-    _rewire(crossings, consumed[edge], b)
-    crossings.append(kink(edge, a, b))
-    return relabel_canonical(crossings, d.free_loops)
+        e_in, loop, e_out, free_loops = a, b, a, d.free_loops - 1
+    else:
+        _check_edge(d, edge)
+        _rewire(crossings, d.slot_maps[0][edge], b)
+        e_in, loop, e_out, free_loops = edge, a, b, d.free_loops
+    crossings.append((tag, s, loop, e_out, e_in, loop) if over_first else (tag, s, e_in, loop, loop, e_out))
+    return relabel_canonical(crossings, free_loops)
 
 
 def _kink_sites(d: VirtualDiagram, tag: int) -> list[int]:
@@ -217,11 +227,7 @@ def r1_insert(d: VirtualDiagram, edge, sign: int, handed: str = "under") -> Virt
     _check_fields(sign, "kink sign", error=InvalidParameter)
     if handed not in ("under", "over"):
         raise InvalidParameter("handed must be 'under' or 'over'")
-    if handed == "under":  # in -> under -> loop -> over -> out
-        kink = lambda e_in, loop, e_out: ClassicalCrossing(sign, e_in, loop, loop, e_out)
-    else:  # in -> over -> loop -> under -> out
-        kink = lambda e_in, loop, e_out: ClassicalCrossing(sign, loop, e_in, e_out, loop)
-    return _insert_kink(d, edge, kink)
+    return _insert_kink(d, edge, 0, sign, handed == "over")
 
 
 def find_r1_sites(d: VirtualDiagram) -> list[int]:
@@ -254,13 +260,10 @@ def r2_insert(d: VirtualDiagram, edge_a: int, edge_b: int, over_first: bool = Tr
     crossings = list(d.crossings)
     _rewire(crossings, consumed[edge_a], m2)
     _rewire(crossings, consumed[edge_b], k2)
-    if over_first:
-        x1 = ClassicalCrossing(1, under_in=edge_b, over_in=edge_a, under_out=k1, over_out=m1)
-        x2 = ClassicalCrossing(-1, under_in=k1, over_in=m1, under_out=k2, over_out=m2)
+    if over_first:  # the a-strand, edge_a -> m1 -> m2, as passage 1 of both
+        crossings += [(0, 1, edge_b, k1, edge_a, m1), (0, -1, k1, k2, m1, m2)]
     else:
-        x1 = ClassicalCrossing(1, under_in=edge_a, over_in=edge_b, under_out=m1, over_out=k1)
-        x2 = ClassicalCrossing(-1, under_in=m1, over_in=k1, under_out=m2, over_out=k2)
-    crossings.extend((x1, x2))
+        crossings += [(0, 1, edge_a, m1, edge_b, k1), (0, -1, m1, m2, k1, k2)]
     return relabel_canonical(crossings, d.free_loops)
 
 
@@ -275,7 +278,8 @@ def _is_r2_site(d: VirtualDiagram, mid) -> bool:
     x1, x2 = d.crossings[ei], d.crossings[cj]
     if x1[0] or x2[0]:  # a virtual crossing
         return False
-    return x1.sign != x2.sign and (x1.under_out == x2.under_in or x2.under_out == x1.under_in)
+    # (tag, sign, under_in, under_out, ...): opposite signs, and the under strands meet
+    return x1[1] != x2[1] and (x1[3] == x2[2] or x2[3] == x1[2])
 
 
 def find_r2_sites(d: VirtualDiagram) -> list[int]:
@@ -345,7 +349,7 @@ def _is_r3_site(d: VirtualDiagram, bridges) -> bool:
         return False
     firsts = tuple(int(emitted[e][0] != c) for e, c in ((p, x), (q, x), (r, z)))
     overs = (role[p, x], role[p, y], role[q, z])  # role 1 is over
-    return _realizable(firsts, overs, tuple(d.crossings[ci].sign for ci in (x, y, z)))
+    return _realizable(firsts, overs, tuple(d.crossings[ci][1] for ci in (x, y, z)))
 
 
 def find_r3_sites(d: VirtualDiagram) -> list[tuple[int, int, int]]:
@@ -410,8 +414,7 @@ def r3_slide(d: VirtualDiagram, bridges) -> VirtualDiagram:
 def vkink_insert(d: VirtualDiagram, edge, chirality: int) -> VirtualDiagram:
     """Insert a virtual kink on an edge, or onto a free loop (edge None or LOOP)."""
     _check_fields(chirality, "chirality", error=InvalidParameter)
-    kink = lambda e_in, loop, e_out: VirtualCrossing(e_in, loop, loop, e_out, chirality)
-    return _insert_kink(d, edge, kink)
+    return _insert_kink(d, edge, 1, chirality)
 
 
 def find_vkink_sites(d: VirtualDiagram) -> list[int]:
@@ -500,7 +503,7 @@ def detour(d: VirtualDiagram, start: int, end: int, passages) -> VirtualDiagram:
         t_next = fresh
         fresh += 1
         _rewire(survivors, slot, t_next)  # t_cur is consumed by the new crossing from here on
-        added.append(VirtualCrossing(pieces[i], pieces[i + 1], t_cur, t_next, ch))
+        added.append((1, ch, pieces[i], pieces[i + 1], t_cur, t_next))
         tail[t] = t_next, slot
     return relabel_canonical([*survivors.values(), *added], d.free_loops + gained)
 

@@ -71,7 +71,7 @@ def _reduced(group: CoefficientGroup, exponents, what: str) -> tuple[int, ...]:
     for e in exponents:
         if type(e) is not int:  # type(), not isinstance(): bool is an int
             raise MalformedInput(f"{what} exponent {e!r} is not an integer")
-        reduced.append(group.reduce(e))
+        reduced.append(e % group.modulus if group.modulus else e)  # group.reduce, whose type check e just passed
     return tuple(reduced)
 
 

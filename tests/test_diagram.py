@@ -227,7 +227,9 @@ def test_relabel_canonical_rejects_bad_rewiring(crossings, message):
 # entries that are neither records nor slot tuples a constructor would accept:
 # sign 5 used to come back as ClassicalCrossing(sign=5, ...), which the gate
 # then passed; tag 7, a 3-item entry and an int crossings raised a bare
-# IndexError, ValueError and TypeError
+# IndexError, ValueError and TypeError; a float label came back as a kink,
+# and a str label raised a bare TypeError from sorting the labels
+_NO_INT_LABELS = "is not a 6-item slot tuple with int edge labels"
 BAD_ENTRIES = {
     "sign-5": (
         [(0, 5, 0, 1, 1, 0)],
@@ -239,12 +241,12 @@ BAD_ENTRIES = {
         "crossing entry (7, 1, 0, 1, 1, 0) is neither a crossing record nor a slot tuple with tag 0 or 1 "
         "and sign +1 or -1",
     ),
-    "three-items": ([(0, 1, 2)], "crossing entry (0, 1, 2) is not a 6-item slot tuple with hashable edge labels"),
+    "three-items": ([(0, 1, 2)], f"crossing entry (0, 1, 2) {_NO_INT_LABELS}"),
     # an unhashable out-edge label, which raised a bare TypeError
-    "unhashable-label": (
-        [(0, 1, 0, [1], 1, 0)],
-        "crossing entry (0, 1, 0, [1], 1, 0) is not a 6-item slot tuple with hashable edge labels",
-    ),
+    "unhashable-label": ([(0, 1, 0, [1], 1, 0)], f"crossing entry (0, 1, 0, [1], 1, 0) {_NO_INT_LABELS}"),
+    "float-label": ([(0, 1, 0.5, 1, 1, 0.5)], f"crossing entry (0, 1, 0.5, 1, 1, 0.5) {_NO_INT_LABELS}"),
+    "bool-label": ([(0, 1, 0, True, True, 0)], f"crossing entry (0, 1, 0, True, True, 0) {_NO_INT_LABELS}"),
+    "str-label": ([(0, 1, 0, "a", "a", 0)], f"crossing entry (0, 1, 0, 'a', 'a', 0) {_NO_INT_LABELS}"),
     "int": (5, "crossings must be a list of crossing records, got 5"),
 }
 

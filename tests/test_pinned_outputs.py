@@ -22,6 +22,8 @@ One test here pins no digest but the seam of the pinned traces that a
 move-local check reads: every applied move hands ``relabel_canonical``
 exactly one list, the input's records less those it removed (X) plus
 those it inserted (Y), and X and Y meet the kept records in the same edges.
+Each entry of that list is a record of the input diagram or a plain
+tuple: a move builds no record.
 """
 
 import contextlib
@@ -103,6 +105,8 @@ def test_every_move_hands_relabel_canonical_one_list_with_equal_boundaries(monke
 
     for d, lists in steps:
         assert len(lists) == 1
+        records = {id(c) for c in d.crossings}
+        assert all(type(c) is tuple or id(c) in records for c in lists[0]), serialize_diagram(d)
         # records and plain slot tuples compare and hash as tuples
         before, after = Counter(d.crossings), Counter(lists[0])
         removed, inserted = before - after, after - before
