@@ -27,8 +27,9 @@ m(a * b) = m(a) * m(b) compared column by column, checks axiom 3,
 ``report`` and refuses a failing one with ``PreconditionFailed``, naming
 the axiom and its witness.  Every coloring and invariant entry point
 calls it (through ``kernel.check_twist`` when it takes a twist map)
-before it reads the table, and so does every CLI command that computes
-on one, so the search and the invariants serve quandles only.
+before it reads the table, and so do the CLI's ``quandle auts`` and
+``cocycle`` commands, so the search and the invariants serve quandles
+only.
 """
 
 from __future__ import annotations

@@ -5,6 +5,15 @@ quandle or cocycle, non-preserving automorphism, unstable fuzz), 2 on
 usage errors including unparseable inputs and invalid diagrams.  All
 output is exact; results go to stdout as one JSON document (or a bare
 polynomial string for the invariant commands), diagnostics to stderr.
+
+A ``color``, ``invariant`` or ``fuzz`` request reads every spec first,
+exiting 2 on one it cannot read or on an ``--aut`` that names no
+automorphism, and hands the values to the library, whose one gate refuses
+a table that is no quandle and a cocycle that fails a condition.  Two
+checks are the CLI's own.  ``quandle auts`` and the ``cocycle`` commands
+refuse a table that is no quandle, though the algebra answers on any
+table.  ``_load_aut`` tests that a map is an automorphism so that its
+refusal names the user's spec; ``cocycle preserves`` has no other test.
 """
 
 from __future__ import annotations
@@ -186,29 +195,11 @@ def _cmd_diagram(args) -> int:
     return 0
 
 
-def _load_valid_quandle(spec: str):
-    """The quandle of ``spec``, refused unless it passes its axioms.  Every dihedral
-    spelling is valid by construction; table input is checked."""
-    q = _load_quandle(spec)
-    check_quandle(q)
-    return q
-
-
-def _load_valid_cocycle(spec: str, q):
-    """The cocycle of ``spec``, refused unless it passes its conditions.  trivial and
-    example-r4 are valid by construction; JSON input is checked."""
-    from . import weights
-
-    c = _load_cocycle(spec, q)
-    weights.check_cocycle(c)
-    return c
-
-
 def _cmd_color(args) -> int:
     from . import solver
 
     d = _load_diagram(args.diagram)
-    q = _load_valid_quandle(args.quandle)
+    q = _load_quandle(args.quandle)
     f = _load_aut(args.aut, q)
     if args.action == "count":
         _emit({"count": solver.count_colorings(d, q, f)})
@@ -221,8 +212,8 @@ def _cmd_invariant(args) -> int:
     from . import invariants
 
     d = _load_diagram(args.diagram)
-    q = _load_valid_quandle(args.quandle)
-    c = _load_valid_cocycle(args.cocycle, q)
+    q = _load_quandle(args.quandle)
+    c = _load_cocycle(args.cocycle, q)
     f = _load_aut(args.aut, q) if args.aut else None
     result = invariants.compute_invariant(args.kind, d, q, c, f)
     if args.json:
@@ -236,8 +227,8 @@ def _cmd_fuzz(args) -> int:
     from . import diagram, invariants, moves
 
     d = _load_diagram(args.diagram)
-    q = _load_valid_quandle(args.quandle)
-    c = _load_valid_cocycle(args.cocycle, q)
+    q = _load_quandle(args.quandle)
+    c = _load_cocycle(args.cocycle, q)
     f = _load_aut(args.aut, q)
     before = invariants.invariant_bundle(d, q, c, f)
     kinds = moves.CLASSICAL_KINDS if args.classical_only else None

@@ -34,8 +34,9 @@ that fails a cocycle condition (``weights.check_cocycle``), before any
 enumeration.  ``compute_invariant`` and ``invariant_bundle`` share one
 gate, ``_check_inputs``: a cocycle from another quandle is an
 ``InvalidParameter``, then ``kernel.check_twist`` refuses the table and
-a twist map that is no automorphism, then the cocycle is checked.
-``_state_sum`` checks nothing.
+a twist map that is no automorphism, then the cocycle is checked.  Z
+takes the identity as its twist map before the gate, and the identity
+needs no automorphism test.  ``_state_sum`` checks nothing.
 """
 
 from __future__ import annotations
@@ -123,10 +124,10 @@ def _check_preserving(f: QuandleMap, c: Cocycle2) -> None:
         )
 
 
-def _check_inputs(q: FiniteQuandle, c: Cocycle2, f: QuandleMap | None) -> None:
+def _check_inputs(q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> None:
     """The invariant layer's gate, in this order: the cocycle lives on q; q is a
-    quandle and f, unless None (Z's identity, which needs no test), an
-    automorphism of it (``check_twist``); the cocycle passes its conditions."""
+    quandle and f an automorphism of it (``check_twist``); the cocycle passes
+    its conditions."""
     if c.quandle != q:
         raise InvalidParameter("the cocycle is defined on a different quandle")
     check_twist(q, f)  # before any enumeration and before Z2 reads f's images
@@ -199,13 +200,13 @@ def compute_invariant(
     """
     if kind not in ("z", "z1", "z2", "z3"):
         raise InvalidParameter(f"unknown invariant kind {kind!r}")
-    if kind != "z" and f is None:
-        raise InvalidParameter(f"invariant {kind!r} needs an automorphism")
-    _check_inputs(q, c, None if kind == "z" else f)
     if kind == "z":
         f = QuandleMap.identity(q.order)
-        if d.virtual():
-            raise WrongKind("the classical state sum is undefined on virtual diagrams; use Z2")
+    elif f is None:
+        raise InvalidParameter(f"invariant {kind!r} needs an automorphism")
+    _check_inputs(q, c, f)
+    if kind == "z" and d.virtual():
+        raise WrongKind("the classical state sum is undefined on virtual diagrams; use Z2")
     if kind == "z3":
         z3, own = _z3(d, q, c, f)
         return InvariantResult("Z3", z3, own.evaluate_at_one())

@@ -53,12 +53,12 @@ Rule = tuple[int, int, int, tuple]
 ArcSkeleton = tuple[list[int], list[int], list, list[tuple[int, int, int, int, int, int]], list[int]]
 
 
-def check_twist(q: FiniteQuandle, f: QuandleMap | None) -> None:
+def check_twist(q: FiniteQuandle, f: QuandleMap) -> None:
     """Refuse a table that is no quandle (``check_quandle``), then a twist map
-    that is not an automorphism of q; f None stands for the identity, which
-    needs no test."""
+    that is not an automorphism of q.  The identity is an automorphism of
+    every table, so it skips the O(n^2) product test."""
     check_quandle(q)
-    if f is not None and not is_automorphism(q, f):
+    if f.images != tuple(range(q.order)) and not is_automorphism(q, f):
         raise InvalidParameter("the twist map must be an automorphism of the quandle")
 
 

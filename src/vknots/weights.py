@@ -28,10 +28,9 @@ A cocycle carries its ``validate_cocycle`` ``report``, run on first use:
 ``trivial_cocycle`` and ``example_cocycle_r4`` store a passing one, valid
 by construction; any other, one read from JSON included, is checked.
 ``check_cocycle`` is the one gate of a cocycle, as ``check_quandle`` is of
-a table: every invariant entry point and the CLI call it, and it refuses
-a failing report with ``PreconditionFailed``, naming the condition and its
-witness.  The cohomology functions here answer exactly on any table,
-quandle or not, as ``validate_cocycle`` does.
+a table: it refuses a failing report with ``PreconditionFailed``, naming
+the condition and its witness.  The cohomology functions here answer
+exactly on any table, quandle or not, as ``validate_cocycle`` does.
 """
 
 from __future__ import annotations

@@ -447,6 +447,61 @@ def test_invalid_algebra_fails_check_before_computing(capsys, argv, witness):
     assert err.startswith("error:") and witness in err and "Traceback" not in err
 
 
+# color, invariant and fuzz leave the axioms and the conditions to the
+# library's gate: the CLI's own check_quandle binding and weights.check_cocycle
+# are not called, and the request exits 1 with the library's words.
+LIBRARY_REFUSALS = {
+    "color-not-quandle": INVALID_ALGEBRA["color-not-quandle"],
+    "invariant-not-quandle": INVALID_ALGEBRA["invariant-not-quandle"],
+    "fuzz-not-quandle": INVALID_ALGEBRA["fuzz-not-quandle"],
+    "invariant-z1-not-cocycle": (
+        ("invariant", "z1", "--diagram", "trefoil", "--quandle", "dihedral:3", "--cocycle", _NOT_A_COCYCLE, "--aut", "identity"),
+        "condition 1, witness [0]",
+    ),
+    "fuzz-not-cocycle": INVALID_ALGEBRA["fuzz-not-cocycle"],
+}
+
+
+@pytest.mark.parametrize("argv, witness", list(LIBRARY_REFUSALS.values()), ids=list(LIBRARY_REFUSALS))
+def test_the_library_gate_alone_refuses_the_algebra(capsys, monkeypatch, argv, witness):
+    import vknots.cli as cli
+    import vknots.invariants  # binds the unpatched check_cocycle before the patch
+    import vknots.weights as weights
+
+    calls = []
+    check_quandle, check_cocycle = cli.check_quandle, weights.check_cocycle
+    monkeypatch.setattr(cli, "check_quandle", lambda q: calls.append("quandle") or check_quandle(q))
+    monkeypatch.setattr(weights, "check_cocycle", lambda c: calls.append("cocycle") or check_cocycle(c))
+    what = "quandle" if "axiom" in witness else "cocycle"
+    assert run(capsys, *argv) == (1, "", f"error: the {what} fails {witness}\n")
+    assert calls == []
+
+
+# A request with two faults: the CLI reads every spec before the library
+# checks the algebra, so an unreadable spec or a map that is no automorphism
+# exits 2, naming the spec, though the quandle or cocycle fails too.
+TWO_FAULTS = {
+    "color-aut-not-automorphism": (
+        ("color", "count", "--diagram", "trefoil", "--quandle", _NOT_A_QUANDLE, "--aut", "[1,1]"),
+        "error: '[1,1]' is not an automorphism of the quandle\n",
+    ),
+    "invariant-bad-cocycle-json": (
+        ("invariant", "z1", "--diagram", "trefoil", "--quandle", _NOT_A_QUANDLE, "--cocycle", "{bad", "--aut", "identity"),
+        "error: bad cocycle JSON: ",
+    ),
+    "fuzz-bad-inner-element": (
+        ("fuzz", "--diagram", "trefoil", "--quandle", "dihedral:3", "--cocycle", _NOT_A_COCYCLE, "--aut", "inner:9"),
+        "error: bad element in 'inner:9'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, words", list(TWO_FAULTS.values()), ids=list(TWO_FAULTS))
+def test_a_spec_is_refused_before_the_algebra(capsys, argv, words):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith(words)
+
+
 def test_quandle_auts_refuses_orders_above_the_bound_before_the_axiom_check(capsys, monkeypatch):
     import vknots.algebra as algebra
 
