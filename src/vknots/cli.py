@@ -8,11 +8,12 @@ polynomial string for the invariant commands), diagnostics to stderr.
 
 A ``color``, ``invariant`` or ``fuzz`` request reads every spec first,
 exiting 2 on one it cannot read or on an ``--aut`` that names no
-automorphism, and hands the values to the library, whose one gate refuses
-a table that is no quandle and a cocycle that fails a condition.  Two
-checks are the CLI's own.  ``quandle auts`` and the ``cocycle`` commands
-refuse a table that is no quandle, though the algebra answers on any
-table.  ``_load_aut`` tests that a map is an automorphism so that its
+automorphism (the parser refuses any ``--aut`` to ``invariant z``, which
+uses the identity), and hands the values to the library, whose one gate
+refuses a table that is no quandle and a cocycle that fails a condition.
+Two checks are the CLI's own.  ``quandle auts`` and the ``cocycle``
+commands refuse a table that is no quandle, though the algebra answers on
+any table.  ``_load_aut`` tests that a map is an automorphism so that its
 refusal names the user's spec; ``cocycle preserves`` has no other test.
 """
 
@@ -333,6 +334,8 @@ def main(argv=None) -> int:
             parser.error("cocycle coboundary needs --psi")
         if args.action == "basis" and args.m < 2:
             parser.error("cocycle basis needs --m >= 2")
+    if args.command == "invariant" and args.kind == "z" and args.aut:  # Z uses the identity twist
+        parser.error("invariant z takes no --aut")
     if args.command == "invariant" and args.kind != "z" and not args.aut:
         parser.error(f"invariant {args.kind} needs --aut")
     try:

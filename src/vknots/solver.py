@@ -22,18 +22,23 @@ diagram object and keeps, per edge, its arc and k; per closed arc (a
 component with no under passage, walked from its lowest edge), its k
 once round; and per classical crossing its in-arc, out-arc and over-arc
 with the k of its in- and over-edge.  Each search binds q and f over the
-classical crossings alone: one power f^k per distinct k, composed on
-demand from f and f^-1 (the identity object when it permutes nothing);
-one arc rule per classical crossing, relating its in-arc and out-arc
-through the color of its over-arc, each color read through its edge's
-power, the tables re-indexed by the over-edge's power when that is not
-the identity; and a domain per closed arc, the fixed points of its f^k.
-The search branches on the uncolored over-arc of
-the first crossing, in crossing order, whose in-arc or out-arc is
-colored, else on the arc that holds the lowest uncolored edge; it
-propagates the arc rules both ways, since every column of a quandle is
-a bijection (axiom 2), and backtracks on conflict; a branch, taken or
-failed, uncolors the arcs its propagation colored in one place.
+classical crossings alone: one table ``power`` with power[k] = f^k for
+every |k| up to the largest exponent of the skeleton, composed outward
+from f and f^-1 (the identity object when it permutes nothing, and
+nothing composed under the identity twist); one arc rule per classical
+crossing, relating its in-arc and out-arc through the color of its
+over-arc, each color read through its edge's power, the tables
+re-indexed by the over-edge's power when that is not the identity; and
+a domain per closed arc, the fixed points of its f^k.  The search
+branches on the uncolored over-arc of the first crossing, in crossing
+order, whose in-arc or out-arc is colored, else on the arc that holds
+the lowest uncolored edge.  Its propagation colors an arc as soon as a
+rule forces it, both ways, since every column of a quandle is a
+bijection (axiom 2); the trail of arcs it colored is also its work list,
+each arc read from it checking the rules it is in, so a rule is checked
+once its three arcs are colored and a rule whose colors disagree is the
+one conflict.  A branch, taken or failed, uncolors its trail in one
+place.
 ``_search`` runs this search and two finishers read it: ``_enumerate``
 lists, expanding each solution to its edge colors through each edge's
 power (only ``enumerate_colorings`` sorts the list), and
@@ -88,7 +93,7 @@ factor handled by the invariant layer and by ``count_colorings``.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from itertools import chain, product
 from math import perm
 from operator import itemgetter
 
@@ -132,33 +137,23 @@ def enumerate_colorings(
     return sorted(_enumerate(d, q, f))
 
 
-def _powers(f: QuandleMap, identity: tuple):
-    """k -> f^k for every integer k, each power composed once, on demand,
+def _powers(f: QuandleMap, identity: tuple, exponents) -> list[tuple]:
+    """``[f^0, f^1, ..., f^m, f^-m, ..., f^-1]``, m the largest |k| among
+    ``exponents``, so that entry k is f^k for every |k| <= m, the negative
+    indices reading the powers of f^-1; each power composed once, outward
     from f and f^-1.  A power equal to the identity is the identity object
-    (so f^0, and every power when f is the identity), which tells the
-    search that it permutes nothing."""
+    (so f^0, and every power when f is the identity, which composes
+    nothing), which tells the search that it permutes nothing."""
+    m = max(map(abs, exponents), default=0)
     fi = f.images
     if fi == identity:
-        return lambda k: identity
-    known = {0: identity, 1: fi, -1: _invert(fi)}
-
-    def power(k: int) -> tuple:
-        p = known.get(k)
-        if p is None:
-            unit = 1 if k > 0 else -1
-            table, j = known[unit], k - unit
-            while j not in known:  # back towards 0, to the nearest power composed
-                j -= unit
-            p = known[j]
-            while j != k:
-                j += unit
-                p = tuple(map(table.__getitem__, p))
-                if p == identity:
-                    p = identity
-                known[j] = p
-        return p
-
-    return power
+        return [identity] * (2 * m + 1)
+    up, down = [identity], [identity]
+    for unit, line in ((fi, up), (_invert(fi), down)):
+        for _ in range(m):
+            p = tuple(map(unit.__getitem__, line[-1]))
+            line.append(identity if p == identity else p)
+    return up + down[:0:-1]
 
 
 def _root_orbits(q: FiniteQuandle, f: QuandleMap, domain, identity: tuple):
@@ -207,12 +202,14 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
     """The propagation search, for a twist map the caller has checked:
     ``(results, root, tree, power)``, the arc colorings of the root-orbit
     representatives in search order, the root arc (None when there is no
-    arc), the Schreier tree of ``_root_orbits`` and k -> f^k, bound to
-    the arcs of ``kernel.arc_skeleton``."""
+    arc), the Schreier tree of ``_root_orbits`` and the table of
+    ``_powers``, power[k] = f^k for every exponent of
+    ``kernel.arc_skeleton``."""
     arc_of, k_of, loops, crossings, by_lowest_edge = arc_skeleton(d)
     n = q.order
     identity = tuple(range(n))
-    power = _powers(f, identity)
+    # every in- and over-edge's k is an edge's k, and -k has the same size
+    power = _powers(f, identity, chain(k_of, (k for k in loops if k is not None)))
     colors: list[int | None] = [None] * len(loops)
     # one arc rule (in-arc, p_in, p_in^-1, out-arc, over-arc, fwd, back) per
     # classical crossing, in crossing order, its tables indexed by the
@@ -223,10 +220,10 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
     incident: list[list[tuple]] = [[] for _ in loops]  # arc -> the arc rules it appears in
     for ia, k_in, oa, ba, k_by, s in crossings:
         fwd, back = (times, divide) if s > 0 else (divide, times)
-        p_by = power(k_by)
+        p_by = power[k_by]
         if p_by is not identity:
             fwd, back = [fwd[z] for z in p_by], [back[z] for z in p_by]
-        rule = (ia, power(k_in), power(-k_in), oa, ba, fwd, back)
+        rule = (ia, power[k_in], power[-k_in], oa, ba, fwd, back)
         arc_rules.append(rule)
         incident[ia].append(rule)
         if oa != ia:
@@ -235,22 +232,19 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
             incident[ba].append(rule)
     # a closed arc may take only the fixed points of f^k, k its exponent once round
     every = range(n)
-    domains = [every if k is None else [x for x, y in enumerate(power(k)) if x == y] for k in loops]
+    domains = [every if k is None else [x for x, y in enumerate(power[k]) if x == y] for k in loops]
     results: list[tuple[int, ...]] = []
 
     def propagate(arc: int, value: int) -> tuple[list[int], bool]:
-        """Color arc and everything that forces; returns (trail, held)."""
-        trail: list[int] = []
-        stack = [(arc, value)]
-        while stack:
-            a, v = stack.pop()
-            cur = colors[a]
-            if cur is not None:
-                if cur != v:
-                    return trail, False
-                continue
-            colors[a] = v
-            trail.append(a)
+        """Color the uncolored arc and every arc a rule then forces, as soon
+        as it is forced; returns (trail, held), trail the arcs colored, in
+        order.  The trail is also the work list: each arc read from it
+        checks the rules it is in, so a rule is checked with its three arcs
+        colored once its last arc is read, and a rule forces only an
+        uncolored arc, so the one conflict is a rule whose colors disagree."""
+        colors[arc] = value
+        trail = [arc]
+        for a in trail:  # the list grows while it is read: a breadth-first walk
             for ia, p_in, p_in_inv, oa, ba, fwd, back in incident[a]:
                 z = colors[ba]
                 if z is None:
@@ -259,11 +253,13 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
                 if x is not None:
                     want = fwd[z][p_in[x]]
                     if y is None:
-                        stack.append((oa, want))
+                        colors[oa] = want
+                        trail.append(oa)
                     elif y != want:
                         return trail, False
                 elif y is not None:
-                    stack.append((ia, p_in_inv[back[z][y]]))
+                    colors[ia] = p_in_inv[back[z][y]]
+                    trail.append(ia)
         return trail, True
 
     def branch_arc() -> int | None:
@@ -323,7 +319,7 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
             by_root[x] = [tuple(map(h.__getitem__, c)) for c in by_root.get(y, ())]
         found = [c for cs in by_root.values() for c in cs]
     arc_of, k_of = arc_skeleton(d)[:2]
-    edges = [(a, power(k)) for a, k in zip(arc_of, k_of)]
+    edges = [(a, power[k]) for a, k in zip(arc_of, k_of)]
     return [tuple([p[c[a]] for a, p in edges]) for c in found]
 
 

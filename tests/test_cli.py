@@ -260,6 +260,16 @@ def test_a_missing_option_is_a_parser_error(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+# Z ignores the twist map, so the parser refuses one, valid or not, before
+# any map is read or tested
+@pytest.mark.parametrize("spec", ["identity", "[0,3,2,1]", "[1,1]"])
+def test_invariant_z_takes_no_aut(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        main([*_Z_TREFOIL, "trivial", "--aut", spec])
+    assert exc.value.code == 2
+    assert "invariant z takes no --aut" in capsys.readouterr().err
+
+
 def test_unknown_builder_is_usage_error(capsys):
     code, _, err = run(capsys, "diagram", "components", "--diagram", "borromean")
     assert code == 2

@@ -1,6 +1,6 @@
 import copy
 import re
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
 
 import pytest
@@ -23,7 +23,10 @@ from vknots.diagram import (
     VirtualCrossing,
     VirtualDiagram,
     builder,
+    isomorphic,
+    parse_diagram,
     relabel_canonical,
+    serialize_diagram,
     validate_diagram,
 )
 from vknots.moves import random_equivalent
@@ -674,11 +677,11 @@ def test_arcs_match_a_dict_walk():
             rules, identity = compile_problem(d, q, f), tuple(range(q.order))
             ref_arc_of, ref_perm_of, ref_loops = _reference_arcs(d, rules, identity)
             # bind f: each edge's permutation is f^k, each closed arc's f^k once round
-            power = _powers(f, identity)
-            perm_of = [power(k) for k in k_of]
-            closed = [None if k is None else power(k) for k in loops]
+            power = _powers(f, identity, [*k_of, *(k for k in loops if k is not None)])
+            perm_of = [power[k] for k in k_of]
+            closed = [None if k is None else power[k] for k in loops]
             assert (arc_of, perm_of, closed) == (ref_arc_of, ref_perm_of, ref_loops), (d, f.images)
-            assert [(a, power(k_in), oa, ba, power(k_by), s) for a, k_in, oa, ba, k_by, s in crossings] == [
+            assert [(a, power[k_in], oa, ba, power[k_by], s) for a, k_in, oa, ba, k_by, s in crossings] == [
                 (ref_arc_of[c.under_in], ref_perm_of[c.under_in], ref_arc_of[c.under_out],
                  ref_arc_of[c.over_in], ref_perm_of[c.over_in], c.sign)
                 for c in d.classical()
@@ -759,6 +762,53 @@ def test_a_move_output_has_the_slot_maps_and_arcs_of_the_constructor(case):
     made = _constructed(d)
     assert d.slot_maps == made.slot_maps
     assert arc_skeleton(d) == arc_skeleton(made)  # d's arcs read its stored slot maps
+
+
+# ---------------------------------------------------------------------------
+# Every code of at most two crossings (free loops aside): the search, its
+# oracle and the counter agree on each, over R3 and R4 under every
+# automorphism, so propagation meets every configuration of one or two
+# crossings, kinks and crossings that share an arc included.
+
+
+def all_codes(c: int) -> list[VirtualDiagram]:
+    """Every diagram of c crossings and no free loop, once each: in-slot j
+    of the c crossings (two per crossing) holds edge j, each bijection of
+    the 2c out-slots onto the 2c in-slots, with every tag and sign, is made
+    canonical by ``relabel_canonical``, and a set keeps one of each."""
+    found = set()
+    for outs in permutations(range(2 * c)):
+        for tags, signs in product(product((0, 1), repeat=c), product((1, -1), repeat=c)):
+            slots = [(t, s, 2 * i, outs[2 * i], 2 * i + 1, outs[2 * i + 1]) for i, (t, s) in enumerate(zip(tags, signs))]
+            found.add(relabel_canonical(slots, 0))
+    return sorted(found, key=lambda d: d.crossings)
+
+
+SMALL_CODES = {c: all_codes(c) for c in (1, 2)}
+SMALL_TWISTS = [(q, f) for q in (Q3, Q4) for f in automorphisms(q)]
+
+
+def test_the_small_codes_are_counted():
+    for c, count, classes in ((1, 8, 6), (2, 304, 120)):
+        codes = SMALL_CODES[c]
+        assert len(codes) == count and all(d.edges == 2 * c and d.free_loops == 0 for d in codes)
+        reps: list[VirtualDiagram] = []
+        for d in codes:
+            if not any(isomorphic(r, d) for r in reps):
+                reps.append(d)
+        assert len(reps) == classes
+
+
+@pytest.mark.parametrize("c", SMALL_CODES)
+def test_every_small_code_agrees_with_the_oracle(c):
+    assert len(SMALL_TWISTS) == 6 + 8
+    for d in SMALL_CODES[c]:
+        assert validate_diagram(d).ok, d
+        assert parse_diagram(serialize_diagram(d)) == d
+        for q, f in SMALL_TWISTS:
+            found = enumerate_colorings(d, q, f)
+            assert found == brute_force_colorings(d, q, f), (d, f.images)
+            assert count_colorings(d, q, f) == len(found), (d, f.images)
 
 
 # ---------------------------------------------------------------------------
