@@ -39,24 +39,26 @@ each arc read from it checking the rules it is in, so a rule is checked
 once its three arcs are colored and a rule whose colors disagree is the
 one conflict.  A branch, taken or failed, uncolors its trail in one
 place.
-``_search`` runs this search and two finishers read it: ``_enumerate``
-lists, expanding each solution to its edge colors through each edge's
-power (only ``enumerate_colorings`` sorts the list), and
-``count_colorings`` counts, building no coloring and no edge's power.
+``_search`` runs this search with one of two finishers: listing, which
+``_enumerate`` expands to edge colors through each edge's power (only
+``enumerate_colorings`` sorts the list), and counting, which
+``count_colorings`` reads, building no coloring and no edge's power.
 A public entry point calls ``kernel.check_twist`` once, which refuses a
 table that is no quandle (``algebra.check_quandle``, naming the failing
 axiom and its witness) and then a twist map that is no automorphism; the
 invariant layer, which has checked both and sums over the colorings in
 any order, calls the unchecked ``_enumerate``.
 
-The root arc, the first one branched on, tries one color per orbit of a
-group H of automorphisms that commute with f.  Such an h maps the
-colorings onto themselves: h o c meets every crossing rule that c meets,
-since h preserves products and so divisions, and every twist, since
-h f = f h.  When Aut(q) is cheap to list, that is when q's order is at
-most ``DEFAULT_AUT_SEARCH_BOUND`` and its search tries at most n(n-1)
-candidates (n!/(n-g)! for the g greedy generators of
-``FiniteQuandle.generation``), H is the centralizer of f in Aut(q):
+Every branch level breaks symmetry, the orbit-stabilizer step of
+symmetry breaking during search (Gent, Petrie and Puget, *Symmetry in
+Constraint Programming*, Handbook of Constraint Programming, 2006).  The
+root searches under a group H of automorphisms that commute with f.
+Such an h maps the colorings onto themselves: h o c meets every crossing
+rule that c meets, since h preserves products and so divisions, and
+every twist, since h f = f h.  When Aut(q) is cheap to list, that is
+when q's order is at most ``DEFAULT_AUT_SEARCH_BOUND`` and its search
+tries at most n(n-1) candidates (n!/(n-g)! for the g greedy generators
+of ``FiniteQuandle.generation``), H is the centralizer of f in Aut(q):
 every h of ``FiniteQuandle.automorphism_images`` with h f = f h, found
 by one search per quandle object.  That covers every dihedral quandle
 and every connected Alexander quandle (1 - t a unit) of order at most 8,
@@ -67,16 +69,27 @@ the trivial ones or 5a - 4b mod 8) no automorphism search runs, and H
 is generated by f and by the inner maps S_g: x -> x * g of the greedy
 generators g with S_{f(g)} = S_g, which is S_g f = f S_g because
 f S_g f^-1 = S_{f(g)}; each S_g is an automorphism by axioms 2 and 3.
-H commutes with the twists composed round a closed root arc, so it
-keeps that arc's fixed points.  The colorings of each other color x of
-an orbit are the images h o c of those of the color y that reached it
-in a Schreier tree (x = h(y) for a generator h of H); when H is the
-centralizer, a group listed whole, y is the orbit's representative, one
-step away.  So
-``_enumerate`` lists each orbit representative's colorings in search
-order, then their images, an order that changes with H; the sorted list
-does not.  As c -> h o c maps y's
-colorings one-to-one onto x's, ``count_colorings`` gives x the count of y.
+H commutes with the twists composed round a closed arc, so it keeps
+that arc's fixed points.
+
+A level's group fixes every color placed above it, so it maps the
+colorings below the level onto themselves, and the level tries one
+color per orbit of its group on the branch arc's colors.  The colorings
+under each other color x of an orbit are the images h o c of those under
+the color y that reached it in a Schreier tree (x = h(y) for a map h of
+the group); when the group is listed whole, y is the orbit's
+representative, one step away.  The group of the child under a color r
+keeps the maps that fix r.  They fix every color r's propagation forces
+too, since each is a product, a quotient or a twist of colors they fix,
+so they are the maps that fix the child's colors: under a centralizer
+listed whole, the whole stabilizer; under generators, the generators
+that fix them, which generate a subgroup of the stabilizer, and a
+subgroup is still exact.  Once a representative's subtree is done,
+listing appends the images of its block of colorings, in an order that
+changes with H while the sorted list does not; counting adds the
+block's size once per other color of the orbit, since c -> h o c maps
+y's colorings one-to-one onto x's, and keeps no coloring.  A level whose
+group is trivial tries every color, as a search without symmetry does.
 
 ``brute_force_colorings`` is the oracle: it tries every assignment of
 colors to the arcs (n^arcs of them, bounded by a ceiling), completes each
@@ -92,7 +105,6 @@ factor handled by the invariant layer and by ``count_colorings``.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain, product
 from math import perm
 from operator import itemgetter
@@ -128,8 +140,9 @@ def enumerate_colorings(
     whose over-arc and one strand arc are colored (its rule is then a
     bijection between the two strand arcs), and backtrack on conflict.
     A table that is no quandle is refused first, with ``PreconditionFailed``.
-    The first arc tries one color per orbit of the automorphisms that
-    commute with f, and the colorings of the other colors are their images.
+    Every branch tries one color per orbit of the automorphisms that
+    commute with f and fix the colors placed, and the colorings of the
+    orbit's other colors are their images.
     Each solution is expanded to its edge colors by walking its arcs, and
     the list is sorted, so the branching order does not change the result.
     """
@@ -156,38 +169,44 @@ def _powers(f: QuandleMap, identity: tuple, exponents) -> list[tuple]:
     return up + down[:0:-1]
 
 
-def _root_orbits(q: FiniteQuandle, f: QuandleMap, domain, identity: tuple):
-    """One color per orbit on ``domain`` of the group H of the module
-    docstring, and a Schreier tree of ``(x, h, y)``: x = h(y) for a
-    generator h of H, y reached before x, built by a breadth-first walk
-    from each representative r.  When Aut(q) is cheap to list (order at
-    most ``DEFAULT_AUT_SEARCH_BOUND`` and at most n(n-1) candidates,
-    n!/(n-g)! for the g greedy generators), the maps are every
-    automorphism h with h o f = f o h, compared as image lists (all of
-    them under the identity twist): H listed whole, so r's step reaches
-    its orbit, the tree holds (h(r), h, r) and the walk stops there.
-    Otherwise the maps are f and the S_g = ``columns[g]`` with
-    S_{f(g)} = S_g for the greedy generators g, and the walk runs on.
-    """
+def _symmetries(q: FiniteQuandle, f: QuandleMap, identity: tuple) -> tuple[list[tuple], bool]:
+    """``(maps, whole)``: the root's group H of the module docstring, as its
+    maps other than the identity, and whether H is listed whole.  When
+    Aut(q) is cheap to list (order at most ``DEFAULT_AUT_SEARCH_BOUND`` and
+    at most n(n-1) candidates, n!/(n-g)! for the g greedy generators), the
+    maps are every automorphism h with h o f = f o h, compared as image
+    lists (all of them under the identity twist), so H and every stabilizer
+    filtered from it are listed whole.  Otherwise the maps are f and the
+    S_g = ``columns[g]`` with S_{f(g)} = S_g for the greedy generators g,
+    which generate H."""
     n, fi, (generators, _) = q.order, f.images, q.generation
     whole = n <= DEFAULT_AUT_SEARCH_BOUND and perm(n, len(generators)) <= n * (n - 1)
-    if whole:  # the identity among the maps reaches a color already seen
+    if whole:
         maps = q.automorphism_images
         if fi != identity:  # under the identity every automorphism commutes
             after_f = itemgetter(*fi)  # after_f(h) is h o f
             maps = [h for h in maps if after_f(h) == itemgetter(*h)(fi)]
     else:
         cols = q.columns
-        maps = [h for h in (fi, *(cols[g] for g in generators if cols[fi[g]] == cols[g])) if h != identity]
-    reps, tree, seen = [], [], set()
+        maps = [fi, *(cols[g] for g in generators if cols[fi[g]] == cols[g])]
+    return [h for h in maps if h != identity], whole
+
+
+def _orbits(group: list[tuple], whole: bool, domain) -> list[tuple[int, list[tuple]]]:
+    """One ``(r, tree)`` per orbit on ``domain`` of the group of the maps
+    ``group``, r the orbit's first color in ``domain`` and tree its Schreier tree
+    of ``(x, h, y)``: x = h(y) for a map h of ``group``, y reached before x,
+    built by a breadth-first walk from r.  When the group is listed whole,
+    r's step reaches its orbit, the tree holds (h(r), h, r) and the walk
+    stops there."""
+    orbits, seen = [], set()
     for r in domain:
         if r in seen:
             continue
-        reps.append(r)
         seen.add(r)
-        orbit = [r]
+        orbit, tree = [r], []
         for y in orbit:  # the list grows while it is read: a breadth-first walk
-            for h in maps:
+            for h in group:
                 x = h[y]
                 if x not in seen:
                     seen.add(x)
@@ -195,16 +214,15 @@ def _root_orbits(q: FiniteQuandle, f: QuandleMap, domain, identity: tuple):
                     tree.append((x, h, y))
             if whole:  # r's step has reached its whole orbit
                 break
-    return reps, tree
+        orbits.append((r, tree))
+    return orbits
 
 
-def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
+def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap, listing: bool):
     """The propagation search, for a twist map the caller has checked:
-    ``(results, root, tree, power)``, the arc colorings of the root-orbit
-    representatives in search order, the root arc (None when there is no
-    arc), the Schreier tree of ``_root_orbits`` and the table of
-    ``_powers``, power[k] = f^k for every exponent of
-    ``kernel.arc_skeleton``."""
+    ``(found, power)``, found the arc colorings in search order when
+    ``listing``, else their number, and power the table of ``_powers``,
+    power[k] = f^k for every exponent of ``kernel.arc_skeleton``."""
     arc_of, k_of, loops, crossings, by_lowest_edge = arc_skeleton(d)
     n = q.order
     identity = tuple(range(n))
@@ -234,6 +252,7 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
     every = range(n)
     domains = [every if k is None else [x for x, y in enumerate(power[k]) if x == y] for k in loops]
     results: list[tuple[int, ...]] = []
+    tally = 0  # when counting: the colorings found, images included
 
     def propagate(arc: int, value: int) -> tuple[list[int], bool]:
         """Color the uncolored arc and every arc a rule then forces, as soon
@@ -262,62 +281,71 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap):
                     trail.append(ia)
         return trail, True
 
-    def branch_arc() -> int | None:
+    def branch_arc() -> int:
         """The uncolored over-arc of the first arc rule with a colored strand
-        arc; else the arc of the lowest uncolored edge; None when all are
-        colored."""
+        arc; else the arc of the lowest uncolored edge, for a caller that
+        has an arc left uncolored."""
         for ia, _, _, oa, ba, _, _ in arc_rules:
             if colors[ba] is None and (colors[ia] is not None or colors[oa] is not None):
                 return ba
-        for a in by_lowest_edge:
-            if colors[a] is None:
-                return a
-        return None
+        return next(a for a in by_lowest_edge if colors[a] is None)
 
-    def branches():
-        """One branch level: record the arc colors when every arc is colored,
-        else yield once per color of the branch arc that propagates."""
+    def branches(group: list[tuple], left: int):
+        """One branch level under ``group``, the maps of H that fix every
+        color placed, with ``left`` arcs uncolored: once per orbit
+        representative r of the branch arc's colors (each color its own
+        orbit under a trivial group) that propagates, record the coloring
+        (listing) or count it when its trail colors the last arcs, else
+        yield the maps that also fix r and the arcs then left; once r's
+        subtree is done, account for the orbit's other colors: list the
+        images h o c of the colorings found under the color y that reached
+        them, or add their number once per color."""
+        nonlocal tally
         arc = branch_arc()
-        if arc is None:
-            results.append(tuple(colors))  # type: ignore[arg-type]
-            return
-        for v in domains[arc]:
-            trail, held = propagate(arc, v)
+        domain = domains[arc]
+        for r, tree in _orbits(group, whole, domain) if group else [(v, ()) for v in domain]:
+            trail, held = propagate(arc, r)
             if held:
-                yield
+                before = len(results) if listing else tally
+                if len(trail) == left:  # every arc is colored
+                    if listing:
+                        results.append(tuple(colors))  # type: ignore[arg-type]
+                    else:
+                        tally += 1
+                else:  # the maps that fix r fix its whole trail (module docstring)
+                    yield [h for h in group if h[r] == r], left - len(trail)
+                if tree and listing:  # the colorings under x = h(y) are the images h o c of those under y
+                    blocks = {r: results[before:]}
+                    for x, h, y in tree:
+                        blocks[x] = block = [tuple(map(h.__getitem__, c)) for c in blocks[y]]
+                        results.extend(block)
+                elif tree:  # c -> h o c maps the colorings under y one-to-one onto those under x
+                    tally += (tally - before) * len(tree)
             for t in trail:
                 colors[t] = None
 
-    # the root arc tries one color per orbit of the automorphisms that commute
-    # with f, each of which maps the colorings onto themselves
-    root = branch_arc()
-    tree: list[tuple] = []
-    if root is not None:
-        domains[root], tree = _root_orbits(q, f, domains[root], identity)
+    if not loops:  # no arc: the one empty coloring
+        return ([()] if listing else 1), power
+    # the root's group is H; each other level's, its parent's maps that fix its color
+    group, whole = _symmetries(q, f, identity)
     # one suspended generator per branch level on an explicit stack, so deep
     # diagrams cannot hit the interpreter recursion limit: a level that
-    # yields has taken a branch and its child level is pushed; an exhausted
-    # level has undone its last trail and is popped
-    stack = [branches()]
+    # yields has taken a branch and its child level is pushed, under the
+    # group and with the arcs the level yielded; an exhausted level has
+    # undone its last trail and is popped
+    stack = [branches(group, len(loops))]
     while stack:
-        if next(stack[-1], True):
+        child = next(stack[-1], None)
+        if child is None:
             stack.pop()
         else:
-            stack.append(branches())
-    return results, root, tree, power
+            stack.append(branches(*child))
+    return (results if listing else tally), power
 
 
 def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple[int, ...]]:
     """``enumerate_colorings`` unsorted, for a twist map the caller has checked."""
-    results, root, tree, power = _search(d, q, f)
-    found = results
-    if tree:  # the colorings of x = h(y) are the images h o c of those of y
-        by_root: dict[int, list] = {}
-        for c in results:
-            by_root.setdefault(c[root], []).append(c)
-        for x, h, y in tree:
-            by_root[x] = [tuple(map(h.__getitem__, c)) for c in by_root.get(y, ())]
-        found = [c for cs in by_root.values() for c in cs]
+    found, power = _search(d, q, f, True)
     arc_of, k_of = arc_skeleton(d)[:2]
     edges = [(a, power[k]) for a, k in zip(arc_of, k_of)]
     return [tuple([p[c[a]] for a, p in edges]) for c in found]
@@ -326,18 +354,14 @@ def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple
 def count_colorings(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> int:
     """Number of colorings, including the |G|^free_loops factor.
 
-    The search's colorings are counted per root color; each other color
-    x = h(y) of an orbit has as many as y, since c -> h o c maps y's
-    colorings one-to-one onto x's.  No image or edge color is built.
+    At every branch level the search tries one color per orbit of the
+    automorphisms that fix the colors placed, and each other color of an
+    orbit has as many colorings below it as the representative, since
+    c -> h o c maps them one-to-one; so the count adds that number once per
+    other color, and no coloring, image or edge color is built or kept.
     """
     check_twist(q, f)
-    results, root, tree, _ = _search(d, q, f)
-    count = len(results)
-    if tree:
-        per_root = Counter(c[root] for c in results)
-        for x, _, y in tree:
-            per_root[x] = per_root[y]
-            count += per_root[y]
+    count, _ = _search(d, q, f, False)
     return count * q.order**d.free_loops
 
 

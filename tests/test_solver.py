@@ -8,6 +8,7 @@ import pytest
 from intlin_helpers import solve_mod
 from vknots import intlin
 from vknots.algebra import (
+    DEFAULT_AUT_SEARCH_BOUND,
     QuandleMap,
     automorphisms,
     inner_automorphism,
@@ -42,8 +43,9 @@ from vknots.invariants import (
 )
 from vknots.kernel import arc_skeleton, compile_problem
 from vknots.solver import (
+    _orbits,
     _powers,
-    _root_orbits,
+    _symmetries,
     brute_force_colorings,
     count_colorings,
     enumerate_colorings,
@@ -410,7 +412,8 @@ def test_a_closed_root_arc_keeps_its_fixed_points():
 )
 def test_root_orbit_representatives(q, f, reps):
     identity = tuple(range(q.order))
-    found, tree = _root_orbits(q, f, range(q.order), identity)
+    orbits = _orbits(*_symmetries(q, f, identity), range(q.order))
+    found, tree = [r for r, _ in orbits], [step for _, steps in orbits for step in steps]
     assert list(found) == reps
     assert sorted([*reps, *(x for x, _, _ in tree)]) == list(identity)
     assert all(h[y] == x for x, h, y in tree)
@@ -809,6 +812,171 @@ def test_every_small_code_agrees_with_the_oracle(c):
             found = enumerate_colorings(d, q, f)
             assert found == brute_force_colorings(d, q, f), (d, f.images)
             assert count_colorings(d, q, f) == len(found), (d, f.images)
+
+
+# ---------------------------------------------------------------------------
+# Symmetry at every branch level: a level tries one color per orbit of the
+# maps of H that fix every color placed above it, and the colorings under
+# the orbit's other colors are images h o c.  Over R3-R8 every twist keeps
+# a centralizer listed whole; over T4, R9, R10 and R11 (too many generators,
+# or above the automorphism search bound) H is generated by f and the inner
+# maps; the conjugation quandle of S3 and 2a - b mod 5 give it other shapes.
+# The diagrams are every code of at most two crossings, the corpus and one
+# 3-move trace per builder, whose moves add arcs, so the searches run
+# several levels deep.  The oracle scans n^arcs assignments and the search
+# costs most on the 312 codes, so the sweep keeps to a few seconds thus: a
+# twist f = g r g^-1 maps the colorings under r onto those under f by
+# c -> g o c, so over R3-R8 and T4 the oracle runs once per conjugacy class
+# of Aut(q) and the codes are searched under one twist per class (every
+# code is searched under every automorphism of R3 and R4 above); and over
+# R9-R11 the traces, whose oracle scans up to 11^6 assignments, run under
+# x -> ux alone.
+
+
+def _affine(n, u, b):
+    return QuandleMap(tuple((u * x + b) % n for x in range(n)))
+
+
+CODES = [*SMALL_CODES[1], *SMALL_CODES[2]]
+CORPUS_AND_TRACES = [
+    *(builder(name) for name in BUILDER_NAMES),
+    *(random_equivalent(builder(name), 0, 3)[0] for name in BUILDER_NAMES),
+]
+# u = 2 or 3 is a unit of order above 2, so x -> ux differs from its inverse
+DEEP_SAMPLED = {f"R{n}": (make_dihedral(n), unit) for n, unit in ((9, 2), (10, 3), (11, 2))}
+
+
+def _conjugacy_classes(maps):
+    """Each map f of ``maps``, a group, as ``(r, g)``: r the first map of its
+    conjugacy class and g a map with f = g r g^-1."""
+    found = {}
+    for r in maps:
+        if r.images in found:
+            continue
+        for g in maps:
+            found.setdefault(g.compose(r).compose(g.inverse()).images, (r, g))
+    return [found[f.images] for f in maps]
+
+
+def _agrees_with_the_oracle(diagrams, q, twists, classes=None):
+    """Search every diagram under every twist, and count, against the oracle,
+    run once per class and carried to the class's other maps by c -> g o c."""
+    classes = classes or [(f, QuandleMap.identity(q.order)) for f in twists]
+    for d in diagrams:
+        oracle = {}
+        for f, (r, g) in zip(twists, classes):
+            if r.images not in oracle:
+                oracle[r.images] = brute_force_colorings(d, q, r)
+            found = enumerate_colorings(d, q, f)
+            assert found == sorted(tuple(map(g, c)) for c in oracle[r.images]), (d, f.images)
+            assert count_colorings(d, q, f) == len(found) * q.order**d.free_loops, (d, f.images)
+
+
+def test_the_deep_sweep_covers_what_it_claims():
+    assert len(CODES) == 8 + 304 and len(CORPUS_AND_TRACES) == 20
+    growth = [len(arc_skeleton(t)[2]) - len(arc_skeleton(d)[2]) for d, t in zip(CORPUS_AND_TRACES, CORPUS_AND_TRACES[10:])]
+    assert sum(growth) > 10 and max(len(arc_skeleton(t)[2]) for t in CORPUS_AND_TRACES) == 6
+    for q, _ in DEEP_SAMPLED.values():
+        assert q.order > DEFAULT_AUT_SEARCH_BOUND
+    for q in (make_dihedral(8), T4):
+        maps = automorphisms(q)
+        classes = _conjugacy_classes(maps)
+        assert len({r.images for r, _ in classes}) < len(maps)
+        assert all(g.compose(r) == f.compose(g) for f, (r, g) in zip(maps, classes))
+
+
+@pytest.mark.parametrize("q", [*(make_dihedral(n) for n in range(3, 9)), T4], ids=[*(f"R{n}" for n in range(3, 9)), "T4"])
+def test_every_level_matches_the_oracle_under_every_automorphism(q):
+    twists = automorphisms(q)
+    classes = _conjugacy_classes(twists)
+    _agrees_with_the_oracle(CORPUS_AND_TRACES, q, twists, classes)
+    _agrees_with_the_oracle(CODES, q, list({r.images: r for r, _ in classes}.values()))
+
+
+@pytest.mark.parametrize("case", ["S3 conjugation", "A5"])
+def test_every_level_matches_the_oracle_under_the_listed_twists(case):
+    q, twists = ROOT_ORBIT_CASES[case]
+    _agrees_with_the_oracle([*CODES, *CORPUS_AND_TRACES], q, twists)
+
+
+@pytest.mark.parametrize("case", DEEP_SAMPLED)
+def test_every_level_of_the_generator_path_matches_the_oracle(case):
+    q, unit = DEEP_SAMPLED[case]
+    n = q.order
+    # H is generated by x -> -x and x -> 2 - x, by x -> -x + 1 alone, and by x -> ux and x -> -x
+    sample = [_affine(n, 1, 0), _affine(n, -1, 1), _affine(n, unit, 0)]
+    _agrees_with_the_oracle([*CODES, *CORPUS_AND_TRACES[:10]], q, sample)
+    _agrees_with_the_oracle(CORPUS_AND_TRACES[10:], q, sample[-1:])
+
+
+def _ring_sum(d, k):
+    """k copies of d, each cut at its edge 0 and joined to the next in a ring."""
+    m = d.edges
+    out = lambda e, i: (i + 1) % k * m if e == 0 else e + i * m  # noqa: E731
+    return relabel_canonical(
+        [(t, s, w + i * m, out(x, i), y + i * m, out(z, i)) for i in range(k) for t, s, w, x, y, z in d.crossings], 0
+    )
+
+
+def _split(d, k):
+    """k disjoint copies of d."""
+    m = d.edges
+    return relabel_canonical(
+        [(t, s, w + i * m, x + i * m, y + i * m, z + i * m) for i in range(k) for t, s, w, x, y, z in d.crossings], 0
+    )
+
+
+R7_2X = _affine(7, 2, 0)
+
+
+def test_counts_of_sums_and_split_diagrams_match_their_formulas():
+    # the connected sum of k trefoils has determinant 3^k, so 3^(k+1) colorings
+    # over R3; each split virtual kink takes any of the 7 colors of R7
+    for k in range(1, 7):
+        assert count_colorings(_ring_sum(builder("trefoil"), k), Q3, ID3) == 3 ** (k + 1), k
+        assert count_colorings(_split(builder("unknot_vkink"), k), make_dihedral(7), R7_2X) == 7**k, k
+    for k in (2, 3):
+        d = _ring_sum(builder("trefoil"), k)
+        found = enumerate_colorings(d, Q3, ID3)
+        assert len(found) == 3 ** (k + 1) and found == brute_force_colorings(d, Q3, ID3)
+
+
+def test_the_count_keeps_no_coloring():
+    # 3^11 = 177,147 colorings: a tuple kept per coloring peaked at 16 MB,
+    # the search, its arcs included, takes under 20 kB
+    import tracemalloc
+
+    d = _ring_sum(builder("trefoil"), 10)
+    tracemalloc.start()
+    try:
+        assert count_colorings(d, Q3, ID3) == 3**11
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_the_branch_after_the_root_tries_one_color_per_orbit_of_the_stabilizer(monkeypatch):
+    # over R7 under the identity H is every x -> ux + v: the root tries one
+    # color r, and the maps that fix r, x -> u(x - r) + r, have two orbits,
+    # {r} and the six others, so the next arc tries 2 colors, not 7
+    import vknots.solver
+
+    tried = []
+    orbits = vknots.solver._orbits
+
+    def spy(group, whole, domain):
+        found = orbits(group, whole, domain)
+        tried.append([r for r, _ in found])
+        return found
+
+    monkeypatch.setattr(vknots.solver, "_orbits", spy)
+    q = make_dihedral(7)
+    assert count_colorings(builder("trefoil"), q, QuandleMap.identity(7)) == 7
+    assert tried == [[0], [0, 1]]
+    tried.clear()
+    assert enumerate_colorings(builder("trefoil"), q, QuandleMap.identity(7)) == [(x,) * 6 for x in range(7)]
+    assert tried == [[0], [0, 1]]
 
 
 # ---------------------------------------------------------------------------
