@@ -3,37 +3,32 @@
 Everything here works on plain Python ints (arbitrary precision), as
 lists of lists.  Matrices are small in this package -- the cocycle
 condition system for a quandle of order n is (n^3 + n) x n^2 -- so the
-classical cubic algorithms are more than enough.
+classical cubic algorithms are more than enough.  The Smith form builds
+only the column transform v, which is all that ``kernel_mod`` reads; it
+builds no row transform.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+from .errors import InvalidParameter
 
 
-def smith_normal_form(
-    matrix: list[list[int]], row_transform: bool = True
-) -> tuple[list[list[int]], list[list[int]] | None, list[list[int]]]:
-    """Return (d, u, v) with u @ matrix @ v == d, u and v unimodular, d diagonal.
+def smith_normal_form(matrix: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Return (d, v) with d diagonal and v unimodular such that u @ matrix @ v == d
+    for some unimodular u, which is not built.
 
     The diagonal entries satisfy the usual divisibility chain
-    d[0][0] | d[1][1] | ... and are non-negative.  With ``row_transform``
-    false, u is not built and None is returned in its place; a kernel
-    needs only v, and u is as large as the matrix has rows.
+    d[0][0] | d[1][1] | ... and are non-negative.  A kernel needs only v.
 
-    One working matrix carries the transforms (Cohen, *A Course in
-    Computational Algebraic Number Theory*, 1993, 2.4): each row of d has its
-    row of u appended and the rows of v sit below, so row operations carry u
-    and column operations carry v; only the top-left d block is ever read.
+    One working matrix carries v (Cohen, *A Course in Computational
+    Algebraic Number Theory*, 1993, 2.4): the rows of v sit below those of
+    d, so column operations carry v; only the top-left d block is ever read.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    u = identity_matrix(rows) if row_transform else [[]] * rows
-    w = [list(r) + e for r, e in zip(matrix, u)] + identity_matrix(cols)
+    w = [list(r) for r in matrix] + [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def add_row(src, dst, factor):
         # row[dst] += factor * row[src]
@@ -93,9 +88,7 @@ def smith_normal_form(
                 continue
         t += 1
 
-    d = [r[:cols] for r in w[:rows]]
-    u = [r[cols:] for r in w[:rows]] if row_transform else None
-    return d, u, w[rows:]
+    return w[:rows], w[rows:]
 
 
 def kernel_mod(matrix: list[list[int]], m: int) -> list[list[int]]:
@@ -105,12 +98,12 @@ def kernel_mod(matrix: list[list[int]], m: int) -> list[list[int]]:
     zero vectors are dropped and duplicates removed, order deterministic.
     """
     if m < 2:
-        raise ValueError("kernel_mod needs a modulus m >= 2")
+        raise InvalidParameter("kernel_mod needs a modulus m >= 2")
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     if cols == 0:
         return []
-    d, _, v = smith_normal_form(matrix, row_transform=False)
+    d, v = smith_normal_form(matrix)
     gens: list[list[int]] = []
     seen = set()
     for j in range(cols):

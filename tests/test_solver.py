@@ -550,7 +550,7 @@ def _affine_count(d, n, u, b):
                 equation([(e_out, 1), (e_in, -uu)], bb)
     if solve_mod(rows, rhs, n) is None:
         return 0
-    diag, _, _ = intlin.smith_normal_form(rows)
+    diag, _ = intlin.smith_normal_form(rows)
     rank_bound = min(len(rows), d.edges)
     count = n**d.free_loops
     for j in range(d.edges):
