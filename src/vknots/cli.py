@@ -15,6 +15,8 @@ Two checks are the CLI's own.  ``quandle auts`` and the ``cocycle``
 commands refuse a table that is no quandle, though the algebra answers on
 any table.  ``_load_aut`` tests that a map is an automorphism so that its
 refusal names the user's spec; ``cocycle preserves`` has no other test.
+Every integer on the command line, in an option or in ``dihedral:N`` and
+``inner:a``, is read by ``_int``: an optional '-' and ASCII digits.
 """
 
 from __future__ import annotations
@@ -54,6 +56,20 @@ from .errors import (
 _USAGE_ERRORS = (MalformedInput, InvalidParameter, NotApplicable, WrongKind, SearchBoundExceeded)
 
 
+def _int(text: str) -> int:
+    """The integer that an optional '-' and ASCII digits spell: ``int()``
+    alone would take underscores, spaces, a '+' and non-ASCII digits.
+    Anything else is a ValueError, and so is an integer past the
+    interpreter's digit limit."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in its refusal: "invalid int value: ..."
+
+
 def _read_spec(spec: str) -> str:
     if spec.startswith("@"):
         try:
@@ -67,7 +83,7 @@ def _read_spec(spec: str) -> str:
 def _load_quandle(spec: str):
     if spec.startswith("dihedral:"):
         try:
-            n = int(spec.split(":", 1)[1])
+            n = _int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise MalformedInput(f"bad dihedral order in {spec!r}") from exc
         return make_dihedral(n)
@@ -100,7 +116,7 @@ def _load_aut(spec: str, q) -> QuandleMap:
         return QuandleMap.identity(q.order)
     if spec.startswith("inner:"):
         try:
-            return inner_automorphism(q, int(spec.split(":", 1)[1]))
+            return inner_automorphism(q, _int(spec.split(":", 1)[1]))
         except ValueError as exc:
             raise InvalidParameter(f"bad element in {spec!r}") from exc
     images = load_json(_read_spec(spec), "automorphism spec", spec)
@@ -264,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quandle", help="validate quandles, list automorphisms")
     p.add_argument("action", choices=("check", "auts"))
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--dihedral", type=int, metavar="N")
+    g.add_argument("--dihedral", type=_int, metavar="N")
     g.add_argument("--quandle", metavar="SPEC", help="dihedral:N, inline JSON, or @file")
-    p.add_argument("--bound", type=int, default=DEFAULT_AUT_SEARCH_BOUND, help="automorphism search bound")
+    p.add_argument("--bound", type=_int, default=DEFAULT_AUT_SEARCH_BOUND, help="automorphism search bound")
     p.set_defaults(func=_cmd_quandle)
 
     p = sub.add_parser("cocycle", help="cocycle checks and constructions")
@@ -276,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--other", metavar="SPEC", help="second cocycle for 'cohomologous'")
     p.add_argument("--aut", metavar="SPEC", help="identity, inner:a, JSON images, or @file")
     p.add_argument("--psi", metavar="JSON", help="cochain exponent list for 'coboundary'")
-    p.add_argument("--m", type=int, default=0, help="exponent modulus (0 = infinite)")
+    p.add_argument("--m", type=_int, default=0, help="exponent modulus (0 = infinite)")
     p.set_defaults(func=_cmd_cocycle)
 
     p = sub.add_parser("diagram", help="validate, build, inspect diagrams")
@@ -306,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quandle", required=True, metavar="SPEC")
     p.add_argument("--cocycle", required=True, metavar="SPEC")
     p.add_argument("--aut", required=True, metavar="SPEC")
-    p.add_argument("--moves", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--moves", type=_int, default=100)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--no-semi-virtual", action="store_true")
     p.add_argument("--classical-only", action="store_true")
     p.set_defaults(func=_cmd_fuzz)

@@ -22,7 +22,12 @@ pair subject to
     2. phi(a, b) phi(a*b, c) = phi(a, c) phi(a*c, b*c)
 
 and a 1-cochain psi yields the coboundary phi(x, y) = psi(x) psi(x*y)^-1,
-which always satisfies both conditions.
+which always satisfies both conditions.  The conditions are written once,
+in the generator ``_conditions``, as signed sums of table entries;
+condition 2 at (a, b, c) is the quandle boundary of (a, b, c).
+``validate_cocycle`` scans them for the first that fails, and the rows
+that ``cocycle_space_basis`` solves are those boundaries, with phi(a, a)
+= 1 for each a.
 
 A cocycle carries its ``validate_cocycle`` ``report``, run on first use:
 ``trivial_cocycle`` and ``example_cocycle_r4`` store a passing one, valid
@@ -209,24 +214,35 @@ def check_cocycle(c: Cocycle2) -> None:
     _require(c.report, "cocycle", "condition")
 
 
-def validate_cocycle(c: Cocycle2) -> CocycleReport:
-    """Exhaustively check both cocycle conditions in exponent form."""
-    q = c.quandle
+def _conditions(q: FiniteQuandle):
+    """Every 2-cocycle condition on ``q`` once, in checking order, as
+    ``(condition, witness, terms)``: the condition holds when the signed
+    exponents ``s * phi(x, y)`` over its terms ``(x, y, s)`` sum to 0.
+
+    Condition 1 is phi(a, a) = 1 for each a; then condition 2 for each
+    (a, b, c) is (a, b) + (a*b, c) - (a, c) - (a*c, b*c), the quandle
+    boundary of (a, b, c) up to sign.  Both checks read the quandle table
+    only through here.
+    """
     n = q.order
+    for a in range(n):
+        yield 1, (a,), ((a, a, 1),)
+    t = q.table
+    for a, ta in enumerate(t):
+        for b, tb in enumerate(t):
+            for c in range(n):
+                yield 2, (a, b, c), ((a, b, 1), (ta[b], c, 1), (a, c, -1), (ta[c], tb[c], -1))
+
+
+def validate_cocycle(c: Cocycle2) -> CocycleReport:
+    """Exhaustively check both cocycle conditions in exponent form: the
+    first of ``_conditions`` whose signed exponent sum is not 0 in the
+    coefficient group fails, with its condition number and witness."""
     e = c.exponents
     red = c.group.reduce
-    for a in range(n):
-        if red(e[a][a]):
-            return CocycleReport(False, condition=1, witness=(a,))
-    t = q.table
-    for a in range(n):
-        for b in range(n):
-            ab = t[a][b]
-            for cc in range(n):
-                lhs = e[a][b] + e[ab][cc]
-                rhs = e[a][cc] + e[t[a][cc]][t[b][cc]]
-                if red(lhs - rhs):
-                    return CocycleReport(False, condition=2, witness=(a, b, cc))
+    for condition, witness, terms in _conditions(c.quandle):
+        if red(sum([s * e[x][y] for x, y, s in terms])):
+            return CocycleReport(False, condition, witness)
     return CocycleReport(True)
 
 
@@ -330,7 +346,8 @@ def cocycle_space_basis(q: FiniteQuandle, m: int) -> list[Cocycle2]:
     """Generators of the space of 2-cocycles with exponents mod m (m >= 2).
 
     Both cocycle conditions are imposed as one homogeneous linear system
-    over Z_m in the n^2 table entries; the kernel is computed exactly by
+    over Z_m in the n^2 table entries, one row per condition of
+    ``_conditions`` that is not 0 = 0; the kernel is computed exactly by
     Smith reduction of the condition matrix.  Orders above
     ``MAX_COCYCLE_BASIS_ORDER`` are refused before any row is built.
     """
@@ -340,28 +357,18 @@ def cocycle_space_basis(q: FiniteQuandle, m: int) -> list[Cocycle2]:
     n = q.order
     if n > MAX_COCYCLE_BASIS_ORDER:
         raise SearchBoundExceeded(f"order {n} exceeds the cocycle basis bound {MAX_COCYCLE_BASIS_ORDER}")
-    t = q.table
-    var = lambda a, b: a * n + b
     rows: list[list[int]] = []
-    for a in range(n):
+    for _, _, terms in _conditions(q):
         row = [0] * (n * n)
-        row[var(a, a)] = 1
-        rows.append(row)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                row = [0] * (n * n)
-                row[var(a, b)] += 1
-                row[var(t[a][b], c)] += 1
-                row[var(a, c)] -= 1
-                row[var(t[a][c], t[b][c])] -= 1
-                if any(row):
-                    rows.append(row)
+        for x, y, s in terms:
+            row[x * n + y] += s
+        if any(row):
+            rows.append(row)
     from . import intlin  # only this function solves a linear system
 
     basis = []
     for vec in intlin.kernel_mod(rows, m):
-        table = tuple(tuple(vec[var(a, b)] for b in range(n)) for a in range(n))
+        table = tuple(tuple(vec[a * n + b] for b in range(n)) for a in range(n))
         basis.append(Cocycle2(q, group, table))
     return basis
 
@@ -377,7 +384,8 @@ def cocycle_to_json(c: Cocycle2) -> str:
 
 
 def cocycle_from_json(text: str, q: FiniteQuandle) -> Cocycle2:
-    """Parse {"group":{"m":0},"entries":[[a,b,exponent],...]}; omitted entries are 0."""
+    """Parse {"group":{"m":0},"entries":[[a,b,exponent],...]}; omitted entries
+    are 0, and a pair (a, b) given twice is refused."""
     obj = load_json(text, "cocycle JSON")
     if not isinstance(obj, dict) or set(obj) != {"group", "entries"}:
         raise MalformedInput("cocycle JSON takes exactly the fields group, entries")
@@ -391,6 +399,7 @@ def cocycle_from_json(text: str, q: FiniteQuandle) -> Cocycle2:
         raise MalformedInput("cocycle entries must be a list of [a, b, exponent] triples")
     n = q.order
     table = [[0] * n for _ in range(n)]
+    seen = set()
     for item in obj["entries"]:
         if not (isinstance(item, list) and len(item) == 3):
             raise MalformedInput("cocycle entries must be [a, b, exponent] triples")
@@ -399,5 +408,8 @@ def cocycle_from_json(text: str, q: FiniteQuandle) -> Cocycle2:
         a, b, e = item
         if not (0 <= a < n and 0 <= b < n):
             raise MalformedInput(f"cocycle entry ({a}, {b}) out of range")
+        if (a, b) in seen:
+            raise MalformedInput(f"cocycle entry ({a}, {b}) is given twice")
+        seen.add((a, b))
         table[a][b] = e
     return Cocycle2(q, group, tuple(tuple(row) for row in table))

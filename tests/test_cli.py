@@ -625,3 +625,60 @@ MOVED_CHECKS = {
 @pytest.mark.parametrize("argv, message", list(MOVED_CHECKS.values()), ids=list(MOVED_CHECKS))
 def test_the_words_of_a_moved_check_are_pinned(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", message)
+
+
+# Every integer on the command line is an optional '-' and ASCII digits.
+# int() took underscores, spaces, a '+' and non-ASCII digits, so each of these
+# answered as if well formed (quandle auts --dihedral 0_3 listed the 6
+# automorphisms of R3); each is refused in the words printed for 'x'.
+_FUZZ_TREFOIL = ("fuzz", "--diagram", "trefoil", "--quandle", "dihedral:3", "--cocycle", "trivial", "--aut", "identity")
+LOOSE_INTEGERS = {
+    "dihedral-flag-x": (("quandle", "auts", "--dihedral", "x"), "argument --dihedral: invalid int value: 'x'\n"),
+    "dihedral-flag-underscore": (("quandle", "auts", "--dihedral", "0_3"), "argument --dihedral: invalid int value: '0_3'\n"),
+    "dihedral-spec-x": (("quandle", "check", "--quandle", "dihedral:x"), "error: bad dihedral order in 'dihedral:x'\n"),
+    "dihedral-spec-arabic-indic": (("quandle", "check", "--quandle", "dihedral:٤"), "error: bad dihedral order in 'dihedral:٤'\n"),
+    "dihedral-spec-underscore": (("quandle", "check", "--quandle", "dihedral:1_0"), "error: bad dihedral order in 'dihedral:1_0'\n"),
+    "dihedral-spec-space": (("quandle", "check", "--quandle", "dihedral: 3"), "error: bad dihedral order in 'dihedral: 3'\n"),
+    "m-plus": (("cocycle", "basis", "--quandle", "dihedral:3", "--m", "+3"), "argument --m: invalid int value: '+3'\n"),
+    "bound-space": (("quandle", "auts", "--dihedral", "3", "--bound", " 8"), "argument --bound: invalid int value: ' 8'\n"),
+    "inner-x": (
+        ("color", "count", "--diagram", "trefoil", "--quandle", "dihedral:3", "--aut", "inner:x"),
+        "error: bad element in 'inner:x'\n",
+    ),
+    "inner-underscore": (
+        ("color", "count", "--diagram", "trefoil", "--quandle", "dihedral:3", "--aut", "inner:0_1"),
+        "error: bad element in 'inner:0_1'\n",
+    ),
+    "moves-plus": ((*_FUZZ_TREFOIL, "--moves", "+1"), "argument --moves: invalid int value: '+1'\n"),
+    "seed-fullwidth": ((*_FUZZ_TREFOIL, "--seed", "３"), "argument --seed: invalid int value: '３'\n"),
+    "seed-minus-alone": ((*_FUZZ_TREFOIL, "--seed", "-"), "argument --seed: invalid int value: '-'\n"),
+}
+
+
+@pytest.mark.parametrize("argv, words", list(LOOSE_INTEGERS.values()), ids=list(LOOSE_INTEGERS))
+def test_an_integer_is_an_optional_minus_and_ascii_digits(capsys, argv, words):
+    if words.startswith("error:"):  # a spec, read by the handler
+        assert run(capsys, *argv) == (2, "", words)
+        return
+    with pytest.raises(SystemExit) as exc:  # an option, read by the parser
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "") and err.endswith(": error: " + words)
+
+
+def test_plain_and_negative_integers_are_read(capsys):
+    assert run(capsys, "quandle", "check", "--quandle", "dihedral:03") == (0, '{"valid":true}\n', "")
+    code, out, _ = run(capsys, "color", "count", "--diagram", "trefoil", "--quandle", "dihedral:3", "--aut", "inner:0")
+    assert (code, out) == (0, '{"count":9}\n')
+    code, out, _ = run(capsys, *_FUZZ_TREFOIL, "--moves", "2", "--seed", "-7")
+    assert code == 0 and json.loads(out)["seed"] == -7
+
+
+def test_a_repeated_cocycle_entry_is_usage_error(capsys):
+    # the later [0, 1, 0] dropped phi(0, 1) = t, and condition 2 failed at [0, 1, 0]
+    repeated = _cocycle(entries=[[0, 1, 1], [0, 1, 0], [0, 3, 1]])
+    assert run(capsys, "cocycle", "check", "--quandle", "dihedral:4", "--cocycle", repeated) == (
+        2,
+        "",
+        "error: cocycle entry (0, 1) is given twice\n",
+    )

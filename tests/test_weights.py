@@ -253,3 +253,52 @@ def test_cocycle_json_round_trip():
     for text in ('{"group":{"m":"3"},"entries":[]}', '{"group":{"m":0},"entries":[[0,1,1.5]]}'):
         with pytest.raises(MalformedInput):
             cocycle_from_json(text, c.quandle)
+
+
+def test_a_repeated_cocycle_entry_is_refused():
+    # a later [a, b, e] overwrote an earlier one: here phi(0, 1) = t was dropped
+    q = make_dihedral(4)
+    for entries, pair in (("[[0,1,1],[0,1,0],[0,3,1]]", "(0, 1)"), ("[[2,2,0],[2,2,0]]", "(2, 2)")):
+        with pytest.raises(MalformedInput, match=rf"^cocycle entry \{pair[:-1]}\) is given twice$"):
+            cocycle_from_json('{"group":{"m":0},"entries":' + entries + "}", q)
+
+
+def _scalar_scan(c):
+    """``validate_cocycle``'s answer by its documented order: condition 1 for
+    each a, then condition 2 for each (a, b, c) in lexicographic order."""
+    t, e, m = c.quandle.table, c.exponents, c.group.modulus
+    n = len(t)
+    for a in range(n):
+        if e[a][a] % m if m else e[a][a]:
+            return False, 1, (a,)
+    for a in range(n):
+        for b in range(n):
+            for cc in range(n):
+                diff = e[a][b] + e[t[a][b]][cc] - e[a][cc] - e[t[a][cc]][t[b][cc]]
+                if diff % m if m else diff:
+                    return False, 2, (a, b, cc)
+    return True, None, None
+
+
+def _single_entry_changes(c):
+    n = c.quandle.order
+    for a in range(n):
+        for b in range(n):
+            for delta in (-1, 1, 2):
+                table = [list(row) for row in c.exponents]
+                table[a][b] += delta
+                yield Cocycle2(c.quandle, c.group, tuple(tuple(row) for row in table))
+
+
+def test_validate_cocycle_reports_the_first_failure_in_order():
+    # a table that fails quandle axiom 2 is scanned in the same order
+    not_a_quandle = make_from_table([[0, 0, 0], [0, 1, 1], [2, 2, 2]])
+    bases = [example_cocycle_r4(), trivial_cocycle(not_a_quandle)]
+    bases += [trivial_cocycle(make_dihedral(n), CoefficientGroup(m)) for n in (3, 4, 5) for m in (0, 3)]
+    failures = set()
+    for base in bases:
+        for c in _single_entry_changes(base):
+            report = validate_cocycle(c)
+            assert (report.ok, report.condition, report.witness) == _scalar_scan(c)
+            failures.add(report.condition)
+    assert failures == {None, 1, 2}
