@@ -16,7 +16,8 @@ commands refuse a table that is no quandle, though the algebra answers on
 any table.  ``_load_aut`` tests that a map is an automorphism so that its
 refusal names the user's spec; ``cocycle preserves`` has no other test.
 Every integer on the command line, in an option or in ``dihedral:N`` and
-``inner:a``, is read by ``_int``: an optional '-' and ASCII digits.
+``inner:a``, is read by ``_int``: an optional '-' and ASCII digits, and
+one past the interpreter's digit limit is refused without its value.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .errors import (
     SearchBoundExceeded,
     WrongKind,
     load_json,
+    too_many_digits,
 )
 
 # The other library modules are imported inside the handlers that call them,
@@ -59,12 +61,17 @@ _USAGE_ERRORS = (MalformedInput, InvalidParameter, NotApplicable, WrongKind, Sea
 def _int(text: str) -> int:
     """The integer that an optional '-' and ASCII digits spell: ``int()``
     alone would take underscores, spaces, a '+' and non-ASCII digits.
-    Anything else is a ValueError, and so is an integer past the
-    interpreter's digit limit."""
+    Anything else is a ValueError.  An integer past the interpreter's digit
+    limit is an ``argparse.ArgumentTypeError`` in the words of
+    ``errors.too_many_digits``, which argparse and ``main`` print as they
+    are, without the value."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # the spelling is checked: only the digit limit is left
+        raise argparse.ArgumentTypeError(too_many_digits()) from None
 
 
 _int.__name__ = "int"  # argparse names the type in its refusal: "invalid int value: ..."
@@ -359,7 +366,7 @@ def main(argv=None) -> int:
     except PreconditionFailed as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except _USAGE_ERRORS as exc:
+    except (*_USAGE_ERRORS, argparse.ArgumentTypeError) as exc:  # an ArgumentTypeError here is _int's
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

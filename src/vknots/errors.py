@@ -12,13 +12,18 @@ class MalformedInput(ValueError):
     """Structurally broken input (ragged table, bad JSON document, ...)."""
 
 
+def too_many_digits() -> str:
+    """The words for an integer past the interpreter's digit limit, which never
+    echo the value: the interpreter's own message quotes it and advises
+    raising the limit, which no user of the package can act on."""
+    return f"an integer has more than {sys.get_int_max_str_digits()} digits"
+
+
 def load_json(text: str, what: str, spec: str | None = None):
     """``json.loads(text)``; a document it cannot read, or a ``text`` that is no
-    str, bytes or bytearray, is a MalformedInput "bad <what>[ <spec>]: <reason>".
-
-    An integer literal past the interpreter's digit limit is worded here once
-    and never echoes ``spec``: the interpreter's own message quotes the value
-    and advises raising the limit, which no user of the package can act on.
+    str, bytes or bytearray, is a MalformedInput "bad <what>[ <spec>]: <reason>",
+    and an integer literal past the digit limit "bad <what>: " and the words
+    of ``too_many_digits``, without ``spec``.
     """
     try:
         return json.loads(text)
@@ -26,8 +31,7 @@ def load_json(text: str, what: str, spec: str | None = None):
         shown = "" if spec is None else f" {spec!r}"
         raise MalformedInput(f"bad {what}{shown}: {exc}") from exc
     except ValueError as exc:  # not a decode error: an integer past the digit limit
-        limit = sys.get_int_max_str_digits()
-        raise MalformedInput(f"bad {what}: an integer has more than {limit} digits") from exc
+        raise MalformedInput(f"bad {what}: {too_many_digits()}") from exc
 
 
 def _check_type(value, kind: type, what: str) -> None:

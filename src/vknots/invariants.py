@@ -47,7 +47,7 @@ from .algebra import FiniteQuandle, QuandleMap, automorphisms, check_quandle
 from .diagram import VirtualDiagram
 from .errors import InvalidParameter, PreconditionFailed, WrongKind
 from .kernel import check_coloring, check_twist, compile_problem, satisfying
-from .solver import _enumerate
+from .solver import _search
 from .value import Value, set_field
 from .weights import Cocycle2, Weight, WeightPolynomial, check_cocycle, preservation_witness
 
@@ -92,13 +92,14 @@ def _exponent(c: Cocycle2, slots, coloring) -> int:
 
 
 def _state_sum(d: VirtualDiagram, q: FiniteQuandle, c: Cocycle2, f: QuandleMap) -> WeightPolynomial:
-    """f's state sum: t**weight for every coloring under the twist map f, from one
-    enumeration, each multiplicity times the free-loop factor |G|**free_loops.
-    The caller has checked that f is an automorphism."""
-    colorings = _enumerate(d, q, f)
+    """f's state sum: t**weight for every coloring under the twist map f, each
+    multiplicity times the free-loop factor |G|**free_loops.  The colorings are
+    the edge color tuples of one unchecked ``solver._search``, in search order,
+    which the sum does not see.  The caller has checked that f is an
+    automorphism."""
     slots = _weight_slots(d)
     loops = q.order**d.free_loops
-    return WeightPolynomial.from_pairs((c.group.reduce(_exponent(c, slots, a)), loops) for a in colorings)
+    return WeightPolynomial.from_pairs((c.group.reduce(_exponent(c, slots, a)), loops) for a in _search(d, q, f, True))
 
 
 def _z1(c: Cocycle2, s: WeightPolynomial) -> Weight:

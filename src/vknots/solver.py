@@ -40,14 +40,15 @@ once its three arcs are colored and a rule whose colors disagree is the
 one conflict.  A branch, taken or failed, uncolors its trail in one
 place.
 ``_search`` runs this search with one of two finishers: listing, which
-``_enumerate`` expands to edge colors through each edge's power (only
+builds each coloring it reaches once, as its edge colors, every edge's
+color read from its arc's through the edge's power (only
 ``enumerate_colorings`` sorts the list), and counting, which
 ``count_colorings`` reads, building no coloring and no edge's power.
 A public entry point calls ``kernel.check_twist`` once, which refuses a
 table that is no quandle (``algebra.check_quandle``, naming the failing
 axiom and its witness) and then a twist map that is no automorphism; the
 invariant layer, which has checked both and sums over the colorings in
-any order, calls the unchecked ``_enumerate``.
+any order, calls the unchecked ``_search``.
 
 Every branch level breaks symmetry, the orbit-stabilizer step of
 symmetry breaking during search (Gent, Petrie and Puget, *Symmetry in
@@ -86,7 +87,8 @@ listed whole, the whole stabilizer; under generators, the generators
 that fix them, which generate a subgroup of the stabilizer, and a
 subgroup is still exact.  Once a representative's subtree is done,
 listing appends the images of its block of colorings, in an order that
-changes with H while the sorted list does not; counting adds the
+changes with H while the sorted list does not, each image h o c taken
+edge by edge, since h(f^k x) = f^k(h x) for every k; counting adds the
 block's size once per other color of the orbit, since c -> h o c maps
 y's colorings one-to-one onto x's, and keeps no coloring.  A level whose
 group is trivial tries every color, as a search without symmetry does.
@@ -143,11 +145,12 @@ def enumerate_colorings(
     Every branch tries one color per orbit of the automorphisms that
     commute with f and fix the colors placed, and the colorings of the
     orbit's other colors are their images.
-    Each solution is expanded to its edge colors by walking its arcs, and
-    the list is sorted, so the branching order does not change the result.
+    Each solution is built once, as its edge colors, each read from its
+    arc's color through the twists composed along the arc, and the list is
+    sorted, so the branching order does not change the result.
     """
     check_twist(q, f)
-    return sorted(_enumerate(d, q, f))
+    return sorted(_search(d, q, f, True))
 
 
 def _powers(f: QuandleMap, identity: tuple, exponents) -> list[tuple]:
@@ -219,10 +222,10 @@ def _orbits(group: list[tuple], whole: bool, domain) -> list[tuple[int, list[tup
 
 
 def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap, listing: bool):
-    """The propagation search, for a twist map the caller has checked:
-    ``(found, power)``, found the arc colorings in search order when
-    ``listing``, else their number, and power the table of ``_powers``,
-    power[k] = f^k for every exponent of ``kernel.arc_skeleton``."""
+    """The propagation search, for a twist map the caller has checked: the
+    colorings in search order when ``listing``, each as its edge colors,
+    each edge's color read from its arc's through the edge's power f^k,
+    else their number."""
     arc_of, k_of, loops, crossings, by_lowest_edge = arc_skeleton(d)
     n = q.order
     identity = tuple(range(n))
@@ -251,6 +254,7 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap, listing: bool):
     # a closed arc may take only the fixed points of f^k, k its exponent once round
     every = range(n)
     domains = [every if k is None else [x for x, y in enumerate(power[k]) if x == y] for k in loops]
+    edges = [(a, power[k]) for a, k in zip(arc_of, k_of)] if listing else ()
     results: list[tuple[int, ...]] = []
     tally = 0  # when counting: the colorings found, images included
 
@@ -309,7 +313,7 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap, listing: bool):
                 before = len(results) if listing else tally
                 if len(trail) == left:  # every arc is colored
                     if listing:
-                        results.append(tuple(colors))  # type: ignore[arg-type]
+                        results.append(tuple([p[colors[a]] for a, p in edges]))  # type: ignore[call-overload]
                     else:
                         tally += 1
                 else:  # the maps that fix r fix its whole trail (module docstring)
@@ -325,7 +329,7 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap, listing: bool):
                 colors[t] = None
 
     if not loops:  # no arc: the one empty coloring
-        return ([()] if listing else 1), power
+        return [()] if listing else 1
     # the root's group is H; each other level's, its parent's maps that fix its color
     group, whole = _symmetries(q, f, identity)
     # one suspended generator per branch level on an explicit stack, so deep
@@ -340,15 +344,7 @@ def _search(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap, listing: bool):
             stack.pop()
         else:
             stack.append(branches(*child))
-    return (results if listing else tally), power
-
-
-def _enumerate(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> list[tuple[int, ...]]:
-    """``enumerate_colorings`` unsorted, for a twist map the caller has checked."""
-    found, power = _search(d, q, f, True)
-    arc_of, k_of = arc_skeleton(d)[:2]
-    edges = [(a, power[k]) for a, k in zip(arc_of, k_of)]
-    return [tuple([p[c[a]] for a, p in edges]) for c in found]
+    return results if listing else tally
 
 
 def count_colorings(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> int:
@@ -361,8 +357,7 @@ def count_colorings(d: VirtualDiagram, q: FiniteQuandle, f: QuandleMap) -> int:
     other color, and no coloring, image or edge color is built or kept.
     """
     check_twist(q, f)
-    count, _ = _search(d, q, f, False)
-    return count * q.order**d.free_loops
+    return _search(d, q, f, False) * q.order**d.free_loops
 
 
 def brute_force_colorings(

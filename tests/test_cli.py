@@ -323,9 +323,12 @@ def test_non_integer_inputs_are_usage_errors(capsys, argv):
 
 
 # An integer literal with more digits than the interpreter converts raises a
-# plain ValueError inside json.loads, which was a traceback and exit 1.
+# plain ValueError inside json.loads, which was a traceback and exit 1; in
+# dihedral:N and inner:a the refusal echoed all 5,001 digits.
 _LONG_INT = "1" + "0" * 5000
 LONG_INT_INPUTS = {
+    "dihedral-spec": ("quandle", "check", "--quandle", "dihedral:" + _LONG_INT),
+    "inner-spec": ("color", "count", "--diagram", "trefoil", "--quandle", "dihedral:3", "--aut", "inner:" + _LONG_INT),
     "aut": ("color", "count", "--diagram", "trefoil", "--quandle", "dihedral:3", "--aut", _LONG_INT),
     "psi": ("cocycle", "coboundary", "--quandle", "dihedral:4", "--psi", _LONG_INT),
     "quandle-json": ("quandle", "check", "--quandle", '{"kind":"dihedral","n":' + _LONG_INT + "}"),
@@ -664,6 +667,16 @@ def test_an_integer_is_an_optional_minus_and_ascii_digits(capsys, argv, words):
         main(list(argv))
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "") and err.endswith(": error: " + words)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_an_option_past_the_digit_limit_is_refused_without_its_value(capsys):
+    # argparse's own words, "invalid int value: '...'", echoed all 5,001 digits
+    with pytest.raises(SystemExit) as exc:
+        main([*_FUZZ_TREFOIL, "--seed", _LONG_INT])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "") and len(err) < 300
+    assert err.endswith(f": error: argument --seed: an integer has more than {sys.get_int_max_str_digits()} digits\n")
 
 
 def test_plain_and_negative_integers_are_read(capsys):

@@ -92,6 +92,8 @@ def test_a_map_built_from_a_list_answers_like_one_built_from_a_tuple(images):
 
 
 def test_z3_refuses_a_bad_twist_map_before_enumerating(monkeypatch):
+    import vknots.invariants
+
     # the map is checked before any state sum: over R6 (12 automorphisms) the
     # refusal used to follow 12 enumerations, and above the automorphism
     # search bound it was the search's SearchBoundExceeded
@@ -99,10 +101,11 @@ def test_z3_refuses_a_bad_twist_map_before_enumerating(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return enumerate_colorings(*args)
+        return search(*args)
 
     # the state sums reach the search through the solver's unchecked path
-    monkeypatch.setattr("vknots.invariants._enumerate", counted)
+    search = vknots.invariants._search
+    monkeypatch.setattr(vknots.invariants, "_search", counted)
     d = builder("kishino")
     for n in (6, 9):
         q = make_dihedral(n)

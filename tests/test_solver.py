@@ -30,7 +30,7 @@ from vknots.diagram import (
     serialize_diagram,
     validate_diagram,
 )
-from vknots.moves import random_equivalent
+from vknots.moves import find_r1_sites, find_r2_sites, find_r3_sites, find_vkink_sites, r3_slide, random_equivalent
 from vknots.errors import InvalidParameter, PreconditionFailed, SearchBoundExceeded
 from vknots.invariants import (
     aut_sum_z3,
@@ -506,7 +506,13 @@ def test_the_count_builds_no_coloring(monkeypatch):
     def refuse(*args):
         raise AssertionError("count_colorings listed the colorings")
 
-    monkeypatch.setattr(vknots.solver, "_enumerate", refuse)
+    def count_only(d, q, f, listing):
+        if listing:
+            refuse()
+        return search(d, q, f, listing)
+
+    search = vknots.solver._search
+    monkeypatch.setattr(vknots.solver, "_search", count_only)
     monkeypatch.setattr(vknots.solver, "enumerate_colorings", refuse)
     # the root tries one color of R3 and of R5, and the tree gives the rest
     assert count_colorings(builder("trefoil"), Q3, ID3) == 9
@@ -812,6 +818,29 @@ def test_every_small_code_agrees_with_the_oracle(c):
             found = enumerate_colorings(d, q, f)
             assert found == brute_force_colorings(d, q, f), (d, f.images)
             assert count_colorings(d, q, f) == len(found), (d, f.images)
+
+
+def test_every_r3_site_of_three_crossings_keeps_the_counts():
+    # the c = 3 codes are too many for the oracle; their sites are pinned per
+    # move kind, so that a change to a finder shows as a count change, and
+    # every R3 slide keeps the count over R3 and 2a - b mod 5 under every
+    # automorphism (9,984 comparisons)
+    codes = all_codes(3)
+    assert len(codes) == 19040
+    finders = {"r3_slide": find_r3_sites, "r2_remove": find_r2_sites, "r1_remove": find_r1_sites, "vkink_remove": find_vkink_sites}
+    sites = {kind: [(d, s) for d in codes for s in find(d)] for kind, find in finders.items()}
+    assert {kind: len(found) for kind, found in sites.items()} == {
+        "r3_slide": 384,
+        "r2_remove": 1008,
+        "r1_remove": 9856,
+        "vkink_remove": 7424,
+    }
+    twists = [(q, f) for q in (Q3, A5) for f in automorphisms(q)]
+    assert len(twists) == 6 + 20
+    for d, bridges in sites["r3_slide"]:
+        slid = r3_slide(d, bridges)
+        for q, f in twists:
+            assert count_colorings(slid, q, f) == count_colorings(d, q, f), (d, bridges, f.images)
 
 
 # ---------------------------------------------------------------------------
